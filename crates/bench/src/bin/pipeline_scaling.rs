@@ -1,6 +1,6 @@
 //! Stage-pipeline scaling benchmark: explores a wide-frontier TSO subject
-//! through the state-space engine's pinned-role pipeline (ingress →
-//! explore → subsume → commit over SPSC rings) at jobs ∈ {1, 2, 4}, and
+//! through the state-space engine's stage pipeline (ingress → explore →
+//! subsume → commit on a `wave::Pool`) at jobs ∈ {1, 2, 4}, and
 //! reports per job count:
 //!
 //! - wall time and effective states/sec (interned states divided by mean

@@ -13,8 +13,7 @@
 //!
 //! The `queue_throughput` and `pipeline` bench targets track the same
 //! quantities under the in-repo [`harness`] protocol (warmup + repeated
-//! timed trials with mean/95%-CI), and `parallel_speedup` measures the
-//! multi-core refinement checker; results land in `BENCH_*.json` via the
+//! timed trials with mean/95%-CI); results land in `BENCH_*.json` via the
 //! hand-rolled [`json`] writer. No crates.io dependencies are involved
 //! (hermetic-build policy, see DESIGN.md).
 //!

@@ -88,8 +88,6 @@ pub mod serve;
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 pub use armada_backend as backend;
 pub use armada_lang as lang;
@@ -894,15 +892,20 @@ impl Pipeline {
         // Audit baseline: the store handle may be shared across runs (the
         // serve daemon reuses one hierarchy), so report the delta.
         let corrupt_before = cert_store.as_ref().map_or(0, |s| s.corrupt_loads());
-        // A panic that escapes `run_recipe` (i.e. outside the two
-        // per-stage `catch_unwind`s — pool bookkeeping, lowering, the cert
-        // store) is still confined to its recipe here, so one bad worker
-        // can never poison the whole run.
-        let run_one = |index: usize, recipe: &Recipe| -> Result<RecipeRun, PipelineError> {
-            catch_unwind(AssertUnwindSafe(|| {
-                self.run_recipe(index, recipe, &relation, cert_store.as_ref())
-            }))
-            .unwrap_or_else(|payload| {
+        let runs = armada_runtime::wave::map(self.sim.bounds.jobs, recipes, |index, recipe| {
+            self.run_recipe(index, recipe, &relation, cert_store.as_ref())
+        });
+
+        let mut strategy_reports = Vec::new();
+        let mut refinements = Vec::new();
+        let mut outcomes = Vec::new();
+        let mut certs = Vec::new();
+        for (recipe, run) in recipes.iter().zip(runs) {
+            // A panic that escapes `run_recipe` (i.e. outside the two
+            // per-stage `catch_unwind`s — lowering, the cert store) is
+            // still confined to its recipe, so one bad worker can never
+            // poison the whole run.
+            let run = run.unwrap_or_else(|payload| {
                 Ok(RecipeRun {
                     strategy_report: None,
                     refinement: None,
@@ -917,43 +920,7 @@ impl Pipeline {
                         telemetry: None,
                     },
                 })
-            })
-        };
-
-        let jobs = self.sim.bounds.jobs.max(1);
-        let runs: Vec<Result<RecipeRun, PipelineError>> = if jobs > 1 && recipes.len() > 1 {
-            let slots: Vec<OnceLock<Result<RecipeRun, PipelineError>>> =
-                (0..recipes.len()).map(|_| OnceLock::new()).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs.min(recipes.len()) {
-                    scope.spawn(|| loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= recipes.len() {
-                            break;
-                        }
-                        let run = run_one(index, &recipes[index]);
-                        slots[index].set(run).ok().expect("each slot claimed once");
-                    });
-                }
             });
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("every slot filled"))
-                .collect()
-        } else {
-            recipes
-                .iter()
-                .enumerate()
-                .map(|(index, recipe)| run_one(index, recipe))
-                .collect()
-        };
-
-        let mut strategy_reports = Vec::new();
-        let mut refinements = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut certs = Vec::new();
-        for run in runs {
             // First infrastructure error in recipe order wins — identical
             // to a serial run regardless of which worker hit it first.
             let run = run?;

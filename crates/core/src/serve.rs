@@ -31,7 +31,7 @@
 //! * **Retries.** A worker that panics outside the pipeline's own
 //!   isolation (or is killed by an injected [`ServerFate::WorkerKill`])
 //!   is retried with bounded exponential backoff
-//!   ([`armada_runtime::ring::Backoff`]); verification is deterministic,
+//!   ([`armada_runtime::Backoff`]); verification is deterministic,
 //!   so a retry can only reproduce the fault-free verdict.
 //! * **Fault injection.** A [`ServerPlan`] pins [`ServerFate`]s to request
 //!   admission ordinals, driving the daemon-level taxonomy (worker kills,
@@ -53,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use armada_runtime::ring::Backoff;
+use armada_runtime::Backoff;
 use armada_runtime::CounterSet;
 use armada_verify::store::{CertKey, ReadFault};
 use armada_verify::tier::TieredStore;

@@ -25,10 +25,12 @@
 //! * [`hash`] — stable FNV-1a content hashing for persistent artifacts
 //!   (certificate-store keys and checksums);
 //! * [`ring`] — generic cache-line-padded SPSC rings with bounded-spin
-//!   backoff, the frontier-handoff primitive of the engine's stage
-//!   pipeline (ingress → explore → subsume → commit);
+//!   backoff, the transport under [`wave`]'s worker pool;
 //! * [`telemetry`] — per-stage latency/occupancy histograms with
-//!   power-of-two buckets, cheap enough to leave on in the hot path.
+//!   power-of-two buckets, cheap enough to leave on in the hot path;
+//! * [`wave`] — the one scheduler behind every compute fan-out: a
+//!   persistent batched pool for the engines' waves and a fork-join map
+//!   for a few heavy items.
 
 pub mod barrier;
 pub mod generated;
@@ -40,6 +42,7 @@ pub mod prng;
 pub mod ring;
 pub mod spsc;
 pub mod telemetry;
+pub mod wave;
 
 pub use barrier::FlagBarrier;
 pub use hash::{fnv1a_64, Fnv64};

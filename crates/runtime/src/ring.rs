@@ -1,5 +1,5 @@
-//! Lock-free single-producer/single-consumer ring buffers for the stage
-//! pipeline (ingress → explore → subsume → commit).
+//! Lock-free single-producer/single-consumer ring buffers: the transport
+//! between [`crate::wave::Pool`] and its workers.
 //!
 //! Unlike [`crate::spsc`], which is a faithful u64-payload port of the
 //! liblfds ring used by the generated harness code, this module is the

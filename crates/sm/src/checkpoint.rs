@@ -166,7 +166,7 @@ impl ExploreCheckpoint {
             let fp = d.u64().ok()?;
             let bytes = d.bytes().ok()?;
             let checksum = d.u64().ok()?;
-            if codec::fnv1a_64(&bytes) != checksum {
+            if armada_runtime::fnv1a_64(&bytes) != checksum {
                 return None;
             }
             let state = codec::state_from_bytes(&bytes).ok()?;
@@ -228,7 +228,7 @@ impl ExploreCheckpoint {
                 let bytes = codec::state_to_bytes(&state);
                 enc.u64(arena.fp_of(StateId(id as u32)));
                 enc.bytes(&bytes);
-                enc.u64(codec::fnv1a_64(&bytes));
+                enc.u64(armada_runtime::fnv1a_64(&bytes));
             }
             let chunk = enc.into_bytes();
             let mut file = fs::OpenOptions::new()

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use armada_lang::ast::IntType;
+use armada_runtime::fnv1a_64;
 
 use crate::heap::{AllocStatus, Heap, HeapObject, Location, MemNode, ObjectId, PtrVal, RootKind};
 use crate::program::Pc;
@@ -31,17 +32,6 @@ use crate::state::{
 };
 use crate::step::{Step, StepKind};
 use crate::value::{UbReason, Value};
-
-/// 64-bit FNV-1a over a byte slice — the same checksum `armada-verify`'s
-/// cert store uses, reimplemented here so `armada-sm` stays dependency-free.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Decode failure: what went wrong and (roughly) where.
 #[derive(Debug, Clone, PartialEq, Eq)]

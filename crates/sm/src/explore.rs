@@ -12,19 +12,16 @@
 //! The engine is a wave-synchronized BFS over a [`StateArena`]: states are
 //! hash-consed to dense ids with cached 64-bit fingerprints, so seen-set
 //! probes are integer bucket lookups and the frontier carries 4-byte ids,
-//! not cloned state trees. Within a wave the engine runs a pinned-role
-//! *stage pipeline* — ingress → explore → subsume → commit — over
-//! lock-free SPSC rings ([`armada_runtime::ring`]): the coordinator
-//! ingresses wave slot `s` to explore worker `s % jobs`, workers enumerate
-//! successors and hand them back through their out-ring, and the
-//! coordinator commits expansions serially *in wave-slot order* (arena
-//! dedup — the subsume stage — then interning and `max_states`
-//! accounting). Because each worker receives its slots in ascending order
-//! and SPSC rings are FIFO, popping out-ring `s % jobs` for slot `s`
-//! reconstructs the exact serial commit order with no reorder buffer, so
-//! results — including truncation points — are byte-identical for any job
-//! count. With `jobs = 1` the same stages run inline on one thread, no
-//! rings involved.
+//! not cloned state trees. Within a wave the engine runs a *stage
+//! pipeline* — ingress → explore → subsume → commit — on an
+//! [`armada_runtime::wave::Pool`]: the coordinator ingresses wave slots,
+//! the pool's workers enumerate successors, and the coordinator commits
+//! expansions serially *in wave-slot order* (arena dedup — the subsume
+//! stage — then interning and `max_states` accounting). The pool returns
+//! results in slot order for any worker count, so results — including
+//! truncation points — are byte-identical for any job count. With
+//! `jobs = 1`, and for narrow waves, the same stages run inline on one
+//! thread.
 //!
 //! With [`Bounds::reduction`] on (the default), expansion fuses maximal
 //! runs of thread-local steps into single macro-transitions (see
@@ -44,8 +41,9 @@ use crate::reduce::Reducer;
 use crate::state::{initial_state, ProgState, Termination};
 use crate::step::{enabled_steps, try_step, Step, StepKind};
 use crate::value::Value;
-use armada_runtime::ring::{ring, Backoff};
 use armada_runtime::telemetry::{Stage, StageTelemetry};
+use armada_runtime::wave::Pool;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -167,11 +165,6 @@ pub struct Bounds {
     /// `resume` set continues from them instead of starting cold. A
     /// resumed run is byte-identical to an uninterrupted one.
     pub checkpoint: Option<crate::checkpoint::CheckpointSpec>,
-    /// Waves narrower than this run inline on the coordinator even when
-    /// `jobs > 1`: tiny frontiers lose more to ring handoff than they
-    /// gain from parallelism, and the inline path is the reference
-    /// semantics, so the fallback cannot change results.
-    pub small_wave_serial: usize,
 }
 
 impl Bounds {
@@ -188,7 +181,6 @@ impl Bounds {
             symmetry: true,
             spill: None,
             checkpoint: None,
-            small_wave_serial: SMALL_WAVE_SERIAL,
         }
     }
 
@@ -237,7 +229,7 @@ impl Bounds {
             "{}|{:?}|{}|{}|{}",
             program.name, self.nondet_ints, self.max_buffer, self.reduction, self.symmetry
         );
-        crate::codec::fnv1a_64(key.as_bytes())
+        armada_runtime::fnv1a_64(key.as_bytes())
     }
 
     /// True once the wall-clock deadline (if any) has passed.
@@ -388,24 +380,6 @@ struct Edge {
 /// cut is taken there, and the rest of the wave is discarded uncommitted.
 const DEADLINE_CHECK_EDGES: usize = 1024;
 
-/// Capacity of each pipeline ring (jobs in, expansions out, per worker).
-/// Bounds the number of in-flight expansions — and thus both memory and
-/// deadline overshoot — while keeping workers fed across commit stalls.
-const RING_CAPACITY: usize = 64;
-
-/// Wave slots per ring handoff. One push/pop per slot made the handoff
-/// cost visible on small subjects (`BENCH_pipeline.json` showed jobs>1
-/// *slower* than serial at 0.73–0.80×); batching amortizes it 16-fold.
-/// Batch `b` goes to worker `b % jobs` and SPSC rings are FIFO, so
-/// committing batches in index order still reconstructs the exact serial
-/// slot order.
-const EXPAND_BATCH: usize = 16;
-
-/// Default [`Bounds::small_wave_serial`]: waves narrower than this run
-/// inline even when `jobs > 1` (three batches — below that, handoff
-/// latency dominates any parallel win).
-const SMALL_WAVE_SERIAL: usize = 3 * EXPAND_BATCH;
-
 /// Telemetry samples one slot in this many (power of two; slot 0 is always
 /// sampled, so even a tiny run records something). Slots here run in a few
 /// microseconds, so timestamping each one costs several percent of the
@@ -414,21 +388,14 @@ const SMALL_WAVE_SERIAL: usize = 3 * EXPAND_BATCH;
 /// floor (`scripts/verify.sh --full` gates it at 2% of states/sec).
 const TELEMETRY_SAMPLE: usize = 32;
 
-/// Counter-based 1-in-[`TELEMETRY_SAMPLE`] sampler: returns a start
-/// timestamp when this slot should be measured. Advances on every call,
-/// so sampling depends only on slot position — never on the clock — and
-/// cannot perturb the exploration result.
-fn sample_slot(record: bool, counter: &mut usize) -> Option<Instant> {
+/// Counter-based 1-in-[`TELEMETRY_SAMPLE`] sampler: true when this slot
+/// should be measured. Advances on every call, so sampling depends only on
+/// slot position — never on the clock — and cannot perturb the
+/// exploration result.
+fn sample_slot(record: bool, counter: &mut usize) -> bool {
     let sampled = record && (*counter & (TELEMETRY_SAMPLE - 1)) == 0;
     *counter = counter.wrapping_add(1);
-    sampled.then(Instant::now)
-}
-
-/// A unit of work for an explore worker: a batch of consecutive wave
-/// slots starting at the carried index.
-enum Job {
-    Expand(usize, Vec<Arc<ProgState>>),
-    Shutdown,
+    sampled
 }
 
 /// Exhaustively explores from a given state, with [`Bounds::jobs`] worker
@@ -508,7 +475,7 @@ fn commit_slot(
             result.stuck.push(state);
         }
         Expansion::Edges(edges) => {
-            let started = sample_slot(record, &mut cs.tel_sampler);
+            let started = sample_slot(record, &mut cs.tel_sampler).then(Instant::now);
             let total = edges.len();
             let mut subsumed = 0usize;
             for edge in edges {
@@ -552,46 +519,8 @@ fn commit_slot(
     }
 }
 
-/// Runs one wave's slots inline on the coordinator: ingress → explore →
-/// subsume → commit as phases of one loop iteration per slot, in slot
-/// order — the reference semantics every parallel run must reproduce.
-#[allow(clippy::too_many_arguments)]
-fn run_wave_inline(
-    result: &mut Exploration,
-    wave: &[StateId],
-    next_wave: &mut Vec<StateId>,
-    bounds: &Bounds,
-    cs: &mut CommitState,
-    expand: &dyn Fn(&ProgState) -> Expansion,
-    sampler: &mut usize,
-    record: bool,
-    tel: &mut StageTelemetry,
-    terminals: &mut TerminalIds,
-) {
-    for &id in wave {
-        if cs.deadline_cut {
-            break;
-        }
-        let state = result.arena.get_arc_mut(id);
-        let started = sample_slot(record, sampler);
-        let expansion = expand(&state);
-        if let Some(started) = started {
-            let n = match &expansion {
-                Expansion::Edges(edges) => edges.len(),
-                _ => 0,
-            };
-            tel.record_batch(Stage::Explore, started.elapsed(), n);
-        }
-        commit_slot(
-            result, next_wave, bounds, id, expansion, cs, record, tel, terminals,
-        );
-    }
-}
-
-/// The engine behind [`explore_from`]: a four-stage pipeline over SPSC
-/// rings when `jobs > 1`, the same stages inline when `jobs == 1` (and
-/// for waves below [`Bounds::small_wave_serial`], where handoff would
-/// cost more than it buys).
+/// The engine behind [`explore_from`]: a four-stage pipeline whose
+/// explore stage runs on a [`Pool`] of [`Bounds::jobs`] workers.
 fn explore_from_impl(
     program: &Program,
     initial: ProgState,
@@ -701,12 +630,25 @@ fn explore_from_impl(
         )
     };
 
-    let workers = bounds.jobs.max(1);
+    let expand = |(state, sampled): (Arc<ProgState>, bool), tel: &mut StageTelemetry| {
+        let started = sampled.then(Instant::now);
+        let expansion = expand_state(&state);
+        if let Some(started) = started {
+            let n = match &expansion {
+                Expansion::Edges(edges) => edges.len(),
+                _ => 0,
+            };
+            tel.record_batch(Stage::Explore, started.elapsed(), n);
+        }
+        expansion
+    };
+
+    // This thread is ingress + subsume + commit; the pool runs the explore
+    // stage and hands expansions back in slot order, so commit sees the
+    // serial wave order at any worker count. The sampling decision is
+    // made here at ingress, so it depends only on slot position.
     let mut explore_sampler = 0usize;
-    if workers == 1 {
-        // Inline pipeline: ingress/explore/subsume/commit run as phases of
-        // one loop iteration per slot, in slot order — the reference
-        // semantics every parallel run must reproduce.
+    let (panic, pool_tel) = Pool::scope(bounds.jobs, &expand, |pool| {
         while !wave.is_empty() && !result.truncated {
             if let Some(ck) = checkpoint.as_mut() {
                 ck.save(
@@ -723,19 +665,42 @@ fn explore_from_impl(
             }
             let mut next_wave: Vec<StateId> = Vec::new();
             let mut cs = CommitState::default();
+            let mut panic = None;
             let wave_started = record.then(Instant::now);
-            run_wave_inline(
+            pool.wave(
+                wave.len(),
                 &mut result,
-                &wave,
-                &mut next_wave,
-                bounds,
-                &mut cs,
-                &expand_state,
-                &mut explore_sampler,
-                record,
-                tel,
-                &mut terminals,
+                |result, slot| {
+                    let state = result.arena.get_arc_mut(wave[slot]);
+                    (state, sample_slot(record, &mut explore_sampler))
+                },
+                |result, slot, expansion| {
+                    match expansion {
+                        Ok(expansion) => commit_slot(
+                            result,
+                            &mut next_wave,
+                            bounds,
+                            wave[slot],
+                            expansion,
+                            &mut cs,
+                            record,
+                            tel,
+                            &mut terminals,
+                        ),
+                        Err(payload) => panic = Some(payload),
+                    }
+                    // A deadline cut discards the rest of the wave
+                    // uncommitted and uncounted.
+                    if panic.is_some() || cs.deadline_cut {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
             );
+            if panic.is_some() {
+                return panic;
+            }
             if let Some(started) = wave_started {
                 // Ingress batches time a whole wave's coordination
                 // (dispatch through final commit): the wave wall-time
@@ -744,191 +709,15 @@ fn explore_from_impl(
             }
             wave = next_wave;
         }
-    } else {
-        // Pinned-role pipeline: this thread is ingress + subsume + commit;
-        // `workers` explore threads each own one in-ring and one out-ring.
-        // The wave is cut into [`EXPAND_BATCH`]-slot batches; batch `b`
-        // always goes to worker `b % workers`, and each SPSC ring is FIFO,
-        // so popping out-ring `b % workers` when committing batch `b`
-        // yields exactly batch `b` — serial wave order, no reordering.
-        std::thread::scope(|scope| {
-            let expand = &expand_state;
-            let mut in_txs = Vec::with_capacity(workers);
-            let mut out_rxs = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (in_tx, mut in_rx) = ring::<Job>(RING_CAPACITY);
-                let (mut out_tx, out_rx) = ring::<(usize, Vec<Expansion>)>(RING_CAPACITY);
-                in_txs.push(in_tx);
-                out_rxs.push(out_rx);
-                handles.push(scope.spawn(move || {
-                    let mut worker_tel = StageTelemetry::new();
-                    let mut sampler = 0usize;
-                    loop {
-                        match in_rx.pop() {
-                            Job::Shutdown => break,
-                            Job::Expand(batch_ix, states) => {
-                                let mut expansions = Vec::with_capacity(states.len());
-                                for state in &states {
-                                    let started = sample_slot(record, &mut sampler);
-                                    let expansion = expand(state);
-                                    if let Some(started) = started {
-                                        let n = match &expansion {
-                                            Expansion::Edges(edges) => edges.len(),
-                                            _ => 0,
-                                        };
-                                        worker_tel.record_batch(
-                                            Stage::Explore,
-                                            started.elapsed(),
-                                            n,
-                                        );
-                                    }
-                                    expansions.push(expansion);
-                                }
-                                out_tx.push((batch_ix, expansions));
-                            }
-                        }
-                    }
-                    worker_tel
-                }));
-            }
-
-            while !wave.is_empty() && !result.truncated {
-                if let Some(ck) = checkpoint.as_mut() {
-                    ck.save(
-                        &mut result.arena,
-                        &wave,
-                        result.transitions,
-                        result.micro_steps,
-                        &terminals,
-                    );
-                }
-                if bounds.deadline_expired() {
-                    result.truncated = true;
-                    break;
-                }
-                let mut next_wave: Vec<StateId> = Vec::new();
-                let mut cs = CommitState::default();
-                let ingress_started = record.then(Instant::now);
-                if wave.len() < bounds.small_wave_serial {
-                    // Narrow frontier: ring handoff costs more than the
-                    // parallelism buys. The inline path is the reference
-                    // semantics, so falling back cannot change results.
-                    run_wave_inline(
-                        &mut result,
-                        &wave,
-                        &mut next_wave,
-                        bounds,
-                        &mut cs,
-                        expand,
-                        &mut explore_sampler,
-                        record,
-                        tel,
-                        &mut terminals,
-                    );
-                } else {
-                    let nbatches = wave.len().div_ceil(EXPAND_BATCH);
-                    let mut next_ingress = 0usize;
-                    let mut next_commit = 0usize;
-                    // A built batch the target ring refused: faulting its
-                    // states may have cost page reads, so keep it until
-                    // the ring accepts rather than rebuilding.
-                    let mut pending: Option<(usize, Vec<Arc<ProgState>>)> = None;
-                    let mut backoff = Backoff::new();
-                    while next_commit < nbatches {
-                        if cs.deadline_cut {
-                            // Drain in-flight batches uncommitted and
-                            // uncounted: the run is over, only ring
-                            // hygiene remains (workers must not block on
-                            // full rings).
-                            while next_commit < next_ingress {
-                                if out_rxs[next_commit % workers].try_pop().is_some() {
-                                    next_commit += 1;
-                                } else {
-                                    backoff.snooze();
-                                }
-                            }
-                            break;
-                        }
-                        // Ingress: feed workers round-robin while rings
-                        // accept, one batch of consecutive slots at a time.
-                        loop {
-                            let (batch_ix, states) = match pending.take() {
-                                Some(batch) => batch,
-                                None if next_ingress < nbatches => {
-                                    let start = next_ingress * EXPAND_BATCH;
-                                    let end = (start + EXPAND_BATCH).min(wave.len());
-                                    let states = wave[start..end]
-                                        .iter()
-                                        .map(|&id| result.arena.get_arc_mut(id))
-                                        .collect();
-                                    (next_ingress, states)
-                                }
-                                None => break,
-                            };
-                            match in_txs[batch_ix % workers].try_push(Job::Expand(batch_ix, states))
-                            {
-                                Ok(()) => {
-                                    next_ingress += 1;
-                                    backoff.reset();
-                                }
-                                Err(Job::Expand(batch_ix, states)) => {
-                                    pending = Some((batch_ix, states));
-                                    break;
-                                }
-                                Err(Job::Shutdown) => unreachable!("only Expand is pushed here"),
-                            }
-                        }
-                        // Commit: strictly the next batch in wave order,
-                        // slot by slot.
-                        if next_commit < next_ingress {
-                            if let Some((batch_ix, expansions)) =
-                                out_rxs[next_commit % workers].try_pop()
-                            {
-                                debug_assert_eq!(batch_ix, next_commit, "out-ring order broken");
-                                let start = batch_ix * EXPAND_BATCH;
-                                for (offset, expansion) in expansions.into_iter().enumerate() {
-                                    if cs.deadline_cut {
-                                        break;
-                                    }
-                                    commit_slot(
-                                        &mut result,
-                                        &mut next_wave,
-                                        bounds,
-                                        wave[start + offset],
-                                        expansion,
-                                        &mut cs,
-                                        record,
-                                        tel,
-                                        &mut terminals,
-                                    );
-                                }
-                                next_commit += 1;
-                                backoff.reset();
-                                continue;
-                            }
-                        }
-                        backoff.snooze();
-                    }
-                }
-                if let Some(started) = ingress_started {
-                    tel.record_batch(Stage::Ingress, started.elapsed(), wave.len());
-                }
-                wave = next_wave;
-            }
-
-            for in_tx in &mut in_txs {
-                in_tx.push(Job::Shutdown);
-            }
-            for handle in handles {
-                let worker_tel = handle.join().expect("explore worker panicked");
-                if record {
-                    tel.merge(&worker_tel);
-                }
-            }
-        });
+        None
+    });
+    // Re-raised only now that the pool's workers have been joined.
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
-
+    if record {
+        tel.merge(&pool_tel);
+    }
     // A clean, complete run needs no resume point; leaving one behind
     // would make a later `--resume` of the same directory skip work it
     // should redo under different budgets.
@@ -1152,28 +941,65 @@ mod tests {
         }
     }"#;
 
+    /// Two writer threads of nondeterministic TSO writes: waves reach
+    /// well past the pool's narrow-wave threshold, so `jobs > 1` runs
+    /// take the ring path (asserted through `wave.batches`).
+    const WIDE: &str = r#"level L {
+        var a: uint32;
+        var b: uint32;
+        void w1() { a := *; a := *; }
+        void w2() { b := *; b := *; }
+        void main() {
+            var t1: uint64 := create_thread w1();
+            var t2: uint64 := create_thread w2();
+            join t1;
+            join t2;
+        }
+    }"#;
+
+    fn assert_same(serial: &Exploration, other: &Exploration, tag: &str) {
+        assert_eq!(serial.arena, other.arena, "{tag}");
+        assert_eq!(serial.exited, other.exited, "{tag}");
+        assert_eq!(serial.assert_failures, other.assert_failures, "{tag}");
+        assert_eq!(serial.ub_states, other.ub_states, "{tag}");
+        assert_eq!(serial.stuck, other.stuck, "{tag}");
+        assert_eq!(serial.transitions, other.transitions, "{tag}");
+        assert_eq!(serial.micro_steps, other.micro_steps, "{tag}");
+        assert_eq!(serial.truncated, other.truncated, "{tag}");
+    }
+
+    /// `explore` at `bounds`, asserting the pool handed batches to its
+    /// workers (so the run cannot silently have stayed inline).
+    fn explore_on_rings(p: &Program, bounds: &Bounds) -> (Exploration, StageTelemetry) {
+        let (e, tel) = explore_with_telemetry(p, bounds);
+        assert!(
+            tel.counters().get("wave.batches") > 0,
+            "jobs={}: no wave took the ring path",
+            bounds.jobs
+        );
+        (e, tel)
+    }
+
     #[test]
-    fn parallel_exploration_matches_serial() {
-        // A racy program with several interleavings and terminal classes;
-        // every field of the result must agree between jobs=1 and jobs=4.
-        let p = program(RACY);
+    fn wide_waves_take_the_ring_path_and_match_serial() {
+        let p = program(WIDE);
         for reduction in [true, false] {
             let bounds = Bounds::small().with_reduction(reduction);
             let serial = explore(&p, &bounds);
-            // Threshold 0 forces the ring pipeline even on RACY's narrow
-            // waves, which is the path under test.
-            let mut par_bounds = bounds.clone().with_jobs(4);
-            par_bounds.small_wave_serial = 0;
-            let parallel = explore(&p, &par_bounds);
-            assert_eq!(serial.arena, parallel.arena);
-            assert_eq!(serial.exited, parallel.exited);
-            assert_eq!(serial.assert_failures, parallel.assert_failures);
-            assert_eq!(serial.ub_states, parallel.ub_states);
-            assert_eq!(serial.stuck, parallel.stuck);
-            assert_eq!(serial.transitions, parallel.transitions);
-            assert_eq!(serial.micro_steps, parallel.micro_steps);
-            assert_eq!(serial.truncated, parallel.truncated);
+            let (parallel, _) = explore_on_rings(&p, &bounds.clone().with_jobs(4));
+            assert_same(&serial, &parallel, &format!("reduction={reduction}"));
         }
+    }
+
+    #[test]
+    fn narrow_waves_run_inline_and_match_serial() {
+        // RACY's waves are all narrower than the pool's threshold: a jobs=4
+        // run hands no batch to a worker and still matches exactly.
+        let p = program(RACY);
+        let serial = explore(&p, &Bounds::small());
+        let (inline, tel) = explore_with_telemetry(&p, &Bounds::small().with_jobs(4));
+        assert_same(&serial, &inline, "jobs=4");
+        assert_eq!(tel.counters().get("wave.batches"), 0);
     }
 
     #[test]
@@ -1181,67 +1007,52 @@ mod tests {
         // Truncation used to diverge: serial returned mid-successor-loop
         // while parallel kept draining the frontier. The wave engine
         // commits in wave order for any worker count, so the cut — and
-        // every count — is deterministic. Check several tiny budgets.
-        let p = program(RACY);
-        for max_states in [1, 2, 3, 5, 8, 13] {
+        // every count — is deterministic. Check tiny budgets and cuts
+        // inside wide waves.
+        let p = program(WIDE);
+        let full = explore(&p, &Bounds::small()).arena.len();
+        for max_states in [1, 2, 3, 5, 8, 13, full / 3, full / 2, full - 1] {
             let mut bounds = Bounds::small();
             bounds.max_states = max_states;
-            bounds.small_wave_serial = 0;
             let serial = explore(&p, &bounds);
             let parallel = explore(&p, &bounds.clone().with_jobs(4));
             assert!(serial.truncated, "max_states={max_states} must truncate");
-            assert_eq!(serial.arena, parallel.arena, "max_states={max_states}");
             assert!(serial.arena.len() <= max_states);
-            assert_eq!(
-                serial.transitions, parallel.transitions,
-                "max_states={max_states}"
-            );
-            assert_eq!(serial.exited, parallel.exited);
-            assert_eq!(serial.assert_failures, parallel.assert_failures);
-            assert_eq!(serial.stuck, parallel.stuck);
-            assert_eq!(serial.truncated, parallel.truncated);
+            assert_same(&serial, &parallel, &format!("max_states={max_states}"));
         }
     }
 
     #[test]
     fn pipeline_matches_serial_at_many_job_counts() {
-        // The ring pipeline must reproduce the inline engine exactly at
-        // any worker count, including counts above the wave width.
-        let p = program(RACY);
+        // The ring path must reproduce the inline engine exactly at any
+        // worker count.
+        let p = program(WIDE);
         let serial = explore(&p, &Bounds::small());
         for jobs in [2, 3, 8] {
-            let mut bounds = Bounds::small().with_jobs(jobs);
-            bounds.small_wave_serial = 0;
-            let parallel = explore(&p, &bounds);
-            assert_eq!(serial.arena, parallel.arena, "jobs={jobs}");
-            assert_eq!(serial.exited, parallel.exited, "jobs={jobs}");
-            assert_eq!(serial.transitions, parallel.transitions, "jobs={jobs}");
-            assert_eq!(serial.micro_steps, parallel.micro_steps, "jobs={jobs}");
+            let (parallel, _) = explore_on_rings(&p, &Bounds::small().with_jobs(jobs));
+            assert_same(&serial, &parallel, &format!("jobs={jobs}"));
         }
     }
 
     #[test]
     fn telemetry_does_not_change_the_exploration() {
-        let p = program(RACY);
+        let p = program(WIDE);
         for jobs in [1, 4] {
-            let mut bounds = Bounds::small().with_jobs(jobs);
-            bounds.small_wave_serial = 0;
+            let bounds = Bounds::small().with_jobs(jobs);
             let plain = explore(&p, &bounds);
             let (instrumented, telemetry) = explore_with_telemetry(&p, &bounds);
-            assert_eq!(plain.arena, instrumented.arena, "jobs={jobs}");
-            assert_eq!(plain.exited, instrumented.exited, "jobs={jobs}");
-            assert_eq!(plain.transitions, instrumented.transitions, "jobs={jobs}");
-            assert_eq!(plain.truncated, instrumented.truncated, "jobs={jobs}");
-            assert!(
-                !telemetry.is_empty(),
-                "jobs={jobs}: instrumented run must record batches"
-            );
+            assert_same(&plain, &instrumented, &format!("jobs={jobs}"));
             assert!(
                 telemetry
                     .latency(armada_runtime::telemetry::Stage::Explore)
                     .count()
                     > 0,
                 "jobs={jobs}: explore stage must have latency samples"
+            );
+            assert_eq!(
+                telemetry.counters().get("wave.batches") > 0,
+                jobs > 1,
+                "jobs={jobs}"
             );
         }
     }
@@ -1262,28 +1073,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_wave_fallback_is_identical_to_the_ring_path() {
-        // RACY's waves are all narrower than the default threshold, so a
-        // jobs=4 run with defaults takes the inline fallback throughout;
-        // with threshold 0 every wave takes the ring pipeline. Both must
-        // match the serial reference exactly.
-        let p = program(RACY);
-        let serial = explore(&p, &Bounds::small());
-        let fallback = explore(&p, &Bounds::small().with_jobs(4));
-        let mut ring_bounds = Bounds::small().with_jobs(4);
-        ring_bounds.small_wave_serial = 0;
-        let ring = explore(&p, &ring_bounds);
-        for (tag, e) in [("fallback", &fallback), ("ring", &ring)] {
-            assert_eq!(serial.arena, e.arena, "{tag}");
-            assert_eq!(serial.exited, e.exited, "{tag}");
-            assert_eq!(serial.assert_failures, e.assert_failures, "{tag}");
-            assert_eq!(serial.stuck, e.stuck, "{tag}");
-            assert_eq!(serial.transitions, e.transitions, "{tag}");
-            assert_eq!(serial.micro_steps, e.micro_steps, "{tag}");
-        }
-    }
-
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("armada-explore-{tag}-{}", std::process::id()))
     }
@@ -1294,26 +1083,15 @@ mod tests {
         // sealing early. The explored space, counters, and terminal
         // classes must not change, and the spill counters must show the
         // pager actually worked.
-        let p = program(RACY);
+        let p = program(WIDE);
         let plain = explore(&p, &Bounds::small());
         let dir = tmp("spill");
         for jobs in [1, 4] {
             let mut spec = crate::pager::SpillSpec::new(1, dir.clone());
             spec.page_states = 4;
-            let mut bounds = Bounds::small().with_jobs(jobs).with_spill(spec);
-            bounds.small_wave_serial = 0;
+            let bounds = Bounds::small().with_jobs(jobs).with_spill(spec);
             let (spilled, telemetry) = explore_with_telemetry(&p, &bounds);
-            assert_eq!(plain.arena, spilled.arena, "jobs={jobs}");
-            assert_eq!(plain.exited, spilled.exited, "jobs={jobs}");
-            assert_eq!(
-                plain.assert_failures, spilled.assert_failures,
-                "jobs={jobs}"
-            );
-            assert_eq!(plain.ub_states, spilled.ub_states, "jobs={jobs}");
-            assert_eq!(plain.stuck, spilled.stuck, "jobs={jobs}");
-            assert_eq!(plain.transitions, spilled.transitions, "jobs={jobs}");
-            assert_eq!(plain.micro_steps, spilled.micro_steps, "jobs={jobs}");
-            assert_eq!(plain.truncated, spilled.truncated, "jobs={jobs}");
+            assert_same(&plain, &spilled, &format!("jobs={jobs}"));
             assert!(
                 telemetry.counters().get("spill.evictions") > 0,
                 "jobs={jobs}: a 1-byte cap must evict"
@@ -1321,6 +1099,11 @@ mod tests {
             assert!(
                 telemetry.counters().get("spill.misses") > 0,
                 "jobs={jobs}: evicted pages must fault back"
+            );
+            assert_eq!(
+                telemetry.counters().get("wave.batches") > 0,
+                jobs > 1,
+                "jobs={jobs}"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -81,7 +81,7 @@ impl Log {
         let mut enc = Enc::new();
         for record in records {
             enc.bytes(record);
-            enc.u64(codec::fnv1a_64(record));
+            enc.u64(armada_runtime::fnv1a_64(record));
         }
         let chunk = enc.into_bytes();
         let mut file = fs::OpenOptions::new()
@@ -112,7 +112,7 @@ impl Log {
         for _ in 0..count {
             let record = d.bytes().ok()?;
             let checksum = d.u64().ok()?;
-            if codec::fnv1a_64(&record) != checksum {
+            if armada_runtime::fnv1a_64(&record) != checksum {
                 return None;
             }
             records.push(record);

@@ -42,18 +42,15 @@
 //! ## Parallel search
 //!
 //! With [`Bounds::jobs`] > 1 the product search runs multi-core, and the
-//! result is **byte-identical** to the serial run. The engine is a
-//! pinned-role stage pipeline (ingress → explore → subsume → commit): the
-//! coordinator thread feeds wave slots round-robin to `jobs` persistent
-//! explore workers over lock-free SPSC rings (`armada_runtime::ring`) and
-//! collects results strictly in slot order — slot `s` always travels
-//! worker `s % jobs`'s rings, and rings are FIFO, so wave order
-//! reconstructs with no reorder buffer. Expansion (low-step enumeration
-//! plus match-set computation against the memoized high-level graph) is
-//! the hot path and the only concurrent stage. Commit is split in two: a
-//! **shard-parallel
-//! subsumption phase** partitions the wave's successors by low-state
-//! fingerprint across `jobs * 4` antichain shards — each shard scans its
+//! result is **byte-identical** to the serial run. The engine is a stage
+//! pipeline (ingress → explore → subsume → commit): the coordinator thread
+//! feeds wave slots to an `armada_runtime::wave::Pool` of `jobs`
+//! persistent explore workers and collects results strictly in slot
+//! order. Expansion (low-step enumeration plus match-set computation
+//! against the memoized high-level graph) is the hot path. Commit is split
+//! in two: a **shard-parallel subsumption phase** (`wave::map`)
+//! partitions the wave's successors by low-state fingerprint across
+//! `jobs * 4` antichain shards — each shard scans its
 //! successors in global wave order, so decisions match the serial scan
 //! exactly (a state's antichain entries all live in its own shard) — then a
 //! cheap serial merge assigns match-set ids and node ids, applies the
@@ -69,15 +66,14 @@ pub mod tier;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use armada_proof::RefinementRelation;
 use armada_recheck::{Witness, WitnessBuilder};
-use armada_runtime::ring::{ring, Backoff};
 use armada_runtime::telemetry::{Stage, StageTelemetry};
+use armada_runtime::wave::{self, Panic, Pool};
 use armada_sm::arena::FpIdentityHasher;
 use armada_sm::{
     initial_state, Bounds, Canonicalizer, ProgState, Program, Reducer, StateArena, StateId, Step,
@@ -577,53 +573,18 @@ fn expand_node(
         .collect()
 }
 
-/// A raw panic payload (`Box<dyn Any + Send>`) is not `Sync`; the `Mutex`
-/// wrapper restores `Sync` without copying the payload, so it can travel
-/// through shared slots and rings.
-type PanicPayload = Mutex<Box<dyn std::any::Any + Send>>;
-type SlotResult = Result<Vec<SuccOut>, PanicPayload>;
-
-/// Collapses per-slot results into wave order, or surfaces the panic of
-/// the *lowest* failing slot — the same slot at any job count — so callers
-/// that isolate panics (the pipeline wraps `check_refinement` in its own
-/// `catch_unwind`) observe a deterministic failure.
-fn drain_slots(slots: Vec<SlotResult>) -> Result<Vec<Vec<SuccOut>>, PanicPayload> {
-    let mut first_panic = None;
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Ok(successors) => out.push(successors),
-            Err(payload) => {
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-    }
-    match first_panic {
-        Some(payload) => Err(payload),
-        None => Ok(out),
-    }
-}
-
-/// One unit of work for a pipeline explore worker: a wave slot plus the
-/// owned (`Arc`-shared) pieces of its product node, so workers never
-/// borrow the coordinator's growing `nodes` vector.
-struct VerifyJob {
-    slot: usize,
+/// A wave slot's input for the explore stage: the owned (`Arc`-shared)
+/// pieces of its product node, so workers never borrow the coordinator's
+/// growing `nodes` vector.
+struct Job {
     low: Arc<ProgState>,
     set_id: u32,
     matches: MatchSet,
     orig: Option<Arc<Vec<Tid>>>,
-    /// Injected worker-slot abort (fuzzing): the panic rides the exact
-    /// same drain path as an organic worker panic, so it must surface
+    /// Injected worker-slot abort (fuzzing), naming the slot: the panic
+    /// rides the same path as an organic worker panic, so it must surface
     /// identically at any job count.
-    abort: bool,
-}
-
-enum VerifyMsg {
-    Expand(Box<VerifyJob>),
-    Shutdown,
+    abort: Option<usize>,
 }
 
 /// The antichain seen-set, sharded by low-state fingerprint. Each shard
@@ -680,29 +641,22 @@ impl LowSeen {
 }
 
 /// Phase-A output for one wave: `true` at a successor's flat index means an
-/// admitted match set subsumes it (skip admission).
+/// admitted match set subsumes it (skip admission). Shards scan on up to
+/// `jobs` threads.
 fn sharded_subsumption(flat: &[(usize, SuccOut)], seen: &LowSeen, jobs: usize) -> Vec<bool> {
-    let shard_count = seen.shards.len();
-    let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+    let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); seen.shards.len()];
     for (i, (_, succ)) in flat.iter().enumerate() {
         if succ.matches.is_some() {
             per_shard[seen.shard_of(succ.fp)].push(i);
         }
     }
-    let subsumed_lists: Vec<Mutex<Vec<usize>>> =
-        (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-    let run_shard = |shard_idx: usize| {
-        if per_shard[shard_idx].is_empty() {
-            return;
-        }
+    let scans = wave::map(jobs, &per_shard, |shard_idx, members| {
         let mut shard = seen.shards[shard_idx].lock().expect("seen shard poisoned");
-        let mut subsumed = subsumed_lists[shard_idx]
-            .lock()
-            .expect("subsumed list poisoned");
+        let mut subsumed = Vec::new();
         // Global wave order restricted to this shard: every decision about
         // a state depends only on entries for that same state, which all
         // live here — so the outcome is identical to one serial scan.
-        for &i in &per_shard[shard_idx] {
+        for &i in members {
             let (_, succ) = &flat[i];
             let matches = succ.matches.as_ref().expect("filtered above");
             let bucket = shard.entry(succ.fp).or_default();
@@ -717,38 +671,16 @@ fn sharded_subsumption(flat: &[(usize, SuccOut)], seen: &LowSeen, jobs: usize) -
                 None => bucket.push((Arc::clone(&succ.next), vec![Arc::clone(matches)])),
             }
         }
-    };
-    if jobs <= 1 {
-        for shard_idx in 0..shard_count {
-            run_shard(shard_idx);
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(shard_count) {
-                scope.spawn(|| loop {
-                    let shard_idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if shard_idx >= shard_count {
-                        break;
-                    }
-                    run_shard(shard_idx);
-                });
-            }
-        });
-    }
+        subsumed
+    });
     let mut out = vec![false; flat.len()];
-    for list in subsumed_lists {
-        for i in list.into_inner().expect("subsumed list poisoned") {
+    for scan in scans {
+        for i in scan.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
             out[i] = true;
         }
     }
     out
 }
-
-/// Capacity of each pipeline ring (jobs in, slot results out, per
-/// worker); bounds in-flight expansions without starving workers across
-/// commit stalls.
-const RING_CAPACITY: usize = 64;
 
 /// Checks that `low` refines `high` under `relation`, over all bounded
 /// behaviors. Runs on `config.bounds.jobs` worker threads; the result is
@@ -849,7 +781,7 @@ fn check_refinement_impl(
     // faults, so a resumed run may raise its budget or change its worker
     // count and still continue.
     let mut ck = config.bounds.checkpoint.as_ref().map(|spec| {
-        let guard = armada_sm::codec::fnv1a_64(
+        let guard = armada_runtime::fnv1a_64(
             format!(
                 "{}|{}|{}|{:?}|{}|{}|{}|{}",
                 low.name,
@@ -959,30 +891,22 @@ fn check_refinement_impl(
         cache: &expand_cache,
     };
 
-    let outcome = if jobs <= 1 {
-        // Inline pipeline: the same stages on one thread, no rings.
-        let mut exp_tel = StageTelemetry::new();
-        let mut expander = |wave: &[usize], nodes: &[Node], abort_slot: Option<usize>| {
-            let mut slots: Vec<SlotResult> = Vec::with_capacity(wave.len());
-            for (slot, &i) in wave.iter().enumerate() {
-                let node = &nodes[i];
-                let started = record.then(Instant::now);
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    if abort_slot == Some(slot) {
-                        panic!("injected fault: worker slot {slot} aborted");
-                    }
-                    expand_node(&ctx, &node.low, node.set_id, &node.matches, &node.orig)
-                }))
-                .map_err(Mutex::new);
-                if let Some(started) = started {
-                    let n = out.as_ref().map(|v| v.len()).unwrap_or(0);
-                    exp_tel.record_batch(Stage::Explore, started.elapsed(), n);
-                }
-                slots.push(out);
-            }
-            drain_slots(slots)
-        };
-        let outcome = run_search(
+    // The explore stage: one product node's low edges and match sets.
+    // Every slot is timed — a product-node expansion is heavy enough that
+    // sampling would only blur the histogram.
+    let expand = |job: Job, tel: &mut StageTelemetry| {
+        let started = record.then(Instant::now);
+        if let Some(slot) = job.abort {
+            panic!("injected fault: worker slot {slot} aborted");
+        }
+        let successors = expand_node(&ctx, &job.low, job.set_id, &job.matches, &job.orig);
+        if let Some(started) = started {
+            tel.record_batch(Stage::Explore, started.elapsed(), successors.len());
+        }
+        successors
+    };
+    let (outcome, pool_tel) = Pool::scope(jobs, &expand, |pool| {
+        run_search(
             low,
             high,
             config,
@@ -991,7 +915,7 @@ fn check_refinement_impl(
             &mut set_intern,
             &seen_low,
             &mut pending,
-            &mut expander,
+            pool,
             record,
             tel,
             &high_graph,
@@ -999,131 +923,11 @@ fn check_refinement_impl(
             canon.is_some(),
             low_transitions,
             wave_index,
-        );
-        drop(expander);
-        if record {
-            tel.merge(&exp_tel);
-        }
-        outcome
-    } else {
-        // Pinned-role pipeline: this thread is ingress + subsume + commit;
-        // `jobs` explore workers each own one in-ring and one out-ring for
-        // the whole search. Wave slot `s` always goes to worker
-        // `s % jobs`, and SPSC rings are FIFO, so popping out-ring
-        // `s % jobs` when collecting slot `s` reconstructs wave order with
-        // no reorder buffer. Worker panics are caught inside the worker
-        // and travel the rings as values, so the pool survives any wave
-        // and the lowest failing slot is re-raised deterministically.
-        std::thread::scope(|scope| {
-            let ctx_ref = &ctx;
-            let mut in_txs = Vec::with_capacity(jobs);
-            let mut out_rxs = Vec::with_capacity(jobs);
-            let mut handles = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let (in_tx, mut in_rx) = ring::<VerifyMsg>(RING_CAPACITY);
-                let (mut out_tx, out_rx) = ring::<(usize, SlotResult)>(RING_CAPACITY);
-                in_txs.push(in_tx);
-                out_rxs.push(out_rx);
-                handles.push(scope.spawn(move || {
-                    let mut worker_tel = StageTelemetry::new();
-                    loop {
-                        match in_rx.pop() {
-                            VerifyMsg::Shutdown => break,
-                            VerifyMsg::Expand(job) => {
-                                let started = record.then(Instant::now);
-                                let out = catch_unwind(AssertUnwindSafe(|| {
-                                    if job.abort {
-                                        panic!("injected fault: worker slot {} aborted", job.slot);
-                                    }
-                                    expand_node(
-                                        ctx_ref,
-                                        &job.low,
-                                        job.set_id,
-                                        &job.matches,
-                                        &job.orig,
-                                    )
-                                }))
-                                .map_err(Mutex::new);
-                                if let Some(started) = started {
-                                    let n = out.as_ref().map(|v| v.len()).unwrap_or(0);
-                                    worker_tel.record_batch(Stage::Explore, started.elapsed(), n);
-                                }
-                                out_tx.push((job.slot, out));
-                            }
-                        }
-                    }
-                    worker_tel
-                }));
-            }
-            let mut expander = |wave: &[usize], nodes: &[Node], abort_slot: Option<usize>| {
-                let mut slots: Vec<SlotResult> = Vec::with_capacity(wave.len());
-                let mut next_ingress = 0usize;
-                let mut backoff = Backoff::new();
-                while slots.len() < wave.len() {
-                    // Ingress: feed workers round-robin while rings accept.
-                    while next_ingress < wave.len() {
-                        let worker = next_ingress % jobs;
-                        let node = &nodes[wave[next_ingress]];
-                        let job = Box::new(VerifyJob {
-                            slot: next_ingress,
-                            low: Arc::clone(&node.low),
-                            set_id: node.set_id,
-                            matches: Arc::clone(&node.matches),
-                            orig: node.orig.clone(),
-                            abort: abort_slot == Some(next_ingress),
-                        });
-                        match in_txs[worker].try_push(VerifyMsg::Expand(job)) {
-                            Ok(()) => {
-                                next_ingress += 1;
-                                backoff.reset();
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    // Collect: strictly the next slot in wave order.
-                    let next_collect = slots.len();
-                    if next_collect < next_ingress {
-                        if let Some((slot, out)) = out_rxs[next_collect % jobs].try_pop() {
-                            debug_assert_eq!(slot, next_collect, "out-ring order broken");
-                            slots.push(out);
-                            backoff.reset();
-                            continue;
-                        }
-                    }
-                    backoff.snooze();
-                }
-                drain_slots(slots)
-            };
-            let outcome = run_search(
-                low,
-                high,
-                config,
-                jobs,
-                &mut nodes,
-                &mut set_intern,
-                &seen_low,
-                &mut pending,
-                &mut expander,
-                record,
-                tel,
-                &high_graph,
-                &mut ck,
-                canon.is_some(),
-                low_transitions,
-                wave_index,
-            );
-            for in_tx in &mut in_txs {
-                in_tx.push(VerifyMsg::Shutdown);
-            }
-            for handle in handles {
-                let worker_tel = handle.join().expect("verify worker exited cleanly");
-                if record {
-                    tel.merge(&worker_tel);
-                }
-            }
-            outcome
-        })
-    };
+        )
+    });
+    if record {
+        tel.merge(&pool_tel);
+    }
 
     // A definitive verdict — verified, or refuted with a counterexample —
     // needs no resume point; budget and deadline exhaustion keep theirs so
@@ -1153,12 +957,9 @@ fn check_refinement_impl(
 
     match outcome {
         SearchOutcome::Done(result) => result,
-        SearchOutcome::Panicked(payload) => {
-            // Re-raised outside the worker scope: the pool has already
-            // shut down cleanly, so the panic cannot strand a thread.
-            let payload = payload.into_inner().unwrap_or_else(|p| p.into_inner());
-            std::panic::resume_unwind(payload);
-        }
+        // Re-raised outside the pool's scope: its workers have already
+        // been joined, so the panic cannot strand a thread.
+        SearchOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
     }
 }
 
@@ -1166,11 +967,10 @@ fn check_refinement_impl(
 /// re-raise once the pipeline has shut down.
 enum SearchOutcome {
     Done(Result<RefinementCert, Box<Counterexample>>),
-    Panicked(PanicPayload),
+    Panicked(Panic),
 }
 
-/// The wave loop of the product search, generic over how a wave is
-/// expanded (inline, or dispatched to the pipeline's explore workers).
+/// The wave loop of the product search; `pool` runs the explore stage.
 /// Everything order-sensitive — subsumption, match-set interning, node
 /// admission, budget cuts, counterexample selection — happens here, on
 /// one thread, in global wave order.
@@ -1184,11 +984,7 @@ fn run_search(
     set_intern: &mut HashMap<Arc<BTreeSet<u32>>, u32>,
     seen_low: &LowSeen,
     pending: &mut BTreeMap<usize, Vec<usize>>,
-    expander: &mut dyn FnMut(
-        &[usize],
-        &[Node],
-        Option<usize>,
-    ) -> Result<Vec<Vec<SuccOut>>, PanicPayload>,
+    pool: &mut Pool<'_, Job, Vec<SuccOut>>,
     record: bool,
     tel: &mut StageTelemetry,
     high_graph: &Mutex<HighGraph<'_>>,
@@ -1265,32 +1061,56 @@ fn run_search(
             })));
         }
 
-        // Explore phase: expand every wave node through the pipeline.
+        // Explore phase: expand every wave node on the pool, flattening
+        // the successors to global wave order: (parent node id,
+        // successor). The lowest panicking slot stops the search.
         let abort_slot = config
             .faults
             .abort_slot
             .filter(|&(wave_at, _)| wave_at == wave_index)
             .map(|(_, slot)| slot);
         wave_index += 1;
-        let expanded = match expander(&wave, nodes, abort_slot) {
-            Ok(expanded) => expanded,
-            Err(payload) => return SearchOutcome::Panicked(payload),
-        };
-
-        // Flatten to global wave order: (parent node id, successor).
         let mut flat: Vec<(usize, SuccOut)> = Vec::new();
-        for (slot, successors) in expanded.into_iter().enumerate() {
-            let node_id = wave[slot];
-            for succ in successors {
-                flat.push((node_id, succ));
-            }
+        let mut panic = None;
+        pool.wave(
+            wave.len(),
+            &mut flat,
+            |_, slot| {
+                let node = &nodes[wave[slot]];
+                Job {
+                    low: Arc::clone(&node.low),
+                    set_id: node.set_id,
+                    matches: Arc::clone(&node.matches),
+                    orig: node.orig.clone(),
+                    abort: (abort_slot == Some(slot)).then_some(slot),
+                }
+            },
+            |flat, slot, successors| match successors {
+                Ok(successors) => {
+                    flat.extend(successors.into_iter().map(|succ| (wave[slot], succ)));
+                    ControlFlow::Continue(())
+                }
+                Err(payload) => {
+                    panic = Some(payload);
+                    ControlFlow::Break(())
+                }
+            },
+        );
+        if let Some(payload) = panic {
+            return SearchOutcome::Panicked(payload);
         }
 
         // Commit phase A (shard-parallel): antichain subsumption per
         // low-state fingerprint shard, decisions identical to a serial
-        // scan (see `LowSeen`).
+        // scan (see `LowSeen`). Inline whenever the pool ran the wave
+        // inline.
         let subsume_started = record.then(Instant::now);
-        let subsumed = sharded_subsumption(&flat, seen_low, jobs);
+        let shard_jobs = if pool.runs_inline(wave.len()) {
+            1
+        } else {
+            jobs
+        };
+        let subsumed = sharded_subsumption(&flat, seen_low, shard_jobs);
         if let Some(started) = subsume_started {
             tel.record_batch(Stage::Subsume, started.elapsed(), flat.len());
         }
@@ -1539,6 +1359,7 @@ mod tests {
     use armada_lang::{check_module, parse_module};
     use armada_proof::relation::StandardRelation;
     use armada_sm::lower;
+    use std::panic::AssertUnwindSafe;
 
     fn programs(src: &str, low: &str, high: &str) -> (Program, Program) {
         let module = parse_module(src).expect("parse");
@@ -1725,6 +1546,44 @@ mod tests {
         let parallel = check_refinement(&low, &high, &relation, &SimConfig::default().with_jobs(4))
             .unwrap_err();
         assert_eq!(serial.to_string(), parallel.to_string());
+    }
+
+    #[test]
+    fn wide_waves_take_the_ring_path_and_match_serial() {
+        // Two writer threads of nondeterministic TSO writes, refined by
+        // an identical copy: product waves reach well past the pool's
+        // narrow-wave threshold, so jobs=4 hands batches to its workers
+        // (asserted through `wave.batches`) and must still produce the
+        // identical certificate, witness included.
+        let level = |name: &str| {
+            format!(
+                "level {name} {{
+                    var a: uint32;
+                    var b: uint32;
+                    void w1() {{ a := *; }}
+                    void w2() {{ b := *; }}
+                    void main() {{
+                        var t1: uint64 := create_thread w1();
+                        var t2: uint64 := create_thread w2();
+                        join t1;
+                        join t2;
+                        var x: uint32 := a;
+                        var y: uint32 := b;
+                        print(x, y);
+                    }}
+                }}"
+            )
+        };
+        let (low, high) = programs(&(level("Impl") + &level("Spec")), "Impl", "Spec");
+        let relation = StandardRelation::log_prefix();
+        let serial = check_refinement(&low, &high, &relation, &SimConfig::default()).unwrap();
+        let config = SimConfig::default().with_jobs(4);
+        let (parallel, tel) = check_refinement_with_telemetry(&low, &high, &relation, &config);
+        assert_eq!(serial, parallel.unwrap());
+        assert!(
+            tel.counters().get("wave.batches") > 0,
+            "no wave took the ring path"
+        );
     }
 
     const CONCURRENT_PAIR: &str = r#"

@@ -52,7 +52,6 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo test --workspace -q --offline
     echo "==> quick benches"
     ARMADA_BENCH_QUICK=1 cargo bench -p armada-bench --offline
-    cargo run --release --offline -p armada-bench --bin parallel_speedup -- --quick
 
     # The root-package build above does not cover dependency-crate bins.
     cargo build --release --offline -p armada --bin armada
@@ -221,7 +220,7 @@ if [[ "${1:-}" == "--full" ]]; then
         || { echo "serve fuzz campaign report is not deterministic"; exit 1; }
 
     echo "==> stage-pipeline gate (jobs=1 vs jobs=4, telemetry invisible)"
-    # The pinned-role ring pipeline must render byte-identically at any
+    # The wave-pool stage pipeline must render byte-identically at any
     # job count, and --telemetry must change stderr only: for every spec,
     # compare stdout across jobs {1,4} × telemetry {off,on}, and check
     # the telemetry run actually printed histograms to stderr.
@@ -239,6 +238,12 @@ if [[ "${1:-}" == "--full" ]]; then
         grep -q "pipeline telemetry" "$SMOKE_DIR/pipe_tel.err" \
             || { echo "$spec: --telemetry printed no histograms"; exit 1; }
     done
+    # The specs' waves are mostly narrower than the wave pool's threshold,
+    # so the loop above mostly diffs inline runs. One identity test per
+    # engine runs jobs=1 vs jobs=4 on waves wide enough for the ring path
+    # and asserts (via the `wave.batches` counter) that it was taken.
+    cargo test -q --offline -p armada-sm -p armada-verify \
+        wide_waves_take_the_ring_path_and_match_serial
 
     echo "==> spill + checkpoint/resume smoke (byte-identity under a mem cap)"
     # The pager must be invisible on stdout and visibly working on stderr:
