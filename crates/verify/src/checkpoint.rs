@@ -7,9 +7,10 @@
 //! interned match sets, the memoized *high-level* arena prefix (match-set
 //! ids index into it, so its interning order must survive a restart), the
 //! depth-bucketed pending queue, and the transition counter. The antichain
-//! seen-set and the set-intern table are *derived* — every entry
-//! corresponds to an admitted node in id order — so they are rebuilt from
-//! the node table on resume rather than persisted.
+//! seen-set is *derived* — every entry corresponds to an admitted node in
+//! id order — so it is rebuilt from the node table on resume rather than
+//! persisted. The match sets seed the search's hash-cons table on resume,
+//! so a checkpoint holding two sets of equal content is rejected.
 //!
 //! Storage is log-structured with the same crash discipline as the
 //! exploration checkpoint: three append-only logs (`nodes.log`,
@@ -21,7 +22,7 @@
 //! mismatch, dangling index — clears the directory and the search starts
 //! cold, which is always sound.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -30,7 +31,7 @@ use std::sync::Arc;
 use armada_sm::codec::{self, Dec, Enc};
 use armada_sm::{ProgState, StateArena, StateId, Tid};
 
-use crate::{MatchSet, Node};
+use crate::{distinct_content, MatchSet, Node};
 
 const MANIFEST: &str = "manifest.bin";
 const NODES_LOG: &str = "nodes.log";
@@ -239,6 +240,9 @@ impl VerifyCheckpoint {
             }
             sets.push(Arc::new(set));
         }
+        if !distinct_content(&sets) {
+            return None;
+        }
 
         let node_records = self.nodes.read(node_count, nodes_bytes)?;
         let mut nodes: Vec<Node> = Vec::with_capacity(node_count);
@@ -319,12 +323,13 @@ impl VerifyCheckpoint {
 
     /// Persists the wave boundary: appends new nodes, high states, and
     /// match sets to their logs, syncs them, then atomically rewrites the
-    /// manifest. `high_arena` access is faulting (`&mut`) because the high
-    /// side may itself be spilled.
+    /// manifest. `sets` is the dense match-set table by id. `high_arena`
+    /// access is faulting (`&mut`) because the high side may itself be
+    /// spilled.
     pub fn save(
         &mut self,
         nodes: &[Node],
-        set_intern: &HashMap<MatchSet, u32>,
+        sets: &[MatchSet],
         high_arena: &mut StateArena,
         pending: &BTreeMap<usize, Vec<usize>>,
         low_transitions: usize,
@@ -372,15 +377,8 @@ impl VerifyCheckpoint {
         }
         self.high.append(&records);
 
-        // Sets in id order: the intern map is keyed by set, so invert it
-        // for the new dense suffix.
-        let mut by_id: Vec<Option<&MatchSet>> = vec![None; set_intern.len()];
-        for (set, &id) in set_intern {
-            by_id[id as usize] = Some(set);
-        }
         let mut records = Vec::new();
-        for slot in &by_id[self.sets.saved..] {
-            let set = slot.expect("set ids are dense");
+        for set in &sets[self.sets.saved..] {
             let mut e = Enc::new();
             e.len_of(set.len());
             for id in set.iter() {

@@ -28,6 +28,13 @@
 //! carry `Arc`s and fingerprints, so seen-set probes are integer bucket
 //! lookups and no state is deep-cloned on the search path.
 //!
+//! Match sets are hash-consed too: the expand memo's mutex also guards a
+//! content-keyed table, and every set — the root's, each memo miss's, each
+//! one a `--resume` loads — is replaced by the table's `Arc` for its
+//! content. A set's pointer identity is therefore its content identity, so
+//! commit keys set ids by pointer and the antichain tests `Arc::ptr_eq`
+//! before any content scan; content is hashed only on memo misses.
+//!
 //! With [`Bounds::reduction`] on (the default), low-side successor
 //! enumeration fuses maximal runs of thread-local steps into single
 //! macro-transitions (see `armada_sm::reduce`). Fused steps are invisible —
@@ -52,7 +59,8 @@
 //! partitions the wave's successors by low-state fingerprint across
 //! `jobs * 4` antichain shards — each shard scans its
 //! successors in global wave order, so decisions match the serial scan
-//! exactly (a state's antichain entries all live in its own shard) — then a
+//! exactly (a state's antichain entries all live in its own shard; an
+//! admitted set identical to the candidate is caught by pointer) — then a
 //! cheap serial merge assigns match-set ids and node ids, applies the
 //! `max_nodes` budget, and admits successors in the same global order.
 //! Counterexample selection is deterministic by construction: all failures
@@ -64,7 +72,7 @@ mod checkpoint;
 pub mod store;
 pub mod tier;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
@@ -309,7 +317,79 @@ fn compose_orig(
 type Obs = (Vec<Value>, Termination);
 
 /// A computed match set: the interned high-state ids related to a low state.
+/// Every match set of a check is hash-consed through [`ExpandMemo::intern`],
+/// so two sets have equal content exactly when they are the same `Arc`.
 type MatchSet = Arc<BTreeSet<u32>>;
+
+/// The expand memo and the match-set hash-cons table, behind one mutex.
+///
+/// Sets are created in three places only — the root's init set, a memo
+/// miss, and a `--resume` load — and all three go through
+/// [`ExpandMemo::intern`], so a set's pointer identity is its content
+/// identity. Commit and subsumption rely on that: set ids are keyed by
+/// pointer and the antichain tests `Arc::ptr_eq` before scanning content.
+#[derive(Default)]
+struct ExpandMemo {
+    /// (match-set id, observables) → the expanded set, or `None` for a
+    /// refinement failure.
+    expanded: HashMap<(u32, Obs), Option<MatchSet>>,
+    /// Every match set of the check, keyed by content.
+    sets: HashSet<MatchSet>,
+    /// Expansions actually computed (memo misses).
+    misses: u64,
+}
+
+impl ExpandMemo {
+    /// The canonical `Arc` for `set`'s content, adopting `set` if no set
+    /// with that content exists yet.
+    fn intern(&mut self, set: MatchSet) -> MatchSet {
+        if let Some(existing) = self.sets.get(&*set) {
+            return Arc::clone(existing);
+        }
+        self.sets.insert(Arc::clone(&set));
+        set
+    }
+}
+
+/// True if no two of `sets` share content — the hash-cons invariant as
+/// seen from a set table.
+fn distinct_content(sets: &[MatchSet]) -> bool {
+    let distinct: HashSet<&BTreeSet<u32>> = sets.iter().map(|set| &**set).collect();
+    distinct.len() == sets.len()
+}
+
+/// Match-set ids in commit order: a pointer-keyed id map plus the dense
+/// table of sets by id. Keying by pointer is sound because every set is
+/// hash-consed ([`ExpandMemo`]) and `sets` keeps each keyed `Arc` alive.
+#[derive(Default)]
+struct SetIds {
+    by_ptr: HashMap<*const BTreeSet<u32>, u32>,
+    sets: Vec<MatchSet>,
+}
+
+impl SetIds {
+    /// The table a checkpoint left behind: ids are positions in `sets`.
+    fn resumed(sets: Vec<MatchSet>) -> SetIds {
+        SetIds {
+            by_ptr: sets
+                .iter()
+                .enumerate()
+                .map(|(id, set)| (Arc::as_ptr(set), id as u32))
+                .collect(),
+            sets,
+        }
+    }
+
+    /// `set`'s id, assigning the next one on first sight.
+    fn id_of(&mut self, set: &MatchSet) -> u32 {
+        let next = self.sets.len() as u32;
+        let id = *self.by_ptr.entry(Arc::as_ptr(set)).or_insert(next);
+        if id == next {
+            self.sets.push(Arc::clone(set));
+        }
+        id
+    }
+}
 
 /// Memoized high-level state graph — an interned [`StateArena`] plus
 /// successor lists and stutter closures — shared across workers behind one
@@ -414,7 +494,7 @@ fn expand_matches(
     low_next: &ProgState,
     relation: &(dyn RefinementRelation + Sync),
     high: &Mutex<HighGraph<'_>>,
-) -> Option<MatchSet> {
+) -> Option<BTreeSet<u32>> {
     let mut new_matches: BTreeSet<u32> = BTreeSet::new();
     for &high_id in parent_matches {
         // Poison-tolerant: a panic caught in one wave slot must not cascade
@@ -433,11 +513,7 @@ fn expand_matches(
             }
         }
     }
-    if new_matches.is_empty() {
-        None
-    } else {
-        Some(Arc::new(new_matches))
-    }
+    (!new_matches.is_empty()).then_some(new_matches)
 }
 
 /// One product node of the subset construction.
@@ -489,7 +565,7 @@ struct ExpandCtx<'e, 'p> {
     bounds: &'e Bounds,
     relation: &'e (dyn RefinementRelation + Sync),
     high: &'e Mutex<HighGraph<'p>>,
-    cache: &'e Mutex<HashMap<(u32, Obs), Option<MatchSet>>>,
+    memo: &'e Mutex<ExpandMemo>,
 }
 
 /// Expands one product node: enumerates its (possibly fused) low edges and
@@ -545,19 +621,23 @@ fn expand_node(
             let obs: Obs = (low_next.log.clone(), low_next.termination.clone());
             let key = (set_id, obs);
             let cached = ctx
-                .cache
+                .memo
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .expanded
                 .get(&key)
                 .cloned();
             let matches = match cached {
                 Some(hit) => hit,
                 None => {
                     let computed = expand_matches(matches, &low_next, ctx.relation, ctx.high);
-                    ctx.cache
+                    let mut memo = ctx
+                        .memo
                         .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .insert(key, computed.clone());
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    memo.misses += 1;
+                    let computed = computed.map(|set| memo.intern(Arc::new(set)));
+                    memo.expanded.insert(key, computed.clone());
                     computed
                 }
             };
@@ -662,7 +742,12 @@ fn sharded_subsumption(flat: &[(usize, SuccOut)], seen: &LowSeen, jobs: usize) -
             let bucket = shard.entry(succ.fp).or_default();
             match bucket.iter_mut().find(|(s, _)| **s == *succ.next) {
                 Some((_, sets)) => {
-                    if sets.iter().any(|admitted| admitted.is_subset(matches)) {
+                    // Hash-consed sets: an admitted set equal to this one
+                    // is the same `Arc`, which settles the common case
+                    // without a content scan.
+                    if sets.iter().any(|admitted| {
+                        Arc::ptr_eq(admitted, matches) || admitted.is_subset(matches)
+                    }) {
                         subsumed.push(i);
                     } else {
                         sets.push(Arc::clone(matches));
@@ -699,7 +784,15 @@ pub fn check_refinement(
     config: &SimConfig,
 ) -> Result<RefinementCert, Box<Counterexample>> {
     let mut tel = StageTelemetry::new();
-    check_refinement_impl(low, high, relation, config, false, &mut tel)
+    check_refinement_impl(
+        low,
+        high,
+        relation,
+        config,
+        false,
+        &mut tel,
+        &mut SetIds::default(),
+    )
 }
 
 /// [`check_refinement`], additionally returning the per-stage pipeline
@@ -716,10 +809,20 @@ pub fn check_refinement_with_telemetry(
     config: &SimConfig,
 ) -> (Result<RefinementCert, Box<Counterexample>>, StageTelemetry) {
     let mut tel = StageTelemetry::new();
-    let result = check_refinement_impl(low, high, relation, config, true, &mut tel);
+    let result = check_refinement_impl(
+        low,
+        high,
+        relation,
+        config,
+        true,
+        &mut tel,
+        &mut SetIds::default(),
+    );
     (result, tel)
 }
 
+/// The check behind both entry points. `set_ids` starts empty and ends
+/// holding the search's commit-order match-set table, for tests to inspect.
 fn check_refinement_impl(
     low: &Program,
     high: &Program,
@@ -727,6 +830,7 @@ fn check_refinement_impl(
     config: &SimConfig,
     record: bool,
     tel: &mut StageTelemetry,
+    set_ids: &mut SetIds,
 ) -> Result<RefinementCert, Box<Counterexample>> {
     let jobs = config.bounds.jobs.max(1);
     let pool = config.bounds.pool_for(low);
@@ -807,14 +911,14 @@ fn check_refinement_impl(
     // Product search, one micro-depth bucket at a time. Parent pointers
     // give counterexample traces; antichain subsumption prunes nodes whose
     // match set is a superset of an admitted one (fewer matches is the
-    // strictly harder obligation). Match sets are interned, and — because
-    // every supported refinement relation is a function of a state's
-    // *observables* — the expansion of a match set against a low successor
-    // is memoized per (match-set, observables) pair. Stuttering low steps
-    // (no log change) therefore hit the cache almost always.
-    let expand_cache: Mutex<HashMap<(u32, Obs), Option<MatchSet>>> = Mutex::new(HashMap::new());
+    // strictly harder obligation). Match sets are hash-consed and carry
+    // commit-order ids, and — because every supported refinement relation
+    // is a function of a state's *observables* — the expansion of a match
+    // set against a low successor is memoized per (set id, observables)
+    // pair. Stuttering low steps (no log change) therefore hit the memo
+    // almost always.
+    let mut memo = ExpandMemo::default();
     let reducer = Reducer::new(low);
-    let mut set_intern: HashMap<Arc<BTreeSet<u32>>, u32> = HashMap::new();
     let mut nodes: Vec<Node> = Vec::new();
     let seen_low = LowSeen::new(jobs * 4);
     let mut pending: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -824,14 +928,18 @@ fn check_refinement_impl(
     if let Some(rs) = resumed {
         // Rebuild the memoized high arena in its original interning order
         // (match-set ids index into it); successor and closure memos
-        // recompute on demand and re-intern onto the same ids. The
-        // seen-set and set-intern table replay from the node table.
+        // recompute on demand and re-intern onto the same ids. The loaded
+        // sets seed the hash-cons table (the nodes already share their
+        // `Arc`s, and the loader rejects duplicate content), so sets that
+        // memo misses recompute resolve to the resumed ids. The seen-set
+        // replays from the node table.
         for state in rs.high_states {
             high_graph.intern_state(state);
         }
-        for (id, set) in rs.sets.iter().enumerate() {
-            set_intern.insert(Arc::clone(set), id as u32);
+        for set in &rs.sets {
+            memo.intern(Arc::clone(set));
         }
+        *set_ids = SetIds::resumed(rs.sets);
         for node in &rs.nodes {
             seen_low.rehydrate(StateArena::fingerprint(&node.low), &node.low, &node.matches);
         }
@@ -857,8 +965,8 @@ fn check_refinement_impl(
             }));
         }
         let low_init = Arc::new(low_init);
-        let init_matches = Arc::new(init_matches);
-        set_intern.insert(Arc::clone(&init_matches), 0);
+        let init_matches = memo.intern(Arc::new(init_matches));
+        let set_id = set_ids.id_of(&init_matches);
         seen_low.admit(
             StateArena::fingerprint(&low_init),
             Arc::clone(&low_init),
@@ -866,7 +974,7 @@ fn check_refinement_impl(
         );
         nodes.push(Node {
             low: low_init,
-            set_id: 0,
+            set_id,
             matches: init_matches,
             depth: 0,
             parent: None,
@@ -879,6 +987,7 @@ fn check_refinement_impl(
         pending.insert(0, vec![0]);
     }
     let high_graph = Mutex::new(high_graph);
+    let memo = Mutex::new(memo);
 
     let ctx = ExpandCtx {
         low,
@@ -888,7 +997,7 @@ fn check_refinement_impl(
         bounds: &config.bounds,
         relation,
         high: &high_graph,
-        cache: &expand_cache,
+        memo: &memo,
     };
 
     // The explore stage: one product node's low edges and match sets.
@@ -912,7 +1021,7 @@ fn check_refinement_impl(
             config,
             jobs,
             &mut nodes,
-            &mut set_intern,
+            set_ids,
             &seen_low,
             &mut pending,
             pool,
@@ -942,8 +1051,15 @@ fn check_refinement_impl(
             ck.clear();
         }
     }
-    // Spill counters are diagnostics (fault order depends on jobs), so
-    // they ride telemetry, never the verdict.
+    // Spill and memo counters are diagnostics (fault order and racing
+    // memo misses depend on jobs), so they ride telemetry, never the
+    // verdict.
+    {
+        let memo = memo.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let counters = tel.counters_mut();
+        counters.add("verify.match_sets", memo.sets.len() as u64);
+        counters.add("verify.expand_memo_misses", memo.misses);
+    }
     if let Some(counters) = high_graph
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -981,7 +1097,7 @@ fn run_search(
     config: &SimConfig,
     jobs: usize,
     nodes: &mut Vec<Node>,
-    set_intern: &mut HashMap<Arc<BTreeSet<u32>>, u32>,
+    set_ids: &mut SetIds,
     seen_low: &LowSeen,
     pending: &mut BTreeMap<usize, Vec<usize>>,
     pool: &mut Pool<'_, Job, Vec<SuccOut>>,
@@ -1023,7 +1139,7 @@ fn run_search(
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             ck.save(
                 nodes,
-                set_intern,
+                &set_ids.sets,
                 &mut hg.arena,
                 pending,
                 low_transitions,
@@ -1153,14 +1269,7 @@ fn run_search(
                 }));
                 continue;
             }
-            let set_id = match set_intern.get(&new_matches) {
-                Some(&id) => id,
-                None => {
-                    let id = set_intern.len() as u32;
-                    set_intern.insert(Arc::clone(&new_matches), id);
-                    id
-                }
-            };
+            let set_id = set_ids.id_of(&new_matches);
             let id = nodes.len();
             let depth = nodes[node_id].depth + succ.descs.len();
             nodes.push(Node {
@@ -1664,6 +1773,105 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn resume_mid_search_reseeds_the_match_set_table() {
+        // Cut a check that verifies after several waves, with non-root
+        // match sets already admitted, then resume it with the default
+        // budget: the resumed sets seed the hash-cons table, so sets that
+        // memo misses recompute resolve to their resumed ids.
+        let (low, high) = programs(CONCURRENT_PAIR, "Impl", "Spec");
+        let relation = StandardRelation::log_prefix();
+        let base = SimConfig::default().with_reduction(false);
+        let plain = check_refinement(&low, &high, &relation, &base).unwrap();
+        for jobs in [1, 4] {
+            let dir = tmp(&format!("resume-mid-{jobs}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let spec = armada_sm::CheckpointSpec::new(dir.clone());
+
+            // 15 of the check's 26 nodes: the cut lands four waves deep.
+            let mut cut_config = base.clone().with_jobs(jobs);
+            cut_config.max_nodes = 15;
+            cut_config.bounds = cut_config.bounds.with_checkpoint(spec.clone());
+            let mut tel = StageTelemetry::new();
+            let mut cut_ids = SetIds::default();
+            let cut = check_refinement_impl(
+                &low,
+                &high,
+                &relation,
+                &cut_config,
+                false,
+                &mut tel,
+                &mut cut_ids,
+            )
+            .unwrap_err();
+            assert_eq!(cut.kind, CexKind::Budget, "jobs={jobs}");
+            assert!(cut.trace.len() >= 3, "jobs={jobs}: cut after several waves");
+            assert!(
+                cut_ids.sets.len() > 1,
+                "jobs={jobs}: the checkpoint holds non-root sets"
+            );
+
+            let mut resume_config = base.clone().with_jobs(jobs);
+            resume_config.bounds = resume_config.bounds.with_checkpoint(spec.with_resume(true));
+            let mut ids = SetIds::default();
+            let resumed = check_refinement_impl(
+                &low,
+                &high,
+                &relation,
+                &resume_config,
+                false,
+                &mut tel,
+                &mut ids,
+            )
+            .unwrap();
+            assert_eq!(plain, resumed, "jobs={jobs}");
+            assert!(
+                distinct_content(&ids.sets),
+                "jobs={jobs}: two set ids share content"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn queue_match_sets_are_hash_consed() {
+        // The queue case study's `Weak ⊑ Spec` pair, the corpus's heaviest
+        // check: every admitted set comes from the hash-cons table, which
+        // grows only on memo misses (plus the root's init set).
+        let (low, high) = programs(queue_model(), "Weak", "Spec");
+        let relation = StandardRelation::log_prefix();
+        let mut tel = StageTelemetry::new();
+        let mut ids = SetIds::default();
+        check_refinement_impl(
+            &low,
+            &high,
+            &relation,
+            &SimConfig::default(),
+            true,
+            &mut tel,
+            &mut ids,
+        )
+        .unwrap();
+        let match_sets = tel.counters().get("verify.match_sets");
+        let misses = tel.counters().get("verify.expand_memo_misses");
+        assert!(
+            match_sets <= misses + 1,
+            "{match_sets} sets from {misses} memo misses"
+        );
+        assert!(ids.sets.len() as u64 <= match_sets);
+        assert!(distinct_content(&ids.sets), "two set ids share content");
+    }
+
+    /// The queue case study's model-scale source. `armada-cases` depends on
+    /// this crate, so the constant is sliced out of its source file.
+    fn queue_model() -> &'static str {
+        let file = include_str!("../../cases/src/queue.rs");
+        let open = "pub const MODEL: &str = r#\"";
+        let start = file.find(open).expect("queue MODEL constant") + open.len();
+        let len = file[start..].find("\"#;").expect("queue MODEL terminator");
+        &file[start..start + len]
     }
 
     #[test]

@@ -244,6 +244,11 @@ if [[ "${1:-}" == "--full" ]]; then
     # and asserts (via the `wave.batches` counter) that it was taken.
     cargo test -q --offline -p armada-sm -p armada-verify \
         wide_waves_take_the_ring_path_and_match_serial
+    # Resuming a refinement check mid-search (non-root match sets already
+    # admitted) must reseed the match-set hash-cons table and reproduce
+    # the uninterrupted certificate at jobs {1,4}.
+    cargo test -q --offline -p armada-verify \
+        resume_mid_search_reseeds_the_match_set_table
 
     echo "==> spill + checkpoint/resume smoke (byte-identity under a mem cap)"
     # The pager must be invisible on stdout and visibly working on stderr:
