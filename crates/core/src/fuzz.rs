@@ -1637,6 +1637,106 @@ mod tests {
         assert!(FaultPlan::from_events(config.plan_override.unwrap()).is_recoverable_only());
     }
 
+    /// A report with one pipeline and one serve violation, details that
+    /// need escaping, and empty plans.
+    fn report_with_violations(detail_tail: &str) -> CampaignReport {
+        let event = |fate, recipe: &str| FaultEvent {
+            fate,
+            recipe: recipe.to_string(),
+        };
+        let server = |fate, ordinal| ServerEvent { fate, ordinal };
+        CampaignReport {
+            subjects: vec!["counter.arm".into(), "odd \"name\".arm".into()],
+            seeds: vec![0, 1, 7],
+            jobs: vec![1, 4],
+            runs: 42,
+            checks: 99,
+            injected: vec![("worker_abort", 3), ("torn_cert_write", 0)],
+            violations: vec![
+                Violation {
+                    invariant: Invariant::CorruptCertServed,
+                    subject: "counter.arm".into(),
+                    seed: 7,
+                    detail: format!("quote \" backslash \\ tab \t ctl \u{1} end{detail_tail}"),
+                    plan: vec![
+                        event(FaultFate::BitFlipCertWrite, "P"),
+                        event(FaultFate::WorkerAbort, "Q"),
+                    ],
+                    shrunk: vec![],
+                    server_plan: vec![],
+                    server_shrunk: vec![],
+                    replay: "armada verify counter.arm --events bit_flip_cert_write:P".into(),
+                },
+                Violation {
+                    invariant: Invariant::DeadlineOverrun,
+                    subject: "odd \"name\".arm".into(),
+                    seed: 0,
+                    detail: "line one\nline two ⊑".into(),
+                    plan: vec![],
+                    shrunk: vec![],
+                    server_plan: vec![
+                        server(ServerFate::WorkerKill, 0),
+                        server(ServerFate::SameKeyStorm, 2),
+                    ],
+                    server_shrunk: vec![server(ServerFate::SameKeyStorm, 2)],
+                    replay: String::new(),
+                },
+            ],
+            mode: "serve",
+            mutate_bounds: true,
+        }
+    }
+
+    #[test]
+    fn report_with_violations_renders_the_pinned_layout() {
+        let expected = r#"{
+  "subjects": ["counter.arm", "odd \"name\".arm"],
+  "seeds": [0, 1, 7],
+  "jobs": [1, 4],
+  "mode": "serve",
+  "mutate_bounds": true,
+  "runs": 42,
+  "checks": 99,
+  "injected": {
+    "worker_abort": 3,
+    "torn_cert_write": 0
+  },
+  "violations": [
+    {
+      "invariant": "corrupt_cert_served",
+      "subject": "counter.arm",
+      "seed": 7,
+      "detail": "quote \" backslash \\ tab \t ctl \u0001 end",
+      "plan": ["bitflip_cert_write:P", "worker_abort:Q"],
+      "shrunk": [],
+      "replay": "armada verify counter.arm --events bit_flip_cert_write:P"
+    },
+    {
+      "invariant": "deadline_overrun",
+      "subject": "odd \"name\".arm",
+      "seed": 0,
+      "detail": "line one\nline two ⊑",
+      "plan": ["worker_kill:0", "same_key_storm:2"],
+      "shrunk": ["same_key_storm:2"],
+      "replay": ""
+    }
+  ]
+}
+"#;
+        assert_eq!(report_with_violations("").to_json(), expected);
+        let clean = CampaignReport {
+            violations: vec![],
+            ..report_with_violations("")
+        };
+        assert!(clean.to_json().ends_with("\n  \"violations\": []\n}\n"));
+    }
+
+    #[test]
+    fn report_escapes_carriage_return() {
+        let json = report_with_violations("\r").to_json();
+        assert!(json.contains(r#"ctl \u0001 end\u000d","#), "{json}");
+    }
+
     #[test]
     fn mutant_store_trips_the_corrupt_cert_invariant() {
         let subjects = [FuzzSubject::new("tiny", TINY)];
