@@ -9,10 +9,11 @@
 //! cargo run --release -p armada-bench --bin fuzz_campaign [-- --quick] [-- --jobs N]
 //! ```
 //!
-//! Writes `results/BENCH_fuzz.json` and top-level `BENCH_fuzz.json`
-//! (stable `{"name","config","samples","summary"}` schema). The campaign
-//! itself is deterministic — same grid, byte-identical campaign JSON —
-//! which this bench double-checks by running the grid twice and comparing.
+//! Writes `BENCH_fuzz.json` at the repository root (stable
+//! `{"name","config","samples","summary"}` schema; a `--quick` run only
+//! prints it). The campaign itself is deterministic — same grid,
+//! byte-identical campaign JSON — which this bench double-checks by
+//! running the grid twice and comparing.
 
 use std::time::Instant;
 

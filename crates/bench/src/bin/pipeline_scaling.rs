@@ -21,8 +21,9 @@
 //! cargo run --release -p armada-bench --bin pipeline_scaling [-- --quick]
 //! ```
 //!
-//! Writes `results/BENCH_pipeline.json` and top-level `BENCH_pipeline.json`
-//! (stable `{"name","config","samples","summary"}` schema).
+//! Writes `BENCH_pipeline.json` at the repository root (stable
+//! `{"name","config","samples","summary"}` schema); a `--quick` run only
+//! prints it.
 
 use armada::sm::{explore, explore_with_telemetry, lower, Bounds};
 use armada_bench::harness::bench;

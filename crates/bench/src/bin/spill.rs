@@ -25,8 +25,9 @@
 //!
 //! `--quick` runs one subject at one trial; `--smoke` additionally drops
 //! to `k = 3` (a seconds-long wiring gate for `scripts/verify.sh`).
-//! Writes `results/BENCH_spill.json` and top-level `BENCH_spill.json`
-//! (stable `{"name","config","samples","summary"}` schema).
+//! Writes `BENCH_spill.json` at the repository root (stable
+//! `{"name","config","samples","summary"}` schema); a `--quick` or
+//! `--smoke` run only prints it.
 
 use armada::sm::{explore, explore_with_telemetry, lower, Bounds, SpillSpec};
 use armada_bench::harness::bench;

@@ -15,9 +15,9 @@
 //! cargo run --release -p armada-bench --bin state_engine [-- --quick] [-- --jobs N]
 //! ```
 //!
-//! Writes `results/BENCH_state_engine.json` and top-level
-//! `BENCH_state_engine.json` (stable `{"name","config","samples","summary"}`
-//! schema), and prints the rows.
+//! Writes `BENCH_state_engine.json` at the repository root (stable
+//! `{"name","config","samples","summary"}` schema; a `--quick` run only
+//! prints it), and prints the rows.
 
 use armada::sm::{explore, lower, Bounds};
 use armada_bench::harness::bench;

@@ -18,8 +18,9 @@
 //! cargo run --release -p armada-bench --bin symmetry [-- --quick] [-- --jobs N]
 //! ```
 //!
-//! Writes `results/BENCH_symmetry.json` and top-level `BENCH_symmetry.json`
-//! (stable `{"name","config","samples","summary"}` schema).
+//! Writes `BENCH_symmetry.json` at the repository root (stable
+//! `{"name","config","samples","summary"}` schema); a `--quick` run only
+//! prints it.
 
 use armada::sm::{explore, lower, Bounds};
 use armada_bench::harness::bench;

@@ -13,8 +13,9 @@
 //!
 //! The `queue_throughput` and `pipeline` bench targets track the same
 //! quantities under the in-repo [`harness`] protocol (warmup + repeated
-//! timed trials with mean/95%-CI); results land in `BENCH_*.json` via the
-//! hand-rolled [`json`] writer. No crates.io dependencies are involved
+//! timed trials with mean/95%-CI); results land in `BENCH_*.json` via
+//! [`report`], written with the workspace's one JSON codec
+//! (`armada_runtime::json`). No crates.io dependencies are involved
 //! (hermetic-build policy, see DESIGN.md).
 //!
 //! Absolute numbers differ from the paper's (their testbed was an 8-core
@@ -24,8 +25,12 @@
 //! by roughly what factor — is the reproduction target.
 
 pub mod harness;
-pub mod json;
 pub mod report;
+
+/// The benchmark report value type, [`armada_runtime::json::Report`].
+pub mod json {
+    pub use armada_runtime::json::Report as Json;
+}
 
 use armada_runtime::generated::Implementation as GeneratedHwTso;
 use armada_runtime::generated_conservative::Implementation as GeneratedConservative;

@@ -6,10 +6,9 @@
 //! {"name": "...", "config": {...}, "samples": [...], "summary": {...}}
 //! ```
 //!
-//! to *two* places: `results/BENCH_<name>.json` (the historical location,
-//! kept for EXPERIMENTS.md references) and a top-level `BENCH_<name>.json`
-//! so trajectory tooling that globs `BENCH_*.json` at the repository root
-//! finds the artifacts without knowing about `results/`.
+//! to one place, the top-level `BENCH_<name>.json`. A quick or smoke run
+//! (its `config` sets `quick` or `smoke` to true) only prints its
+//! document, so a CI smoke pass never overwrites a committed full run.
 //!
 //! `config` records every knob that shapes the numbers — job count, trial
 //! count, and the reduction/symmetry engine flags — so two artifacts are
@@ -41,22 +40,31 @@ pub fn report(name: &str, config: Json, samples: Vec<Json>, summary: Json) -> Js
     ])
 }
 
-/// Writes `doc` to `results/BENCH_<name>.json` and `BENCH_<name>.json`.
+/// Writes `doc` to `BENCH_<name>.json`, or only prints it when its
+/// `config` marks a quick or smoke run.
 ///
 /// # Panics
 ///
-/// Panics if either write fails — a bench that cannot record its results
+/// Panics if the write fails — a bench that cannot record its results
 /// has failed.
 pub fn write(name: &str, doc: &Json) {
     let rendered = format!("{doc}\n");
-    std::fs::create_dir_all("results").expect("results dir");
-    for path in [
-        format!("results/BENCH_{name}.json"),
-        format!("BENCH_{name}.json"),
-    ] {
-        std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
+    if is_quick_or_smoke(doc) {
+        print!("{rendered}");
+        println!("quick/smoke run: BENCH_{name}.json left as it is");
+        return;
     }
+    let path = format!("BENCH_{name}.json");
+    std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// True when the document's `config` sets `quick` or `smoke` to true.
+fn is_quick_or_smoke(doc: &Json) -> bool {
+    let config = doc.get("config");
+    ["quick", "smoke"]
+        .iter()
+        .any(|flag| config.and_then(|c| c.get(flag)) == Some(&Json::Bool(true)))
 }
 
 #[cfg(test)]
@@ -78,5 +86,21 @@ mod tests {
         // Injected into every config block so scaling numbers carry the
         // core count they were measured on.
         assert!(rendered.contains("\"available_parallelism\":"));
+    }
+
+    #[test]
+    fn quick_and_smoke_runs_are_not_written() {
+        let doc = |flag: &'static str, on| {
+            report(
+                "demo",
+                Json::obj(vec![(flag, Json::Bool(on))]),
+                vec![],
+                Json::Null,
+            )
+        };
+        assert!(is_quick_or_smoke(&doc("quick", true)));
+        assert!(is_quick_or_smoke(&doc("smoke", true)));
+        assert!(!is_quick_or_smoke(&doc("quick", false)));
+        assert!(!is_quick_or_smoke(&doc("trials", true)));
     }
 }

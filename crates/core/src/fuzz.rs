@@ -48,7 +48,7 @@ use crate::fault::{
     FaultEvent, FaultFate, FaultPlan, ServerEvent, ServerFate, ServerPlan, ALL_FATES,
     ALL_SERVER_FATES,
 };
-use crate::proto::{Request, Response, VerifyRequest};
+use crate::proto::{Json, Request, Response, VerifyRequest};
 use crate::serve::{client_request, Gate, ServeConfig, Server};
 use crate::verify::store::{CertStore, StoreShim};
 use crate::verify::tier::{MemTier, TieredStore};
@@ -257,116 +257,56 @@ impl CampaignReport {
     /// Deterministic machine-readable rendering: same `(subjects, config)`
     /// → byte-identical JSON (no timestamps, durations, or paths).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"subjects\": [{}],\n",
-            self.subjects
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!(
-            "  \"seeds\": [{}],\n",
-            self.seeds
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!(
-            "  \"jobs\": [{}],\n",
-            self.jobs
-                .iter()
-                .map(|j| j.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        out.push_str(&format!("  \"mutate_bounds\": {},\n", self.mutate_bounds));
-        out.push_str(&format!("  \"runs\": {},\n", self.runs));
-        out.push_str(&format!("  \"checks\": {},\n", self.checks));
-        out.push_str("  \"injected\": {\n");
-        for (i, (label, count)) in self.injected.iter().enumerate() {
-            let comma = if i + 1 < self.injected.len() { "," } else { "" };
-            out.push_str(&format!("    \"{label}\": {count}{comma}\n"));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"violations\": [");
-        for (i, violation) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"invariant\": \"{}\",\n",
-                violation.invariant.label()
-            ));
-            out.push_str(&format!(
-                "      \"subject\": \"{}\",\n",
-                json_escape(&violation.subject)
-            ));
-            out.push_str(&format!("      \"seed\": {},\n", violation.seed));
-            out.push_str(&format!(
-                "      \"detail\": \"{}\",\n",
-                json_escape(&violation.detail)
-            ));
-            let (plan, shrunk) = if violation.server_plan.is_empty() {
-                (
-                    render_events_json(&violation.plan),
-                    render_events_json(&violation.shrunk),
-                )
+        let field = |key: &str, value: Json| (key.to_string(), value);
+        let int = |n: usize| Json::Int(n as i64);
+        // The wire dialect's integers are i64; campaign seeds are `0..n`.
+        let seed = |s: u64| Json::Int(s as i64);
+        let violations = self.violations.iter().map(|v| {
+            let (plan, shrunk) = if v.server_plan.is_empty() {
+                (labels(&v.plan), labels(&v.shrunk))
             } else {
-                (
-                    render_server_events_json(&violation.server_plan),
-                    render_server_events_json(&violation.server_shrunk),
-                )
+                (labels(&v.server_plan), labels(&v.server_shrunk))
             };
-            out.push_str(&format!("      \"plan\": [{plan}],\n"));
-            out.push_str(&format!("      \"shrunk\": [{shrunk}],\n"));
-            out.push_str(&format!(
-                "      \"replay\": \"{}\"\n",
-                json_escape(&violation.replay)
-            ));
-            out.push_str("    }");
-        }
-        if !self.violations.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+            Json::Obj(vec![
+                field("invariant", Json::Str(v.invariant.label().into())),
+                field("subject", Json::Str(v.subject.clone())),
+                field("seed", seed(v.seed)),
+                field("detail", Json::Str(v.detail.clone())),
+                field("plan", plan),
+                field("shrunk", shrunk),
+                field("replay", Json::Str(v.replay.clone())),
+            ])
+        });
+        let injected = self.injected.iter().map(|&(label, n)| field(label, int(n)));
+        Json::Obj(vec![
+            field("subjects", labels(&self.subjects)),
+            field(
+                "seeds",
+                Json::Arr(self.seeds.iter().map(|&s| seed(s)).collect()),
+            ),
+            field(
+                "jobs",
+                Json::Arr(self.jobs.iter().map(|&j| int(j)).collect()),
+            ),
+            field("mode", Json::Str(self.mode.into())),
+            field("mutate_bounds", Json::Bool(self.mutate_bounds)),
+            field("runs", int(self.runs)),
+            field("checks", int(self.checks)),
+            field("injected", Json::Obj(injected.collect())),
+            field("violations", Json::Arr(violations.collect())),
+        ])
+        .pretty()
     }
 }
 
-fn render_events_json(events: &[FaultEvent]) -> String {
-    events
-        .iter()
-        .map(|e| format!("\"{}\"", json_escape(&e.to_string())))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn render_server_events_json(events: &[ServerEvent]) -> String {
-    events
-        .iter()
-        .map(|e| format!("\"{}\"", json_escape(&e.to_string())))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON array of the items' display strings.
+fn labels(items: &[impl std::fmt::Display]) -> Json {
+    Json::Arr(
+        items
+            .iter()
+            .map(|item| Json::Str(item.to_string()))
+            .collect(),
+    )
 }
 
 /// Parses a comma-separated `fate:recipe` event list (the `--events` CLI
@@ -1733,8 +1673,9 @@ mod tests {
 
     #[test]
     fn report_escapes_carriage_return() {
+        // By name, as in the serve wire format and the bench reports.
         let json = report_with_violations("\r").to_json();
-        assert!(json.contains(r#"ctl \u0001 end\u000d","#), "{json}");
+        assert!(json.contains(r#"ctl \u0001 end\r","#), "{json}");
     }
 
     #[test]

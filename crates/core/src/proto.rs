@@ -3,9 +3,9 @@
 //! A connection carries exactly one request and one response. Each frame is
 //! a 4-byte big-endian length followed by that many bytes of UTF-8 JSON.
 //! The JSON dialect is deliberately tiny — objects, arrays, strings,
-//! integers, booleans, null — parsed and emitted by the in-repo code below
-//! (the hermetic-build policy rules out serde; see DESIGN.md,
-//! "Dependencies").
+//! integers, booleans, null — parsed and emitted by the workspace's one
+//! codec, [`armada_runtime::json`] (the hermetic-build policy rules out
+//! serde; see DESIGN.md, "Dependencies").
 //!
 //! Requests:
 //!
@@ -36,286 +36,11 @@
 
 use std::io::{Read, Write};
 
+pub use armada_runtime::json::Json;
+
 /// Frames larger than this are rejected before allocation (a corrupt or
 /// hostile length prefix must not look like an allocation request).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
-
-/// A JSON value in the protocol's dialect. Object keys keep insertion
-/// order, so encoding is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up `key` in an object (None for other shapes).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Serializes (compact, no extra whitespace).
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses one JSON value; trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.at));
-        }
-        Ok(value)
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", byte as char, self.at))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(text.as_bytes()) {
-            self.at += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.at))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.at)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        // Integers only: the protocol never carries floats.
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii");
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| format!("bad integer `{text}` at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.at += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected , or ] got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected , or }} got {other:?}")),
-            }
-        }
-    }
-}
 
 /// Writes one length-prefixed frame.
 ///
@@ -625,32 +350,6 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trips_nested_values() {
-        let value = Json::Obj(vec![
-            ("s".into(), Json::Str("a \"quoted\"\nline\t\\".into())),
-            ("n".into(), Json::Int(-42)),
-            ("b".into(), Json::Bool(true)),
-            ("z".into(), Json::Null),
-            (
-                "a".into(),
-                Json::Arr(vec![Json::Int(1), Json::Str("x".into()), Json::Arr(vec![])]),
-            ),
-            ("o".into(), Json::Obj(vec![("k".into(), Json::Int(7))])),
-        ]);
-        let text = value.encode();
-        assert_eq!(Json::parse(&text).unwrap(), value);
-        // Whitespace tolerance and unicode escapes.
-        let spaced = Json::parse(" { \"k\" : [ 1 , \"\\u0041\" ] } ").unwrap();
-        assert_eq!(
-            spaced.get("k").unwrap(),
-            &Json::Arr(vec![Json::Int(1), Json::Str("A".into())])
-        );
-        // Trailing garbage and floats are rejected.
-        assert!(Json::parse("{}x").is_err());
-        assert!(Json::parse("1e5").is_err());
-    }
 
     #[test]
     fn frames_round_trip_and_bound_length() {

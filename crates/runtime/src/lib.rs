@@ -24,6 +24,8 @@
 //!   `rand`/`proptest`);
 //! * [`hash`] — stable FNV-1a content hashing for persistent artifacts
 //!   (certificate-store keys and checksums);
+//! * [`json`] — the one JSON codec: the serve wire format, the fuzz
+//!   report and the benchmark reports;
 //! * [`ring`] — generic cache-line-padded SPSC rings with bounded-spin
 //!   backoff, the transport under [`wave`]'s worker pool;
 //! * [`telemetry`] — per-stage latency/occupancy histograms with
@@ -36,6 +38,7 @@ pub mod barrier;
 pub mod generated;
 pub mod generated_conservative;
 pub mod hash;
+pub mod json;
 pub mod mcs;
 pub mod measure;
 pub mod prng;

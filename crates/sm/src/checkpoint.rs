@@ -6,8 +6,9 @@
 //! counters, and the terminal-class id lists. A checkpoint is exactly
 //! that, persisted **log-structured**:
 //!
-//! - `states.log` — append-only: one checksummed record per interned
-//!   state, written incrementally (only states new since the last save).
+//! - `states.log` — an append-only [`codec::Log`]: one checksummed record
+//!   (fingerprint, then state bytes) per interned state, written
+//!   incrementally (only states new since the last save).
 //! - `manifest.bin` — small, rewritten atomically each save
 //!   ([`crate::codec::write_atomic`]): a semantic guard, the count of
 //!   valid states, the valid byte length of the log, the frontier, and
@@ -22,11 +23,10 @@
 //! always sound, just slower.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use crate::arena::{StateArena, StateId};
-use crate::codec::{self, Dec, Enc};
+use crate::codec::{self, Dec, Enc, Log};
 use crate::state::ProgState;
 
 /// Where (and whether) an engine run checkpoints and resumes.
@@ -79,29 +79,21 @@ const STATES_LOG: &str = "states.log";
 pub(crate) struct ExploreCheckpoint {
     dir: PathBuf,
     guard: u64,
-    /// States already appended to the log.
-    saved_states: usize,
-    /// Valid byte length of the log.
-    log_bytes: u64,
+    states: Log,
 }
 
 impl ExploreCheckpoint {
     pub fn new(dir: PathBuf, guard: u64) -> std::io::Result<ExploreCheckpoint> {
         fs::create_dir_all(&dir)?;
         Ok(ExploreCheckpoint {
+            states: Log::new(dir.join(STATES_LOG)),
             dir,
             guard,
-            saved_states: 0,
-            log_bytes: 0,
         })
     }
 
     fn manifest_path(&self) -> PathBuf {
         self.dir.join(MANIFEST)
-    }
-
-    fn log_path(&self) -> PathBuf {
-        self.dir.join(STATES_LOG)
     }
 
     /// Attempts to load a checkpoint left by a previous run. Any defect —
@@ -110,11 +102,7 @@ impl ExploreCheckpoint {
     pub fn try_resume(&mut self) -> Option<ResumeData> {
         match self.load() {
             Some(data) => {
-                // Drop any torn tail past the manifest's valid length so
-                // future appends extend a clean prefix.
-                if let Ok(file) = fs::OpenOptions::new().write(true).open(self.log_path()) {
-                    let _ = file.set_len(self.log_bytes);
-                }
+                self.states.truncate_to_valid();
                 Some(data)
             }
             None => {
@@ -156,24 +144,15 @@ impl ExploreCheckpoint {
             return None;
         }
 
-        let raw = fs::read(self.log_path()).ok()?;
-        if (raw.len() as u64) < log_bytes {
-            return None;
-        }
-        let mut d = Dec::new(&raw[..log_bytes as usize]);
         let mut states = Vec::with_capacity(count);
-        for _ in 0..count {
+        for record in self.states.read(count, log_bytes)? {
+            let mut d = Dec::new(&record);
             let fp = d.u64().ok()?;
-            let bytes = d.bytes().ok()?;
-            let checksum = d.u64().ok()?;
-            if armada_runtime::fnv1a_64(&bytes) != checksum {
+            let state = codec::dec_state(&mut d).ok()?;
+            if !d.at_end() {
                 return None;
             }
-            let state = codec::state_from_bytes(&bytes).ok()?;
             states.push((fp, state));
-        }
-        if !d.at_end() {
-            return None;
         }
         // Frontier and terminal ids must point into the loaded prefix.
         let in_range = |id: &u32| (*id as usize) < count;
@@ -185,8 +164,6 @@ impl ExploreCheckpoint {
         {
             return None;
         }
-        self.saved_states = count;
-        self.log_bytes = log_bytes;
         Some(ResumeData {
             states,
             wave,
@@ -200,13 +177,11 @@ impl ExploreCheckpoint {
     /// completion).
     pub fn clear(&mut self) {
         let _ = fs::remove_file(self.manifest_path());
-        let _ = fs::remove_file(self.log_path());
-        self.saved_states = 0;
-        self.log_bytes = 0;
+        self.states.clear();
     }
 
-    /// Persists the wave boundary: appends states `saved_states..` to the
-    /// log, syncs it, then atomically rewrites the manifest.
+    /// Persists the wave boundary: appends the states not yet in the log,
+    /// syncs it, then atomically rewrites the manifest.
     ///
     /// # Panics
     ///
@@ -221,32 +196,21 @@ impl ExploreCheckpoint {
         micro_steps: usize,
         terminals: &TerminalIds,
     ) {
-        if arena.len() > self.saved_states {
-            let mut enc = Enc::new();
-            for id in self.saved_states..arena.len() {
-                let state = arena.get_arc_mut(StateId(id as u32));
-                let bytes = codec::state_to_bytes(&state);
-                enc.u64(arena.fp_of(StateId(id as u32)));
-                enc.bytes(&bytes);
-                enc.u64(armada_runtime::fnv1a_64(&bytes));
-            }
-            let chunk = enc.into_bytes();
-            let mut file = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.log_path())
-                .unwrap_or_else(|err| panic!("checkpoint: opening states.log: {err}"));
-            file.write_all(&chunk)
-                .and_then(|()| file.sync_all())
-                .unwrap_or_else(|err| panic!("checkpoint: appending states.log: {err}"));
-            self.saved_states = arena.len();
-            self.log_bytes += chunk.len() as u64;
-        }
+        let records: Vec<Vec<u8>> = (self.states.saved()..arena.len())
+            .map(|id| {
+                let id = StateId(id as u32);
+                let mut enc = Enc::new();
+                enc.u64(arena.fp_of(id));
+                codec::enc_state(&mut enc, &arena.get_arc_mut(id));
+                enc.into_bytes()
+            })
+            .collect();
+        self.states.append(&records);
 
         let mut enc = Enc::new();
         enc.u64(self.guard);
-        enc.len_of(self.saved_states);
-        enc.u64(self.log_bytes);
+        enc.len_of(self.states.saved());
+        enc.u64(self.states.bytes());
         enc.len_of(wave.len());
         for id in wave {
             enc.u32(id.0);
@@ -274,6 +238,7 @@ mod tests {
     use super::*;
     use crate::explore::{explore, Bounds};
     use crate::lower::lower;
+    use std::io::Write as _;
 
     fn program() -> crate::program::Program {
         let module = armada_lang::parse_module(
@@ -353,6 +318,39 @@ mod tests {
         assert!(
             !dir.join(STATES_LOG).exists(),
             "failed resume clears the directory for a cold start"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_in_the_old_record_format_cold_starts() {
+        // The record framing before the shared `codec::Log`:
+        // `fp ++ len ++ state ++ fnv(state)`, with the fingerprint outside
+        // the checksum. It has the same length as the current framing, so
+        // only the framing itself can reject it.
+        let prog = program();
+        let mut arena = explore(&prog, &Bounds::small()).arena;
+        let dir = tmp("old-format");
+        let _ = fs::remove_dir_all(&dir);
+        let mut ck = ExploreCheckpoint::new(dir.clone(), 1).unwrap();
+        ck.save(&mut arena, &[StateId(0)], 1, 1, &TerminalIds::default());
+        let mut old = Enc::new();
+        for id in 0..arena.len() {
+            let id = StateId(id as u32);
+            let bytes = codec::state_to_bytes(arena.get(id));
+            old.u64(arena.fp_of(id));
+            old.bytes(&bytes);
+            old.u64(armada_runtime::fnv1a_64(&bytes));
+        }
+        let old = old.into_bytes();
+        assert_eq!(old.len() as u64, ck.states.bytes());
+        fs::write(dir.join(STATES_LOG), old).unwrap();
+
+        let mut reader = ExploreCheckpoint::new(dir.clone(), 1).unwrap();
+        assert!(reader.try_resume().is_none());
+        assert!(
+            !dir.join(STATES_LOG).exists(),
+            "a cold start clears the log"
         );
         let _ = fs::remove_dir_all(&dir);
     }

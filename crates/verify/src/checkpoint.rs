@@ -13,7 +13,7 @@
 //! so a checkpoint holding two sets of equal content is rejected.
 //!
 //! Storage is log-structured with the same crash discipline as the
-//! exploration checkpoint: three append-only logs (`nodes.log`,
+//! exploration checkpoint: three append-only [`codec::Log`]s (`nodes.log`,
 //! `high.log`, `sets.log`; one checksummed record per item) appended and
 //! synced *before* the small `manifest.bin` is atomically rewritten
 //! ([`codec::write_atomic`]). A crash leaves either the old manifest
@@ -24,11 +24,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use armada_sm::codec::{self, Dec, Enc};
+use armada_sm::codec::{self, Dec, Enc, Log};
 use armada_sm::{ProgState, StateArena, StateId, Tid};
 
 use crate::{distinct_content, MatchSet, Node};
@@ -50,95 +49,6 @@ pub(crate) struct ResumeState {
     pub pending: BTreeMap<usize, Vec<usize>>,
     pub low_transitions: usize,
     pub wave_index: usize,
-}
-
-/// One append-only log with per-record checksums and a manifest-tracked
-/// valid prefix.
-struct Log {
-    path: PathBuf,
-    /// Records already appended.
-    saved: usize,
-    /// Valid byte length.
-    bytes: u64,
-}
-
-impl Log {
-    fn new(path: PathBuf) -> Log {
-        Log {
-            path,
-            saved: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Appends pre-encoded records (each wrapped as `bytes + fnv`) and
-    /// syncs. Panics on I/O failure, like the exploration checkpoint: a
-    /// checkpoint directory that stops accepting writes is an operator
-    /// problem, and a silently stale checkpoint is worse than a crash.
-    fn append(&mut self, records: &[Vec<u8>]) {
-        if records.is_empty() {
-            return;
-        }
-        let mut enc = Enc::new();
-        for record in records {
-            enc.bytes(record);
-            enc.u64(armada_runtime::fnv1a_64(record));
-        }
-        let chunk = enc.into_bytes();
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .unwrap_or_else(|err| panic!("checkpoint: opening {}: {err}", self.path.display()));
-        file.write_all(&chunk)
-            .and_then(|()| file.sync_all())
-            .unwrap_or_else(|err| panic!("checkpoint: appending {}: {err}", self.path.display()));
-        self.saved += records.len();
-        self.bytes += chunk.len() as u64;
-    }
-
-    /// Reads and verifies the first `count` records of the `bytes`-long
-    /// valid prefix.
-    fn read(&mut self, count: usize, bytes: u64) -> Option<Vec<Vec<u8>>> {
-        let raw = if count == 0 {
-            Vec::new()
-        } else {
-            fs::read(&self.path).ok()?
-        };
-        if (raw.len() as u64) < bytes {
-            return None;
-        }
-        let mut d = Dec::new(&raw[..bytes as usize]);
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            let record = d.bytes().ok()?;
-            let checksum = d.u64().ok()?;
-            if armada_runtime::fnv1a_64(&record) != checksum {
-                return None;
-            }
-            records.push(record);
-        }
-        if !d.at_end() {
-            return None;
-        }
-        self.saved = count;
-        self.bytes = bytes;
-        Some(records)
-    }
-
-    /// Drops any torn tail past the valid prefix so future appends extend
-    /// clean bytes.
-    fn truncate_to_valid(&self) {
-        if let Ok(file) = fs::OpenOptions::new().write(true).open(&self.path) {
-            let _ = file.set_len(self.bytes);
-        }
-    }
-
-    fn clear(&mut self) {
-        let _ = fs::remove_file(&self.path);
-        self.saved = 0;
-        self.bytes = 0;
-    }
 }
 
 /// The refinement-search checkpoint writer/loader for one check.
@@ -336,7 +246,7 @@ impl VerifyCheckpoint {
         wave_index: usize,
     ) {
         let mut records = Vec::new();
-        for node in &nodes[self.nodes.saved..] {
+        for node in &nodes[self.nodes.saved()..] {
             let mut e = Enc::new();
             e.bytes(&codec::state_to_bytes(&node.low));
             e.u32(node.set_id);
@@ -371,14 +281,14 @@ impl VerifyCheckpoint {
         self.nodes.append(&records);
 
         let mut records = Vec::new();
-        for id in self.high.saved..high_arena.len() {
+        for id in self.high.saved()..high_arena.len() {
             let state = high_arena.get_arc_mut(StateId(id as u32));
             records.push(codec::state_to_bytes(&state));
         }
         self.high.append(&records);
 
         let mut records = Vec::new();
-        for set in &sets[self.sets.saved..] {
+        for set in &sets[self.sets.saved()..] {
             let mut e = Enc::new();
             e.len_of(set.len());
             for id in set.iter() {
@@ -390,12 +300,12 @@ impl VerifyCheckpoint {
 
         let mut e = Enc::new();
         e.u64(self.guard);
-        e.len_of(self.nodes.saved);
-        e.u64(self.nodes.bytes);
-        e.len_of(self.high.saved);
-        e.u64(self.high.bytes);
-        e.len_of(self.sets.saved);
-        e.u64(self.sets.bytes);
+        e.len_of(self.nodes.saved());
+        e.u64(self.nodes.bytes());
+        e.len_of(self.high.saved());
+        e.u64(self.high.bytes());
+        e.len_of(self.sets.saved());
+        e.u64(self.sets.bytes());
         e.len_of(pending.len());
         for (depth, ids) in pending {
             e.len_of(*depth);

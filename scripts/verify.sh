@@ -286,6 +286,13 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo run --release --offline -p armada-bench --bin fuzz_campaign -- --quick
     cargo run --release --offline -p armada-bench --bin pipeline_scaling -- --quick
     cargo run --release --offline -p armada-bench --bin spill -- --smoke
+    # Quick and smoke runs print their reports; none may touch a committed
+    # BENCH_*.json.
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+        git diff --quiet -- 'BENCH_*.json' \
+            || { echo "bench smoke modified a committed BENCH_*.json:"; \
+                 git diff --stat -- 'BENCH_*.json'; exit 1; }
+    fi
 fi
 
 echo "verify.sh: all checks passed"
