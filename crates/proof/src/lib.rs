@@ -27,4 +27,4 @@ pub mod relation;
 
 pub use obligation::{DischargedObligation, ObligationKind, ProofObligation, StrategyReport};
 pub use prover::{check_valid, Hint, ProofMethod, ProverCtx, Verdict};
-pub use relation::{conjoin_ub_condition, RefinementRelation};
+pub use relation::{conjoin_ub_condition, Observation, RefinementRelation};

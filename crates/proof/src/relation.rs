@@ -6,6 +6,12 @@
 //! must be a prefix of the specification's, with full agreement once the
 //! implementation has exited.
 //!
+//! Every supported relation reads only a state's *observation* — its event
+//! log and termination status — so relations take an [`Observation`] view
+//! of each side rather than the whole state. The checker leans on this: it
+//! groups high states by observation and evaluates the relation once per
+//! group.
+//!
 //! Per §3.2.3, every relation is automatically conjoined with the
 //! undefined-behavior condition: *if the low-level program exhibits UB, the
 //! high-level program must too* — otherwise proofs about UB-terminating
@@ -15,10 +21,39 @@ use armada_lang::ast::{PredicateSource, RelationKind};
 use armada_sm::{ProgState, Termination, Value};
 use std::collections::BTreeMap;
 
+/// The observable projection of a state: its event log and termination
+/// status, borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Observation<'a> {
+    /// The event log written by `print`.
+    pub log: &'a [Value],
+    /// Termination status.
+    pub termination: &'a Termination,
+}
+
+impl<'a> Observation<'a> {
+    /// The observation of `state`.
+    pub fn of(state: &'a ProgState) -> Observation<'a> {
+        Observation {
+            log: &state.log,
+            termination: &state.termination,
+        }
+    }
+
+    fn exited(&self) -> bool {
+        *self.termination == Termination::Exited
+    }
+
+    fn ub(&self) -> bool {
+        matches!(self.termination, Termination::UndefinedBehavior(_))
+    }
+}
+
 /// When a low-level state is acceptably abstracted by a high-level state.
 pub trait RefinementRelation {
-    /// Does the pair belong to the relation? (UB conjunct included.)
-    fn relates(&self, low: &ProgState, high: &ProgState) -> bool;
+    /// Does the pair of observations belong to the relation? (UB conjunct
+    /// included.)
+    fn relates(&self, low: Observation<'_>, high: Observation<'_>) -> bool;
 
     /// Human-readable description for reports.
     fn describe(&self) -> String;
@@ -27,11 +62,9 @@ pub trait RefinementRelation {
 /// The §3.2.3 conjunct: a UB-terminated low state may only be related to a
 /// UB-terminated high state, and an assertion-failed low state to a failed
 /// or UB high state.
-pub fn conjoin_ub_condition(low: &ProgState, high: &ProgState, base: bool) -> bool {
-    match &low.termination {
-        Termination::UndefinedBehavior(_) => {
-            matches!(high.termination, Termination::UndefinedBehavior(_))
-        }
+pub fn conjoin_ub_condition(low: Observation<'_>, high: Observation<'_>, base: bool) -> bool {
+    match low.termination {
+        Termination::UndefinedBehavior(_) => high.ub(),
         Termination::AssertFailed(_) => matches!(
             high.termination,
             Termination::AssertFailed(_) | Termination::UndefinedBehavior(_)
@@ -61,25 +94,11 @@ impl StandardRelation {
 }
 
 impl RefinementRelation for StandardRelation {
-    fn relates(&self, low: &ProgState, high: &ProgState) -> bool {
+    fn relates(&self, low: Observation<'_>, high: Observation<'_>) -> bool {
+        let exit_ok = !low.exited() || (high.exited() && low.log == high.log);
         let base = match &self.kind {
-            RelationKind::LogPrefix => {
-                let prefix =
-                    low.log.len() <= high.log.len() && high.log[..low.log.len()] == low.log[..];
-                let exit_ok = if low.termination == Termination::Exited {
-                    high.termination == Termination::Exited && low.log == high.log
-                } else {
-                    true
-                };
-                prefix && exit_ok
-            }
-            RelationKind::LogEqualAtExit => {
-                if low.termination == Termination::Exited {
-                    high.termination == Termination::Exited && low.log == high.log
-                } else {
-                    true
-                }
-            }
+            RelationKind::LogPrefix => high.log.starts_with(low.log) && exit_ok,
+            RelationKind::LogEqualAtExit => exit_ok,
             RelationKind::Custom(pred) => custom_relates(pred, low, high),
         };
         conjoin_ub_condition(low, high, base)
@@ -94,32 +113,18 @@ impl RefinementRelation for StandardRelation {
     }
 }
 
-/// Evaluates a custom relation predicate over the observable projections of
-/// the two states: `low_log`/`high_log` (ghost sequences), and
+/// Evaluates a custom relation predicate over the two observations:
+/// `low_log`/`high_log` (ghost sequences), and
 /// `low_exited`/`high_exited`/`low_ub`/`high_ub` booleans.
-fn custom_relates(pred: &PredicateSource, low: &ProgState, high: &ProgState) -> bool {
-    let mut env = BTreeMap::new();
-    env.insert("low_log".to_string(), Value::Seq(low.log.clone()));
-    env.insert("high_log".to_string(), Value::Seq(high.log.clone()));
-    env.insert(
-        "low_exited".to_string(),
-        Value::Bool(low.termination == Termination::Exited),
-    );
-    env.insert(
-        "high_exited".to_string(),
-        Value::Bool(high.termination == Termination::Exited),
-    );
-    env.insert(
-        "low_ub".to_string(),
-        Value::Bool(matches!(low.termination, Termination::UndefinedBehavior(_))),
-    );
-    env.insert(
-        "high_ub".to_string(),
-        Value::Bool(matches!(
-            high.termination,
-            Termination::UndefinedBehavior(_)
-        )),
-    );
+fn custom_relates(pred: &PredicateSource, low: Observation<'_>, high: Observation<'_>) -> bool {
+    let env = BTreeMap::from([
+        ("low_log".to_string(), Value::Seq(low.log.to_vec())),
+        ("high_log".to_string(), Value::Seq(high.log.to_vec())),
+        ("low_exited".to_string(), Value::Bool(low.exited())),
+        ("high_exited".to_string(), Value::Bool(high.exited())),
+        ("low_ub".to_string(), Value::Bool(low.ub())),
+        ("high_ub".to_string(), Value::Bool(high.ub())),
+    ]);
     matches!(
         crate::prover::pure_eval(&pred.expr, &env),
         Ok(Value::Bool(true))
@@ -130,59 +135,83 @@ fn custom_relates(pred: &PredicateSource, low: &ProgState, high: &ProgState) -> 
 mod tests {
     use super::*;
     use armada_lang::ast::IntType;
-    use armada_sm::{lower, Bounds, UbReason};
+    use armada_sm::{Pc, UbReason};
 
-    fn state_with_log(log: Vec<i128>, termination: Termination) -> ProgState {
-        // Build a real state via a trivial program, then adjust.
-        let module = armada_lang::parse_module("level L { void main() { } }").unwrap();
-        let typed = armada_lang::check_module(&module).unwrap();
-        let program = lower(&typed, "L").unwrap();
-        let mut state = armada_sm::run_to_completion(&program, &Bounds::small()).unwrap();
-        state.log = log
-            .into_iter()
-            .map(|v| Value::int(IntType::U32, v))
-            .collect();
-        state.termination = termination;
-        state
+    const RUNNING: Termination = Termination::Running;
+    const EXITED: Termination = Termination::Exited;
+    const UB: Termination = Termination::UndefinedBehavior(UbReason::NullDereference);
+    const FAILED: Termination = Termination::AssertFailed(Pc {
+        routine: 0,
+        instr: 0,
+    });
+
+    fn log(values: &[i128]) -> Vec<Value> {
+        values
+            .iter()
+            .map(|&v| Value::int(IntType::U32, v))
+            .collect()
+    }
+
+    fn obs<'a>(log: &'a [Value], termination: &'a Termination) -> Observation<'a> {
+        Observation { log, termination }
     }
 
     #[test]
     fn log_prefix_accepts_prefixes_and_rejects_divergence() {
         let relation = StandardRelation::log_prefix();
-        let low = state_with_log(vec![1, 2], Termination::Running);
-        let high = state_with_log(vec![1, 2, 3], Termination::Running);
-        assert!(relation.relates(&low, &high));
-        let diverged = state_with_log(vec![9], Termination::Running);
-        assert!(!relation.relates(&low, &diverged));
+        let (short, long, diverged) = (log(&[1, 2]), log(&[1, 2, 3]), log(&[9]));
+        assert!(relation.relates(obs(&short, &RUNNING), obs(&long, &RUNNING)));
+        assert!(!relation.relates(obs(&short, &RUNNING), obs(&diverged, &RUNNING)));
+        assert!(!relation.relates(obs(&long, &RUNNING), obs(&short, &RUNNING)));
     }
 
     #[test]
     fn log_prefix_requires_agreement_at_exit() {
         let relation = StandardRelation::log_prefix();
-        let low = state_with_log(vec![1], Termination::Exited);
-        let short_high = state_with_log(vec![1], Termination::Exited);
-        let long_high = state_with_log(vec![1, 2], Termination::Exited);
-        assert!(relation.relates(&low, &short_high));
+        let (short, long) = (log(&[1]), log(&[1, 2]));
+        assert!(relation.relates(obs(&short, &EXITED), obs(&short, &EXITED)));
         assert!(
-            !relation.relates(&low, &long_high),
+            !relation.relates(obs(&short, &EXITED), obs(&long, &EXITED)),
             "exited impl must match spec log"
         );
+        assert!(
+            !relation.relates(obs(&short, &EXITED), obs(&short, &RUNNING)),
+            "exited impl needs an exited spec"
+        );
+    }
+
+    #[test]
+    fn log_equal_at_exit_constrains_only_exited_states() {
+        let relation = StandardRelation::new(RelationKind::LogEqualAtExit);
+        let (a, b) = (log(&[1]), log(&[2, 3]));
+        // Before exit, any logs relate — even diverged ones.
+        assert!(relation.relates(obs(&a, &RUNNING), obs(&b, &RUNNING)));
+        assert!(relation.relates(obs(&a, &RUNNING), obs(&b, &EXITED)));
+        // At exit, the spec must have exited with the same log.
+        assert!(relation.relates(obs(&a, &EXITED), obs(&a, &EXITED)));
+        assert!(!relation.relates(obs(&a, &EXITED), obs(&b, &EXITED)));
+        assert!(!relation.relates(obs(&a, &EXITED), obs(&a, &RUNNING)));
     }
 
     #[test]
     fn ub_conjunct_is_enforced() {
         let relation = StandardRelation::log_prefix();
-        let low_ub = state_with_log(
-            vec![],
-            Termination::UndefinedBehavior(UbReason::NullDereference),
-        );
-        let high_ok = state_with_log(vec![], Termination::Running);
-        let high_ub = state_with_log(
-            vec![],
-            Termination::UndefinedBehavior(UbReason::NullDereference),
-        );
-        assert!(!relation.relates(&low_ub, &high_ok));
-        assert!(relation.relates(&low_ub, &high_ub));
+        let empty = log(&[]);
+        assert!(!relation.relates(obs(&empty, &UB), obs(&empty, &RUNNING)));
+        assert!(!relation.relates(obs(&empty, &UB), obs(&empty, &FAILED)));
+        assert!(relation.relates(obs(&empty, &UB), obs(&empty, &UB)));
+    }
+
+    #[test]
+    fn assert_failed_low_relates_only_to_failed_or_ub_high() {
+        let relation = StandardRelation::log_prefix();
+        let (empty, other) = (log(&[]), log(&[7]));
+        assert!(relation.relates(obs(&empty, &FAILED), obs(&empty, &FAILED)));
+        assert!(relation.relates(obs(&empty, &FAILED), obs(&empty, &UB)));
+        assert!(!relation.relates(obs(&empty, &FAILED), obs(&empty, &RUNNING)));
+        assert!(!relation.relates(obs(&empty, &FAILED), obs(&empty, &EXITED)));
+        // The conjunct replaces the log comparison for failed states.
+        assert!(relation.relates(obs(&other, &FAILED), obs(&empty, &FAILED)));
     }
 
     #[test]
@@ -193,10 +222,9 @@ mod tests {
             expr: armada_lang::parse_expr(pred_src).unwrap(),
         };
         let relation = StandardRelation::new(RelationKind::Custom(pred));
-        let low = state_with_log(vec![1], Termination::Running);
-        let high = state_with_log(vec![2, 3], Termination::Running);
-        assert!(relation.relates(&low, &high));
-        assert!(!relation.relates(&high, &low));
+        let (low, high) = (log(&[1]), log(&[2, 3]));
+        assert!(relation.relates(obs(&low, &RUNNING), obs(&high, &RUNNING)));
+        assert!(!relation.relates(obs(&high, &RUNNING), obs(&low, &RUNNING)));
         assert!(relation.describe().contains("custom"));
     }
 }

@@ -35,6 +35,12 @@
 //! commit keys set ids by pointer and the antichain tests `Arc::ptr_eq`
 //! before any content scan; content is hashed only on memo misses.
 //!
+//! The relation reads only observations (event log + termination), so
+//! every interned high state carries an *observation class* id, memoized
+//! stutter closures hold member ids grouped by class, and an expansion
+//! evaluates the relation once per distinct class rather than once per
+//! closure member.
+//!
 //! With [`Bounds::reduction`] on (the default), low-side successor
 //! enumeration fuses maximal runs of thread-local steps into single
 //! macro-transitions (see `armada_sm::reduce`). Fused steps are invisible —
@@ -72,13 +78,13 @@ mod checkpoint;
 pub mod store;
 pub mod tier;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use armada_proof::RefinementRelation;
+use armada_proof::{Observation, RefinementRelation};
 use armada_recheck::{Witness, WitnessBuilder};
 use armada_runtime::telemetry::{Stage, StageTelemetry};
 use armada_runtime::wave::{self, Panic, Pool};
@@ -310,11 +316,29 @@ fn compose_orig(
     }
 }
 
-/// Observables of a low-level state: the event log and termination status.
-/// Every supported refinement relation is a function of these alone, which
-/// is what makes match-set expansion memoizable per (match-set, observables)
-/// pair.
+/// Observables of a state: the event log and termination status. Every
+/// refinement relation is a function of these alone (it reads an
+/// [`Observation`] of each side), which is what makes match-set expansion
+/// memoizable per (match-set, observables) pair and lets the high side be
+/// grouped into observation classes.
 type Obs = (Vec<Value>, Termination);
+
+/// The relation's view of an owned observation.
+fn view(obs: &Obs) -> Observation<'_> {
+    Observation {
+        log: &obs.0,
+        termination: &obs.1,
+    }
+}
+
+/// Locks `mutex`, tolerating poison: a panic caught in one wave slot must
+/// not cascade into poison panics in the others (that would make which
+/// slot "fails first" depend on worker scheduling).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A computed match set: the interned high-state ids related to a low state.
 /// Every match set of a check is hash-consed through [`ExpandMemo::intern`],
@@ -337,6 +361,8 @@ struct ExpandMemo {
     sets: HashSet<MatchSet>,
     /// Expansions actually computed (memo misses).
     misses: u64,
+    /// Relation evaluations those expansions (and the root's) made.
+    relates_calls: u64,
 }
 
 impl ExpandMemo {
@@ -391,9 +417,9 @@ impl SetIds {
     }
 }
 
-/// Memoized high-level state graph — an interned [`StateArena`] plus
-/// successor lists and stutter closures — shared across workers behind one
-/// mutex.
+/// Memoized high-level state graph — an interned [`StateArena`], the
+/// observation class of every interned state, successor lists and stutter
+/// closures — shared across workers behind one mutex.
 ///
 /// The numeric ids depend on interning order and so can differ between runs
 /// when jobs > 1, but they are injective handles used only for set
@@ -405,8 +431,14 @@ struct HighGraph<'a> {
     max_buffer: usize,
     max_match: usize,
     arena: StateArena,
-    successors: Vec<Option<Vec<u32>>>,
-    closures: Vec<Option<Arc<Vec<(u32, Arc<ProgState>)>>>>,
+    /// Observation class of each interned state, by state id.
+    class_of: Vec<u32>,
+    /// Observation → class id. Class ids are dense: `classes[c]` is class
+    /// `c`'s observation, sharing its `Arc` with the map key.
+    class_ids: HashMap<Arc<Obs>, u32>,
+    classes: Vec<Arc<Obs>>,
+    successors: Vec<Option<Arc<[u32]>>>,
+    closures: Vec<Option<Arc<Closure>>>,
 }
 
 impl<'a> HighGraph<'a> {
@@ -417,6 +449,9 @@ impl<'a> HighGraph<'a> {
             max_buffer,
             max_match,
             arena: StateArena::new(),
+            class_of: Vec::new(),
+            class_ids: HashMap::new(),
+            classes: Vec::new(),
             successors: Vec::new(),
             closures: Vec::new(),
         }
@@ -430,90 +465,182 @@ impl<'a> HighGraph<'a> {
         self.arena.enable_spill(spec)
     }
 
+    /// Interns a high state, giving a fresh one the id of its observation
+    /// class (a new class if the observation is new).
     fn intern_state(&mut self, state: ProgState) -> u32 {
-        let (id, fresh) = self.arena.intern(state);
-        if fresh {
-            self.successors.push(None);
-            self.closures.push(None);
+        let fp = StateArena::fingerprint(&state);
+        if let Some(id) = self.arena.lookup_with_fp_mut(fp, &state) {
+            return id.0;
         }
+        let obs: Obs = (state.log.clone(), state.termination.clone());
+        let class = match self.class_ids.get(&obs) {
+            Some(&class) => class,
+            None => {
+                let class = self.classes.len() as u32;
+                let obs = Arc::new(obs);
+                self.classes.push(Arc::clone(&obs));
+                self.class_ids.insert(obs, class);
+                class
+            }
+        };
+        let (id, _) = self.arena.intern_with_fp(fp, state);
+        self.class_of.push(class);
+        self.successors.push(None);
+        self.closures.push(None);
         id.0
     }
 
-    fn successors_of(&mut self, id: u32) -> Vec<u32> {
+    fn successors_of(&mut self, id: u32) -> Arc<[u32]> {
         if let Some(cached) = &self.successors[id as usize] {
-            return cached.clone();
+            return Arc::clone(cached);
         }
         // The high side is never fused: `closure_of` counts *individual*
         // high steps against the `max_match` stutter budget, and a macro
         // edge would smuggle several steps past it.
         let state = self.arena.get_arc_mut(StateId(id));
-        let ids: Vec<u32> =
+        let ids: Arc<[u32]> =
             armada_sm::enabled_steps(self.program, &state, &self.pool, self.max_buffer)
                 .into_iter()
                 .map(|(_, s)| self.intern_state(s))
                 .collect();
-        self.successors[id as usize] = Some(ids.clone());
+        self.successors[id as usize] = Some(Arc::clone(&ids));
         ids
-    }
-
-    /// The stutter closure of an interned high state: all states reachable
-    /// within `max_match` steps, paired with their ids.
-    fn closure_of(&mut self, id: u32) -> Arc<Vec<(u32, Arc<ProgState>)>> {
-        if let Some(cached) = &self.closures[id as usize] {
-            return Arc::clone(cached);
-        }
-        let mut seen: BTreeSet<u32> = BTreeSet::new();
-        let mut frontier = VecDeque::new();
-        seen.insert(id);
-        frontier.push_back((id, 0usize));
-        while let Some((current, depth)) = frontier.pop_front() {
-            if depth >= self.max_match {
-                continue;
-            }
-            for next in self.successors_of(current) {
-                if seen.insert(next) {
-                    frontier.push_back((next, depth + 1));
-                }
-            }
-        }
-        let result = Arc::new(
-            seen.into_iter()
-                .map(|h| (h, self.arena.get_arc_mut(StateId(h))))
-                .collect::<Vec<_>>(),
-        );
-        self.closures[id as usize] = Some(Arc::clone(&result));
-        result
     }
 }
 
+/// A memoized stutter closure, grouped by observation class. It holds ids
+/// only, so the high arena's state trees stay free to page out.
+struct Closure {
+    /// One entry per distinct class among the members, ascending by class
+    /// id: the class id and the length of its run in `members`.
+    classes: Vec<(u32, usize)>,
+    /// Member ids, grouped by class.
+    members: Vec<u32>,
+}
+
+impl Closure {
+    /// Each class with its members.
+    fn groups(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        let mut rest = &self.members[..];
+        self.classes.iter().map(move |&(class, len)| {
+            let (members, tail) = rest.split_at(len);
+            rest = tail;
+            (class, members)
+        })
+    }
+}
+
+/// A dense set of high-state ids: a bitmap grown on demand that also lists
+/// its members in insertion order, so clearing touches only them.
+#[derive(Default)]
+struct IdSet {
+    bits: Vec<u64>,
+    members: Vec<u32>,
+}
+
+impl IdSet {
+    fn insert(&mut self, id: u32) {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.members.push(id);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &id in &self.members {
+            self.bits[id as usize / 64] = 0;
+        }
+        self.members.clear();
+    }
+}
+
+/// The stutter closure of an interned high state: all states reachable
+/// within `max_match` steps, grouped by observation class. `seen` is
+/// scratch space, empty on entry and on return.
+///
+/// The graph's lock is taken per frontier state, only to fetch (or compute
+/// and intern) its successor list; the walk and the grouping run outside
+/// it. Racing workers may compute the same closure: the content is the
+/// same, and the first insert wins.
+fn closure_of(high: &Mutex<HighGraph<'_>>, id: u32, seen: &mut IdSet) -> Arc<Closure> {
+    let max_match = {
+        let hg = lock(high);
+        if let Some(cached) = &hg.closures[id as usize] {
+            return Arc::clone(cached);
+        }
+        hg.max_match
+    };
+    // Breadth-first by levels: `seen.members` lists the states in visit
+    // order, so each level is a contiguous run of it.
+    seen.insert(id);
+    let mut level = 0..1;
+    for _ in 0..max_match {
+        for i in level.clone() {
+            let successors = lock(high).successors_of(seen.members[i]);
+            for &next in successors.iter() {
+                seen.insert(next);
+            }
+        }
+        level = level.end..seen.members.len();
+        if level.is_empty() {
+            break;
+        }
+    }
+    let mut keyed: Vec<(u32, u32)> = {
+        let hg = lock(high);
+        seen.members
+            .iter()
+            .map(|&member| (hg.class_of[member as usize], member))
+            .collect()
+    };
+    seen.clear();
+    keyed.sort_unstable();
+    let classes = keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run.len()))
+        .collect();
+    let members = keyed.into_iter().map(|(_, member)| member).collect();
+    let closure = Closure { classes, members };
+    Arc::clone(lock(high).closures[id as usize].get_or_insert_with(|| Arc::new(closure)))
+}
+
 /// All high states reachable (within the stutter budget) from any current
-/// match that relate to the new low state; `None` if there are none — a
-/// refinement failure.
+/// match whose observation relates to `low`; `None` if there are none — a
+/// refinement failure. The relation runs once per distinct observation
+/// class of the union of closures, not once per member, and the member ids
+/// of related classes are unioned in a dense set. Also returns the number
+/// of relation calls.
 fn expand_matches(
     parent_matches: &BTreeSet<u32>,
-    low_next: &ProgState,
+    low: Observation<'_>,
     relation: &(dyn RefinementRelation + Sync),
     high: &Mutex<HighGraph<'_>>,
-) -> Option<BTreeSet<u32>> {
-    let mut new_matches: BTreeSet<u32> = BTreeSet::new();
+) -> (Option<BTreeSet<u32>>, u64) {
+    let mut verdicts: HashMap<u32, bool> = HashMap::new();
+    let mut related = IdSet::default();
+    let mut seen = IdSet::default();
     for &high_id in parent_matches {
-        // Poison-tolerant: a panic caught in one wave slot must not cascade
-        // into poison panics in the others (that would make which slot
-        // "fails first" depend on worker scheduling).
-        let closure = high
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .closure_of(high_id);
-        for (candidate, candidate_state) in closure.iter() {
-            if new_matches.contains(candidate) {
-                continue;
-            }
-            if relation.relates(low_next, candidate_state) {
-                new_matches.insert(*candidate);
+        let closure = closure_of(high, high_id, &mut seen);
+        for (class, members) in closure.groups() {
+            let relates = *verdicts.entry(class).or_insert_with(|| {
+                let obs = Arc::clone(&lock(high).classes[class as usize]);
+                relation.relates(low, view(&obs))
+            });
+            if relates {
+                for &member in members {
+                    related.insert(member);
+                }
             }
         }
     }
-    (!new_matches.is_empty()).then_some(new_matches)
+    let mut related = related.members;
+    related.sort_unstable();
+    let matches = (!related.is_empty()).then(|| related.into_iter().collect());
+    (matches, verdicts.len() as u64)
 }
 
 /// One product node of the subset construction.
@@ -620,22 +747,17 @@ fn expand_node(
             let orig = compose_orig(orig.as_ref(), inverse, low_next.threads.len());
             let obs: Obs = (low_next.log.clone(), low_next.termination.clone());
             let key = (set_id, obs);
-            let cached = ctx
-                .memo
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .expanded
-                .get(&key)
-                .cloned();
+            let cached = lock(ctx.memo).expanded.get(&key).cloned();
             let matches = match cached {
                 Some(hit) => hit,
                 None => {
-                    let computed = expand_matches(matches, &low_next, ctx.relation, ctx.high);
-                    let mut memo = ctx
-                        .memo
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    let (computed, calls) =
+                        expand_matches(matches, view(&key.1), ctx.relation, ctx.high);
+                    #[cfg(test)]
+                    tests::audit_expansion(matches, &low_next, ctx, computed.as_ref());
+                    let mut memo = lock(ctx.memo);
                     memo.misses += 1;
+                    memo.relates_calls += calls;
                     let computed = computed.map(|set| memo.intern(Arc::new(set)));
                     memo.expanded.insert(key, computed.clone());
                     computed
@@ -866,7 +988,8 @@ fn check_refinement_impl(
     let root_orig = compose_orig(None, init_inverse, low_init.threads.len());
 
     // High states are interned so match sets are integer sets; successor
-    // lists and stutter closures are memoized per interned state.
+    // lists and class-grouped stutter closures are memoized per interned
+    // state.
     let mut high_graph = HighGraph::new(
         high,
         config.bounds.pool_for(high),
@@ -917,6 +1040,7 @@ fn check_refinement_impl(
     // set against a low successor is memoized per (set id, observables)
     // pair. Stuttering low steps (no log change) therefore hit the memo
     // almost always.
+    let mut high_graph = Mutex::new(high_graph);
     let mut memo = ExpandMemo::default();
     let reducer = Reducer::new(low);
     let mut nodes: Vec<Node> = Vec::new();
@@ -933,8 +1057,9 @@ fn check_refinement_impl(
         // `Arc`s, and the loader rejects duplicate content), so sets that
         // memo misses recompute resolve to the resumed ids. The seen-set
         // replays from the node table.
+        let hg = high_graph.get_mut().expect("high graph poisoned");
         for state in rs.high_states {
-            high_graph.intern_state(state);
+            hg.intern_state(state);
         }
         for set in &rs.sets {
             memo.intern(Arc::clone(set));
@@ -948,14 +1073,18 @@ fn check_refinement_impl(
         low_transitions = rs.low_transitions;
         wave_index = rs.wave_index;
     } else {
-        let high_root = high_graph.intern_state(high_init);
-        let init_matches: BTreeSet<u32> = high_graph
-            .closure_of(high_root)
-            .iter()
-            .filter(|(_, s)| relation.relates(&low_init, s))
-            .map(|(h, _)| *h)
-            .collect();
-        if init_matches.is_empty() {
+        let high_root = high_graph
+            .get_mut()
+            .expect("high graph poisoned")
+            .intern_state(high_init);
+        let (init_matches, calls) = expand_matches(
+            &BTreeSet::from([high_root]),
+            Observation::of(&low_init),
+            relation,
+            &high_graph,
+        );
+        memo.relates_calls += calls;
+        let Some(init_matches) = init_matches else {
             return Err(Box::new(Counterexample {
                 kind: CexKind::Refinement,
                 description: "initial states are not related by R".to_string(),
@@ -963,7 +1092,7 @@ fn check_refinement_impl(
                 steps: vec![],
                 state: low_init,
             }));
-        }
+        };
         let low_init = Arc::new(low_init);
         let init_matches = memo.intern(Arc::new(init_matches));
         let set_id = set_ids.id_of(&init_matches);
@@ -986,7 +1115,6 @@ fn check_refinement_impl(
         // trace length whether or not edges are fused.
         pending.insert(0, vec![0]);
     }
-    let high_graph = Mutex::new(high_graph);
     let memo = Mutex::new(memo);
 
     let ctx = ExpandCtx {
@@ -1051,23 +1179,19 @@ fn check_refinement_impl(
             ck.clear();
         }
     }
-    // Spill and memo counters are diagnostics (fault order and racing
-    // memo misses depend on jobs), so they ride telemetry, never the
-    // verdict.
+    // Spill, memo and graph counters are diagnostics (fault order and
+    // racing memo misses depend on jobs), so they ride telemetry, never
+    // the verdict.
     {
-        let memo = memo.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let memo = lock(&memo);
+        let hg = lock(&high_graph);
         let counters = tel.counters_mut();
         counters.add("verify.match_sets", memo.sets.len() as u64);
         counters.add("verify.expand_memo_misses", memo.misses);
-    }
-    if let Some(counters) = high_graph
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .arena
-        .spill_counters()
-    {
-        for (name, value) in counters {
-            tel.counters_mut().add(name, value);
+        counters.add("verify.high_states", hg.arena.len() as u64);
+        counters.add("verify.relates_calls", memo.relates_calls);
+        for (name, value) in hg.arena.spill_counters().unwrap_or_default() {
+            counters.add(name, value);
         }
     }
 
@@ -1134,9 +1258,7 @@ fn run_search(
         // by redoing the wave — which commits identically, because commit
         // order is deterministic.
         if let Some(ck) = ck.as_mut() {
-            let mut hg = high_graph
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut hg = lock(high_graph);
             ck.save(
                 nodes,
                 &set_ids.sets,
@@ -1341,23 +1463,16 @@ fn emit_witness(
     max_buffer: usize,
     waves: usize,
 ) -> Witness {
-    let mut hg = high_graph
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let mut high_fp: HashMap<u32, u64> = HashMap::new();
+    let hg = lock(high_graph);
     let mut set_digests: HashMap<u32, u64> = HashMap::new();
-    let mut set_digest_of = |node: &Node, hg: &mut HighGraph<'_>| -> u64 {
+    let mut set_digest_of = |node: &Node| -> u64 {
         if let Some(&digest) = set_digests.get(&node.set_id) {
             return digest;
         }
         let mut fps: Vec<u64> = node
             .matches
             .iter()
-            .map(|&h| {
-                *high_fp
-                    .entry(h)
-                    .or_insert_with(|| StateArena::fingerprint(&hg.arena.get_arc_mut(StateId(h))))
-            })
+            .map(|&h| hg.arena.fp_of(StateId(h)))
             .collect();
         fps.sort_unstable();
         let digest = armada_recheck::set_digest(&fps);
@@ -1376,7 +1491,7 @@ fn emit_witness(
         max_buffer as u64,
         renaming_of(root),
         StateArena::fingerprint(&root.low),
-        set_digest_of(root, &mut hg),
+        set_digest_of(root),
     );
     let mut max_depth = 0u64;
     for node in &nodes[1..] {
@@ -1407,7 +1522,7 @@ fn emit_witness(
         builder.push_node(
             *parent_id as u32,
             StateArena::fingerprint(&node.low),
-            set_digest_of(node, &mut hg),
+            set_digest_of(node),
             armada_recheck::encode_steps(&raw_steps),
             node.edge_steps.len() as u32,
             renaming_of(node),
@@ -1465,10 +1580,74 @@ impl RefinementChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armada_lang::ast::{PredicateSource, RelationKind};
     use armada_lang::{check_module, parse_module};
     use armada_proof::relation::StandardRelation;
     use armada_sm::lower;
+    use std::cell::Cell;
+    use std::collections::VecDeque;
     use std::panic::AssertUnwindSafe;
+
+    thread_local! {
+        /// Memo misses [`audit_expansion`] has cross-checked on this
+        /// thread, or `None` while the audit is off (the default).
+        static AUDITED: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Checks one memo miss's class-indexed expansion against
+    /// [`member_scan`]. A no-op unless the running test turned the audit
+    /// on; such a test checks at jobs = 1, so every expansion runs on the
+    /// test's own thread.
+    pub(super) fn audit_expansion(
+        parent: &BTreeSet<u32>,
+        low: &ProgState,
+        ctx: &ExpandCtx<'_, '_>,
+        computed: Option<&BTreeSet<u32>>,
+    ) {
+        let Some(audited) = AUDITED.get() else {
+            return;
+        };
+        let scanned = member_scan(parent, low, ctx.relation, ctx.high);
+        assert_eq!(
+            computed,
+            scanned.as_ref(),
+            "class-indexed expansion differs from the member scan"
+        );
+        AUDITED.set(Some(audited + 1));
+    }
+
+    /// The expansion without observation classes: a breadth-first stutter
+    /// closure per parent match, and the relation applied to the
+    /// observation of every member's own state.
+    fn member_scan(
+        parent: &BTreeSet<u32>,
+        low: &ProgState,
+        relation: &(dyn RefinementRelation + Sync),
+        high: &Mutex<HighGraph<'_>>,
+    ) -> Option<BTreeSet<u32>> {
+        let mut hg = lock(high);
+        let mut related = BTreeSet::new();
+        for &root in parent {
+            let mut closure = BTreeSet::from([root]);
+            let mut frontier = VecDeque::from([(root, 0)]);
+            while let Some((current, depth)) = frontier.pop_front() {
+                if depth < hg.max_match {
+                    for &next in hg.successors_of(current).iter() {
+                        if closure.insert(next) {
+                            frontier.push_back((next, depth + 1));
+                        }
+                    }
+                }
+            }
+            for member in closure {
+                let state = hg.arena.get_arc_mut(StateId(member));
+                if relation.relates(Observation::of(low), Observation::of(&state)) {
+                    related.insert(member);
+                }
+            }
+        }
+        (!related.is_empty()).then_some(related)
+    }
 
     fn programs(src: &str, low: &str, high: &str) -> (Program, Program) {
         let module = parse_module(src).expect("parse");
@@ -1864,14 +2043,115 @@ mod tests {
         assert!(distinct_content(&ids.sets), "two set ids share content");
     }
 
-    /// The queue case study's model-scale source. `armada-cases` depends on
-    /// this crate, so the constant is sliced out of its source file.
-    fn queue_model() -> &'static str {
-        let file = include_str!("../../cases/src/queue.rs");
+    /// A case study's model-scale source. `armada-cases` depends on this
+    /// crate, so the constant is sliced out of its source file.
+    fn model(file: &'static str) -> &'static str {
         let open = "pub const MODEL: &str = r#\"";
-        let start = file.find(open).expect("queue MODEL constant") + open.len();
-        let len = file[start..].find("\"#;").expect("queue MODEL terminator");
+        let start = file.find(open).expect("MODEL constant") + open.len();
+        let len = file[start..].find("\"#;").expect("MODEL terminator");
         &file[start..start + len]
+    }
+
+    fn queue_model() -> &'static str {
+        model(include_str!("../../cases/src/queue.rs"))
+    }
+
+    fn barrier_model() -> &'static str {
+        model(include_str!("../../cases/src/barrier.rs"))
+    }
+
+    #[test]
+    fn queue_cemented_check_relates_observation_classes() {
+        // The queue's `Cemented ⊑ Weak` pair interns tens of thousands of
+        // high states but sees only a handful of distinct observations, so
+        // the relation runs once per class, not once per closure member.
+        let (low, high) = programs(queue_model(), "Cemented", "Weak");
+        let relation = StandardRelation::log_prefix();
+        let (result, tel) =
+            check_refinement_with_telemetry(&low, &high, &relation, &SimConfig::default());
+        result.unwrap();
+        assert_eq!(tel.counters().get("verify.high_states"), 25_996);
+        let calls = tel.counters().get("verify.relates_calls");
+        assert!(calls < 100, "{calls} relation calls");
+    }
+
+    #[test]
+    fn class_indexed_expansion_matches_member_scan() {
+        // Every memo miss, cross-checked against the per-member scan: the
+        // two heavy `Cemented ⊑ Weak` pairs, a custom relation that sees
+        // only log lengths, and low sides that fail an assertion or reach
+        // UB (the relation's UB conjunct).
+        let custom = |text: &str| {
+            StandardRelation::new(RelationKind::Custom(PredicateSource {
+                text: text.to_string(),
+                expr: armada_lang::parse_expr(text).unwrap(),
+            }))
+        };
+        let crashing = r#"
+            level A {
+                void worker(v: uint32) { print(v); }
+                void main() {
+                    var a: uint64 := create_thread worker(1);
+                    var x: uint32 := *;
+                    if (x < 1) { assert false; }
+                    if (x < 2) {
+                        var p: ptr<uint32> := malloc(uint32);
+                        dealloc p;
+                        *p := 1;
+                    }
+                    join a;
+                    print(x);
+                }
+            }
+            level B {
+                void main() {
+                    if (*) { print(1); }
+                    var x: uint32 := *;
+                    if (*) { assert false; }
+                    if (*) {
+                        var p: ptr<uint32> := malloc(uint32);
+                        dealloc p;
+                        *p := 2;
+                    }
+                    print(x);
+                }
+            }
+        "#;
+        let subjects = [
+            (
+                queue_model(),
+                "Cemented",
+                "Weak",
+                StandardRelation::log_prefix(),
+            ),
+            (
+                barrier_model(),
+                "Cemented",
+                "Weak",
+                StandardRelation::log_prefix(),
+            ),
+            (
+                CONCURRENT_PAIR,
+                "Impl",
+                "Spec",
+                custom("len(low_log) <= len(high_log)"),
+            ),
+            (crashing, "A", "B", StandardRelation::log_prefix()),
+            (
+                crashing,
+                "A",
+                "B",
+                StandardRelation::new(RelationKind::LogEqualAtExit),
+            ),
+        ];
+        for (src, low, high, relation) in subjects {
+            let (low, high) = programs(src, low, high);
+            AUDITED.set(Some(0));
+            // The verdict is beside the point; each miss is audited.
+            let _ = check_refinement(&low, &high, &relation, &SimConfig::default());
+            let audited = AUDITED.replace(None).expect("audit on");
+            assert!(audited > 0, "{}: no memo miss audited", relation.describe());
+        }
     }
 
     #[test]
@@ -2043,7 +2323,7 @@ mod tests {
     struct PanickyRelation;
 
     impl armada_proof::relation::RefinementRelation for PanickyRelation {
-        fn relates(&self, low: &ProgState, _high: &ProgState) -> bool {
+        fn relates(&self, low: Observation<'_>, _high: Observation<'_>) -> bool {
             if low.log.iter().any(|entry| entry.to_string() == "2") {
                 panic!("relation cannot handle the value 2");
             }

@@ -3,8 +3,11 @@
 # workspace has zero crates.io dependencies (see DESIGN.md, "Dependencies").
 #
 #   scripts/verify.sh          # release build + tier-1 tests + fmt check
-#   scripts/verify.sh --full   # additionally: full-workspace tests and a
-#                              # quick pass over every bench target
+#   scripts/verify.sh --full   # additionally: a quick pass over every
+#                              # bench target
+#
+# The root manifest's `default-members` covers every workspace crate, so
+# the plain build and test steps below run the whole workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,12 +51,9 @@ grep -q "witness rechecked" "$RC_DIR/warm.out" \
 rm -rf "$RC_DIR"
 
 if [[ "${1:-}" == "--full" ]]; then
-    echo "==> cargo test --workspace -q"
-    cargo test --workspace -q --offline
     echo "==> quick benches"
     ARMADA_BENCH_QUICK=1 cargo bench -p armada-bench --offline
 
-    # The root-package build above does not cover dependency-crate bins.
     cargo build --release --offline -p armada --bin armada
     ARMADA_BIN=target/release/armada
     SMOKE_DIR=$(mktemp -d)
