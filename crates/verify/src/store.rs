@@ -551,6 +551,92 @@ mod tests {
         }
     }
 
+    /// A record touching every field shape of the v2 layout: truncated
+    /// status, multi-entry and identity renamings, empty and odd-valued
+    /// step encodings, and digests at both ends of `u64`. Not a valid
+    /// witness — only the bytes matter here.
+    fn golden_cert() -> RefinementCert {
+        use armada_recheck::{Obligation, WitnessPair};
+        RefinementCert {
+            low: "Impl".into(),
+            high: "Spec".into(),
+            product_nodes: 3,
+            low_transitions: 18_446_744_073_709_551_615,
+            witness: Witness {
+                subject: u64::MAX,
+                complete: false,
+                waves: 12,
+                max_depth: 0,
+                symmetry: true,
+                max_buffer: 7,
+                root_renaming: vec![3, 1, 2],
+                pairs: vec![
+                    WitnessPair {
+                        low_fp: 0,
+                        set_digest: u64::MAX,
+                    },
+                    WitnessPair {
+                        low_fp: 0x0123_4567_89ab_cdef,
+                        set_digest: 0xf,
+                    },
+                    WitnessPair {
+                        low_fp: u64::MAX,
+                        set_digest: 0,
+                    },
+                ],
+                obligations: vec![
+                    Obligation {
+                        parent: 0,
+                        micro: 1,
+                        renaming: Vec::new(),
+                        steps_enc: Vec::new(),
+                        steps_digest: 0,
+                        hash: u64::MAX,
+                    },
+                    Obligation {
+                        parent: 1,
+                        micro: 4_294_967_295,
+                        renaming: vec![2, 1, 10],
+                        steps_enc: vec![0x00, 0x0f, 0xa5, 0xff, 0x10],
+                        steps_digest: 0x00ab_0000_0000_0001,
+                        hash: 0,
+                    },
+                ],
+                digest: 0x8000_0000_0000_0000,
+            },
+        }
+    }
+
+    const GOLDEN: &str = "\
+armada-cert v2
+low Impl
+high Spec
+product_nodes 3
+low_transitions 18446744073709551615
+witness subject ffffffffffffffff
+witness status truncated waves 12 depth 0 symmetry 1 buffer 7
+witness root 3,1,2
+witness pairs 3
+pair 0000000000000000 ffffffffffffffff
+pair 0123456789abcdef 000000000000000f
+pair ffffffffffffffff 0000000000000000
+witness obligations 2
+obl 0 1 - 0000000000000000 ffffffffffffffff -
+obl 1 4294967295 2,1,10 00ab000000000001 0000000000000000 000fa5ff10
+witness digest 8000000000000000
+checksum e790f412edeb2cee
+";
+
+    #[test]
+    fn serialized_bytes_are_pinned_for_every_field_shape() {
+        let cert = golden_cert();
+        let text = serialize(&cert);
+        assert_eq!(text, GOLDEN);
+        assert_eq!(deserialize(&text, false), Some(cert.clone()));
+        let parsed = armada_recheck::parse_record(&text).expect("checker parses the record");
+        assert_eq!(parsed.witness, cert.witness);
+    }
+
     #[test]
     fn round_trips_and_misses_cleanly() {
         let store = scratch_store("round_trip");
