@@ -130,3 +130,35 @@ fn broken_proof_exits_nonzero() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stdout).contains("NOT VERIFIED"));
 }
+
+/// `--mem-cap` spills each check's state arenas to disk; the verdicts and
+/// the whole report must not notice. The queue and barrier models run the
+/// `assume_intro` strategy, whose positional discharge walks an explored
+/// arena state by state.
+#[test]
+fn mem_capped_model_runs_match_resident_runs() {
+    let dir = std::env::temp_dir().join(format!("armada_cli_mem_cap_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (name, model) in [
+        ("queue", armada_cases::queue::MODEL),
+        ("barrier", armada_cases::barrier::MODEL),
+    ] {
+        let path = dir.join(format!("{name}.arm"));
+        std::fs::write(&path, model).expect("write model");
+        let path = path.to_str().expect("utf8 path");
+        let resident = armada(&["verify", path]);
+        assert!(
+            resident.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&resident.stdout)
+        );
+        let spilled = armada(&["verify", path, "--mem-cap", "64K"]);
+        assert_eq!(spilled.status.code(), Some(0), "{name} with --mem-cap 64K");
+        assert_eq!(
+            String::from_utf8_lossy(&spilled.stdout),
+            String::from_utf8_lossy(&resident.stdout),
+            "{name}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -586,22 +586,61 @@ fn parse_renaming(line: usize, text: &str) -> Result<Vec<Tid>, RecheckError> {
 }
 
 fn renaming_text(map: &[Tid]) -> String {
-    if map.is_empty() {
-        "-".to_string()
-    } else {
-        map.iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
+    let mut out = String::new();
+    push_renaming(&mut out, map);
+    out
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v` as exactly 16 lowercase hex digits (`{v:016x}`).
+fn push_hex16(out: &mut String, v: u64) {
+    for shift in (0..16).rev() {
+        out.push(HEX_DIGITS[(v >> (shift * 4)) as usize & 0xf] as char);
     }
 }
 
-fn hex_of(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+/// Appends `v` in decimal (`{v}`).
+fn push_dec(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    out
+    for &d in &digits[at..] {
+        out.push(d as char);
+    }
+}
+
+/// Appends a renaming as comma-separated tids, or `-` for the identity.
+fn push_renaming(out: &mut String, map: &[Tid]) {
+    if map.is_empty() {
+        out.push('-');
+        return;
+    }
+    for (i, &t) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_dec(out, t);
+    }
+}
+
+/// Appends a step encoding as lowercase hex pairs, or `-` when empty.
+fn push_steps(out: &mut String, bytes: &[u8]) {
+    if bytes.is_empty() {
+        out.push('-');
+        return;
+    }
+    for &b in bytes {
+        out.push(HEX_DIGITS[(b >> 4) as usize] as char);
+        out.push(HEX_DIGITS[(b & 0xf) as usize] as char);
+    }
 }
 
 fn hex_to_bytes(line: usize, text: &str) -> Result<Vec<u8>, RecheckError> {
@@ -624,44 +663,67 @@ fn hex_to_bytes(line: usize, text: &str) -> Result<Vec<u8>, RecheckError> {
 /// so emitter-side serialization and this crate's tests cannot drift.
 pub fn witness_lines(w: &Witness) -> String {
     let mut out = String::new();
-    out.push_str(&format!("witness subject {:016x}\n", w.subject));
-    out.push_str(&format!(
-        "witness status {} waves {} depth {} symmetry {} buffer {}\n",
-        if w.complete { "complete" } else { "truncated" },
-        w.waves,
-        w.max_depth,
-        w.symmetry as u8,
-        w.max_buffer
-    ));
-    out.push_str(&format!(
-        "witness root {}\n",
-        renaming_text(&w.root_renaming)
-    ));
-    out.push_str(&format!("witness pairs {}\n", w.pairs.len()));
-    for pair in &w.pairs {
-        out.push_str(&format!(
-            "pair {:016x} {:016x}\n",
-            pair.low_fp, pair.set_digest
-        ));
-    }
-    out.push_str(&format!("witness obligations {}\n", w.obligations.len()));
-    for obl in &w.obligations {
-        out.push_str(&format!(
-            "obl {} {} {} {:016x} {:016x} {}\n",
-            obl.parent,
-            obl.micro,
-            renaming_text(&obl.renaming),
-            obl.steps_digest,
-            obl.hash,
-            if obl.steps_enc.is_empty() {
-                "-".to_string()
-            } else {
-                hex_of(&obl.steps_enc)
-            }
-        ));
-    }
-    out.push_str(&format!("witness digest {:016x}\n", w.digest));
+    write_witness_lines(w, &mut out);
     out
+}
+
+/// Appends the witness section of a record to `out` in one pass, reserving
+/// its size up front (the store renders whole records into one buffer).
+pub fn write_witness_lines(w: &Witness, out: &mut String) {
+    // "pair " + two digests: 39 bytes. "obl " + two digests + four
+    // separators: 42 bytes, plus at most 10 digits per u32 and 21 bytes
+    // per renaming entry.
+    let obligations: usize = w
+        .obligations
+        .iter()
+        .map(|o| 62 + 21 * o.renaming.len() + 2 * o.steps_enc.len().max(1))
+        .sum();
+    out.reserve(256 + 39 * w.pairs.len() + obligations);
+    out.push_str("witness subject ");
+    push_hex16(out, w.subject);
+    out.push_str("\nwitness status ");
+    out.push_str(if w.complete { "complete" } else { "truncated" });
+    out.push_str(" waves ");
+    push_dec(out, w.waves);
+    out.push_str(" depth ");
+    push_dec(out, w.max_depth);
+    out.push_str(" symmetry ");
+    out.push(if w.symmetry { '1' } else { '0' });
+    out.push_str(" buffer ");
+    push_dec(out, w.max_buffer);
+    out.push_str("\nwitness root ");
+    push_renaming(out, &w.root_renaming);
+    out.push_str("\nwitness pairs ");
+    push_dec(out, w.pairs.len() as u64);
+    out.push('\n');
+    for pair in &w.pairs {
+        out.push_str("pair ");
+        push_hex16(out, pair.low_fp);
+        out.push(' ');
+        push_hex16(out, pair.set_digest);
+        out.push('\n');
+    }
+    out.push_str("witness obligations ");
+    push_dec(out, w.obligations.len() as u64);
+    out.push('\n');
+    for obl in &w.obligations {
+        out.push_str("obl ");
+        push_dec(out, obl.parent as u64);
+        out.push(' ');
+        push_dec(out, obl.micro as u64);
+        out.push(' ');
+        push_renaming(out, &obl.renaming);
+        out.push(' ');
+        push_hex16(out, obl.steps_digest);
+        out.push(' ');
+        push_hex16(out, obl.hash);
+        out.push(' ');
+        push_steps(out, &obl.steps_enc);
+        out.push('\n');
+    }
+    out.push_str("witness digest ");
+    push_hex16(out, w.digest);
+    out.push('\n');
 }
 
 /// Parses a full certificate record, validating the trailing checksum.

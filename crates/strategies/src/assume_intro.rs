@@ -26,7 +26,7 @@ use armada_proof::{
     DischargedObligation, ObligationKind, ProofMethod, ProofObligation, StrategyReport, Verdict,
 };
 use armada_sm::eval::EvalCtx;
-use armada_sm::{explore, initial_state};
+use armada_sm::{explore, initial_state, StateId};
 
 use crate::align::{diff_levels, AlignOptions, DiffItem};
 use crate::common::{implies_expr, subst_var, StrategyCtx};
@@ -423,7 +423,7 @@ fn model_check_positional(
     // intermediate ones local-step reduction would fuse away, in original
     // tid/object-id coordinates — explore the full unreduced,
     // uncanonicalized space.
-    let exploration = explore(
+    let mut exploration = explore(
         &ctx.low_prog,
         &ctx.sim
             .bounds
@@ -435,7 +435,11 @@ fn model_check_positional(
         return Some(Verdict::Unknown("state space truncated".to_string()));
     }
     let mut states = 0usize;
-    for state in exploration.arena.iter() {
+    // By id, faulting each state in: under `--mem-cap` the arena may have
+    // spilled, and a spilled arena cannot be iterated by reference.
+    for index in 0..exploration.arena.len() {
+        let state = exploration.arena.get_arc_mut(StateId(index as u32));
+        let state = state.as_ref();
         if state.is_terminal() {
             continue;
         }

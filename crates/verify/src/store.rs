@@ -238,6 +238,19 @@ impl CertStore {
     /// Returns the underlying IO error; callers may treat saving as
     /// best-effort (a failed save only costs a future recomputation).
     pub fn save(&self, key: &CertKey, cert: &RefinementCert) -> io::Result<()> {
+        self.save_serialized(key, cert, &serialize(cert))
+    }
+
+    /// [`CertStore::save`] for a caller that already holds `record`, which
+    /// must be `serialize(cert)`: the tiered store serializes once and
+    /// shares the bytes between its tiers. The write-fault shim applies
+    /// here, to this tier's copy only.
+    pub(crate) fn save_serialized(
+        &self,
+        key: &CertKey,
+        cert: &RefinementCert,
+        record: &str,
+    ) -> io::Result<()> {
         if !level_name_fits(&cert.low) || !level_name_fits(&cert.high) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -245,18 +258,22 @@ impl CertStore {
             ));
         }
         fs::create_dir_all(&self.root)?;
-        let mut record = serialize(cert).into_bytes();
-        match self.shim.write {
-            Some(WriteFault::Torn) => record.truncate(record.len() / 2),
-            Some(WriteFault::BitFlip) => flip_payload_digit(&mut record),
-            None => {}
+        let mut damaged;
+        let mut bytes = record.as_bytes();
+        if let Some(fault) = self.shim.write {
+            damaged = bytes.to_vec();
+            match fault {
+                WriteFault::Torn => damaged.truncate(damaged.len() / 2),
+                WriteFault::BitFlip => flip_payload_digit(&mut damaged),
+            }
+            bytes = &damaged;
         }
         let target = self.path_for(key);
         // Same-directory temp path: rename is atomic only within a
         // filesystem. The name is key-deterministic; concurrent writers of
         // the same key write identical bytes, so the race is benign.
         let temp = self.root.join(format!("{}.tmp", key.as_hex()));
-        fs::write(&temp, record)?;
+        fs::write(&temp, bytes)?;
         fs::rename(&temp, &target)
     }
 
@@ -266,6 +283,18 @@ impl CertStore {
     /// skew, a record for a different pair — is a silent `None`, which
     /// callers treat as a cache miss.
     pub fn load(&self, key: &CertKey, low: &str, high: &str) -> Option<RefinementCert> {
+        self.load_record(key, low, high).map(|(cert, _)| cert)
+    }
+
+    /// [`CertStore::load`] that also hands back the record text the cert
+    /// was parsed from, so the tiered store can promote a disk hit without
+    /// serializing it again.
+    pub(crate) fn load_record(
+        &self,
+        key: &CertKey,
+        low: &str,
+        high: &str,
+    ) -> Option<(RefinementCert, String)> {
         let mut bytes = fs::read(self.path_for(key)).ok()?;
         if let Some(ReadFault::Corrupt) = self.shim.read {
             flip_payload_digit(&mut bytes);
@@ -284,7 +313,7 @@ impl CertStore {
             return reject();
         };
         if cert.low == low && cert.high == high {
-            Some(cert)
+            Some((cert, text))
         } else {
             reject()
         }
@@ -352,60 +381,62 @@ fn level_name_fits(name: &str) -> bool {
     !name.is_empty() && !name.chars().any(|c| c.is_control())
 }
 
-/// The payload lines of a record (everything the checksum covers). The
-/// witness section is rendered by `armada-recheck`'s own formatter, so the
-/// store and the independent checker agree on the bytes by construction.
-fn payload(cert: &RefinementCert) -> String {
-    format!(
-        "{MAGIC}\nlow {}\nhigh {}\nproduct_nodes {}\nlow_transitions {}\n{}",
-        cert.low,
-        cert.high,
-        cert.product_nodes,
-        cert.low_transitions,
-        armada_recheck::witness_lines(&cert.witness)
-    )
-}
-
 /// Renders a certificate as its on-disk record (checksum line included).
-/// Public so the fuzzer and the soundness tests can feed emitted certs to
-/// `armada recheck` without a round trip through the filesystem.
+/// Header and witness go into one buffer, which is then checksummed in
+/// place; the witness section is rendered by `armada-recheck`'s own
+/// formatter, so the store and the independent checker agree on the bytes
+/// by construction. Public so the fuzzer and the soundness tests can feed
+/// emitted certs to `armada recheck` without a round trip through the
+/// filesystem.
 pub fn serialize(cert: &RefinementCert) -> String {
-    let payload = payload(cert);
-    let checksum = armada_runtime::hash::fnv1a_64(payload.as_bytes());
-    format!("{payload}checksum {checksum:016x}\n")
+    let mut out = String::with_capacity(128 + cert.low.len() + cert.high.len());
+    out.push_str(MAGIC);
+    out.push_str("\nlow ");
+    out.push_str(&cert.low);
+    out.push_str("\nhigh ");
+    out.push_str(&cert.high);
+    out.push_str(&format!(
+        "\nproduct_nodes {}\nlow_transitions {}\n",
+        cert.product_nodes, cert.low_transitions
+    ));
+    armada_recheck::write_witness_lines(&cert.witness, &mut out);
+    let checksum = armada_runtime::hash::fnv1a_64(out.as_bytes());
+    out.push_str(&format!("checksum {checksum:016x}\n"));
+    out
 }
 
 /// Parses a record. `validate` is always true in production — it enforces
 /// the checksum *and* the witness's structural self-checks (counts, step
 /// encodings, hash chain, sealed digest) — and only the
 /// [`StoreShim::unchecked_loads`] mutant hook clears it. This parser is
-/// the store's own; `armada recheck` carries an independent one.
+/// the store's own; `armada recheck` carries an independent one, and every
+/// record this one accepts, that one accepts too: numbers must be in the
+/// canonical form [`serialize`] writes (no sign, no leading zeros, exactly
+/// sixteen lowercase digits per hex field), and lines end in a bare `\n`.
 pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
     // The checksum line is last; everything before it is the payload the
     // checksum covers. Re-hash first so *any* payload damage — even damage
     // that would still parse — is rejected.
     let rest = text.strip_suffix('\n')?;
-    let (payload_text, checksum_line) = rest.rsplit_once('\n')?;
-    let payload_text = format!("{payload_text}\n");
-    let stored = checksum_line.strip_prefix("checksum ")?;
-    let stored = u64::from_str_radix(stored, 16).ok()?;
-    if validate && stored != armada_runtime::hash::fnv1a_64(payload_text.as_bytes()) {
+    let (payload, checksum_line) = text.split_at(rest.rfind('\n')? + 1);
+    let stored = hex64(
+        checksum_line
+            .strip_prefix("checksum ")?
+            .strip_suffix('\n')?,
+    )?;
+    if validate && stored != armada_runtime::hash::fnv1a_64(payload.as_bytes()) {
         return None;
     }
-    let mut lines = payload_text.lines();
-    if lines.next()? != MAGIC {
+    let mut lines = Lines(payload);
+    if lines.next("")? != MAGIC {
         return None;
     }
-    let low = lines.next()?.strip_prefix("low ")?.to_string();
-    let high = lines.next()?.strip_prefix("high ")?.to_string();
-    let product_nodes = lines.next()?.strip_prefix("product_nodes ")?.parse().ok()?;
-    let low_transitions = lines
-        .next()?
-        .strip_prefix("low_transitions ")?
-        .parse()
-        .ok()?;
+    let low = lines.next("low ")?.to_string();
+    let high = lines.next("high ")?.to_string();
+    let product_nodes = dec(lines.next("product_nodes ")?)?.try_into().ok()?;
+    let low_transitions = dec(lines.next("low_transitions ")?)?.try_into().ok()?;
     let witness = parse_witness(&mut lines)?;
-    if lines.next().is_some() {
+    if !lines.0.is_empty() {
         return None;
     }
     let cert = RefinementCert {
@@ -426,81 +457,159 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
     Some(cert)
 }
 
-/// Parses the witness section (the store-side twin of the record layout in
-/// [`armada_recheck::witness_lines`]).
-fn parse_witness(lines: &mut std::str::Lines<'_>) -> Option<Witness> {
-    let hex = |s: &str| u64::from_str_radix(s, 16).ok();
-    let renaming = |s: &str| -> Option<Vec<Tid>> {
-        if s == "-" {
-            return Some(Vec::new());
-        }
-        s.split(',').map(|t| t.parse().ok()).collect()
-    };
-    let subject = hex(lines.next()?.strip_prefix("witness subject ")?)?;
-    let status = lines.next()?.strip_prefix("witness status ")?;
-    let words: Vec<&str> = status.split(' ').collect();
-    let [state, "waves", waves, "depth", depth, "symmetry", symmetry, "buffer", buffer] =
-        words.as_slice()
-    else {
+/// The unread rest of a record's payload, consumed one `\n`-terminated
+/// line at a time.
+struct Lines<'a>(&'a str);
+
+impl<'a> Lines<'a> {
+    /// The next line with `prefix` stripped; `None` at the end of the
+    /// payload or when the line does not start with `prefix`.
+    fn next(&mut self, prefix: &str) -> Option<&'a str> {
+        let (line, rest) = self.0.split_once('\n')?;
+        self.0 = rest;
+        line.strip_prefix(prefix)
+    }
+}
+
+/// Each byte's value as a lowercase hex digit; 0xff marks a non-digit, so
+/// OR-ing the values of a field and testing the high nibble once checks
+/// every digit without a branch per byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Exactly sixteen lowercase hex digits.
+fn hex64(text: &str) -> Option<u64> {
+    let digits: &[u8; 16] = text.as_bytes().try_into().ok()?;
+    let (mut value, mut bad) = (0u64, 0u8);
+    for &c in digits {
+        let nibble = HEX_VALUE[c as usize];
+        bad |= nibble;
+        value = value << 4 | (nibble & 0xf) as u64;
+    }
+    (bad < 16).then_some(value)
+}
+
+/// A canonical decimal: digits only, no leading zero, no overflow.
+fn dec(text: &str) -> Option<u64> {
+    let bytes = text.as_bytes();
+    if bytes.is_empty() || (bytes[0] == b'0' && bytes.len() > 1) {
         return None;
-    };
-    let complete = match *state {
+    }
+    bytes.iter().try_fold(0u64, |v, &c| {
+        if !c.is_ascii_digit() {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add((c - b'0') as u64)
+    })
+}
+
+/// A renaming: `-` for the identity, else comma-separated tids.
+fn renaming(text: &str) -> Option<Vec<Tid>> {
+    if text == "-" {
+        return Some(Vec::new());
+    }
+    text.split(',').map(dec).collect()
+}
+
+/// A step encoding: `-` when empty, else lowercase hex pairs.
+fn steps(text: &str) -> Option<Vec<u8>> {
+    if text == "-" {
+        return Some(Vec::new());
+    }
+    let digits = text.as_bytes();
+    if digits.is_empty() || digits.len() % 2 != 0 {
+        return None;
+    }
+    let mut bad = 0u8;
+    let bytes: Vec<u8> = digits
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
+            bad |= hi | lo;
+            hi << 4 | (lo & 0xf)
+        })
+        .collect();
+    (bad < 16).then_some(bytes)
+}
+
+/// `name value` as the next two space-separated fields of `fields`.
+fn named<'a>(fields: &mut impl Iterator<Item = &'a str>, name: &str) -> Option<u64> {
+    if fields.next()? != name {
+        return None;
+    }
+    dec(fields.next()?)
+}
+
+/// Parses the witness section (the store-side twin of the record layout in
+/// [`armada_recheck::write_witness_lines`]).
+fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
+    let subject = hex64(lines.next("witness subject ")?)?;
+    let mut status = lines.next("witness status ")?.split(' ');
+    let complete = match status.next()? {
         "complete" => true,
         "truncated" => false,
         _ => return None,
     };
-    let root_renaming = renaming(lines.next()?.strip_prefix("witness root ")?)?;
-    let pair_count: usize = lines.next()?.strip_prefix("witness pairs ")?.parse().ok()?;
+    let waves = named(&mut status, "waves")?;
+    let max_depth = named(&mut status, "depth")?;
+    let symmetry = match named(&mut status, "symmetry")? {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    let max_buffer = named(&mut status, "buffer")?;
+    if status.next().is_some() {
+        return None;
+    }
+    let root_renaming = renaming(lines.next("witness root ")?)?;
+    let pair_count = dec(lines.next("witness pairs ")?)? as usize;
+    // Every pair line takes 39 bytes, so a count the rest of the payload
+    // cannot hold is rejected before it sizes an allocation.
+    if pair_count > lines.0.len() / 39 {
+        return None;
+    }
     let mut pairs = Vec::with_capacity(pair_count);
     for _ in 0..pair_count {
-        let (fp, set) = lines.next()?.strip_prefix("pair ")?.split_once(' ')?;
+        let (fp, set) = lines.next("pair ")?.split_once(' ')?;
         pairs.push(armada_recheck::WitnessPair {
-            low_fp: hex(fp)?,
-            set_digest: hex(set)?,
+            low_fp: hex64(fp)?,
+            set_digest: hex64(set)?,
         });
     }
-    let obl_count: usize = lines
-        .next()?
-        .strip_prefix("witness obligations ")?
-        .parse()
-        .ok()?;
+    let obl_count = dec(lines.next("witness obligations ")?)? as usize;
+    if obl_count > lines.0.len() / 44 {
+        return None;
+    }
     let mut obligations = Vec::with_capacity(obl_count);
     for _ in 0..obl_count {
-        let fields: Vec<&str> = lines.next()?.strip_prefix("obl ")?.split(' ').collect();
-        let [parent, micro, ren, steps_digest, hash, steps] = fields.as_slice() else {
-            return None;
-        };
-        let steps_enc = if *steps == "-" {
-            Vec::new()
-        } else if steps.len() % 2 == 0 {
-            (0..steps.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&steps[i..i + 2], 16).ok())
-                .collect::<Option<Vec<u8>>>()?
-        } else {
-            return None;
-        };
+        let mut fields = lines.next("obl ")?.split(' ');
         obligations.push(armada_recheck::Obligation {
-            parent: parent.parse().ok()?,
-            micro: micro.parse().ok()?,
-            renaming: renaming(ren)?,
-            steps_enc,
-            steps_digest: hex(steps_digest)?,
-            hash: hex(hash)?,
+            parent: dec(fields.next()?)?.try_into().ok()?,
+            micro: dec(fields.next()?)?.try_into().ok()?,
+            renaming: renaming(fields.next()?)?,
+            steps_digest: hex64(fields.next()?)?,
+            hash: hex64(fields.next()?)?,
+            steps_enc: steps(fields.next()?)?,
         });
+        if fields.next().is_some() {
+            return None;
+        }
     }
-    let digest = hex(lines.next()?.strip_prefix("witness digest ")?)?;
+    let digest = hex64(lines.next("witness digest ")?)?;
     Some(Witness {
         subject,
         complete,
-        waves: waves.parse().ok()?,
-        max_depth: depth.parse().ok()?,
-        symmetry: match *symmetry {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        },
-        max_buffer: buffer.parse().ok()?,
+        waves,
+        max_depth,
+        symmetry,
+        max_buffer,
         root_renaming,
         pairs,
         obligations,

@@ -28,9 +28,10 @@ use crate::store::{deserialize, serialize, CertKey, CertStore, StoreShim};
 use crate::RefinementCert;
 
 /// One tier-1 entry: the serialized record (checksum line included) plus
-/// the LRU clock tick of its last touch.
+/// the LRU clock tick of its last touch. The record is shared, so a fetch
+/// clones a pointer under the lock and validates the bytes outside it.
 struct MemEntry {
-    record: String,
+    record: Arc<str>,
     last_used: u64,
 }
 
@@ -78,15 +79,19 @@ impl MemTier {
 
     /// Fetches and re-validates the record under `key` for the pair
     /// `low ⊑ high`. A checksum-invalid or mismatched entry is evicted and
-    /// counted, never returned.
+    /// counted, never returned. The lock covers only the LRU touch and the
+    /// pointer clone: validation runs outside it, so one large record does
+    /// not stall every other lookup.
     fn fetch(&self, key: &CertKey, low: &str, high: &str) -> Option<RefinementCert> {
         let k = Self::key_of(key);
-        let mut inner = self.entries.lock().expect("mem tier lock");
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.map.get_mut(&k)?;
-        entry.last_used = clock;
-        let record = entry.record.clone();
+        let record = {
+            let mut inner = self.entries.lock().expect("mem tier lock");
+            inner.clock += 1;
+            let clock = inner.clock;
+            let entry = inner.map.get_mut(&k)?;
+            entry.last_used = clock;
+            Arc::clone(&entry.record)
+        };
         match deserialize(&record, true).filter(|c| c.low == low && c.high == high) {
             Some(cert) => {
                 self.mem_hits.fetch_add(1, Ordering::Relaxed);
@@ -95,16 +100,30 @@ impl MemTier {
             None => {
                 // In-memory rot (or a fuzz fate poking the tier): evict the
                 // lying entry so the next lookup goes to disk.
-                inner.map.remove(&k);
+                self.evict_if_current(k, &record);
                 self.mem_corrupt.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
+    /// Evicts the entry under `k` only if it still holds `record`: a
+    /// validation that failed outside the lock must not evict a newer
+    /// install that replaced the bytes it read.
+    fn evict_if_current(&self, k: u64, record: &Arc<str>) {
+        let mut inner = self.entries.lock().expect("mem tier lock");
+        if inner
+            .map
+            .get(&k)
+            .is_some_and(|e| Arc::ptr_eq(&e.record, record))
+        {
+            inner.map.remove(&k);
+        }
+    }
+
     /// Installs a validated serialized record under `key`, evicting the
     /// least-recently-used entry when over capacity.
-    fn install(&self, key: &CertKey, record: String, promoted: bool) {
+    fn install(&self, key: &CertKey, record: Arc<str>, promoted: bool) {
         let k = Self::key_of(key);
         let mut inner = self.entries.lock().expect("mem tier lock");
         inner.clock += 1;
@@ -139,7 +158,10 @@ impl MemTier {
         let mut inner = self.entries.lock().expect("mem tier lock");
         match inner.map.get_mut(&k) {
             Some(entry) => {
-                entry.record = entry.record.replace("product_nodes", "product_n0des");
+                entry.record = entry
+                    .record
+                    .replace("product_nodes", "product_n0des")
+                    .into();
                 true
             }
             None => false,
@@ -232,13 +254,12 @@ impl TieredStore {
             }
         }
         if let Some(disk) = &self.disk {
-            if let Some(cert) = disk.load(key, low, high) {
+            if let Some((cert, record)) = disk.load_record(key, low, high) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(mem) = &self.mem {
-                    // Checksum-verified promotion: re-serialize the record
-                    // that just validated, so tier 1 holds the same
-                    // self-checking form tier 2 does.
-                    mem.install(key, serialize(&cert), true);
+                    // Promote the record bytes that just validated, so tier
+                    // 1 holds the same self-checking form tier 2 does.
+                    mem.install(key, record.into(), true);
                 }
                 return Some(cert);
             }
@@ -247,18 +268,19 @@ impl TieredStore {
         None
     }
 
-    /// Write-through save: the disk tier gets the atomic rename write, the
-    /// memory tier gets the serialized record. A disk IO error does not
-    /// poison the memory tier (the cert is valid either way), but is still
-    /// reported to the caller.
+    /// Write-through save: the certificate is serialized once, and the
+    /// memory tier and the disk tier's atomic rename write share those
+    /// bytes. A disk IO error does not poison the memory tier (the cert is
+    /// valid either way), but is still reported to the caller.
     pub fn save(&self, key: &CertKey, cert: &RefinementCert) -> io::Result<()> {
+        let record: Arc<str> = serialize(cert).into();
         if let Some(mem) = &self.mem {
-            // Note: the *unshimmed* serialization. Write faults model disk
-            // sectors; the memory tier is damaged only via its own hook.
-            mem.install(key, serialize(cert), false);
+            // Note: the *unshimmed* bytes. Write faults model disk sectors;
+            // the memory tier is damaged only via its own hook.
+            mem.install(key, Arc::clone(&record), false);
         }
         match &self.disk {
-            Some(disk) => disk.save(key, cert),
+            Some(disk) => disk.save_serialized(key, cert, &record),
             None => Ok(()),
         }
     }
@@ -407,6 +429,83 @@ mod tests {
         // Re-promoted: memory hit again.
         assert_eq!(tiered.load(&key(1), "Impl", "Spec"), Some(cert(1)));
         assert_eq!(tiered.counters().get("cache.mem_hits"), 1);
+    }
+
+    #[test]
+    fn a_stale_failed_validation_never_evicts_a_newer_install() {
+        let mem = MemTier::with_capacity(4);
+        let tiered = TieredStore::mem_only(mem.clone());
+        tiered.save(&key(1), &cert(2)).expect("save");
+        assert!(mem.corrupt_entry(&key(1)));
+        let k = MemTier::key_of(&key(1));
+        // A fetch clones the rotted bytes and starts validating them...
+        let stale = Arc::clone(&mem.entries.lock().unwrap().map[&k].record);
+        assert!(deserialize(&stale, true).is_none());
+        // ...while a save installs a fresh record under the same key.
+        tiered.save(&key(1), &cert(2)).expect("save");
+        mem.evict_if_current(k, &stale);
+        assert_eq!(mem.len(), 1, "the newer install survives");
+        assert_eq!(tiered.load(&key(1), "Impl", "Spec"), Some(cert(2)));
+        // Evicting the current bytes does remove them.
+        let current = Arc::clone(&mem.entries.lock().unwrap().map[&k].record);
+        mem.evict_if_current(k, &current);
+        assert!(mem.is_empty());
+    }
+
+    #[test]
+    fn concurrent_fetches_never_serve_a_corrupt_cert() {
+        const FETCHERS: usize = 3;
+        const ROUNDS: u64 = 300;
+        let mem = MemTier::with_capacity(4);
+        let tiered = TieredStore::mem_only(mem.clone());
+        let pristine = cert(6);
+        tiered.save(&key(1), &pristine).expect("save");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (served, refused) = std::thread::scope(|scope| {
+            let fetchers: Vec<_> = (0..FETCHERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (mut served, mut refused) = (0u64, 0u64);
+                        while !done.load(Ordering::Relaxed) {
+                            match tiered.load(&key(1), "Impl", "Spec") {
+                                Some(cert) => {
+                                    assert_eq!(cert, pristine, "a corrupt cert was served");
+                                    served += 1;
+                                }
+                                None => refused += 1,
+                            }
+                        }
+                        (served, refused)
+                    })
+                })
+                .collect();
+            for round in 0..ROUNDS {
+                assert!(mem.corrupt_entry(&key(1)), "round {round}: entry resident");
+                // Re-install only once some fetcher has rejected the rot, so
+                // every round races a failed validation against a save.
+                while mem.mem_corrupt.load(Ordering::Relaxed) <= round {
+                    std::thread::yield_now();
+                }
+                tiered.save(&key(1), &pristine).expect("save");
+            }
+            done.store(true, Ordering::Relaxed);
+            fetchers
+                .into_iter()
+                .map(|f| f.join().expect("fetcher"))
+                .fold((0, 0), |(s, r), (ds, dr)| (s + ds, r + dr))
+        });
+        let counters = tiered.counters();
+        assert_eq!(counters.get("cache.mem_hits"), served);
+        // A refusal is either an audited rejection or a miss on a key that
+        // a rejection evicted before the next install; nothing else fails.
+        assert_eq!(counters.get("cache.misses"), refused);
+        let rejections = counters.get("cache.mem_corrupt");
+        assert!(
+            (ROUNDS..=refused).contains(&rejections),
+            "{rejections} of {refused}"
+        );
+        // The last install was pristine and nothing rotted it since.
+        assert_eq!(tiered.load(&key(1), "Impl", "Spec"), Some(pristine));
     }
 
     #[test]

@@ -21,33 +21,34 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> armada recheck gate (emit → recheck, corrupted witness → reject, warm --recheck)"
-# Cold run persists witness-bearing certs; the independent checker must
-# accept every record (structural + semantic replay). Then rot a record's
-# witness section in place — recheck must reject it nonzero — and finally
-# a warm --recheck run must self-validate its cache hits.
+# For every shipped spec, a cold run persists witness-bearing certs (one
+# per recipe); the independent checker must accept every record
+# (structural + semantic replay), and a warm --recheck run must
+# self-validate its cache hits. Then rot one record's witness section in
+# place — recheck must reject it nonzero.
 cargo build --release --offline -p armada --bin armada
 RECHECK_BIN=target/release/armada
 RC_DIR=$(mktemp -d)
-"$RECHECK_BIN" verify specs/counter.arm --cert-cache="$RC_DIR/certs" \
-    >/dev/null || { echo "recheck gate: cold verify failed"; rm -rf "$RC_DIR"; exit 1; }
-"$RECHECK_BIN" recheck "$RC_DIR/certs" --source specs/counter.arm \
-    >"$RC_DIR/recheck.out" \
-    || { echo "recheck gate: clean certs rejected:"; cat "$RC_DIR/recheck.out"; \
-         rm -rf "$RC_DIR"; exit 1; }
-grep -q "replayed" "$RC_DIR/recheck.out" \
-    || { echo "recheck gate: semantic replay did not run"; rm -rf "$RC_DIR"; exit 1; }
-CERT_FIXTURE=$(ls "$RC_DIR"/certs/*.cert | head -n1)
+recheck_fail() { echo "recheck gate: $*"; rm -rf "$RC_DIR"; exit 1; }
+for spec in specs/*.arm; do
+    name=$(basename "$spec" .arm)
+    "$RECHECK_BIN" verify "$spec" --cert-cache="$RC_DIR/$name/certs" \
+        >/dev/null || recheck_fail "$spec: cold verify failed"
+    "$RECHECK_BIN" recheck "$RC_DIR/$name/certs" --source "$spec" \
+        >"$RC_DIR/$name/recheck.out" \
+        || { cat "$RC_DIR/$name/recheck.out"; recheck_fail "$spec: clean certs rejected"; }
+    grep -q "replayed" "$RC_DIR/$name/recheck.out" \
+        || recheck_fail "$spec: semantic replay did not run"
+    "$RECHECK_BIN" verify "$spec" --cert-cache="$RC_DIR/$name/certs" --recheck \
+        >"$RC_DIR/$name/warm.out" || recheck_fail "$spec: warm --recheck failed"
+    grep -q "witness rechecked" "$RC_DIR/$name/warm.out" \
+        || { cat "$RC_DIR/$name/warm.out"; recheck_fail "$spec: warm hit was not rechecked"; }
+done
+CERT_FIXTURE=$(ls "$RC_DIR"/counter/certs/*.cert | head -n1)
 sed -i '/^witness digest /y/0123456789/1032547698/' "$CERT_FIXTURE"
-if "$RECHECK_BIN" recheck "$RC_DIR/certs" >/dev/null 2>&1; then
-    echo "recheck gate: corrupted witness was accepted"; rm -rf "$RC_DIR"; exit 1
+if "$RECHECK_BIN" recheck "$RC_DIR/counter/certs" >/dev/null 2>&1; then
+    recheck_fail "corrupted witness was accepted"
 fi
-"$RECHECK_BIN" verify specs/counter.arm --cert-cache="$RC_DIR/warm" >/dev/null
-"$RECHECK_BIN" verify specs/counter.arm --cert-cache="$RC_DIR/warm" --recheck \
-    >"$RC_DIR/warm.out" || { echo "recheck gate: warm --recheck failed"; \
-                             rm -rf "$RC_DIR"; exit 1; }
-grep -q "witness rechecked" "$RC_DIR/warm.out" \
-    || { echo "recheck gate: warm hit was not rechecked:"; cat "$RC_DIR/warm.out"; \
-         rm -rf "$RC_DIR"; exit 1; }
 rm -rf "$RC_DIR"
 
 if [[ "${1:-}" == "--full" ]]; then

@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use armada::verify::store::serialize;
+use armada::verify::store::{deserialize, serialize};
 use armada::verify::{RefinementCert, SimConfig};
 use armada::Pipeline;
 
@@ -32,7 +32,11 @@ fn queue_certs() -> &'static [RefinementCert] {
 #[test]
 fn queue_record_checksums_are_pinned() {
     let pinned = [
-        ("Implementation", "AbstractQueue", "checksum d55455da9cfd9ac6"),
+        (
+            "Implementation",
+            "AbstractQueue",
+            "checksum d55455da9cfd9ac6",
+        ),
         ("AbstractQueue", "Cemented", "checksum 170c6d694e7acea8"),
         ("Cemented", "Weak", "checksum 888be2dab2953727"),
         ("Weak", "Spec", "checksum 060d0a321ce041cf"),
@@ -45,4 +49,96 @@ fn queue_record_checksums_are_pinned() {
         let last = record.trim_end_matches('\n').rsplit('\n').next();
         assert_eq!(last, Some(checksum), "{low} ⊑ {high}");
     }
+}
+
+/// `payload` with a freshly computed checksum line, so only the parsers —
+/// not the checksum — decide whether a damaged payload is accepted.
+fn reseal(payload: &[u8]) -> Vec<u8> {
+    let mut record = payload.to_vec();
+    let checksum = armada_runtime::fnv1a_64(payload);
+    record.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
+    record
+}
+
+/// Whenever the store's parser accepts `record`, the checker's
+/// independent parser must accept it too and read the same certificate.
+/// Returns whether the store accepted.
+fn store_acceptance_implies_checker_agreement(record: &[u8], validate: bool) -> bool {
+    let Ok(text) = std::str::from_utf8(record) else {
+        return false;
+    };
+    let Some(cert) = deserialize(text, validate) else {
+        return false;
+    };
+    let parsed = armada_recheck::parse_record(text)
+        .unwrap_or_else(|e| panic!("store accepted a record the checker rejects: {e}\n{text}"));
+    assert_eq!(
+        (
+            parsed.low.as_str(),
+            parsed.high.as_str(),
+            parsed.product_nodes,
+            parsed.low_transitions,
+        ),
+        (
+            cert.low.as_str(),
+            cert.high.as_str(),
+            cert.product_nodes,
+            cert.low_transitions,
+        ),
+        "{text}"
+    );
+    assert_eq!(parsed.witness, cert.witness, "{text}");
+    true
+}
+
+#[test]
+fn the_store_parser_accepts_no_record_the_checker_rejects() {
+    let cert = queue_certs()
+        .iter()
+        .filter(|c| c.witness.obligations.len() >= 2)
+        .min_by_key(|c| c.product_nodes)
+        .expect("a multi-obligation queue certificate");
+    let record = serialize(cert).into_bytes();
+    let payload_len = record.len() - "checksum 0123456789abcdef\n".len();
+    assert!(store_acceptance_implies_checker_agreement(&record, true));
+
+    let mut accepted = 0;
+    for index in 0..record.len() {
+        for mask in [0x01, 0x20] {
+            let mut flipped = record.clone();
+            flipped[index] ^= mask;
+            store_acceptance_implies_checker_agreement(&flipped, true);
+            if index < payload_len {
+                let resealed = reseal(&flipped[..payload_len]);
+                store_acceptance_implies_checker_agreement(&resealed, true);
+                accepted += store_acceptance_implies_checker_agreement(&resealed, false) as usize;
+            }
+        }
+    }
+    for cut in 0..record.len() {
+        store_acceptance_implies_checker_agreement(&record[..cut], true);
+        let resealed = reseal(&record[..cut.min(payload_len)]);
+        store_acceptance_implies_checker_agreement(&resealed, true);
+        accepted += store_acceptance_implies_checker_agreement(&resealed, false) as usize;
+    }
+    // Digit flips inside numeric fields still parse, so the comparison
+    // above ran on many accepted variants, not only on rejections.
+    assert!(accepted > 1000, "only {accepted} damaged variants parsed");
+}
+
+#[test]
+fn the_largest_queue_record_rechecks_and_replays() {
+    let cert = queue_certs()
+        .iter()
+        .find(|c| (c.low.as_str(), c.high.as_str()) == ("Weak", "Spec"))
+        .expect("the WeakRefinesSpec certificate");
+    let record = serialize(cert);
+    assert_eq!(deserialize(&record, true).as_ref(), Some(cert));
+    let parsed = armada_recheck::parse_record(&record).expect("checker parses");
+    assert_eq!(parsed.witness, cert.witness);
+    let report = armada_recheck::recheck_record(&record, Some(armada_cases::queue::MODEL))
+        .expect("recheck with replay");
+    assert!(report.replayed);
+    assert_eq!(report.pairs, cert.product_nodes);
+    assert_eq!(report.obligations, cert.product_nodes - 1);
 }
