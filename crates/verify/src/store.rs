@@ -165,9 +165,9 @@ impl CertKey {
         }
         // Reduction and symmetry change the cert's node/transition counts
         // (never the verdict), so a cached cert is only exact for the same
-        // settings. Spill, checkpoint, and the small-wave threshold are
-        // deliberately excluded, like jobs and deadlines: they change how
-        // a check runs, never what a successful check certifies.
+        // settings. Spill and checkpoint are deliberately excluded, like
+        // jobs and deadlines: they change how a check runs, never what a
+        // successful check certifies.
         h.write_u64(config.bounds.reduction as u64);
         h.write_u64(config.bounds.symmetry as u64);
         CertKey(h.finish())
@@ -524,7 +524,7 @@ fn steps(text: &str) -> Option<Vec<u8>> {
         return Some(Vec::new());
     }
     let digits = text.as_bytes();
-    if digits.is_empty() || digits.len() % 2 != 0 {
+    if digits.is_empty() || !digits.len().is_multiple_of(2) {
         return None;
     }
     let mut bad = 0u8;
@@ -537,6 +537,16 @@ fn steps(text: &str) -> Option<Vec<u8>> {
         })
         .collect();
     (bad < 16).then_some(bytes)
+}
+
+/// Splits the next space-terminated field off the front of `rest` (a byte
+/// scan: the fields before a step encoding are a few bytes long, too
+/// short for a `memchr` call to pay).
+fn field<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let at = rest.bytes().position(|b| b == b' ')?;
+    let head = &rest[..at];
+    *rest = &rest[at + 1..];
+    Some(head)
 }
 
 /// `name value` as the next two space-separated fields of `fields`.
@@ -569,9 +579,10 @@ fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
         return None;
     }
     let root_renaming = renaming(lines.next("witness root ")?)?;
-    let pair_count = dec(lines.next("witness pairs ")?)? as usize;
-    // Every pair line takes 39 bytes, so a count the rest of the payload
-    // cannot hold is rejected before it sizes an allocation.
+    let pair_count: usize = dec(lines.next("witness pairs ")?)?.try_into().ok()?;
+    // Every pair line takes 39 bytes and every obligation line at least
+    // 46, so a count the rest of the payload cannot hold is rejected
+    // before it sizes an allocation.
     if pair_count > lines.0.len() / 39 {
         return None;
     }
@@ -583,24 +594,23 @@ fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
             set_digest: hex64(set)?,
         });
     }
-    let obl_count = dec(lines.next("witness obligations ")?)? as usize;
-    if obl_count > lines.0.len() / 44 {
+    let obl_count: usize = dec(lines.next("witness obligations ")?)?.try_into().ok()?;
+    if obl_count > lines.0.len() / 46 {
         return None;
     }
     let mut obligations = Vec::with_capacity(obl_count);
     for _ in 0..obl_count {
-        let mut fields = lines.next("obl ")?.split(' ');
+        // The steps field is the rest of the line, and `steps` rejects a
+        // space in it, so a seventh field cannot slip through.
+        let mut rest = lines.next("obl ")?;
         obligations.push(armada_recheck::Obligation {
-            parent: dec(fields.next()?)?.try_into().ok()?,
-            micro: dec(fields.next()?)?.try_into().ok()?,
-            renaming: renaming(fields.next()?)?,
-            steps_digest: hex64(fields.next()?)?,
-            hash: hex64(fields.next()?)?,
-            steps_enc: steps(fields.next()?)?,
+            parent: dec(field(&mut rest)?)?.try_into().ok()?,
+            micro: dec(field(&mut rest)?)?.try_into().ok()?,
+            renaming: renaming(field(&mut rest)?)?,
+            steps_digest: hex64(field(&mut rest)?)?,
+            hash: hex64(field(&mut rest)?)?,
+            steps_enc: steps(rest)?,
         });
-        if fields.next().is_some() {
-            return None;
-        }
     }
     let digest = hex64(lines.next("witness digest ")?)?;
     Some(Witness {

@@ -273,11 +273,11 @@ impl TieredStore {
     /// bytes. A disk IO error does not poison the memory tier (the cert is
     /// valid either way), but is still reported to the caller.
     pub fn save(&self, key: &CertKey, cert: &RefinementCert) -> io::Result<()> {
-        let record: Arc<str> = serialize(cert).into();
+        let record = serialize(cert);
         if let Some(mem) = &self.mem {
             // Note: the *unshimmed* bytes. Write faults model disk sectors;
             // the memory tier is damaged only via its own hook.
-            mem.install(key, Arc::clone(&record), false);
+            mem.install(key, record.as_str().into(), false);
         }
         match &self.disk {
             Some(disk) => disk.save_serialized(key, cert, &record),
