@@ -670,9 +670,9 @@ pub fn witness_lines(w: &Witness) -> String {
 /// Appends the witness section of a record to `out` in one pass, reserving
 /// its size up front (the store renders whole records into one buffer).
 pub fn write_witness_lines(w: &Witness, out: &mut String) {
-    // "pair " + two digests: 39 bytes. "obl " + two digests + four
-    // separators: 42 bytes, plus at most 10 digits per u32 and 21 bytes
-    // per renaming entry.
+    // A reservation, not a bound: 39 bytes per pair line; per obligation
+    // line 42 fixed bytes, up to 20 digits of parent and micro count, up
+    // to 21 bytes per renaming entry, and two hex digits per step byte.
     let obligations: usize = w
         .obligations
         .iter()
