@@ -79,7 +79,7 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
     };
 
     // --- mover classification over the reachable states --------------------
-    let exploration_states = collect_states(ctx);
+    let (exploration_states, truncated) = collect_states(ctx);
     if exploration_states.is_empty() {
         return ctx.structural_failure("low level has no reachable states".to_string());
     }
@@ -90,6 +90,22 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
         return ctx.structural_failure(
             "reduction found no atomic segments in the high level".to_string(),
         );
+    }
+    // Mover classes quantify over every reachable state; a cut state
+    // space cannot certify one.
+    if truncated {
+        report.obligations.push(DischargedObligation {
+            obligation: ProofObligation::new(
+                ObligationKind::Commutativity {
+                    first: "every atomic-segment instruction".to_string(),
+                    second: "each step of every other thread".to_string(),
+                    right: true,
+                },
+                vec![],
+            ),
+            verdict: Verdict::Unknown("state space truncated".to_string()),
+        });
+        return report;
     }
     // --- store-buffer drains must be benign --------------------------------
     // A drain is the moment a buffered write becomes globally visible; it
@@ -337,8 +353,9 @@ fn check_drain_discipline(
     true
 }
 
-/// All reachable states of the bounded low-level instance.
-fn collect_states(ctx: &StrategyCtx<'_>) -> Vec<ProgState> {
+/// All reachable non-terminal states of the bounded low-level instance,
+/// and whether the exploration was cut short.
+fn collect_states(ctx: &StrategyCtx<'_>) -> (Vec<ProgState>, bool) {
     // Mover checks quantify over every reachable state; local-step
     // reduction prunes intermediate states and symmetry canonicalization
     // renames tids/object ids, so both must be off here.
@@ -349,12 +366,13 @@ fn collect_states(ctx: &StrategyCtx<'_>) -> Vec<ProgState> {
         .with_reduction(false)
         .with_symmetry(false);
     let exploration = armada_sm::explore(&ctx.low_prog, &bounds);
-    exploration
+    let states = exploration
         .arena
         .iter()
         .filter(|s| !s.is_terminal())
         .cloned()
-        .collect()
+        .collect();
+    (states, exploration.truncated)
 }
 
 /// Classifies the instruction at `pc` by checking commutation against every
@@ -490,10 +508,14 @@ mod tests {
     use armada_verify::SimConfig;
 
     fn run_recipe(src: &str) -> StrategyReport {
+        run_recipe_with(src, SimConfig::default())
+    }
+
+    fn run_recipe_with(src: &str, sim: SimConfig) -> StrategyReport {
         let module = parse_module(src).expect("parse");
         let typed = check_module(&module).expect("typecheck");
         let recipe = &typed.module.recipes[0];
-        let ctx = StrategyCtx::build(&typed, recipe, SimConfig::default()).expect("ctx");
+        let ctx = StrategyCtx::build(&typed, recipe, sim).expect("ctx");
         run(&ctx)
     }
 
@@ -507,11 +529,10 @@ mod tests {
         }
     "#;
 
-    #[test]
-    fn lock_critical_section_reduces_to_atomic_block() {
-        // Low: acquire / write / release with free interleaving.
-        // High: the same wrapped in explicit_yield (one atomic segment).
-        let src = format!(
+    /// Low: acquire / write / release with free interleaving. High: the
+    /// same wrapped in explicit_yield (one atomic segment).
+    fn locked_section() -> String {
+        format!(
             r#"
             level Low {{
                 var x: uint32;
@@ -541,8 +562,12 @@ mod tests {
             }}
             proof P {{ refinement Low High reduction }}
             "#
-        );
-        let report = run_recipe(&src);
+        )
+    }
+
+    #[test]
+    fn lock_critical_section_reduces_to_atomic_block() {
+        let report = run_recipe(&locked_section());
         assert!(report.success(), "{}", report.failure_summary());
         let labels: Vec<&str> = report
             .obligations
@@ -551,6 +576,22 @@ mod tests {
             .collect();
         assert!(labels.contains(&"commutativity"));
         assert!(labels.contains(&"phase-discipline"));
+    }
+
+    #[test]
+    fn a_truncated_state_space_certifies_no_mover() {
+        let mut sim = SimConfig::default();
+        sim.bounds.max_states = 3;
+        let report = run_recipe_with(&locked_section(), sim);
+        assert!(!report.success(), "movers certified over 3 states");
+        assert_eq!(
+            report.obligations.last().map(|o| &o.verdict),
+            Some(&Verdict::Unknown("state space truncated".to_string()))
+        );
+        assert!(!report
+            .obligations
+            .iter()
+            .any(|o| matches!(o.verdict, Verdict::Proved(ProofMethod::ModelChecked { .. }))));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pointers ImplementationRefinesReordered 8869777b55fa999a 8869777b55fa999a 886977
 mcs_lock ImplementationRefinesOwned e9d37c662b83c183 e9d37c662b83c183 e9d37c662b83c183
 mcs_lock OwnedRefinesAnnotated 75b18d1aa6896ba8 ce7d3fee260f1f88 ce7d3fee260f1f88
 mcs_lock AnnotatedRefinesSeqX 276b58bc4f339a1a 8e97c1ddd2dbe7f4 8e97c1ddd2dbe7f4
-mcs_lock SeqXRefinesAtomicCS 0b0f8b91cd7d11f9 99ccf0ea32ab7a57 1f7b1708efe6b624
+mcs_lock SeqXRefinesAtomicCS 0b0f8b91cd7d11f9 0e000878d5d36d40 0e000878d5d36d40
 queue ImplementationRefinesAbstractQueue 231378180ea6719b 231378180ea6719b 231378180ea6719b
 queue AbstractQueueRefinesCemented e4921c26824f136f f031935c76d03b5e e4921c26824f136f
 queue CementedRefinesWeak fdc0677c32fee595 fdc0677c32fee595 fdc0677c32fee595
@@ -48,7 +48,7 @@ tsp ImplementationRefinesArbitraryGuard 57219414bae45499 57219414bae45499 572194
 tsp ArbitraryGuardRefinesBestLenSequential a6df2c6cbf2e490f 0fbcf982e082ffcc a6df2c6cbf2e490f
 wrong_strategy P e385e6869a6fbae8 e385e6869a6fbae8 e385e6869a6fbae8
 tso_elim_without_ownership P 0b3809332f76053a 0b3809332f76053a 0b3809332f76053a
-racy_reduction P 67898a601275e54d 67898a601275e54d 67898a601275e54d
+racy_reduction P 67898a601275e54d 0e000878d5d36d40 67898a601275e54d
 false_enablement P 2b162876c9c7c553 2b162876c9c7c553 2b162876c9c7c553
 hidden_output P 2af0dafd42e72cb8 2af0dafd42e72cb8 2af0dafd42e72cb8
 strong_postcondition P 6df97bea2b15523f 6df97bea2b15523f 6df97bea2b15523f
