@@ -133,8 +133,8 @@ fn broken_proof_exits_nonzero() {
 
 /// `--mem-cap` spills each check's state arenas to disk; the verdicts and
 /// the whole report must not notice. The queue and barrier models run the
-/// `assume_intro` strategy, whose positional discharge walks an explored
-/// arena state by state.
+/// `assume_intro` strategy and mcs_lock runs `tso_elim` and `reduction`,
+/// all of which walk the low level's state graph state by state.
 #[test]
 fn mem_capped_model_runs_match_resident_runs() {
     let dir = std::env::temp_dir().join(format!("armada_cli_mem_cap_{}", std::process::id()));
@@ -142,6 +142,7 @@ fn mem_capped_model_runs_match_resident_runs() {
     for (name, model) in [
         ("queue", armada_cases::queue::MODEL),
         ("barrier", armada_cases::barrier::MODEL),
+        ("mcs_lock", armada_cases::mcs_lock::MODEL),
     ] {
         let path = dir.join(format!("{name}.arm"));
         std::fs::write(&path, model).expect("write model");

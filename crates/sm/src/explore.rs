@@ -348,7 +348,7 @@ pub fn explore(program: &Program, bounds: &Bounds) -> Exploration {
 pub fn explore_with_telemetry(program: &Program, bounds: &Bounds) -> (Exploration, StageTelemetry) {
     let initial = initial_state(program).expect("initial state");
     let mut telemetry = StageTelemetry::new();
-    let exploration = explore_from_impl(program, initial, bounds, true, &mut telemetry);
+    let exploration = explore_from_impl(program, initial, bounds, true, &mut telemetry, None);
     (exploration, telemetry)
 }
 
@@ -372,6 +372,37 @@ struct Edge {
     micro: usize,
     /// The successor state.
     state: ProgState,
+    /// The step taken, kept only when the run records its edges.
+    step: Option<Step>,
+}
+
+/// Successor edges recorded by [`explore_recording_edges`], indexed by
+/// state id: each enabled step with the id of the state it leads to, in
+/// [`enabled_steps`] order. `None` for a state whose expansion was not
+/// committed whole (a successor fell past a truncation, or the state was
+/// never expanded).
+pub(crate) type EdgeTable = Vec<Option<Arc<[(Step, StateId)]>>>;
+
+/// [`explore_from`] without reduction or symmetry that also records every
+/// committed expansion's edges, so a caller walking the explored graph
+/// never enumerates a state's steps a second time.
+pub(crate) fn explore_recording_edges(
+    program: &Program,
+    initial: ProgState,
+    bounds: &Bounds,
+) -> (Exploration, EdgeTable) {
+    let bounds = bounds.clone().with_reduction(false).with_symmetry(false);
+    let mut telemetry = StageTelemetry::new();
+    let mut table = EdgeTable::new();
+    let exploration = explore_from_impl(
+        program,
+        initial,
+        &bounds,
+        false,
+        &mut telemetry,
+        Some(&mut table),
+    );
+    (exploration, table)
 }
 
 /// Deadline re-check interval during the commit stage, in processed edges.
@@ -406,7 +437,7 @@ fn sample_slot(record: bool, counter: &mut usize) -> bool {
 /// the serial wave-order commit, which is the same for any worker count.
 pub fn explore_from(program: &Program, initial: ProgState, bounds: &Bounds) -> Exploration {
     let mut telemetry = StageTelemetry::new();
-    explore_from_impl(program, initial, bounds, false, &mut telemetry)
+    explore_from_impl(program, initial, bounds, false, &mut telemetry, None)
 }
 
 /// [`explore_from`] with per-stage telemetry collection.
@@ -416,7 +447,7 @@ pub fn explore_from_with_telemetry(
     bounds: &Bounds,
 ) -> (Exploration, StageTelemetry) {
     let mut telemetry = StageTelemetry::new();
-    let exploration = explore_from_impl(program, initial, bounds, true, &mut telemetry);
+    let exploration = explore_from_impl(program, initial, bounds, true, &mut telemetry, None);
     (exploration, telemetry)
 }
 
@@ -437,7 +468,8 @@ struct CommitState {
 /// edges against the arena (the subsume stage), intern fresh states, and
 /// enforce `max_states` and the deadline. Strictly serial; called in
 /// ascending wave-slot order regardless of the worker count, which is the
-/// whole determinism argument.
+/// whole determinism argument. With an edge `table`, also records the
+/// slot's edges there.
 #[allow(clippy::too_many_arguments)]
 fn commit_slot(
     result: &mut Exploration,
@@ -449,7 +481,9 @@ fn commit_slot(
     record: bool,
     tel: &mut StageTelemetry,
     terminals: &mut TerminalIds,
+    table: Option<&mut EdgeTable>,
 ) {
+    let mut recorded: Option<Vec<(Step, StateId)>> = table.as_ref().map(|_| Vec::new());
     match expansion {
         Expansion::Terminal => {
             let state = result.arena.get_arc_mut(id);
@@ -479,8 +513,14 @@ fn commit_slot(
             let total = edges.len();
             let mut subsumed = 0usize;
             for edge in edges {
+                let Edge {
+                    fp,
+                    micro,
+                    state,
+                    step,
+                } = edge;
                 result.transitions += 1;
-                result.micro_steps += edge.micro;
+                result.micro_steps += micro;
                 cs.edges_since_check += 1;
                 if cs.edges_since_check >= DEADLINE_CHECK_EDGES {
                     cs.edges_since_check = 0;
@@ -489,33 +529,41 @@ fn commit_slot(
                         cs.deadline_cut = true;
                     }
                 }
-                if result
-                    .arena
-                    .lookup_with_fp_mut(edge.fp, &edge.state)
-                    .is_some()
-                {
+                let target = if let Some(known) = result.arena.lookup_with_fp_mut(fp, &state) {
                     subsumed += 1;
-                    continue;
-                }
-                if result.truncated {
+                    Some(known)
+                } else if result.truncated {
                     // Past a budget cut: keep counting the wave's edges
                     // (they were already expanded) but admit no more
                     // states.
-                    continue;
-                }
-                if result.arena.len() >= bounds.max_states {
+                    None
+                } else if result.arena.len() >= bounds.max_states {
                     result.truncated = true;
-                    continue;
+                    None
+                } else {
+                    let (next_id, fresh) = result.arena.intern_with_fp(fp, state);
+                    debug_assert!(fresh, "lookup missed an interned state");
+                    next_wave.push(next_id);
+                    Some(next_id)
+                };
+                if let Some(list) = &mut recorded {
+                    match (step, target) {
+                        (Some(step), Some(target)) => list.push((step, target)),
+                        _ => recorded = None,
+                    }
                 }
-                let (next_id, fresh) = result.arena.intern_with_fp(edge.fp, edge.state);
-                debug_assert!(fresh, "lookup missed an interned state");
-                next_wave.push(next_id);
             }
             if let Some(started) = started {
                 tel.record_batch(Stage::Commit, started.elapsed(), total);
                 tel.record_items(Stage::Subsume, subsumed);
             }
         }
+    }
+    if let (Some(table), Some(list)) = (table, recorded) {
+        if table.len() <= id.index() {
+            table.resize(id.index() + 1, None);
+        }
+        table[id.index()] = Some(list.into());
     }
 }
 
@@ -527,7 +575,9 @@ fn explore_from_impl(
     bounds: &Bounds,
     record: bool,
     tel: &mut StageTelemetry,
+    mut table: Option<&mut EdgeTable>,
 ) -> Exploration {
+    let keep_steps = table.is_some();
     let pool = bounds.pool_for(program);
     let reducer = Reducer::new(program);
     let canon = crate::canon::Canonicalizer::new(program);
@@ -606,28 +656,36 @@ fn explore_from_impl(
         if state.is_terminal() {
             return Expansion::Terminal;
         }
-        let edges = reducer.successors(state, &pool, bounds.max_buffer, bounds.reduction);
+        let edge = |micro: usize, next: ProgState, step: Option<Step>| {
+            // Canonicalize before fingerprinting so the arena interns (and
+            // hashes) only canonical representatives.
+            let next = match canon {
+                Some(canon) => canon.canonicalize(next).0,
+                None => next,
+            };
+            Edge {
+                fp: StateArena::fingerprint(&next),
+                micro,
+                state: next,
+                step,
+            }
+        };
+        let edges: Vec<Edge> = if keep_steps {
+            enabled_steps(program, state, &pool, bounds.max_buffer)
+                .into_iter()
+                .map(|(step, next)| edge(1, next, Some(step)))
+                .collect()
+        } else {
+            reducer
+                .successors(state, &pool, bounds.max_buffer, bounds.reduction)
+                .into_iter()
+                .map(|(micro, next)| edge(micro, next, None))
+                .collect()
+        };
         if edges.is_empty() {
             return Expansion::Stuck;
         }
-        Expansion::Edges(
-            edges
-                .into_iter()
-                .map(|(micro, next)| {
-                    // Canonicalize before fingerprinting so the arena
-                    // interns (and hashes) only canonical representatives.
-                    let next = match canon {
-                        Some(canon) => canon.canonicalize(next).0,
-                        None => next,
-                    };
-                    Edge {
-                        fp: StateArena::fingerprint(&next),
-                        micro,
-                        state: next,
-                    }
-                })
-                .collect(),
-        )
+        Expansion::Edges(edges)
     };
 
     let expand = |(state, sampled): (Arc<ProgState>, bool), tel: &mut StageTelemetry| {
@@ -686,6 +744,7 @@ fn explore_from_impl(
                             record,
                             tel,
                             &mut terminals,
+                            table.as_deref_mut(),
                         ),
                         Err(payload) => panic = Some(payload),
                     }

@@ -40,6 +40,7 @@ pub mod codec;
 pub mod effects;
 pub mod eval;
 pub mod explore;
+pub mod graph;
 pub mod heap;
 pub mod lower;
 pub mod pager;
@@ -53,6 +54,7 @@ pub use arena::{StateArena, StateId};
 pub use canon::Canonicalizer;
 pub use checkpoint::CheckpointSpec;
 pub use explore::{explore, explore_with_telemetry, run_to_completion, Bounds, Exploration};
+pub use graph::{StateGraph, Walk};
 pub use heap::{Heap, Location, MemNode, ObjectId, PtrVal};
 pub use lower::{lower, LowerError};
 pub use pager::SpillSpec;

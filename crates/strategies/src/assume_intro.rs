@@ -26,7 +26,8 @@ use armada_proof::{
     DischargedObligation, ObligationKind, ProofMethod, ProofObligation, StrategyReport, Verdict,
 };
 use armada_sm::eval::EvalCtx;
-use armada_sm::{explore, initial_state, StateId};
+use armada_sm::{initial_state, Walk};
+use std::ops::ControlFlow;
 
 use crate::align::{diff_levels, AlignOptions, DiffItem};
 use crate::common::{implies_expr, subst_var, StrategyCtx};
@@ -256,45 +257,34 @@ pub fn check_guarantees(ctx: &StrategyCtx<'_>, report: &mut StrategyReport) {
 /// instance (instruction steps and store-buffer drains alike), evaluated in
 /// the acting thread's view.
 fn model_check_rely(ctx: &StrategyCtx<'_>, rely: &Expr) -> Option<Verdict> {
-    use std::collections::BTreeSet;
-    let pool = ctx.sim.bounds.pool_for(&ctx.low_prog);
-    let initial = initial_state(&ctx.low_prog).ok()?;
-    let mut visited: BTreeSet<armada_sm::ProgState> = BTreeSet::new();
-    let mut frontier = vec![initial.clone()];
-    visited.insert(initial);
+    let mut graph = ctx.low_graph().ok()?;
     let mut transitions = 0usize;
-    while let Some(state) = frontier.pop() {
-        if state.is_terminal() {
-            continue;
-        }
-        if visited.len() > ctx.sim.bounds.max_states {
-            return Some(Verdict::Unknown("state space truncated".to_string()));
-        }
-        for (step, next) in
-            armada_sm::enabled_steps(&ctx.low_prog, &state, &pool, ctx.sim.bounds.max_buffer)
-        {
+    let walk = graph.depth_first(
+        &ctx.low_prog,
+        ctx.sim.bounds.max_states,
+        |_| ControlFlow::Continue(()),
+        |state, step, next| {
             transitions += 1;
-            let mut eval = EvalCtx::new(&ctx.low_prog, &next, step.tid, &[]).with_old(&state);
+            let mut eval = EvalCtx::new(&ctx.low_prog, next, step.tid, &[]).with_old(state);
             match eval.eval(rely) {
-                Ok(armada_sm::Value::Bool(true)) => {}
-                Ok(armada_sm::Value::Bool(false)) => {
-                    return Some(Verdict::Refuted {
-                        counterexample: format!(
-                            "a step by thread {} violates the rely predicate",
-                            step.tid
-                        ),
-                    })
-                }
-                _ => return None,
+                Ok(armada_sm::Value::Bool(true)) => ControlFlow::Continue(()),
+                Ok(armada_sm::Value::Bool(false)) => ControlFlow::Break(Some(Verdict::Refuted {
+                    counterexample: format!(
+                        "a step by thread {} violates the rely predicate",
+                        step.tid
+                    ),
+                })),
+                _ => ControlFlow::Break(None),
             }
-            if visited.insert(next.clone()) {
-                frontier.push(next);
-            }
-        }
+        },
+    );
+    match walk {
+        Walk::Complete { .. } => Some(Verdict::Proved(ProofMethod::ModelChecked {
+            states: transitions,
+        })),
+        Walk::Truncated => Some(Verdict::Unknown("state space truncated".to_string())),
+        Walk::Stopped(verdict) => verdict,
     }
-    Some(Verdict::Proved(ProofMethod::ModelChecked {
-        states: transitions,
-    }))
 }
 
 /// Collects `(description, target var, rhs)` for every single-target
@@ -419,26 +409,19 @@ fn model_check_positional(
     cond: &Expr,
     position: Option<armada_sm::Pc>,
 ) -> Option<Verdict> {
-    // The discharge quantifies over *every* reachable state, including the
-    // intermediate ones local-step reduction would fuse away, in original
-    // tid/object-id coordinates — explore the full unreduced,
-    // uncanonicalized space.
-    let mut exploration = explore(
-        &ctx.low_prog,
-        &ctx.sim
-            .bounds
-            .clone()
-            .with_reduction(false)
-            .with_symmetry(false),
-    );
-    if exploration.truncated {
+    // The discharge quantifies over *every* reachable state, including
+    // the intermediate ones local-step reduction would fuse away, in
+    // original tid/object-id coordinates: the unreduced low-level graph.
+    let mut graph = match ctx.low_graph() {
+        Ok(graph) => graph,
+        Err(err) => return Some(Verdict::Unknown(format!("initial state: {err}"))),
+    };
+    if graph.truncated() {
         return Some(Verdict::Unknown("state space truncated".to_string()));
     }
     let mut states = 0usize;
-    // By id, faulting each state in: under `--mem-cap` the arena may have
-    // spilled, and a spilled arena cannot be iterated by reference.
-    for index in 0..exploration.arena.len() {
-        let state = exploration.arena.get_arc_mut(StateId(index as u32));
+    for id in graph.ids() {
+        let state = graph.state(id);
         let state = state.as_ref();
         if state.is_terminal() {
             continue;

@@ -7,8 +7,9 @@ use armada_proof::prover::{collect_vars, Hint, ProverCtx};
 use armada_proof::{
     DischargedObligation, ObligationKind, ProofObligation, StrategyReport, Verdict,
 };
-use armada_sm::{lower, Program};
+use armada_sm::{lower, Program, StateGraph};
 use armada_verify::SimConfig;
+use std::cell::{OnceCell, RefCell, RefMut};
 
 use crate::prelude::proof_prelude;
 
@@ -32,6 +33,8 @@ pub struct StrategyCtx<'a> {
     pub high_prog: Program,
     /// Bounds for model-checked discharges.
     pub sim: SimConfig,
+    /// The low level's reachable state graph, explored on first use.
+    graph: OnceCell<Result<RefCell<StateGraph>, String>>,
 }
 
 impl<'a> StrategyCtx<'a> {
@@ -71,7 +74,29 @@ impl<'a> StrategyCtx<'a> {
             low_prog,
             high_prog,
             sim,
+            graph: OnceCell::new(),
         })
+    }
+
+    /// The low level's reachable state graph under this run's bounds:
+    /// explored on first use, then shared by every model-checked
+    /// obligation of the run, so each state is expanded at most once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the low level's initial state cannot be built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is already borrowed.
+    pub fn low_graph(&self) -> Result<RefMut<'_, StateGraph>, String> {
+        let graph = self.graph.get_or_init(|| {
+            StateGraph::explore(&self.low_prog, &self.sim.bounds).map(RefCell::new)
+        });
+        match graph {
+            Ok(graph) => Ok(graph.borrow_mut()),
+            Err(err) => Err(err.clone()),
+        }
     }
 
     /// A fresh report shell for this recipe.

@@ -57,15 +57,22 @@ pub fn run_recipe(
     sim: SimConfig,
 ) -> Result<StrategyReport, String> {
     let ctx = StrategyCtx::build(typed, recipe, sim)?;
-    Ok(match recipe.strategy {
-        StrategyKind::Weakening | StrategyKind::NondetWeakening => weakening::run(&ctx),
-        StrategyKind::Combining => combining::run(&ctx),
-        StrategyKind::AssumeIntro => assume_intro::run(&ctx),
-        StrategyKind::TsoElim => tso_elim::run(&ctx),
-        StrategyKind::Reduction => reduction::run(&ctx),
-        StrategyKind::VarIntro => var_map::run(&ctx, true),
-        StrategyKind::VarHiding => var_map::run(&ctx, false),
-    })
+    Ok(run(&ctx))
+}
+
+/// Runs the strategy named by `ctx`'s recipe over the context's level
+/// pair. Model-checked obligations share the context's low-level state
+/// graph.
+pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
+    match ctx.recipe.strategy {
+        StrategyKind::Weakening | StrategyKind::NondetWeakening => weakening::run(ctx),
+        StrategyKind::Combining => combining::run(ctx),
+        StrategyKind::AssumeIntro => assume_intro::run(ctx),
+        StrategyKind::TsoElim => tso_elim::run(ctx),
+        StrategyKind::Reduction => reduction::run(ctx),
+        StrategyKind::VarIntro => var_map::run(ctx, true),
+        StrategyKind::VarHiding => var_map::run(ctx, false),
+    }
 }
 
 /// The result of running every recipe of a module.

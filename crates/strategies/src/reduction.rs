@@ -25,7 +25,7 @@ use armada_proof::{
     DischargedObligation, ObligationKind, ProofMethod, ProofObligation, StrategyReport, Verdict,
 };
 use armada_sm::effects::instr_effects;
-use armada_sm::{enabled_steps, Instr, Pc, ProgState, Program};
+use armada_sm::{Instr, Pc, ProgState, Program, StateGraph, StateId};
 use std::collections::BTreeMap;
 
 use crate::align::{diff_levels, AlignOptions, DiffItem};
@@ -79,7 +79,13 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
     };
 
     // --- mover classification over the reachable states --------------------
-    let (exploration_states, truncated) = collect_states(ctx);
+    // Mover checks quantify over every reachable state, in original
+    // coordinates: the unreduced low-level graph.
+    let mut graph = match ctx.low_graph() {
+        Ok(graph) => graph,
+        Err(err) => return ctx.structural_failure(format!("initial state: {err}")),
+    };
+    let exploration_states = non_terminal_states(&mut graph);
     if exploration_states.is_empty() {
         return ctx.structural_failure("low level has no reachable states".to_string());
     }
@@ -93,7 +99,7 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
     }
     // Mover classes quantify over every reachable state; a cut state
     // space cannot certify one.
-    if truncated {
+    if graph.truncated() {
         report.obligations.push(DischargedObligation {
             obligation: ProofObligation::new(
                 ObligationKind::Commutativity {
@@ -113,7 +119,7 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
     // segment pattern cannot place it. We require every drain to be a left
     // mover, so it can be retroactively commuted back against its segment
     // (a release store's drain is the canonical left mover).
-    if !check_drain_discipline(ctx, &exploration_states, &mut report) {
+    if !check_drain_discipline(ctx, &mut graph, &exploration_states, &mut report) {
         return report;
     }
 
@@ -125,9 +131,9 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
             let Some(low_pc) = mapping.get(high_pc) else {
                 continue;
             };
-            let class = *mover_cache
-                .entry(*low_pc)
-                .or_insert_with(|| classify(ctx, &exploration_states, *low_pc, &mut report));
+            let class = *mover_cache.entry(*low_pc).or_insert_with(|| {
+                classify(ctx, &mut graph, &exploration_states, *low_pc, &mut report)
+            });
             let acceptable = match (phase, class) {
                 (Phase::Right, MoverClass::Both | MoverClass::Right) => true,
                 (Phase::Right, MoverClass::Left) => {
@@ -299,22 +305,23 @@ fn commutes(
 /// first violation.
 fn check_drain_discipline(
     ctx: &StrategyCtx<'_>,
-    states: &[ProgState],
+    graph: &mut StateGraph,
+    states: &[StateId],
     report: &mut StrategyReport,
 ) -> bool {
-    let pool = ctx.sim.bounds.pool_for(&ctx.low_prog);
+    let prog = &ctx.low_prog;
     let max_buffer = ctx.sim.bounds.max_buffer;
     let mut checked = 0usize;
-    for state in states {
-        let steps = enabled_steps(&ctx.low_prog, state, &pool, max_buffer);
-        for (tau, s_after_tau) in &steps {
-            let sigma_steps = enabled_steps(&ctx.low_prog, s_after_tau, &pool, max_buffer);
-            for (sigma, s_after_both) in &sigma_steps {
+    for &id in states {
+        let state = graph.state(id);
+        for (tau, after_tau) in graph.successors(prog, id).iter() {
+            for (sigma, after_both) in graph.successors(prog, *after_tau).iter() {
                 if !matches!(sigma.kind, armada_sm::StepKind::Drain) || sigma.tid == tau.tid {
                     continue;
                 }
                 checked += 1;
-                if !commutes(&ctx.low_prog, state, tau, sigma, s_after_both, max_buffer) {
+                let s_after_both = graph.state(*after_both);
+                if !commutes(prog, &state, tau, sigma, &s_after_both, max_buffer) {
                     report.obligations.push(DischargedObligation {
                         obligation: ProofObligation::new(
                             ObligationKind::Commutativity {
@@ -353,26 +360,12 @@ fn check_drain_discipline(
     true
 }
 
-/// All reachable non-terminal states of the bounded low-level instance,
-/// and whether the exploration was cut short.
-fn collect_states(ctx: &StrategyCtx<'_>) -> (Vec<ProgState>, bool) {
-    // Mover checks quantify over every reachable state; local-step
-    // reduction prunes intermediate states and symmetry canonicalization
-    // renames tids/object ids, so both must be off here.
-    let bounds = ctx
-        .sim
-        .bounds
-        .clone()
-        .with_reduction(false)
-        .with_symmetry(false);
-    let exploration = armada_sm::explore(&ctx.low_prog, &bounds);
-    let states = exploration
-        .arena
-        .iter()
-        .filter(|s| !s.is_terminal())
-        .cloned()
-        .collect();
-    (states, exploration.truncated)
+/// The graph's explored non-terminal states, in discovery order.
+fn non_terminal_states(graph: &mut StateGraph) -> Vec<StateId> {
+    graph
+        .ids()
+        .filter(|&id| !graph.state(id).is_terminal())
+        .collect()
 }
 
 /// Classifies the instruction at `pc` by checking commutation against every
@@ -380,7 +373,8 @@ fn collect_states(ctx: &StrategyCtx<'_>) -> (Vec<ProgState>, bool) {
 /// obligation in the report.
 fn classify(
     ctx: &StrategyCtx<'_>,
-    states: &[ProgState],
+    graph: &mut StateGraph,
+    states: &[StateId],
     pc: Pc,
     report: &mut StrategyReport,
 ) -> MoverClass {
@@ -407,16 +401,17 @@ fn classify(
         return MoverClass::Both;
     }
 
-    let pool = ctx.sim.bounds.pool_for(&ctx.low_prog);
+    let prog = &ctx.low_prog;
     let max_buffer = ctx.sim.bounds.max_buffer;
     let mut right = true;
     let mut left = true;
     let mut checked_pairs = 0usize;
 
-    for state in states {
-        let steps = enabled_steps(&ctx.low_prog, state, &pool, max_buffer);
+    for &id in states {
+        let state = graph.state(id);
+        let steps = graph.successors(prog, id);
         // σ = a step of some thread currently at `pc`.
-        for (sigma, s_after_sigma) in &steps {
+        for (sigma, after_sigma) in steps.iter() {
             let at_pc = state
                 .thread(sigma.tid)
                 .map(|t| {
@@ -430,13 +425,13 @@ fn classify(
             }
             // Right-mover check: σ;τ executable ⇒ τ;σ same result.
             if right {
-                let tau_steps = enabled_steps(&ctx.low_prog, s_after_sigma, &pool, max_buffer);
-                for (tau, s_after_both) in &tau_steps {
+                for (tau, after_both) in graph.successors(prog, *after_sigma).iter() {
                     if tau.tid == sigma.tid {
                         continue;
                     }
                     checked_pairs += 1;
-                    if !commutes(&ctx.low_prog, state, sigma, tau, s_after_both, max_buffer) {
+                    let s_after_both = graph.state(*after_both);
+                    if !commutes(prog, &state, sigma, tau, &s_after_both, max_buffer) {
                         right = false;
                         break;
                     }
@@ -448,9 +443,9 @@ fn classify(
         }
         // Left-mover check: τ;σ executable ⇒ σ;τ same result.
         if left {
-            for (tau, s_after_tau) in &steps {
-                let sigma_steps = enabled_steps(&ctx.low_prog, s_after_tau, &pool, max_buffer);
-                for (sigma, s_after_both) in &sigma_steps {
+            for (tau, after_tau) in steps.iter() {
+                let s_after_tau = graph.state(*after_tau);
+                for (sigma, after_both) in graph.successors(prog, *after_tau).iter() {
                     if sigma.tid == tau.tid {
                         continue;
                     }
@@ -464,7 +459,8 @@ fn classify(
                         continue;
                     }
                     checked_pairs += 1;
-                    if !commutes(&ctx.low_prog, state, tau, sigma, s_after_both, max_buffer) {
+                    let s_after_both = graph.state(*after_both);
+                    if !commutes(prog, &state, tau, sigma, &s_after_both, max_buffer) {
                         left = false;
                         break;
                     }

@@ -26,8 +26,8 @@ use armada_proof::{
 };
 use armada_sm::effects::{instr_effects, AbsLoc};
 use armada_sm::eval::EvalCtx;
-use armada_sm::{enabled_steps, initial_state, ProgState, Tid};
-use std::collections::BTreeSet;
+use armada_sm::{ProgState, Tid, Walk};
+use std::ops::ControlFlow;
 
 use crate::align::{diff_levels, AlignOptions, DiffItem};
 use crate::common::{implies_expr, subst_me, StrategyCtx};
@@ -206,9 +206,8 @@ fn buffered_write_to(block: &Block, vars: &[&str]) -> Option<String> {
 /// Walks every reachable transition of the bounded low-level instance,
 /// checking the ownership-on-access and buffer-empty-on-release conditions.
 fn check_discipline(ctx: &StrategyCtx<'_>, report: &mut StrategyReport) {
-    let pool = ctx.sim.bounds.pool_for(&ctx.low_prog);
-    let initial = match initial_state(&ctx.low_prog) {
-        Ok(state) => state,
+    let mut graph = match ctx.low_graph() {
+        Ok(graph) => graph,
         Err(err) => {
             report
                 .obligations
@@ -216,102 +215,27 @@ fn check_discipline(ctx: &StrategyCtx<'_>, report: &mut StrategyReport) {
             return;
         }
     };
-    let mut visited: BTreeSet<ProgState> = BTreeSet::new();
-    let mut frontier = vec![initial];
-    visited.insert(frontier[0].clone());
     let mut access_checks = 0usize;
     let mut release_checks = 0usize;
-
-    while let Some(state) = frontier.pop() {
-        if state.is_terminal() {
-            continue;
-        }
-        if visited.len() > ctx.sim.bounds.max_states {
+    let walk = graph.depth_first(
+        &ctx.low_prog,
+        ctx.sim.bounds.max_states,
+        |state| ownership_on_access(ctx, state, &mut access_checks),
+        |state, _, next| buffer_empty_on_release(ctx, state, next, &mut release_checks),
+    );
+    let visited = match walk {
+        Walk::Complete { visited } => visited,
+        Walk::Truncated => {
             report
                 .obligations
                 .push(unknown_discipline(ctx, "state space truncated".to_string()));
             return;
         }
-        // Ownership on access: a thread whose *next instruction* touches an
-        // eliminated variable must own it now.
-        for (&tid, thread) in &state.threads {
-            if thread.status != armada_sm::state::ThreadStatus::Active {
-                continue;
-            }
-            let Some(instr) = ctx.low_prog.instr_at(thread.pc) else {
-                continue;
-            };
-            let routine = &ctx.low_prog.routines[thread.pc.routine as usize];
-            let effects = instr_effects(&ctx.low_prog, routine, instr);
-            for (var, ownership) in &ctx.recipe.tso_vars {
-                let touches = effects.reads.contains(&AbsLoc::Global(var.clone()))
-                    || effects.writes.contains(&AbsLoc::Global(var.clone()));
-                if !touches {
-                    continue;
-                }
-                access_checks += 1;
-                if !owns(ctx, &state, tid, &ownership.expr) {
-                    report.obligations.push(DischargedObligation {
-                        obligation: ProofObligation::new(
-                            ObligationKind::OwnershipOnAccess {
-                                var: var.clone(),
-                                at: format!("{}:{}", routine.name, thread.pc.instr),
-                            },
-                            vec![format!("// access: {}", instr.describe())],
-                        ),
-                        verdict: Verdict::Refuted {
-                            counterexample: format!(
-                                "thread {tid} accesses `{var}` at `{}` without owning it",
-                                instr.describe()
-                            ),
-                        },
-                    });
-                    return;
-                }
-            }
+        Walk::Stopped(refuted) => {
+            report.obligations.push(refuted);
+            return;
         }
-        // Transitions: release discipline + frontier extension.
-        for (_step, next) in enabled_steps(&ctx.low_prog, &state, &pool, ctx.sim.bounds.max_buffer)
-        {
-            for (var, ownership) in &ctx.recipe.tso_vars {
-                for (&tid, thread) in &state.threads {
-                    if owns(ctx, &state, tid, &ownership.expr)
-                        && next.threads.contains_key(&tid)
-                        && !owns(ctx, &next, tid, &ownership.expr)
-                    {
-                        release_checks += 1;
-                        let buffer_empty = next
-                            .threads
-                            .get(&tid)
-                            .map(|t| t.buffer.is_empty())
-                            .unwrap_or(true);
-                        let _ = thread;
-                        if !buffer_empty {
-                            report.obligations.push(DischargedObligation {
-                                obligation: ProofObligation::new(
-                                    ObligationKind::BufferEmptyOnRelease {
-                                        var: var.clone(),
-                                        at: "transition".to_string(),
-                                    },
-                                    vec![],
-                                ),
-                                verdict: Verdict::Refuted {
-                                    counterexample: format!(
-                                        "thread {tid} releases ownership of `{var}` with a \
-                                         non-empty store buffer"
-                                    ),
-                                },
-                            });
-                            return;
-                        }
-                    }
-                }
-            }
-            if visited.insert(next.clone()) {
-                frontier.push(next);
-            }
-        }
-    }
+    };
 
     for (var, _) in &ctx.recipe.tso_vars {
         report.obligations.push(DischargedObligation {
@@ -322,9 +246,7 @@ fn check_discipline(ctx: &StrategyCtx<'_>, report: &mut StrategyReport) {
                 },
                 vec![format!("// {access_checks} accesses checked")],
             ),
-            verdict: Verdict::Proved(ProofMethod::ModelChecked {
-                states: visited.len(),
-            }),
+            verdict: Verdict::Proved(ProofMethod::ModelChecked { states: visited }),
         });
         report.obligations.push(DischargedObligation {
             obligation: ProofObligation::new(
@@ -334,11 +256,100 @@ fn check_discipline(ctx: &StrategyCtx<'_>, report: &mut StrategyReport) {
                 },
                 vec![format!("// {release_checks} releases checked")],
             ),
-            verdict: Verdict::Proved(ProofMethod::ModelChecked {
-                states: visited.len(),
-            }),
+            verdict: Verdict::Proved(ProofMethod::ModelChecked { states: visited }),
         });
     }
+}
+
+/// Ownership on access: a thread whose *next instruction* touches an
+/// eliminated variable must own it now. Stops with the refuted obligation
+/// on the first violation.
+fn ownership_on_access(
+    ctx: &StrategyCtx<'_>,
+    state: &ProgState,
+    access_checks: &mut usize,
+) -> ControlFlow<DischargedObligation> {
+    for (&tid, thread) in &state.threads {
+        if thread.status != armada_sm::state::ThreadStatus::Active {
+            continue;
+        }
+        let Some(instr) = ctx.low_prog.instr_at(thread.pc) else {
+            continue;
+        };
+        let routine = &ctx.low_prog.routines[thread.pc.routine as usize];
+        let effects = instr_effects(&ctx.low_prog, routine, instr);
+        for (var, ownership) in &ctx.recipe.tso_vars {
+            let touches = effects.reads.contains(&AbsLoc::Global(var.clone()))
+                || effects.writes.contains(&AbsLoc::Global(var.clone()));
+            if !touches {
+                continue;
+            }
+            *access_checks += 1;
+            if !owns(ctx, state, tid, &ownership.expr) {
+                return ControlFlow::Break(DischargedObligation {
+                    obligation: ProofObligation::new(
+                        ObligationKind::OwnershipOnAccess {
+                            var: var.clone(),
+                            at: format!("{}:{}", routine.name, thread.pc.instr),
+                        },
+                        vec![format!("// access: {}", instr.describe())],
+                    ),
+                    verdict: Verdict::Refuted {
+                        counterexample: format!(
+                            "thread {tid} accesses `{var}` at `{}` without owning it",
+                            instr.describe()
+                        ),
+                    },
+                });
+            }
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Release discipline across one transition: a thread that owns an
+/// eliminated variable before the step and not after must have an empty
+/// store buffer after it. Stops with the refuted obligation on the first
+/// violation.
+fn buffer_empty_on_release(
+    ctx: &StrategyCtx<'_>,
+    state: &ProgState,
+    next: &ProgState,
+    release_checks: &mut usize,
+) -> ControlFlow<DischargedObligation> {
+    for (var, ownership) in &ctx.recipe.tso_vars {
+        for &tid in state.threads.keys() {
+            if owns(ctx, state, tid, &ownership.expr)
+                && next.threads.contains_key(&tid)
+                && !owns(ctx, next, tid, &ownership.expr)
+            {
+                *release_checks += 1;
+                let buffer_empty = next
+                    .threads
+                    .get(&tid)
+                    .map(|t| t.buffer.is_empty())
+                    .unwrap_or(true);
+                if !buffer_empty {
+                    return ControlFlow::Break(DischargedObligation {
+                        obligation: ProofObligation::new(
+                            ObligationKind::BufferEmptyOnRelease {
+                                var: var.clone(),
+                                at: "transition".to_string(),
+                            },
+                            vec![],
+                        ),
+                        verdict: Verdict::Refuted {
+                            counterexample: format!(
+                                "thread {tid} releases ownership of `{var}` with a \
+                                 non-empty store buffer"
+                            ),
+                        },
+                    });
+                }
+            }
+        }
+    }
+    ControlFlow::Continue(())
 }
 
 fn unknown_discipline(ctx: &StrategyCtx<'_>, reason: String) -> DischargedObligation {

@@ -11,6 +11,8 @@
 //! changing a verdict or a count.
 
 use armada_lang::{check_module, parse_module};
+use armada_sm::{enabled_steps, Bounds, StateGraph};
+use armada_strategies::StrategyCtx;
 use armada_verify::SimConfig;
 
 #[allow(dead_code)]
@@ -118,5 +120,66 @@ fn every_recipe_report_is_pinned_at_default_and_truncating_bounds() {
             }
         }
         panic!("strategy reports drifted from the pin; current table:\n{table}");
+    }
+}
+
+/// The graph of `mcs_lock`'s `SeqX` level — the level the reduction
+/// recipe classifies movers over — lists, for every state, exactly the
+/// state's enabled steps in order, each resolving to the state the step
+/// produces.
+#[test]
+fn mcs_lock_seqx_successors_are_the_enabled_steps() {
+    let module = parse_module(armada_cases::mcs_lock::MODEL).expect("parses");
+    let typed = check_module(&module).expect("typechecks");
+    let program = armada_sm::lower(&typed, "SeqX").expect("lowers");
+    let bounds = Bounds::small();
+    let pool = bounds.pool_for(&program);
+    let mut graph = StateGraph::explore(&program, &bounds).expect("graph");
+    assert!(!graph.truncated());
+    let ids: Vec<_> = graph.ids().collect();
+    assert!(ids.len() > 300, "{} states", ids.len());
+    for id in ids {
+        let state = graph.state(id);
+        let expected = enabled_steps(&program, &state, &pool, bounds.max_buffer);
+        let edges = graph.successors(&program, id);
+        assert_eq!(edges.len(), expected.len(), "state {id:?}");
+        for ((step, next), (want_step, want_next)) in edges.iter().zip(&expected) {
+            assert_eq!(step, want_step);
+            assert_eq!(*graph.state(*next), *want_next);
+        }
+    }
+}
+
+/// A strategy run expands each low-level state at most once, and running
+/// the strategy again over the same context expands nothing and reports
+/// the same obligations — with the graph complete and with it cut.
+#[test]
+fn a_strategy_run_expands_each_state_at_most_once() {
+    let mut cut = SimConfig::default();
+    cut.bounds.max_states = TRUNCATING_MAX_STATES[0];
+    for sim in [SimConfig::default(), cut] {
+        for module in corpus::CORPUS {
+            expand_once(module.source, &sim);
+        }
+    }
+}
+
+/// Runs every recipe of `source` twice over one context and checks the
+/// expansion count of its low-level graph.
+fn expand_once(source: &str, sim: &SimConfig) {
+    let parsed = parse_module(source).expect("corpus module parses");
+    let typed = check_module(&parsed).expect("corpus module typechecks");
+    for recipe in &typed.module.recipes {
+        let ctx = StrategyCtx::build(&typed, recipe, sim.clone()).expect("ctx");
+        let first = armada_strategies::run(&ctx);
+        let expanded = {
+            let graph = ctx.low_graph().expect("graph");
+            assert!(graph.expansions() <= graph.len(), "{}", recipe.name);
+            graph.expansions()
+        };
+        let again = armada_strategies::run(&ctx);
+        assert_eq!(first, again, "{}", recipe.name);
+        let graph = ctx.low_graph().expect("graph");
+        assert_eq!(graph.expansions(), expanded, "{}", recipe.name);
     }
 }
