@@ -46,7 +46,9 @@
 use std::fmt;
 
 use armada_sm::codec::{self, Dec, Enc};
-use armada_sm::{initial_state, lower, try_step, Canonicalizer, Program, StateArena, Step, Tid};
+use armada_sm::{
+    initial_state, lower, try_step, Canonicalizer, ProgState, Program, StateArena, Step, Tid,
+};
 
 /// FNV-1a, 64-bit, as an explicit incremental hasher so chained digests
 /// have one unambiguous byte-level definition shared by emitter and
@@ -980,15 +982,21 @@ pub fn replay(witness: &Witness, low: &Program) -> Result<(), RecheckError> {
         let fail = |reason: String| RecheckError::Obligation { index, reason };
         let steps =
             decode_steps(&obl.steps_enc).map_err(|e| fail(format!("undecodable steps: {e}")))?;
-        let mut state = states[obl.parent as usize].clone();
+        // Step from the borrowed parent: the first micro-step's result is
+        // the first owned state, so no parent is ever cloned just to be
+        // stepped (a zero-step obligation yields the parent itself).
+        let parent = &states[obl.parent as usize];
+        let mut stepped: Option<ProgState> = None;
         for (k, step) in steps.iter().enumerate() {
-            state = try_step(low, &state, step, max_buffer).ok_or_else(|| {
+            let from = stepped.as_ref().unwrap_or(parent);
+            stepped = Some(try_step(low, from, step, max_buffer).ok_or_else(|| {
                 fail(format!(
                     "micro-step {k} (t{}) is not enabled in the parent's state",
                     step.tid
                 ))
-            })?;
+            })?);
         }
+        let state = stepped.unwrap_or_else(|| parent.clone());
         let (state, inverse) = match canon {
             Some(c) => c.canonicalize(state),
             None => (state, None),
@@ -1280,10 +1288,8 @@ mod tests {
         assert!(decode_steps(&enc[..enc.len() - 1]).is_err());
     }
 
-    #[test]
-    fn semantic_replay_accepts_a_real_run_and_rejects_a_forged_fingerprint() {
-        // A one-thread program with a deterministic two-step run; the
-        // witness is built by hand from the semantics, as the engine would.
+    /// A one-thread program with a deterministic run, lowered.
+    fn two_write_program() -> Program {
         let source = r#"
             level A {
                 var x: uint32;
@@ -1297,7 +1303,53 @@ mod tests {
         "#;
         let module = armada_lang::parse_module(source).expect("parses");
         let typed = armada_lang::check_module(&module).expect("typechecks");
-        let low = lower(&typed, "A").expect("lowers");
+        lower(&typed, "A").expect("lowers")
+    }
+
+    /// A one-obligation witness rooted at `low`'s initial state whose
+    /// edge replays `steps`; the child fingerprint is arbitrary.
+    fn one_edge_witness(low: &Program, steps: &[Step]) -> Witness {
+        let init = initial_state(low).expect("initial state");
+        let mut b = WitnessBuilder::new(false, 8, Vec::new(), StateArena::fingerprint(&init), 1);
+        b.push_node(
+            0,
+            0x5eed,
+            2,
+            encode_steps(steps),
+            steps.len() as u32,
+            Vec::new(),
+        );
+        b.seal(true, 2, steps.len() as u64)
+    }
+
+    #[test]
+    fn a_disabled_micro_step_is_rejected_naming_it() {
+        let low = two_write_program();
+        let init = initial_state(&low).expect("initial state");
+        let (first, _) = armada_sm::enabled_steps(&low, &init, &[], 8)
+            .into_iter()
+            .next()
+            .expect("one enabled step");
+        let absent = Step::instr(7);
+        for (steps, k) in [
+            (vec![absent.clone()], 0),
+            (vec![first.clone(), absent.clone(), first.clone()], 1),
+        ] {
+            assert_eq!(
+                replay(&one_edge_witness(&low, &steps), &low),
+                Err(RecheckError::Obligation {
+                    index: 0,
+                    reason: format!("micro-step {k} (t7) is not enabled in the parent's state"),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn semantic_replay_accepts_a_real_run_and_rejects_a_forged_fingerprint() {
+        // A deterministic run; the witness is built by hand from the
+        // semantics, as the engine would.
+        let low = two_write_program();
         let init = initial_state(&low).expect("initial state");
         let fp0 = StateArena::fingerprint(&init);
         let steps = armada_sm::enabled_steps(&low, &init, &[], 8);
