@@ -144,3 +144,29 @@ fn clean_records_recheck_and_are_byte_identical_across_job_counts() {
         }
     }
 }
+
+/// Every record of the five case-study models rechecks under full
+/// semantic replay, queue's 25,548-obligation `WeakRefinesSpec` witness
+/// (the largest the pipeline emits) included.
+#[test]
+fn case_study_records_recheck_with_replay() {
+    let mut largest = 0;
+    for (name, source) in [
+        ("barrier", armada_cases::barrier::MODEL),
+        ("pointers", armada_cases::pointers::MODEL),
+        ("mcs_lock", armada_cases::mcs_lock::MODEL),
+        ("queue", armada_cases::queue::MODEL),
+        ("tsp", armada_cases::tsp::MODEL),
+    ] {
+        let records = certs(source, 1);
+        assert!(!records.is_empty(), "{name}: no certificates emitted");
+        for cert in &records {
+            let report = recheck_record(&serialize(cert), Some(source))
+                .unwrap_or_else(|e| panic!("{name} {} ⊑ {}: rejected: {e}", cert.low, cert.high));
+            assert!(report.replayed, "{name}: replay did not run");
+            assert_eq!(report.obligations, cert.witness.obligations.len());
+            largest = largest.max(report.obligations);
+        }
+    }
+    assert!(largest > 25_000, "the queue witness shrank: {largest}");
+}
