@@ -79,8 +79,6 @@ pub fn run(ctx: &StrategyCtx<'_>) -> StrategyReport {
     };
 
     // --- mover classification over the reachable states --------------------
-    // Mover checks quantify over every reachable state, in original
-    // coordinates: the unreduced low-level graph.
     let mut graph = match ctx.low_graph() {
         Ok(graph) => graph,
         Err(err) => return ctx.structural_failure(format!("initial state: {err}")),
