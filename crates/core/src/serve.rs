@@ -30,9 +30,9 @@
 //!   the cache for the retry.
 //! * **Retries.** A worker that panics outside the pipeline's own
 //!   isolation (or is killed by an injected [`ServerFate::WorkerKill`])
-//!   is retried with bounded exponential backoff
-//!   ([`armada_runtime::Backoff`]); verification is deterministic,
-//!   so a retry can only reproduce the fault-free verdict.
+//!   is retried immediately, a bounded number of times. Verification is
+//!   deterministic, so waiting between attempts buys nothing, and a retry
+//!   can only reproduce the fault-free verdict.
 //! * **Fault injection.** A [`ServerPlan`] pins [`ServerFate`]s to request
 //!   admission ordinals, driving the daemon-level taxonomy (worker kills,
 //!   tier-2 corruption under a live reader, accept-path deadline jitter,
@@ -53,7 +53,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use armada_runtime::Backoff;
 use armada_runtime::CounterSet;
 use armada_verify::store::{CertKey, ReadFault};
 use armada_verify::tier::TieredStore;
@@ -640,7 +639,6 @@ fn run_job(shared: &Shared, job: &Job) -> Outcome {
         config.store.clone()
     };
 
-    let mut backoff = Backoff::new();
     let mut last_panic = String::new();
     for attempt in 0..=config.retries {
         let run = catch_unwind(AssertUnwindSafe(|| {
@@ -681,7 +679,6 @@ fn run_job(shared: &Shared, job: &Job) -> Outcome {
                 last_panic = crate::panic_text(&*payload);
                 if attempt < config.retries {
                     shared.stats.retries.fetch_add(1, Ordering::SeqCst);
-                    backoff.snooze();
                 }
             }
         }

@@ -26,13 +26,11 @@
 //!   (certificate-store keys and checksums);
 //! * [`json`] — the one JSON codec: the serve wire format, the fuzz
 //!   report and the benchmark reports;
-//! * [`ring`] — generic cache-line-padded SPSC rings with bounded-spin
-//!   backoff, the transport under [`wave`]'s worker pool;
 //! * [`telemetry`] — per-stage latency/occupancy histograms with
 //!   power-of-two buckets, cheap enough to leave on in the hot path;
 //! * [`wave`] — the one scheduler behind every compute fan-out: a
-//!   persistent batched pool for the engines' waves and a fork-join map
-//!   for a few heavy items.
+//!   fork-join map over recipes, antichain shards, and the engines' wave
+//!   chunks.
 
 pub mod barrier;
 pub mod generated;
@@ -42,7 +40,6 @@ pub mod json;
 pub mod mcs;
 pub mod measure;
 pub mod prng;
-pub mod ring;
 pub mod spsc;
 pub mod telemetry;
 pub mod wave;
@@ -52,7 +49,6 @@ pub use hash::{fnv1a_64, Fnv64};
 pub use mcs::McsMutex;
 pub use measure::{queue_throughput_ops_per_sec, Stats};
 pub use prng::{run_seeded_cases, SplitMix64};
-pub use ring::Backoff;
 pub use spsc::{spsc_queue, Bitmask, Consumer, HwTso, Modulo, Producer, SeqCstConservative};
 pub use telemetry::{CounterSet, Histogram, Stage, StageTelemetry};
 

@@ -13,15 +13,15 @@
 //! hash-consed to dense ids with cached 64-bit fingerprints, so seen-set
 //! probes are integer bucket lookups and the frontier carries 4-byte ids,
 //! not cloned state trees. Within a wave the engine runs a *stage
-//! pipeline* — ingress → explore → subsume → commit — on an
-//! [`armada_runtime::wave::Pool`]: the coordinator ingresses wave slots,
-//! the pool's workers enumerate successors, and the coordinator commits
-//! expansions serially *in wave-slot order* (arena dedup — the subsume
-//! stage — then interning and `max_states` accounting). The pool returns
-//! results in slot order for any worker count, so results — including
-//! truncation points — are byte-identical for any job count. With
-//! `jobs = 1`, and for narrow waves, the same stages run inline on one
-//! thread.
+//! pipeline* — ingress → explore → subsume → commit: the calling thread
+//! ingresses a group of wave slots, [`armada_runtime::wave::map`]'s
+//! workers enumerate their successors chunk by chunk, and the calling
+//! thread commits the expansions serially *in wave-slot order* (arena
+//! dedup — the subsume stage — then interning and `max_states`
+//! accounting). `map` returns results in index order for any worker
+//! count, so results — including truncation points — are byte-identical
+//! for any job count. With `jobs = 1`, and for narrow waves, the same
+//! stages run inline on one thread, one slot at a time.
 //!
 //! With [`Bounds::reduction`] on (the default), expansion fuses maximal
 //! runs of thread-local steps into single macro-transitions (see
@@ -42,8 +42,8 @@ use crate::state::{initial_state, ProgState, Termination};
 use crate::step::{enabled_steps, try_step, Step, StepKind};
 use crate::value::Value;
 use armada_runtime::telemetry::{Stage, StageTelemetry};
-use armada_runtime::wave::Pool;
-use std::ops::ControlFlow;
+use armada_runtime::wave;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -567,8 +567,14 @@ fn commit_slot(
     }
 }
 
+/// Wave chunks per worker that one group of a wide wave holds in flight.
+/// Bounds the inputs built ahead of commit — and thus memory, since a
+/// spilled state faults in when its group is built — and how much work a
+/// mid-wave deadline cut discards.
+const GROUP_CHUNKS: usize = 64;
+
 /// The engine behind [`explore_from`]: a four-stage pipeline whose
-/// explore stage runs on a [`Pool`] of [`Bounds::jobs`] workers.
+/// explore stage runs on [`wave::map`] with [`Bounds::jobs`] workers.
 fn explore_from_impl(
     program: &Program,
     initial: ProgState,
@@ -688,94 +694,118 @@ fn explore_from_impl(
         Expansion::Edges(edges)
     };
 
-    let expand = |(state, sampled): (Arc<ProgState>, bool), tel: &mut StageTelemetry| {
+    // The explore stage, timed when ingress sampled the slot; the sample
+    // travels back with the expansion and is recorded at commit.
+    let expand = |(state, sampled): &(Arc<ProgState>, bool)| {
         let started = sampled.then(Instant::now);
-        let expansion = expand_state(&state);
-        if let Some(started) = started {
-            let n = match &expansion {
-                Expansion::Edges(edges) => edges.len(),
-                _ => 0,
-            };
-            tel.record_batch(Stage::Explore, started.elapsed(), n);
-        }
-        expansion
+        (expand_state(state), started.map(|s| s.elapsed()))
     };
 
-    // This thread is ingress + subsume + commit; the pool runs the explore
-    // stage and hands expansions back in slot order, so commit sees the
-    // serial wave order at any worker count. The sampling decision is
-    // made here at ingress, so it depends only on slot position.
+    // This thread is ingress + subsume + commit; `wave::map` runs the
+    // explore stage and hands expansions back in slot order, so commit
+    // sees the serial wave order at any worker count. The sampling
+    // decision is made here at ingress, so it depends only on slot
+    // position.
     let mut explore_sampler = 0usize;
-    let (panic, pool_tel) = Pool::scope(bounds.jobs, &expand, |pool| {
-        while !wave.is_empty() && !result.truncated {
-            if let Some(ck) = checkpoint.as_mut() {
-                ck.save(
-                    &mut result.arena,
-                    &wave,
-                    result.transitions,
-                    result.micro_steps,
-                    &terminals,
-                );
-            }
-            if bounds.deadline_expired() {
-                result.truncated = true;
-                break;
-            }
-            let mut next_wave: Vec<StateId> = Vec::new();
-            let mut cs = CommitState::default();
-            let mut panic = None;
-            let wave_started = record.then(Instant::now);
-            pool.wave(
-                wave.len(),
-                &mut result,
-                |result, slot| {
-                    let state = result.arena.get_arc_mut(wave[slot]);
-                    (state, sample_slot(record, &mut explore_sampler))
-                },
-                |result, slot, expansion| {
-                    match expansion {
-                        Ok(expansion) => commit_slot(
-                            result,
-                            &mut next_wave,
-                            bounds,
-                            wave[slot],
-                            expansion,
-                            &mut cs,
-                            record,
-                            tel,
-                            &mut terminals,
-                            table.as_deref_mut(),
-                        ),
-                        Err(payload) => panic = Some(payload),
-                    }
-                    // A deadline cut discards the rest of the wave
-                    // uncommitted and uncounted.
-                    if panic.is_some() || cs.deadline_cut {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
+    let mut batches = 0usize;
+    while !wave.is_empty() && !result.truncated {
+        if let Some(ck) = checkpoint.as_mut() {
+            ck.save(
+                &mut result.arena,
+                &wave,
+                result.transitions,
+                result.micro_steps,
+                &terminals,
             );
-            if panic.is_some() {
-                return panic;
-            }
-            if let Some(started) = wave_started {
-                // Ingress batches time a whole wave's coordination
-                // (dispatch through final commit): the wave wall-time
-                // curve against wave width.
-                tel.record_batch(Stage::Ingress, started.elapsed(), wave.len());
-            }
-            wave = next_wave;
         }
-        None
-    });
-    // Re-raised only now that the pool's workers have been joined.
-    if let Some(payload) = panic {
-        std::panic::resume_unwind(payload);
+        if bounds.deadline_expired() {
+            result.truncated = true;
+            break;
+        }
+        let mut next_wave: Vec<StateId> = Vec::new();
+        let mut cs = CommitState::default();
+        let wave_started = record.then(Instant::now);
+        // Commits one slot; true when a deadline cut discards the rest of
+        // the wave uncommitted and uncounted.
+        let mut commit = |result: &mut Exploration, slot: usize, (expansion, sample)| {
+            if let Some(elapsed) = sample {
+                let n = match &expansion {
+                    Expansion::Edges(edges) => edges.len(),
+                    _ => 0,
+                };
+                tel.record_batch(Stage::Explore, elapsed, n);
+            }
+            commit_slot(
+                result,
+                &mut next_wave,
+                bounds,
+                wave[slot],
+                expansion,
+                &mut cs,
+                record,
+                tel,
+                &mut terminals,
+                table.as_deref_mut(),
+            );
+            cs.deadline_cut
+        };
+        if wave::runs_inline(bounds.jobs, wave.len()) {
+            for (slot, &id) in wave.iter().enumerate() {
+                let input = (
+                    result.arena.get_arc_mut(id),
+                    sample_slot(record, &mut explore_sampler),
+                );
+                if commit(&mut result, slot, expand(&input)) {
+                    break;
+                }
+            }
+        } else {
+            // Wide waves go to the workers in groups of `GROUP_CHUNKS`
+            // chunks per worker.
+            let group = bounds.jobs * GROUP_CHUNKS * wave::CHUNK;
+            'groups: for start in (0..wave.len()).step_by(group) {
+                // The inputs' state handles are dropped as soon as the
+                // group is expanded, before commit.
+                let expanded = {
+                    let inputs: Vec<(Arc<ProgState>, bool)> = wave[start..]
+                        .iter()
+                        .take(group)
+                        .map(|&id| {
+                            (
+                                result.arena.get_arc_mut(id),
+                                sample_slot(record, &mut explore_sampler),
+                            )
+                        })
+                        .collect();
+                    let chunks: Vec<&[(Arc<ProgState>, bool)]> =
+                        inputs.chunks(wave::CHUNK).collect();
+                    batches += chunks.len();
+                    wave::map(bounds.jobs, &chunks, |_, chunk| {
+                        chunk.iter().map(expand).collect::<Vec<_>>()
+                    })
+                };
+                // The lowest panicking chunk holds the lowest panicking
+                // slot; the workers are already joined.
+                let expanded = expanded
+                    .into_iter()
+                    .flat_map(|chunk| chunk.unwrap_or_else(|payload| resume_unwind(payload)));
+                for (slot, out) in (start..).zip(expanded) {
+                    if commit(&mut result, slot, out) {
+                        break 'groups;
+                    }
+                }
+            }
+        }
+        if let Some(started) = wave_started {
+            // Ingress batches time a whole wave's coordination
+            // (dispatch through final commit): the wave wall-time curve
+            // against wave width.
+            tel.record_batch(Stage::Ingress, started.elapsed(), wave.len());
+        }
+        wave = next_wave;
     }
-    if record {
-        tel.merge(&pool_tel);
+    if batches > 0 {
+        tel.counters_mut().add(wave::BATCHES, batches as u64);
     }
     // A clean, complete run needs no resume point; leaving one behind
     // would make a later `--resume` of the same directory skip work it
@@ -1001,8 +1031,8 @@ mod tests {
     }"#;
 
     /// Two writer threads of nondeterministic TSO writes: waves reach
-    /// well past the pool's narrow-wave threshold, so `jobs > 1` runs
-    /// take the ring path (asserted through `wave.batches`).
+    /// well past the narrow-wave threshold, so `jobs > 1` runs hand
+    /// chunks to `wave::map` workers (asserted through `wave.batches`).
     const WIDE: &str = r#"level L {
         var a: uint32;
         var b: uint32;
@@ -1027,33 +1057,33 @@ mod tests {
         assert_eq!(serial.truncated, other.truncated, "{tag}");
     }
 
-    /// `explore` at `bounds`, asserting the pool handed batches to its
+    /// `explore` at `bounds`, asserting chunks were handed to `wave::map`
     /// workers (so the run cannot silently have stayed inline).
-    fn explore_on_rings(p: &Program, bounds: &Bounds) -> (Exploration, StageTelemetry) {
+    fn explore_in_parallel(p: &Program, bounds: &Bounds) -> (Exploration, StageTelemetry) {
         let (e, tel) = explore_with_telemetry(p, bounds);
         assert!(
             tel.counters().get("wave.batches") > 0,
-            "jobs={}: no wave took the ring path",
+            "jobs={}: no wave ran in parallel",
             bounds.jobs
         );
         (e, tel)
     }
 
     #[test]
-    fn wide_waves_take_the_ring_path_and_match_serial() {
+    fn wide_waves_run_in_parallel_and_match_serial() {
         let p = program(WIDE);
         for reduction in [true, false] {
             let bounds = Bounds::small().with_reduction(reduction);
             let serial = explore(&p, &bounds);
-            let (parallel, _) = explore_on_rings(&p, &bounds.clone().with_jobs(4));
+            let (parallel, _) = explore_in_parallel(&p, &bounds.clone().with_jobs(4));
             assert_same(&serial, &parallel, &format!("reduction={reduction}"));
         }
     }
 
     #[test]
     fn narrow_waves_run_inline_and_match_serial() {
-        // RACY's waves are all narrower than the pool's threshold: a jobs=4
-        // run hands no batch to a worker and still matches exactly.
+        // RACY's waves are all narrower than the narrow-wave threshold: a
+        // jobs=4 run hands no chunk to a worker and still matches exactly.
         let p = program(RACY);
         let serial = explore(&p, &Bounds::small());
         let (inline, tel) = explore_with_telemetry(&p, &Bounds::small().with_jobs(4));
@@ -1083,12 +1113,12 @@ mod tests {
 
     #[test]
     fn pipeline_matches_serial_at_many_job_counts() {
-        // The ring path must reproduce the inline engine exactly at any
-        // worker count.
+        // The parallel path must reproduce the inline engine exactly at
+        // any worker count.
         let p = program(WIDE);
         let serial = explore(&p, &Bounds::small());
         for jobs in [2, 3, 8] {
-            let (parallel, _) = explore_on_rings(&p, &Bounds::small().with_jobs(jobs));
+            let (parallel, _) = explore_in_parallel(&p, &Bounds::small().with_jobs(jobs));
             assert_same(&serial, &parallel, &format!("jobs={jobs}"));
         }
     }

@@ -56,12 +56,12 @@
 //!
 //! With [`Bounds::jobs`] > 1 the product search runs multi-core, and the
 //! result is **byte-identical** to the serial run. The engine is a stage
-//! pipeline (ingress → explore → subsume → commit): the coordinator thread
-//! feeds wave slots to an `armada_runtime::wave::Pool` of `jobs`
-//! persistent explore workers and collects results strictly in slot
+//! pipeline (ingress → explore → subsume → commit): the calling thread
+//! hands a wave's nodes to `armada_runtime::wave::map` in 16-slot chunks,
+//! `jobs` workers expand them, and the results come back strictly in slot
 //! order. Expansion (low-step enumeration plus match-set computation
 //! against the memoized high-level graph) is the hot path. Commit is split
-//! in two: a **shard-parallel subsumption phase** (`wave::map`)
+//! in two: a **shard-parallel subsumption phase** (`wave::map` again)
 //! partitions the wave's successors by low-state fingerprint across
 //! `jobs * 4` antichain shards — each shard scans its
 //! successors in global wave order, so decisions match the serial scan
@@ -80,14 +80,13 @@ pub mod tier;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
-use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use armada_proof::{Observation, RefinementRelation};
 use armada_recheck::{Witness, WitnessBuilder};
 use armada_runtime::telemetry::{Stage, StageTelemetry};
-use armada_runtime::wave::{self, Panic, Pool};
+use armada_runtime::wave;
 use armada_sm::arena::FpIdentityHasher;
 use armada_sm::{
     initial_state, Bounds, Canonicalizer, ProgState, Program, Reducer, StateArena, StateId, Step,
@@ -97,10 +96,10 @@ use armada_sm::{
 /// Deterministic in-search fault injection (fuzzing only; the default
 /// injects nothing). These model workers going *slow or dead* inside one
 /// semantic check — a stalled refinement relation, a delayed cooperative
-/// cancel, an aborted pool slot — so the checker's graceful-degradation
+/// cancel, an aborted wave slot — so the checker's graceful-degradation
 /// paths can be exercised reproducibly. None of them may ever change a
 /// verdict relative to a fault-free run except by surfacing the documented
-/// degraded outcomes (deadline expiry, a drained panic).
+/// degraded outcomes (deadline expiry, a re-raised panic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckFaults {
     /// Microseconds slept at every wave boundary: a slow relation or a
@@ -113,8 +112,8 @@ pub struct CheckFaults {
     /// still at a wave boundary, still deterministically.
     pub cancel_delay_waves: usize,
     /// Panic while expanding `(wave, slot)` — an aborted worker slot. The
-    /// pool's panic drain re-raises it from the lowest failing slot, so the
-    /// failure is identical at any job count.
+    /// engine re-raises the lowest failing slot's panic once the workers
+    /// are joined, so the failure is identical at any job count.
     pub abort_slot: Option<(usize, usize)>,
 }
 
@@ -682,8 +681,8 @@ struct SuccOut {
     matches: Option<MatchSet>,
 }
 
-/// Shared read-only context for expanding product nodes; everything a
-/// pipeline explore worker needs besides the node itself.
+/// Shared read-only context for expanding product nodes; everything an
+/// explore worker needs besides the node itself.
 struct ExpandCtx<'e, 'p> {
     low: &'p Program,
     canon: Option<&'e Canonicalizer>,
@@ -697,8 +696,7 @@ struct ExpandCtx<'e, 'p> {
 
 /// Expands one product node: enumerates its (possibly fused) low edges and
 /// computes each successor's match set. Reads only the node's own fields
-/// and the shared [`ExpandCtx`], so pipeline workers never touch the
-/// growing `nodes` vector.
+/// and the shared [`ExpandCtx`].
 fn expand_node(
     ctx: &ExpandCtx<'_, '_>,
     low_state: &Arc<ProgState>,
@@ -773,20 +771,6 @@ fn expand_node(
             }
         })
         .collect()
-}
-
-/// A wave slot's input for the explore stage: the owned (`Arc`-shared)
-/// pieces of its product node, so workers never borrow the coordinator's
-/// growing `nodes` vector.
-struct Job {
-    low: Arc<ProgState>,
-    set_id: u32,
-    matches: MatchSet,
-    orig: Option<Arc<Vec<Tid>>>,
-    /// Injected worker-slot abort (fuzzing), naming the slot: the panic
-    /// rides the same path as an organic worker panic, so it must surface
-    /// identically at any job count.
-    abort: Option<usize>,
 }
 
 /// The antichain seen-set, sharded by low-state fingerprint. Each shard
@@ -1128,51 +1112,30 @@ fn check_refinement_impl(
         memo: &memo,
     };
 
-    // The explore stage: one product node's low edges and match sets.
-    // Every slot is timed — a product-node expansion is heavy enough that
-    // sampling would only blur the histogram.
-    let expand = |job: Job, tel: &mut StageTelemetry| {
-        let started = record.then(Instant::now);
-        if let Some(slot) = job.abort {
-            panic!("injected fault: worker slot {slot} aborted");
-        }
-        let successors = expand_node(&ctx, &job.low, job.set_id, &job.matches, &job.orig);
-        if let Some(started) = started {
-            tel.record_batch(Stage::Explore, started.elapsed(), successors.len());
-        }
-        successors
-    };
-    let (outcome, pool_tel) = Pool::scope(jobs, &expand, |pool| {
-        run_search(
-            low,
-            high,
-            config,
-            jobs,
-            &mut nodes,
-            set_ids,
-            &seen_low,
-            &mut pending,
-            pool,
-            record,
-            tel,
-            &high_graph,
-            &mut ck,
-            canon.is_some(),
-            low_transitions,
-            wave_index,
-        )
-    });
-    if record {
-        tel.merge(&pool_tel);
-    }
+    let outcome = run_search(
+        low,
+        high,
+        config,
+        jobs,
+        &ctx,
+        &mut nodes,
+        set_ids,
+        &seen_low,
+        &mut pending,
+        record,
+        tel,
+        &mut ck,
+        canon.is_some(),
+        low_transitions,
+        wave_index,
+    );
 
     // A definitive verdict — verified, or refuted with a counterexample —
     // needs no resume point; budget and deadline exhaustion keep theirs so
     // a rerun with raised budgets continues instead of restarting.
     let definitive = match &outcome {
-        SearchOutcome::Done(Ok(_)) => true,
-        SearchOutcome::Done(Err(cex)) => !cex.kind.is_budget(),
-        SearchOutcome::Panicked(_) => false,
+        Ok(_) => true,
+        Err(cex) => !cex.kind.is_budget(),
     };
     if definitive {
         if let Some(ck) = ck.as_mut() {
@@ -1195,44 +1158,31 @@ fn check_refinement_impl(
         }
     }
 
-    match outcome {
-        SearchOutcome::Done(result) => result,
-        // Re-raised outside the pool's scope: its workers have already
-        // been joined, so the panic cannot strand a thread.
-        SearchOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
-    }
+    outcome
 }
 
-/// The search loop's terminal state: a verdict, or a worker panic to
-/// re-raise once the pipeline has shut down.
-enum SearchOutcome {
-    Done(Result<RefinementCert, Box<Counterexample>>),
-    Panicked(Panic),
-}
-
-/// The wave loop of the product search; `pool` runs the explore stage.
-/// Everything order-sensitive — subsumption, match-set interning, node
-/// admission, budget cuts, counterexample selection — happens here, on
-/// one thread, in global wave order.
+/// The wave loop of the product search; [`wave::map`] runs the explore
+/// stage over `ctx`. Everything order-sensitive — subsumption, match-set
+/// interning, node admission, budget cuts, counterexample selection —
+/// happens here, on one thread, in global wave order.
 #[allow(clippy::too_many_arguments)]
 fn run_search(
     low: &Program,
     high: &Program,
     config: &SimConfig,
     jobs: usize,
+    ctx: &ExpandCtx<'_, '_>,
     nodes: &mut Vec<Node>,
     set_ids: &mut SetIds,
     seen_low: &LowSeen,
     pending: &mut BTreeMap<usize, Vec<usize>>,
-    pool: &mut Pool<'_, Job, Vec<SuccOut>>,
     record: bool,
     tel: &mut StageTelemetry,
-    high_graph: &Mutex<HighGraph<'_>>,
     ck: &mut Option<checkpoint::VerifyCheckpoint>,
     symmetry_on: bool,
     mut low_transitions: usize,
     mut wave_index: usize,
-) -> SearchOutcome {
+) -> Result<RefinementCert, Box<Counterexample>> {
     let trace_of = |nodes: &[Node], mut node: usize| {
         let mut rev: Vec<String> = Vec::new();
         while let Some((parent, descs)) = &nodes[node].parent {
@@ -1258,7 +1208,7 @@ fn run_search(
         // by redoing the wave — which commits identically, because commit
         // order is deterministic.
         if let Some(ck) = ck.as_mut() {
-            let mut hg = lock(high_graph);
+            let mut hg = lock(ctx.high);
             ck.save(
                 nodes,
                 &set_ids.sets,
@@ -1286,7 +1236,7 @@ fn run_search(
         // waves; expiry then surfaces late but still deterministically.
         if wave_index >= config.faults.cancel_delay_waves && config.bounds.deadline_expired() {
             let node_id = wave[0];
-            return SearchOutcome::Done(Err(Box::new(Counterexample {
+            return Err(Box::new(Counterexample {
                 kind: CexKind::Deadline,
                 description: format!(
                     "wall-clock deadline exceeded ({} product nodes explored); \
@@ -1296,59 +1246,67 @@ fn run_search(
                 trace: trace_of(nodes, node_id),
                 steps: steps_of(nodes, node_id),
                 state: (*nodes[node_id].low).clone(),
-            })));
+            }));
         }
 
-        // Explore phase: expand every wave node on the pool, flattening
-        // the successors to global wave order: (parent node id,
-        // successor). The lowest panicking slot stops the search.
+        // Explore phase: expand every wave node, in 16-slot chunks on
+        // `wave::map` unless the wave is narrow, flattening the
+        // successors to global wave order: (parent node id, successor).
+        // Every slot is timed — a product-node expansion is heavy enough
+        // that sampling would only blur the histogram — and the samples
+        // travel back with their chunk's successors. The lowest panicking
+        // slot stops the search, re-raised here once the workers are
+        // joined.
         let abort_slot = config
             .faults
             .abort_slot
             .filter(|&(wave_at, _)| wave_at == wave_index)
             .map(|(_, slot)| slot);
         wave_index += 1;
-        let mut flat: Vec<(usize, SuccOut)> = Vec::new();
-        let mut panic = None;
-        pool.wave(
-            wave.len(),
-            &mut flat,
-            |_, slot| {
-                let node = &nodes[wave[slot]];
-                Job {
-                    low: Arc::clone(&node.low),
-                    set_id: node.set_id,
-                    matches: Arc::clone(&node.matches),
-                    orig: node.orig.clone(),
-                    abort: (abort_slot == Some(slot)).then_some(slot),
-                }
-            },
-            |flat, slot, successors| match successors {
-                Ok(successors) => {
-                    flat.extend(successors.into_iter().map(|succ| (wave[slot], succ)));
-                    ControlFlow::Continue(())
-                }
-                Err(payload) => {
-                    panic = Some(payload);
-                    ControlFlow::Break(())
-                }
-            },
-        );
-        if let Some(payload) = panic {
-            return SearchOutcome::Panicked(payload);
-        }
-
-        // Commit phase A (shard-parallel): antichain subsumption per
-        // low-state fingerprint shard, decisions identical to a serial
-        // scan (see `LowSeen`). Inline whenever the pool ran the wave
-        // inline.
-        let subsume_started = record.then(Instant::now);
-        let shard_jobs = if pool.runs_inline(wave.len()) {
+        let workers = if wave::runs_inline(jobs, wave.len()) {
             1
         } else {
             jobs
         };
-        let subsumed = sharded_subsumption(&flat, seen_low, shard_jobs);
+        let chunks: Vec<&[usize]> = wave.chunks(wave::CHUNK).collect();
+        let wave_nodes: &[Node] = nodes;
+        let expanded = wave::map(workers, &chunks, |chunk_index, chunk| {
+            let mut succs: Vec<(usize, SuccOut)> = Vec::new();
+            let mut samples = Vec::new();
+            for (offset, &id) in chunk.iter().enumerate() {
+                let slot = chunk_index * wave::CHUNK + offset;
+                if abort_slot == Some(slot) {
+                    panic!("injected fault: worker slot {slot} aborted");
+                }
+                let started = record.then(Instant::now);
+                let node = &wave_nodes[id];
+                let successors =
+                    expand_node(ctx, &node.low, node.set_id, &node.matches, &node.orig);
+                if let Some(started) = started {
+                    samples.push((started.elapsed(), successors.len()));
+                }
+                succs.extend(successors.into_iter().map(|succ| (id, succ)));
+            }
+            (succs, samples)
+        });
+        if workers > 1 {
+            tel.counters_mut().add(wave::BATCHES, chunks.len() as u64);
+        }
+        let mut flat: Vec<(usize, SuccOut)> = Vec::new();
+        for expanded in expanded {
+            let (succs, samples) =
+                expanded.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (elapsed, n) in samples {
+                tel.record_batch(Stage::Explore, elapsed, n);
+            }
+            flat.extend(succs);
+        }
+
+        // Commit phase A (shard-parallel): antichain subsumption per
+        // low-state fingerprint shard, decisions identical to a serial
+        // scan (see `LowSeen`). Inline whenever the explore phase was.
+        let subsume_started = record.then(Instant::now);
+        let subsumed = sharded_subsumption(&flat, seen_low, workers);
         if let Some(started) = subsume_started {
             tel.record_batch(Stage::Subsume, started.elapsed(), flat.len());
         }
@@ -1421,33 +1379,33 @@ fn run_search(
         if !failures.is_empty() {
             failures.sort_by(|a, b| (&a.0, &a.2).cmp(&(&b.0, &b.2)));
             let (trace, desc, state, steps) = failures.into_iter().next().expect("nonempty");
-            return SearchOutcome::Done(Err(Box::new(Counterexample {
+            return Err(Box::new(Counterexample {
                 kind: CexKind::Refinement,
                 description: format!("no high-level behavior matches after `{desc}`"),
                 trace,
                 steps,
                 state: (*state).clone(),
-            })));
+            }));
         }
         if let Some(budget) = budget_failure {
-            return SearchOutcome::Done(Err(budget));
+            return Err(budget);
         }
     }
 
     let witness = emit_witness(
         nodes,
-        high_graph,
+        ctx.high,
         symmetry_on,
         config.bounds.max_buffer,
         wave_index,
     );
-    SearchOutcome::Done(Ok(RefinementCert {
+    Ok(RefinementCert {
         low: low.name.clone(),
         high: high.name.clone(),
         product_nodes: nodes.len(),
         low_transitions,
         witness,
-    }))
+    })
 }
 
 /// Emits the machine-checkable witness from the finished product graph.
@@ -1837,12 +1795,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_waves_take_the_ring_path_and_match_serial() {
+    fn wide_waves_run_in_parallel_and_match_serial() {
         // Two writer threads of nondeterministic TSO writes, refined by
-        // an identical copy: product waves reach well past the pool's
-        // narrow-wave threshold, so jobs=4 hands batches to its workers
-        // (asserted through `wave.batches`) and must still produce the
-        // identical certificate, witness included.
+        // an identical copy: product waves reach well past the
+        // narrow-wave threshold, so jobs=4 hands chunks to `wave::map`
+        // workers (asserted through `wave.batches`) and must still
+        // produce the identical certificate, witness included.
         let level = |name: &str| {
             format!(
                 "level {name} {{
@@ -1870,7 +1828,7 @@ mod tests {
         assert_eq!(serial, parallel.unwrap());
         assert!(
             tel.counters().get("wave.batches") > 0,
-            "no wave took the ring path"
+            "no wave ran in parallel"
         );
     }
 

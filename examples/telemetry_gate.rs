@@ -20,7 +20,7 @@ use armada::sm::{explore, explore_with_telemetry, lower, Bounds};
 use std::time::Instant;
 
 /// Two racing writer threads of nondeterministic TSO writes — the same
-/// wide-frontier subject the `pipeline_scaling` bench uses.
+/// wide-frontier subject as `armada-sm`'s wide-wave identity tests.
 const WIDE: &str = r#"level L {
     var a: uint32;
     var b: uint32;

@@ -239,12 +239,13 @@ if [[ "${1:-}" == "--full" ]]; then
         grep -q "pipeline telemetry" "$SMOKE_DIR/pipe_tel.err" \
             || { echo "$spec: --telemetry printed no histograms"; exit 1; }
     done
-    # The specs' waves are mostly narrower than the wave pool's threshold,
+    # The specs' waves are mostly narrower than the narrow-wave threshold,
     # so the loop above mostly diffs inline runs. One identity test per
-    # engine runs jobs=1 vs jobs=4 on waves wide enough for the ring path
-    # and asserts (via the `wave.batches` counter) that it was taken.
+    # engine runs jobs=1 vs jobs=4 on waves wide enough to reach the
+    # `wave::map` workers and asserts (via the `wave.batches` counter)
+    # that they were reached.
     cargo test -q --offline -p armada-sm -p armada-verify \
-        wide_waves_take_the_ring_path_and_match_serial
+        wide_waves_run_in_parallel_and_match_serial
     # Resuming a refinement check mid-search (non-root match sets already
     # admitted) must reseed the match-set hash-cons table and reproduce
     # the uninterrupted certificate at jobs {1,4}.
@@ -281,11 +282,10 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "==> telemetry overhead gate (<2% of states/sec)"
     cargo run --release --offline --example telemetry_gate
 
-    echo "==> state_engine + symmetry + fuzz_campaign + pipeline + spill bench smoke"
+    echo "==> state_engine + symmetry + fuzz_campaign + spill bench smoke"
     cargo run --release --offline -p armada-bench --bin state_engine -- --quick
     cargo run --release --offline -p armada-bench --bin symmetry -- --quick
     cargo run --release --offline -p armada-bench --bin fuzz_campaign -- --quick
-    cargo run --release --offline -p armada-bench --bin pipeline_scaling -- --quick
     cargo run --release --offline -p armada-bench --bin spill -- --smoke
     # Quick and smoke runs print their reports; none may touch a committed
     # BENCH_*.json.

@@ -246,26 +246,32 @@ fn deadline_overshoot_is_bounded_even_mid_wave() {
     let typed = armada::lang::check_module(&module).expect("check");
     let program = armada::sm::lower(&typed, "L").expect("lower");
 
+    // At `jobs > 1` a wide wave is expanded a bounded group of chunks at a
+    // time ahead of commit, so the group bound caps the overshoot there.
     let deadline = Duration::from_millis(50);
-    let bounds = armada::sm::Bounds::small().with_deadline(deadline);
-    let started = Instant::now();
-    let exploration = armada::sm::explore(&program, &bounds);
-    let elapsed = started.elapsed();
-    assert!(
-        exploration.truncated,
-        "the deadline must cut this exploration short \
-         ({} states reached)",
-        exploration.arena.len()
-    );
-    // Generous margin for a loaded CI machine: the point is that the
-    // overshoot no longer scales with wave width (the full space takes
-    // many times this long to exhaust).
-    let margin = Duration::from_secs(2);
-    assert!(
-        elapsed < deadline + margin,
-        "deadline {deadline:?} overshot to {elapsed:?} (bound {:?})",
-        deadline + margin
-    );
+    for jobs in [1, 2] {
+        let bounds = armada::sm::Bounds::small()
+            .with_jobs(jobs)
+            .with_deadline(deadline);
+        let started = Instant::now();
+        let exploration = armada::sm::explore(&program, &bounds);
+        let elapsed = started.elapsed();
+        assert!(
+            exploration.truncated,
+            "jobs={jobs}: the deadline must cut this exploration short \
+             ({} states reached)",
+            exploration.arena.len()
+        );
+        // Generous margin for a loaded CI machine: the point is that the
+        // overshoot no longer scales with wave width (the full space takes
+        // many times this long to exhaust).
+        let margin = Duration::from_secs(2);
+        assert!(
+            elapsed < deadline + margin,
+            "jobs={jobs}: deadline {deadline:?} overshot to {elapsed:?} (bound {:?})",
+            deadline + margin
+        );
+    }
 }
 
 #[test]
