@@ -66,31 +66,30 @@ use crate::value::Value;
 use crate::StateArena;
 use std::collections::HashSet;
 
-/// Fusion cap: bounds the transient memory of one macro-transition (every
-/// intermediate state is materialized for trace reconstruction). Stopping
-/// at the cap is sound — the endpoint is expanded as its own state.
+/// Fusion cap: bounds the length of one macro-transition (and the
+/// fingerprint set its cycle check keeps). Stopping at the cap is sound —
+/// the endpoint is expanded as its own state.
 pub const MAX_FUSE: usize = 4096;
 
 /// A (possibly fused) transition: one or more micro-steps executed
 /// back-to-back by a single thread, presented as one edge.
+///
+/// Only the steps are kept, not the intermediate states of a fused run: a
+/// fused step is deterministic, so replaying the steps with
+/// [`try_step`](crate::step::try_step) from the edge's source state
+/// rebuilds every intermediate state on demand (the refinement checker
+/// does so only to render a counterexample trace).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacroStep {
     /// The underlying micro-steps, in execution order. Unfused transitions
     /// carry exactly one.
     pub steps: Vec<Step>,
-    /// The intermediate states threaded through a fused run: `mids[i]` is
-    /// the state *after* `steps[i]` and before `steps[i + 1]`; the state
-    /// after the final step is the edge's target. Empty when unfused.
-    pub mids: Vec<ProgState>,
 }
 
 impl MacroStep {
     /// An unfused single-step edge.
     pub fn single(step: Step) -> MacroStep {
-        MacroStep {
-            steps: vec![step],
-            mids: Vec::new(),
-        }
+        MacroStep { steps: vec![step] }
     }
 
     /// The number of micro-steps this edge represents.
@@ -177,16 +176,14 @@ impl<'p> Reducer<'p> {
     }
 
     /// Walks the maximal fused run of `tid` starting from its already-taken
-    /// first step, invoking `keep` on each intermediate state. Returns
-    /// `None` if the run revisits a state (C3: abandon reduction) and the
-    /// `(micro length, endpoint)` otherwise.
+    /// first step. Returns `None` if the run revisits a state (C3: abandon
+    /// reduction) and the `(micro length, endpoint)` otherwise.
     fn fuse_run(
         &self,
         origin: &ProgState,
         first: ProgState,
         tid: Tid,
         max_buffer: usize,
-        mut keep: impl FnMut(&ProgState),
     ) -> Option<(usize, ProgState)> {
         let mut run_fps = HashSet::new();
         run_fps.insert(StateArena::fingerprint(origin));
@@ -206,7 +203,6 @@ impl<'p> Reducer<'p> {
                 // reduction at this state entirely.
                 return None;
             }
-            keep(&cur);
             micro += 1;
             cur = next;
         }
@@ -230,8 +226,8 @@ impl<'p> Reducer<'p> {
     }
 
     /// Enumerates the (possibly fused) successor edges of `state`, with
-    /// full per-micro-step [`MacroStep`] detail — what the refinement
-    /// checker needs for trace reconstruction.
+    /// per-micro-step [`MacroStep`] detail — what the refinement checker
+    /// records for counterexample traces and witnesses.
     ///
     /// With `reduce` off, this is exactly [`enabled_steps`] with each edge
     /// wrapped as a singleton [`MacroStep`]. With `reduce` on, a state
@@ -248,12 +244,9 @@ impl<'p> Reducer<'p> {
     ) -> Vec<(MacroStep, ProgState)> {
         if reduce {
             if let Some((tid, first)) = self.ample_thread(state, max_buffer) {
-                let mut mids: Vec<ProgState> = Vec::new();
-                if let Some((micro, end)) =
-                    self.fuse_run(state, first, tid, max_buffer, |mid| mids.push(mid.clone()))
-                {
+                if let Some((micro, end)) = self.fuse_run(state, first, tid, max_buffer) {
                     let steps = vec![Step::instr(tid); micro];
-                    return vec![(MacroStep { steps, mids }, end)];
+                    return vec![(MacroStep { steps }, end)];
                 }
             }
         }
@@ -261,8 +254,8 @@ impl<'p> Reducer<'p> {
     }
 
     /// Lean edge enumeration for exploration: `(micro length, successor)`
-    /// per edge, skipping the [`MacroStep`] step-vector and intermediate
-    /// state clones that only trace reconstruction needs.
+    /// per edge, skipping the [`MacroStep`] step vectors that only the
+    /// refinement checker records.
     pub fn successors(
         &self,
         state: &ProgState,
@@ -272,7 +265,7 @@ impl<'p> Reducer<'p> {
     ) -> Vec<(usize, ProgState)> {
         if reduce {
             if let Some((tid, first)) = self.ample_thread(state, max_buffer) {
-                if let Some(edge) = self.fuse_run(state, first, tid, max_buffer, |_| {}) {
+                if let Some(edge) = self.fuse_run(state, first, tid, max_buffer) {
                     return vec![edge];
                 }
             }
@@ -349,7 +342,6 @@ mod tests {
             "the whole local loop fuses: {} steps",
             macro_step.micro_len()
         );
-        assert_eq!(macro_step.mids.len(), macro_step.micro_len() - 1);
         // The lean exploration path agrees on micro length and endpoint.
         let lean = Reducer::new(&p).successors(&initial, &pool, bounds.max_buffer, true);
         assert_eq!(lean, vec![(macro_step.micro_len(), target.clone())]);

@@ -2,15 +2,20 @@
 //!
 //! Like [`armada_sm::checkpoint`] for exploration, a product-search wave
 //! boundary is a complete description of progress — but the product state
-//! is richer: the node table (low state, match-set id, parent edge with
-//! its rendered descriptions and machine steps, tid renaming), the
-//! interned match sets, the memoized *high-level* arena prefix (match-set
-//! ids index into it, so its interning order must survive a restart), the
-//! depth-bucketed pending queue, and the transition counter. The antichain
-//! seen-set is *derived* — every entry corresponds to an admitted node in
-//! id order — so it is rebuilt from the node table on resume rather than
-//! persisted. The match sets seed the search's hash-cons table on resume,
-//! so a checkpoint holding two sets of equal content is rejected.
+//! is richer: the node table (low state, match-set id, parent index and
+//! the edge's machine steps, tid renaming), the interned match sets, the
+//! memoized *high-level* arena prefix (match-set ids index into it, so its
+//! interning order must survive a restart), the depth-bucketed pending
+//! queue, and the transition counter. Derived data is rebuilt on resume
+//! rather than persisted: each node's low-state fingerprint is recomputed,
+//! and the antichain seen-set is replayed from the node table (every entry
+//! corresponds to an admitted node in id order). The match sets seed the
+//! search's hash-cons table on resume, so a checkpoint holding two sets of
+//! equal content is rejected.
+//!
+//! The record layout is versioned through the guard ([`guard`]): a
+//! checkpoint written in another layout fails the guard check and the
+//! search starts cold instead of misreading it.
 //!
 //! Storage is log-structured with the same crash discipline as the
 //! exploration checkpoint: three append-only [`codec::Log`]s (`nodes.log`,
@@ -36,6 +41,17 @@ const MANIFEST: &str = "manifest.bin";
 const NODES_LOG: &str = "nodes.log";
 const HIGH_LOG: &str = "high.log";
 const SETS_LOG: &str = "sets.log";
+
+/// The record layout. Folded into every guard, so a checkpoint written
+/// with another layout never passes the guard check; change it whenever a
+/// record's encoding changes.
+const FORMAT: &str = "verify-checkpoint/2";
+
+/// The manifest guard for a check described by `fields` (the text of
+/// everything that determines its product graph), under this layout.
+pub(crate) fn guard(fields: &str) -> u64 {
+    armada_runtime::fnv1a_64(format!("{FORMAT}|{fields}").as_bytes())
+}
 
 /// Everything a resumed search needs to continue at a wave boundary.
 pub(crate) struct ResumeState {
@@ -172,12 +188,7 @@ impl VerifyCheckpoint {
                     if parent >= i {
                         return None;
                     }
-                    let n = d.len_of().ok()?;
-                    let mut descs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        descs.push(d.str().ok()?);
-                    }
-                    Some((parent, descs))
+                    Some(parent)
                 }
                 _ => return None,
             };
@@ -202,6 +213,7 @@ impl VerifyCheckpoint {
                 return None;
             }
             nodes.push(Node {
+                fp: StateArena::fingerprint(&state),
                 low: Arc::new(state),
                 set_id,
                 matches: Arc::clone(&sets[set_id as usize]),
@@ -253,13 +265,9 @@ impl VerifyCheckpoint {
             e.len_of(node.depth);
             match &node.parent {
                 None => e.u8(0),
-                Some((parent, descs)) => {
+                Some(parent) => {
                     e.u8(1);
                     e.len_of(*parent);
-                    e.len_of(descs.len());
-                    for desc in descs {
-                        e.str(desc);
-                    }
                 }
             }
             e.len_of(node.edge_steps.len());

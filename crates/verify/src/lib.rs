@@ -36,10 +36,18 @@
 //! before any content scan; content is hashed only on memo misses.
 //!
 //! The relation reads only observations (event log + termination), so
-//! every interned high state carries an *observation class* id, memoized
-//! stutter closures hold member ids grouped by class, and an expansion
-//! evaluates the relation once per distinct class rather than once per
-//! closure member.
+//! every interned high state carries an *observation class* id. A memo miss
+//! walks the stutter frontier once: one breadth-first walk of `max_match`
+//! levels from *all* parent matches at once over the memoized high
+//! successor lists, which reaches exactly the states within `max_match`
+//! steps of some parent. It then evaluates the relation once per distinct
+//! class among the visited states rather than once per state.
+//!
+//! The search records only what the verdict and the witness read: each
+//! node keeps its low state's fingerprint and its edge's machine steps.
+//! Human-readable step descriptions are rendered only when a
+//! counterexample (or a budget or deadline trace) is built, by replaying
+//! each edge of its path from the parent's state.
 //!
 //! With [`Bounds::reduction`] on (the default), low-side successor
 //! enumeration fuses maximal runs of thread-local steps into single
@@ -89,8 +97,8 @@ use armada_runtime::telemetry::{Stage, StageTelemetry};
 use armada_runtime::wave;
 use armada_sm::arena::FpIdentityHasher;
 use armada_sm::{
-    initial_state, Bounds, Canonicalizer, ProgState, Program, Reducer, StateArena, StateId, Step,
-    StepKind, Termination, Tid, Value,
+    initial_state, try_step, Bounds, Canonicalizer, ProgState, Program, Reducer, StateArena,
+    StateId, Step, StepKind, Termination, Tid, Value,
 };
 
 /// Deterministic in-search fault injection (fuzzing only; the default
@@ -362,9 +370,18 @@ struct ExpandMemo {
     misses: u64,
     /// Relation evaluations those expansions (and the root's) made.
     relates_calls: u64,
+    /// High states those expansions' stutter walks (and the root's)
+    /// visited.
+    walk_states: u64,
 }
 
 impl ExpandMemo {
+    /// Counts one expansion's work.
+    fn count(&mut self, expansion: &Expansion) {
+        self.relates_calls += expansion.relates_calls;
+        self.walk_states += expansion.walk_states;
+    }
+
     /// The canonical `Arc` for `set`'s content, adopting `set` if no set
     /// with that content exists yet.
     fn intern(&mut self, set: MatchSet) -> MatchSet {
@@ -417,8 +434,8 @@ impl SetIds {
 }
 
 /// Memoized high-level state graph — an interned [`StateArena`], the
-/// observation class of every interned state, successor lists and stutter
-/// closures — shared across workers behind one mutex.
+/// observation class of every interned state and successor lists — shared
+/// across workers behind one mutex.
 ///
 /// The numeric ids depend on interning order and so can differ between runs
 /// when jobs > 1, but they are injective handles used only for set
@@ -437,7 +454,6 @@ struct HighGraph<'a> {
     class_ids: HashMap<Arc<Obs>, u32>,
     classes: Vec<Arc<Obs>>,
     successors: Vec<Option<Arc<[u32]>>>,
-    closures: Vec<Option<Arc<Closure>>>,
 }
 
 impl<'a> HighGraph<'a> {
@@ -452,14 +468,13 @@ impl<'a> HighGraph<'a> {
             class_ids: HashMap::new(),
             classes: Vec::new(),
             successors: Vec::new(),
-            closures: Vec::new(),
         }
     }
 
     /// Spills the high-state arena under `spec`'s byte budget
     /// (`--mem-cap`): cold pages of interned high states evict to disk and
-    /// fault back on demand. Successor/closure memos stay resident — they
-    /// hold the ids; only the state trees page.
+    /// fault back on demand. Successor lists stay resident — they hold the
+    /// ids; only the state trees page.
     fn enable_spill(&mut self, spec: armada_sm::SpillSpec) -> std::io::Result<()> {
         self.arena.enable_spill(spec)
     }
@@ -485,7 +500,6 @@ impl<'a> HighGraph<'a> {
         let (id, _) = self.arena.intern_with_fp(fp, state);
         self.class_of.push(class);
         self.successors.push(None);
-        self.closures.push(None);
         id.0
     }
 
@@ -493,9 +507,9 @@ impl<'a> HighGraph<'a> {
         if let Some(cached) = &self.successors[id as usize] {
             return Arc::clone(cached);
         }
-        // The high side is never fused: `closure_of` counts *individual*
-        // high steps against the `max_match` stutter budget, and a macro
-        // edge would smuggle several steps past it.
+        // The high side is never fused: `expand_matches` counts
+        // *individual* high steps against the `max_match` stutter budget,
+        // and a macro edge would smuggle several steps past it.
         let state = self.arena.get_arc_mut(StateId(id));
         let ids: Arc<[u32]> =
             armada_sm::enabled_steps(self.program, &state, &self.pool, self.max_buffer)
@@ -507,30 +521,8 @@ impl<'a> HighGraph<'a> {
     }
 }
 
-/// A memoized stutter closure, grouped by observation class. It holds ids
-/// only, so the high arena's state trees stay free to page out.
-struct Closure {
-    /// One entry per distinct class among the members, ascending by class
-    /// id: the class id and the length of its run in `members`.
-    classes: Vec<(u32, usize)>,
-    /// Member ids, grouped by class.
-    members: Vec<u32>,
-}
-
-impl Closure {
-    /// Each class with its members.
-    fn groups(&self) -> impl Iterator<Item = (u32, &[u32])> {
-        let mut rest = &self.members[..];
-        self.classes.iter().map(move |&(class, len)| {
-            let (members, tail) = rest.split_at(len);
-            rest = tail;
-            (class, members)
-        })
-    }
-}
-
 /// A dense set of high-state ids: a bitmap grown on demand that also lists
-/// its members in insertion order, so clearing touches only them.
+/// its members in insertion order.
 #[derive(Default)]
 struct IdSet {
     bits: Vec<u64>,
@@ -548,35 +540,44 @@ impl IdSet {
             self.members.push(id);
         }
     }
-
-    fn clear(&mut self) {
-        for &id in &self.members {
-            self.bits[id as usize / 64] = 0;
-        }
-        self.members.clear();
-    }
 }
 
-/// The stutter closure of an interned high state: all states reachable
-/// within `max_match` steps, grouped by observation class. `seen` is
-/// scratch space, empty on entry and on return.
+/// One match-set expansion: the related high states and what computing
+/// them cost.
+struct Expansion {
+    /// The related states, or `None` for a refinement failure.
+    matches: Option<BTreeSet<u32>>,
+    /// Relation evaluations: one per distinct observation class visited.
+    relates_calls: u64,
+    /// High states the stutter walk visited.
+    walk_states: u64,
+}
+
+/// All high states reachable (within the stutter budget) from any current
+/// match whose observation relates to `low`; `None` if there are none — a
+/// refinement failure.
 ///
-/// The graph's lock is taken per frontier state, only to fetch (or compute
-/// and intern) its successor list; the walk and the grouping run outside
-/// it. Racing workers may compute the same closure: the content is the
-/// same, and the first insert wins.
-fn closure_of(high: &Mutex<HighGraph<'_>>, id: u32, seen: &mut IdSet) -> Arc<Closure> {
-    let max_match = {
-        let hg = lock(high);
-        if let Some(cached) = &hg.closures[id as usize] {
-            return Arc::clone(cached);
-        }
-        hg.max_match
-    };
-    // Breadth-first by levels: `seen.members` lists the states in visit
-    // order, so each level is a contiguous run of it.
-    seen.insert(id);
-    let mut level = 0..1;
+/// One breadth-first walk runs `max_match` levels from every parent match
+/// at once. A state's distance from the set is its least distance from any
+/// one parent, so the walk visits exactly the union of the per-parent
+/// stutter closures. The graph's lock is taken per frontier state, only to
+/// fetch (or compute and intern) its successor list, then to read the
+/// visited states' classes and each distinct class's observation; the
+/// relation runs outside it, once per distinct class.
+fn expand_matches(
+    parent_matches: &BTreeSet<u32>,
+    low: Observation<'_>,
+    relation: &(dyn RefinementRelation + Sync),
+    high: &Mutex<HighGraph<'_>>,
+) -> Expansion {
+    let mut seen = IdSet::default();
+    for &id in parent_matches {
+        seen.insert(id);
+    }
+    // Level by level: `seen.members` lists the states in visit order, so
+    // each level is a contiguous run of it.
+    let max_match = lock(high).max_match;
+    let mut level = 0..seen.members.len();
     for _ in 0..max_match {
         for i in level.clone() {
             let successors = lock(high).successors_of(seen.members[i]);
@@ -589,62 +590,40 @@ fn closure_of(high: &Mutex<HighGraph<'_>>, id: u32, seen: &mut IdSet) -> Arc<Clo
             break;
         }
     }
-    let mut keyed: Vec<(u32, u32)> = {
+    let classes: Vec<u32> = {
         let hg = lock(high);
         seen.members
             .iter()
-            .map(|&member| (hg.class_of[member as usize], member))
+            .map(|&member| hg.class_of[member as usize])
             .collect()
     };
-    seen.clear();
-    keyed.sort_unstable();
-    let classes = keyed
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|run| (run[0].0, run.len()))
-        .collect();
-    let members = keyed.into_iter().map(|(_, member)| member).collect();
-    let closure = Closure { classes, members };
-    Arc::clone(lock(high).closures[id as usize].get_or_insert_with(|| Arc::new(closure)))
-}
-
-/// All high states reachable (within the stutter budget) from any current
-/// match whose observation relates to `low`; `None` if there are none — a
-/// refinement failure. The relation runs once per distinct observation
-/// class of the union of closures, not once per member, and the member ids
-/// of related classes are unioned in a dense set. Also returns the number
-/// of relation calls.
-fn expand_matches(
-    parent_matches: &BTreeSet<u32>,
-    low: Observation<'_>,
-    relation: &(dyn RefinementRelation + Sync),
-    high: &Mutex<HighGraph<'_>>,
-) -> (Option<BTreeSet<u32>>, u64) {
     let mut verdicts: HashMap<u32, bool> = HashMap::new();
-    let mut related = IdSet::default();
-    let mut seen = IdSet::default();
-    for &high_id in parent_matches {
-        let closure = closure_of(high, high_id, &mut seen);
-        for (class, members) in closure.groups() {
-            let relates = *verdicts.entry(class).or_insert_with(|| {
-                let obs = Arc::clone(&lock(high).classes[class as usize]);
-                relation.relates(low, view(&obs))
-            });
-            if relates {
-                for &member in members {
-                    related.insert(member);
-                }
-            }
-        }
+    for &class in &classes {
+        verdicts.entry(class).or_insert_with(|| {
+            let obs = Arc::clone(&lock(high).classes[class as usize]);
+            relation.relates(low, view(&obs))
+        });
     }
-    let mut related = related.members;
+    let mut related: Vec<u32> = seen
+        .members
+        .iter()
+        .zip(&classes)
+        .filter(|&(_, class)| verdicts[class])
+        .map(|(&member, _)| member)
+        .collect();
     related.sort_unstable();
-    let matches = (!related.is_empty()).then(|| related.into_iter().collect());
-    (matches, verdicts.len() as u64)
+    Expansion {
+        matches: (!related.is_empty()).then(|| related.into_iter().collect()),
+        relates_calls: verdicts.len() as u64,
+        walk_states: seen.members.len() as u64,
+    }
 }
 
 /// One product node of the subset construction.
 struct Node {
     low: Arc<ProgState>,
+    /// Fingerprint of `low`, computed once when the node was expanded.
+    fp: u64,
     /// Interned id of `matches` — the expand-cache key component. Assigned
     /// serially during commit, so it is deterministic.
     set_id: u32,
@@ -653,11 +632,12 @@ struct Node {
     /// processed in micro-depth order so failure traces are minimal-length
     /// with or without fusion.
     depth: usize,
-    /// Parent node index and the (possibly fused) low-step descriptions
-    /// that reached us, in execution order.
-    parent: Option<(usize, Vec<String>)>,
-    /// The machine-readable steps behind `parent`'s descriptions, already
-    /// translated to original (pre-canonicalization) tids.
+    /// Parent node index; `None` at the root.
+    parent: Option<usize>,
+    /// The (possibly fused) low steps that reached us from `parent`, in
+    /// execution order, translated to original (pre-canonicalization)
+    /// tids. Counterexample traces render them only on failure (see
+    /// [`describe_edge`]).
     edge_steps: Vec<Step>,
     /// Canonical→original tid map for `low` (index = canonical tid − 1);
     /// `None` is the identity. Composed along the path so every recorded
@@ -667,9 +647,8 @@ struct Node {
 
 /// One expanded successor of a wave node, produced by a worker.
 struct SuccOut {
-    /// Per-micro-step descriptions of the (possibly fused) edge.
-    descs: Vec<String>,
-    /// The steps behind `descs`, translated to original tids.
+    /// The micro-steps of the (possibly fused) edge, translated to original
+    /// tids.
     steps: Vec<Step>,
     /// Canonical→original tid map for `next` (see `Node::orig`).
     orig: Option<Arc<Vec<Tid>>>,
@@ -716,28 +695,22 @@ fn expand_node(
         )
         .into_iter()
         .map(|(macro_step, low_next)| {
-            // Steps execute in the (canonical) parent's coordinates;
-            // descriptions and the recorded step sequence use original
-            // tids so counterexamples replay against the uncanonicalized
-            // program. Every step of a macro edge runs a thread that
-            // already exists in the parent, so the parent's map covers it.
-            let display = |tid: Tid| match orig {
-                Some(map) => map.get(tid as usize - 1).copied().unwrap_or(tid),
-                None => tid,
-            };
-            let mut descs = Vec::with_capacity(macro_step.steps.len());
-            let mut steps = Vec::with_capacity(macro_step.steps.len());
-            let mut pre: &ProgState = low_state;
-            for (i, step) in macro_step.steps.iter().enumerate() {
-                descs.push(describe_step(ctx.low, pre, step, display(step.tid)));
-                steps.push(Step {
-                    tid: display(step.tid),
-                    kind: step.kind.clone(),
-                });
-                if i < macro_step.mids.len() {
-                    pre = &macro_step.mids[i];
-                }
-            }
+            // Steps execute in the (canonical) parent's coordinates; the
+            // recorded step sequence uses original tids so counterexamples
+            // replay against the uncanonicalized program. Every step of a
+            // macro edge runs a thread that already exists in the parent,
+            // so the parent's map covers it.
+            let steps = macro_step
+                .steps
+                .into_iter()
+                .map(|step| Step {
+                    tid: match orig {
+                        Some(map) => map.get(step.tid as usize - 1).copied().unwrap_or(step.tid),
+                        None => step.tid,
+                    },
+                    kind: step.kind,
+                })
+                .collect();
             let (low_next, inverse) = match ctx.canon {
                 Some(canon) => canon.canonicalize(low_next),
                 None => (low_next, None),
@@ -749,20 +722,18 @@ fn expand_node(
             let matches = match cached {
                 Some(hit) => hit,
                 None => {
-                    let (computed, calls) =
-                        expand_matches(matches, view(&key.1), ctx.relation, ctx.high);
+                    let expansion = expand_matches(matches, view(&key.1), ctx.relation, ctx.high);
                     #[cfg(test)]
-                    tests::audit_expansion(matches, &low_next, ctx, computed.as_ref());
+                    tests::audit_expansion(matches, &low_next, ctx, expansion.matches.as_ref());
                     let mut memo = lock(ctx.memo);
                     memo.misses += 1;
-                    memo.relates_calls += calls;
-                    let computed = computed.map(|set| memo.intern(Arc::new(set)));
+                    memo.count(&expansion);
+                    let computed = expansion.matches.map(|set| memo.intern(Arc::new(set)));
                     memo.expanded.insert(key, computed.clone());
                     computed
                 }
             };
             SuccOut {
-                descs,
                 steps,
                 orig,
                 fp: StateArena::fingerprint(&low_next),
@@ -972,8 +943,7 @@ fn check_refinement_impl(
     let root_orig = compose_orig(None, init_inverse, low_init.threads.len());
 
     // High states are interned so match sets are integer sets; successor
-    // lists and class-grouped stutter closures are memoized per interned
-    // state.
+    // lists are memoized per interned state.
     let mut high_graph = HighGraph::new(
         high,
         config.bounds.pool_for(high),
@@ -992,20 +962,17 @@ fn check_refinement_impl(
     // faults, so a resumed run may raise its budget or change its worker
     // count and still continue.
     let mut ck = config.bounds.checkpoint.as_ref().map(|spec| {
-        let guard = armada_runtime::fnv1a_64(
-            format!(
-                "{}|{}|{}|{:?}|{}|{}|{}|{}",
-                low.name,
-                high.name,
-                relation.describe(),
-                config.bounds.nondet_ints,
-                config.bounds.max_buffer,
-                config.bounds.reduction,
-                config.bounds.symmetry,
-                config.max_match
-            )
-            .as_bytes(),
-        );
+        let guard = checkpoint::guard(&format!(
+            "{}|{}|{}|{:?}|{}|{}|{}|{}",
+            low.name,
+            high.name,
+            relation.describe(),
+            config.bounds.nondet_ints,
+            config.bounds.max_buffer,
+            config.bounds.reduction,
+            config.bounds.symmetry,
+            config.max_match
+        ));
         checkpoint::VerifyCheckpoint::new(spec.dir.clone(), guard)
             .unwrap_or_else(|err| panic!("checkpoint: creating {}: {err}", spec.dir.display()))
     });
@@ -1035,8 +1002,8 @@ fn check_refinement_impl(
 
     if let Some(rs) = resumed {
         // Rebuild the memoized high arena in its original interning order
-        // (match-set ids index into it); successor and closure memos
-        // recompute on demand and re-intern onto the same ids. The loaded
+        // (match-set ids index into it); successor lists recompute on
+        // demand and re-intern onto the same ids. The loaded
         // sets seed the hash-cons table (the nodes already share their
         // `Arc`s, and the loader rejects duplicate content), so sets that
         // memo misses recompute resolve to the resumed ids. The seen-set
@@ -1050,7 +1017,7 @@ fn check_refinement_impl(
         }
         *set_ids = SetIds::resumed(rs.sets);
         for node in &rs.nodes {
-            seen_low.rehydrate(StateArena::fingerprint(&node.low), &node.low, &node.matches);
+            seen_low.rehydrate(node.fp, &node.low, &node.matches);
         }
         nodes = rs.nodes;
         pending = rs.pending;
@@ -1061,14 +1028,14 @@ fn check_refinement_impl(
             .get_mut()
             .expect("high graph poisoned")
             .intern_state(high_init);
-        let (init_matches, calls) = expand_matches(
+        let expansion = expand_matches(
             &BTreeSet::from([high_root]),
             Observation::of(&low_init),
             relation,
             &high_graph,
         );
-        memo.relates_calls += calls;
-        let Some(init_matches) = init_matches else {
+        memo.count(&expansion);
+        let Some(init_matches) = expansion.matches else {
             return Err(Box::new(Counterexample {
                 kind: CexKind::Refinement,
                 description: "initial states are not related by R".to_string(),
@@ -1078,15 +1045,13 @@ fn check_refinement_impl(
             }));
         };
         let low_init = Arc::new(low_init);
+        let fp = StateArena::fingerprint(&low_init);
         let init_matches = memo.intern(Arc::new(init_matches));
         let set_id = set_ids.id_of(&init_matches);
-        seen_low.admit(
-            StateArena::fingerprint(&low_init),
-            Arc::clone(&low_init),
-            Arc::clone(&init_matches),
-        );
+        seen_low.admit(fp, Arc::clone(&low_init), Arc::clone(&init_matches));
         nodes.push(Node {
             low: low_init,
+            fp,
             set_id,
             matches: init_matches,
             depth: 0,
@@ -1152,6 +1117,7 @@ fn check_refinement_impl(
         counters.add("verify.match_sets", memo.sets.len() as u64);
         counters.add("verify.expand_memo_misses", memo.misses);
         counters.add("verify.high_states", hg.arena.len() as u64);
+        counters.add("verify.walk_states", memo.walk_states);
         counters.add("verify.relates_calls", memo.relates_calls);
         for (name, value) in hg.arena.spill_counters().unwrap_or_default() {
             counters.add(name, value);
@@ -1183,25 +1149,6 @@ fn run_search(
     mut low_transitions: usize,
     mut wave_index: usize,
 ) -> Result<RefinementCert, Box<Counterexample>> {
-    let trace_of = |nodes: &[Node], mut node: usize| {
-        let mut rev: Vec<String> = Vec::new();
-        while let Some((parent, descs)) = &nodes[node].parent {
-            rev.extend(descs.iter().rev().cloned());
-            node = *parent;
-        }
-        rev.reverse();
-        rev
-    };
-    let steps_of = |nodes: &[Node], mut node: usize| {
-        let mut rev: Vec<Step> = Vec::new();
-        while let Some((parent, _)) = &nodes[node].parent {
-            rev.extend(nodes[node].edge_steps.iter().rev().cloned());
-            node = *parent;
-        }
-        rev.reverse();
-        rev
-    };
-
     while !pending.is_empty() {
         // Persist the boundary before touching the wave: the pending map
         // still contains it, so a crash anywhere past this point resumes
@@ -1236,6 +1183,7 @@ fn run_search(
         // waves; expiry then surfaces late but still deterministically.
         if wave_index >= config.faults.cancel_delay_waves && config.bounds.deadline_expired() {
             let node_id = wave[0];
+            let (trace, steps) = path_to(ctx, nodes, node_id);
             return Err(Box::new(Counterexample {
                 kind: CexKind::Deadline,
                 description: format!(
@@ -1243,8 +1191,8 @@ fn run_search(
                      refinement NOT verified",
                     nodes.len()
                 ),
-                trace: trace_of(nodes, node_id),
-                steps: steps_of(nodes, node_id),
+                trace,
+                steps,
                 state: (*nodes[node_id].low).clone(),
             }));
         }
@@ -1311,23 +1259,18 @@ fn run_search(
             tel.record_batch(Stage::Subsume, started.elapsed(), flat.len());
         }
 
-        // Commit phase B (serial merge): collect refinement failures,
-        // apply the node budget, and admit successors in global wave
-        // order — set ids, node ids, and the budget cut point are all
-        // deterministic.
+        // Commit phase B (serial merge): collect refinement failures
+        // (parent node, failing edge, unmatched state), apply the node
+        // budget, and admit successors in global wave order — set ids,
+        // node ids, and the budget cut point are all deterministic.
         let commit_started = record.then(Instant::now);
         let nodes_before = nodes.len();
-        let mut failures: Vec<(Vec<String>, String, Arc<ProgState>, Vec<Step>)> = Vec::new();
+        let mut failures: Vec<(usize, Vec<Step>, Arc<ProgState>)> = Vec::new();
         let mut budget_failure: Option<Box<Counterexample>> = None;
         for (i, (node_id, succ)) in flat.into_iter().enumerate() {
-            low_transitions += succ.descs.len();
+            low_transitions += succ.steps.len();
             let Some(new_matches) = succ.matches else {
-                let mut trace = trace_of(nodes, node_id);
-                trace.extend(succ.descs.iter().cloned());
-                let mut steps = steps_of(nodes, node_id);
-                steps.extend(succ.steps.iter().cloned());
-                let desc = succ.descs.last().cloned().unwrap_or_default();
-                failures.push((trace, desc, succ.next, steps));
+                failures.push((node_id, succ.steps, succ.next));
                 continue;
             };
             if budget_failure.is_some() {
@@ -1337,27 +1280,29 @@ fn run_search(
                 continue;
             }
             if nodes.len() >= config.max_nodes {
+                let (trace, steps) = path_to(ctx, nodes, node_id);
                 budget_failure = Some(Box::new(Counterexample {
                     kind: CexKind::Budget,
                     description: format!(
                         "search budget exceeded ({} product nodes); refinement NOT verified",
                         config.max_nodes
                     ),
-                    trace: trace_of(nodes, node_id),
-                    steps: steps_of(nodes, node_id),
+                    trace,
+                    steps,
                     state: (*succ.next).clone(),
                 }));
                 continue;
             }
             let set_id = set_ids.id_of(&new_matches);
             let id = nodes.len();
-            let depth = nodes[node_id].depth + succ.descs.len();
+            let depth = nodes[node_id].depth + succ.steps.len();
             nodes.push(Node {
                 low: succ.next,
+                fp: succ.fp,
                 set_id,
                 matches: new_matches,
                 depth,
-                parent: Some((node_id, succ.descs)),
+                parent: Some(node_id),
                 edge_steps: succ.steps,
                 orig: succ.orig,
             });
@@ -1372,13 +1317,22 @@ fn run_search(
 
         // Deterministic counterexample selection: every failure surfaces in
         // the first failing wave (all traces end at the same, minimal
-        // micro-depth); the lexicographically-least trace wins, so parallel
-        // and serial runs report the identical counterexample. Refinement
-        // failures take precedence over a budget failure within the same
-        // wave.
+        // micro-depth); the lexicographically-least rendered trace wins, so
+        // parallel and serial runs report the identical counterexample.
+        // Refinement failures take precedence over a budget failure within
+        // the same wave.
         if !failures.is_empty() {
-            failures.sort_by(|a, b| (&a.0, &a.2).cmp(&(&b.0, &b.2)));
-            let (trace, desc, state, steps) = failures.into_iter().next().expect("nonempty");
+            let (trace, state, steps) = failures
+                .into_iter()
+                .map(|(node_id, edge, state)| {
+                    let (mut trace, mut steps) = path_to(ctx, nodes, node_id);
+                    trace.extend(describe_edge(ctx, &nodes[node_id], &edge));
+                    steps.extend(edge);
+                    (trace, state, steps)
+                })
+                .min_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)))
+                .expect("nonempty");
+            let desc = trace.last().cloned().unwrap_or_default();
             return Err(Box::new(Counterexample {
                 kind: CexKind::Refinement,
                 description: format!("no high-level behavior matches after `{desc}`"),
@@ -1406,6 +1360,63 @@ fn run_search(
         low_transitions,
         witness,
     })
+}
+
+/// `steps`, recorded in original tids, mapped back into the canonical
+/// coordinates of `parent`, the node they leave, by undoing its
+/// canonical→original map. Every step of a macro edge runs a thread that
+/// already exists in the parent, so the map is total over the edge and
+/// position search inverts it exactly.
+fn canonical_steps(parent: &Node, steps: &[Step]) -> Vec<Step> {
+    steps
+        .iter()
+        .map(|step| Step {
+            tid: match parent.orig.as_deref() {
+                None => step.tid,
+                Some(map) => map
+                    .iter()
+                    .position(|&t| t == step.tid)
+                    .map(|pos| pos as Tid + 1)
+                    .unwrap_or(step.tid),
+            },
+            kind: step.kind.clone(),
+        })
+        .collect()
+}
+
+/// Renders the micro-steps of one edge leaving `parent`. The steps are
+/// replayed with `try_step` from the parent's state in its canonical
+/// coordinates, so each is described against the same pre-state the
+/// search executed it in, and printed under its original tid.
+fn describe_edge(ctx: &ExpandCtx<'_, '_>, parent: &Node, steps: &[Step]) -> Vec<String> {
+    let raw = canonical_steps(parent, steps);
+    let mut descs = Vec::with_capacity(raw.len());
+    let mut pre = std::borrow::Cow::Borrowed(&*parent.low);
+    for (i, (step, shown)) in raw.iter().zip(steps).enumerate() {
+        descs.push(describe_step(ctx.low, &pre, step, shown.tid));
+        if i + 1 < raw.len() {
+            let next = try_step(ctx.low, &pre, step, ctx.bounds.max_buffer);
+            pre = std::borrow::Cow::Owned(next.expect("a recorded edge replays"));
+        }
+    }
+    descs
+}
+
+/// The rendered trace and the original-tid steps from the root to `node`.
+fn path_to(ctx: &ExpandCtx<'_, '_>, nodes: &[Node], node: usize) -> (Vec<String>, Vec<Step>) {
+    let mut edges = Vec::new();
+    let mut at = node;
+    while let Some(parent) = nodes[at].parent {
+        edges.push((parent, at));
+        at = parent;
+    }
+    let mut trace = Vec::new();
+    let mut steps = Vec::new();
+    for &(parent, child) in edges.iter().rev() {
+        trace.extend(describe_edge(ctx, &nodes[parent], &nodes[child].edge_steps));
+        steps.extend(nodes[child].edge_steps.iter().cloned());
+    }
+    (trace, steps)
 }
 
 /// Emits the machine-checkable witness from the finished product graph.
@@ -1448,38 +1459,19 @@ fn emit_witness(
         symmetry_on,
         max_buffer as u64,
         renaming_of(root),
-        StateArena::fingerprint(&root.low),
+        root.fp,
         set_digest_of(root),
     );
     let mut max_depth = 0u64;
     for node in &nodes[1..] {
         max_depth = max_depth.max(node.depth as u64);
-        let (parent_id, _) = node.parent.as_ref().expect("non-root node has a parent");
-        // `edge_steps` was translated to original tids for counterexample
-        // replay; the witness wants the steps in the *parent's canonical
-        // coordinates* (what `try_step` executes during recheck), so undo
-        // the parent's canonical→original map. Every step of a macro edge
-        // runs a thread that already exists in the parent, so the map is
-        // total over the edge and position search inverts it exactly.
-        let parent_map = nodes[*parent_id].orig.as_deref();
-        let raw_steps: Vec<Step> = node
-            .edge_steps
-            .iter()
-            .map(|step| Step {
-                tid: match parent_map {
-                    None => step.tid,
-                    Some(map) => map
-                        .iter()
-                        .position(|&t| t == step.tid)
-                        .map(|pos| pos as Tid + 1)
-                        .unwrap_or(step.tid),
-                },
-                kind: step.kind.clone(),
-            })
-            .collect();
+        let parent_id = node.parent.expect("non-root node has a parent");
+        // The witness wants the steps in the *parent's canonical
+        // coordinates*: what `try_step` executes during recheck.
+        let raw_steps = canonical_steps(&nodes[parent_id], &node.edge_steps);
         builder.push_node(
-            *parent_id as u32,
-            StateArena::fingerprint(&node.low),
+            parent_id as u32,
+            node.fp,
             set_digest_of(node),
             armada_recheck::encode_steps(&raw_steps),
             node.edge_steps.len() as u32,
@@ -2113,6 +2105,86 @@ mod tests {
     }
 
     #[test]
+    fn multi_source_walk_keeps_states_within_budget_of_the_nearer_parent() {
+        // A straight-line high program: its states form one chain
+        // s0 → s1 → …, and nothing prints, so log-prefix relates every one
+        // of them to an empty low log. With parents {s0, s2} and a budget of
+        // 2, s4 lies 4 steps from s0 but 2 from s2 (kept), while s5 lies
+        // beyond the budget of both (dropped).
+        let (low, high) = programs(
+            r#"
+            level H {
+                void main() {
+                    var a: uint32 := 0;
+                    a := 1;
+                    a := 2;
+                    a := 3;
+                    a := 4;
+                    a := 5;
+                }
+            }
+            "#,
+            "H",
+            "H",
+        );
+        let bounds = Bounds::small();
+        let mut hg = HighGraph::new(&high, bounds.pool_for(&high), bounds.max_buffer, 2);
+        let mut chain = vec![hg.intern_state(initial_state(&high).unwrap())];
+        while chain.len() < 6 {
+            let next = hg.successors_of(*chain.last().unwrap());
+            assert_eq!(next.len(), 1, "one successor per state");
+            chain.push(next[0]);
+        }
+        assert_eq!(
+            BTreeSet::from_iter(chain.iter()).len(),
+            6,
+            "no state repeats"
+        );
+        let high_graph = Mutex::new(hg);
+        let parents = BTreeSet::from([chain[0], chain[2]]);
+        let low_state = initial_state(&low).unwrap();
+        let relation = StandardRelation::log_prefix();
+        let expansion = expand_matches(
+            &parents,
+            Observation::of(&low_state),
+            &relation,
+            &high_graph,
+        );
+        let matches = expansion.matches.expect("every state relates");
+        assert!(matches.contains(&chain[4]), "s4 is within budget of s2");
+        assert!(!matches.contains(&chain[5]), "s5 is beyond budget of both");
+        assert_eq!(matches, chain[..5].iter().copied().collect());
+        // s2 lies in both parents' closures but is walked once, and the
+        // five states share one observation class.
+        assert_eq!(expansion.walk_states, 5);
+        assert_eq!(expansion.relates_calls, 1);
+        assert_eq!(
+            Some(matches),
+            member_scan(&parents, &low_state, &relation, &high_graph)
+        );
+    }
+
+    #[test]
+    fn checkpoint_in_the_earlier_record_layout_starts_cold() {
+        // The guard folds the record layout in, so a manifest guarded
+        // without it (the hash of the bare field text, as checkpoints in the
+        // earlier layout were) fails the guard check and is cleared instead
+        // of being misread.
+        let fields = "Impl|Spec|R|[0, 1]|2|true|true|4";
+        let earlier = armada_runtime::fnv1a_64(fields.as_bytes());
+        let dir = tmp("ck-layout");
+        let _ = std::fs::remove_dir_all(&dir);
+        checkpoint::VerifyCheckpoint::new(dir.clone(), earlier)
+            .unwrap()
+            .save(&[], &[], &mut StateArena::new(), &BTreeMap::new(), 0, 0);
+        let mut current =
+            checkpoint::VerifyCheckpoint::new(dir.clone(), checkpoint::guard(fields)).unwrap();
+        assert!(current.try_resume().is_none());
+        assert!(!dir.join("manifest.bin").exists(), "rejected, then cleared");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_after_a_node_budget_cut_continues_and_refutes_identically() {
         // Interrupt a *failing* check with a tiny node budget; the resumed
         // run must find the identical counterexample, then clear the
@@ -2165,6 +2237,112 @@ mod tests {
             "a refutation clears its checkpoint"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two interchangeable workers wait for `go`, run a fusable local loop
+    /// and print their argument; the spec prints 2 before 1. The shortest
+    /// refuting trace fuses worker 1's loop into one edge, and with
+    /// symmetry on it ends in a state whose canonical thread order swaps
+    /// the workers (the rendered state lists t2 at its first instruction
+    /// while the trace has t2 printing), so every trace tid is translated
+    /// back through the composed renaming.
+    const REFUTED_WORKERS: &str = r#"
+        level Impl {
+            var go: uint32;
+            void worker(v: uint32) {
+                assume go == 1;
+                var i: uint32 := 0;
+                while (i < 2) { i := i + 1; }
+                print(v);
+            }
+            void main() {
+                var a: uint64 := create_thread worker(1);
+                var b: uint64 := create_thread worker(2);
+                go := 1;
+                join a;
+                join b;
+            }
+        }
+        level Spec {
+            void main() {
+                print(2);
+                print(1);
+            }
+        }
+    "#;
+
+    /// `REFUTED_WORKERS`' full counterexample text, pinned byte for byte.
+    const REFUTED_WORKERS_TEXT: &str = "\
+refinement counterexample: no high-level behavior matches after `t2: print`
+    0: t1: create_thread r0
+    1: t1: create_thread r0
+    2: t1: go := 1
+    3: t1 drains one buffered write
+    4: t2: assume (go == 1)
+    5: t2: i := 0
+    6: t2: if (i < 2) goto 3 else 5
+    7: t2: i := (i + 1)
+    8: t2: goto 2
+    9: t2: if (i < 2) goto 3 else 5
+   10: t2: i := (i + 1)
+   11: t2: goto 2
+   12: t2: if (i < 2) goto 3 else 5
+   13: t2: print
+state (Running)
+  t1 pc=r1:3 frames=1 buf=0 Active
+  t2 pc=r0:0 frames=1 buf=0 Active
+  t3 pc=r0:6 frames=1 buf=0 Active
+  log: [\"1\"]
+";
+
+    /// The frontier trace an 8-node budget cuts `REFUTED_WORKERS` at.
+    const REFUTED_WORKERS_BUDGET_TEXT: &str = "\
+refinement counterexample: search budget exceeded (8 product nodes); refinement NOT verified
+    0: t1: create_thread r0
+    1: t1: create_thread r0
+    2: t1: go := 1
+    3: t1 drains one buffered write
+    4: t3: assume (go == 1)
+state (Running)
+  t1 pc=r1:3 frames=1 buf=0 Active
+  t2 pc=r0:0 frames=1 buf=0 Active
+  t3 pc=r0:5 frames=1 buf=0 Active
+  log: []
+";
+
+    #[test]
+    fn counterexample_text_is_pinned_across_jobs_and_resume() {
+        // Traces are rendered only once a counterexample is built, by
+        // replaying each edge from its parent's state; the full `Display`
+        // text must match the pinned rendering at every job count, for the
+        // budget cut that keeps a checkpoint and for the refutation the
+        // resumed run then finds.
+        let (low, high) = programs(REFUTED_WORKERS, "Impl", "Spec");
+        let relation = StandardRelation::log_prefix();
+        let base = SimConfig::default();
+        assert!(base.bounds.reduction && base.bounds.symmetry);
+        for jobs in [1, 4] {
+            let config = base.clone().with_jobs(jobs);
+            let err = check_refinement(&low, &high, &relation, &config).unwrap_err();
+            assert_eq!(err.kind, CexKind::Refinement, "jobs={jobs}");
+            assert_eq!(err.to_string(), REFUTED_WORKERS_TEXT, "jobs={jobs}");
+
+            let dir = tmp(&format!("cex-text-{jobs}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let spec = armada_sm::CheckpointSpec::new(dir.clone());
+            let mut cut_config = config.clone();
+            cut_config.max_nodes = 8;
+            cut_config.bounds = cut_config.bounds.with_checkpoint(spec.clone());
+            let cut = check_refinement(&low, &high, &relation, &cut_config).unwrap_err();
+            assert_eq!(cut.kind, CexKind::Budget, "jobs={jobs}");
+            assert_eq!(cut.to_string(), REFUTED_WORKERS_BUDGET_TEXT, "jobs={jobs}");
+
+            let mut resume_config = config.clone();
+            resume_config.bounds = resume_config.bounds.with_checkpoint(spec.with_resume(true));
+            let resumed = check_refinement(&low, &high, &relation, &resume_config).unwrap_err();
+            assert_eq!(resumed.to_string(), REFUTED_WORKERS_TEXT, "jobs={jobs}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

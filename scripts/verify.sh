@@ -251,6 +251,12 @@ if [[ "${1:-}" == "--full" ]]; then
     # the uninterrupted certificate at jobs {1,4}.
     cargo test -q --offline -p armada-verify \
         resume_mid_search_reseeds_the_match_set_table
+    # The spec loop above diffs verified reports only. A refuted check's
+    # full counterexample text — fused edges, renamed tids, rendered only
+    # once the counterexample is built — must match its pinned rendering
+    # at jobs {1,4} and after a checkpoint resume.
+    cargo test -q --offline -p armada-verify \
+        counterexample_text_is_pinned_across_jobs_and_resume
 
     echo "==> spill + checkpoint/resume smoke (byte-identity under a mem cap)"
     # The pager must be invisible on stdout and visibly working on stderr:
