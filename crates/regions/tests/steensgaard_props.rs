@@ -123,6 +123,6 @@ fn separated_pointers_do_not_interfere() {
         let may_alias = analysis.may_alias("main", "p", "main", "q");
         assert_eq!(may_alias, copy_first);
         let expected = if copy_first { 7 } else { 0 };
-        assert_eq!(&final_state.log, &vec![Value::MathInt(expected)]);
+        assert_eq!(*final_state.log, vec![Value::MathInt(expected)]);
     }
 }

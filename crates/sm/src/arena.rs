@@ -34,8 +34,12 @@
 //! hashers). Fingerprinting runs once per *generated edge* in the hot
 //! engines, so it is built for speed: one multiply per hashed word, not
 //! one per byte like FNV. Collisions cost only a structural equality check
-//! inside the bucket — never correctness. Fingerprints are stable within a
-//! process run, which is all the engines need; nothing persists them.
+//! inside the bucket — never correctness. A fingerprint depends only on the
+//! state's content, so it is the same in every process: witnesses persist
+//! low-state fingerprints and set digests computed over member
+//! fingerprints, and `armada recheck` recomputes both in another process.
+//! Any change to the `Hash` stream of `ProgState` (or to [`FpHasher`]) is
+//! therefore a cert-format change; `tests/cert_fixtures.rs` pins it.
 
 use crate::pager::{Pager, SpillSpec};
 use crate::state::ProgState;

@@ -81,14 +81,14 @@
 //! *endpoints*; each preserves observables independently, so any
 //! combination does.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use armada_lang::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 
 use crate::heap::{Heap, HeapObject, MemNode, ObjectId, PtrVal};
 use crate::program::{Instr, Program, Routine};
-use crate::state::{LocalCell, ProgState, ThreadState, Tid, MAIN_TID};
+use crate::state::{BufferedWrite, Frame, LocalCell, ProgState, ThreadState, Tid, MAIN_TID};
 use crate::value::Value;
 
 /// How a routine-local slot participates in thread-handle flow.
@@ -274,7 +274,12 @@ impl Canonicalizer {
         let mut state = state;
         let mut inverse = None;
         if self.tid_ok {
-            self.erase_dead_handles(&mut state);
+            // Dead (never-joined) handle slots are write-only, so zeroing
+            // them is automorphic, and keeping them would pin spawn order
+            // into the spawner's locals.
+            for thread in state.threads.values_mut() {
+                self.rewrite_handles(thread, HandleKind::Dead, |val| (val != 0).then_some(0));
+            }
             inverse = self.sort_threads(&mut state);
         }
         if self.heap_ok && state.heap.len() > self.globals {
@@ -283,35 +288,41 @@ impl Canonicalizer {
         (state, inverse)
     }
 
-    /// Zeroes every dead (never-joined) handle slot: the value is
-    /// write-only, so erasing it is automorphic, and keeping it would pin
-    /// spawn order into the spawner's locals.
-    fn erase_dead_handles(&self, state: &mut ProgState) {
-        for thread in state.threads.values_mut() {
-            for frame in &mut thread.frames {
-                let slots = &self.handles[frame.routine as usize];
-                if !slots.contains(&HandleKind::Dead) {
+    /// Rewrites every `kind` handle slot of `thread` whose value `f` maps
+    /// to a new one. The check runs on the shared copy: the thread and each
+    /// of its frames are unshared only if one of their slots changes.
+    fn rewrite_handles(
+        &self,
+        thread: &mut Arc<ThreadState>,
+        kind: HandleKind,
+        f: impl Fn(i128) -> Option<i128>,
+    ) {
+        let stale = |frame: &Frame| {
+            let slots = &self.handles[frame.routine as usize];
+            frame.locals.iter().zip(slots).any(|(cell, &slot)| {
+                slot == kind
+                    && matches!(
+                        cell,
+                        LocalCell::Val(MemNode::Leaf(Value::Int { val, .. })) if f(*val).is_some()
+                    )
+            })
+        };
+        if !thread.frames.iter().any(|frame| stale(frame)) {
+            return;
+        }
+        for frame in &mut Arc::make_mut(thread).frames {
+            if !stale(frame) {
+                continue;
+            }
+            let frame = Arc::make_mut(frame);
+            let slots = &self.handles[frame.routine as usize];
+            for (cell, &slot) in frame.locals.iter_mut().zip(slots) {
+                if slot != kind {
                     continue;
                 }
-                let stale = frame.locals.iter().enumerate().any(|(i, cell)| {
-                    slots[i] == HandleKind::Dead
-                        && matches!(
-                            cell,
-                            LocalCell::Val(MemNode::Leaf(Value::Int { val, .. })) if *val != 0
-                        )
-                });
-                if !stale {
-                    continue;
-                }
-                let frame = Arc::make_mut(frame);
-                for (i, cell) in frame.locals.iter_mut().enumerate() {
-                    if slots[i] != HandleKind::Dead {
-                        continue;
-                    }
-                    if let LocalCell::Val(MemNode::Leaf(Value::Int { ty, val })) = cell {
-                        if *val != 0 {
-                            *cell = LocalCell::Val(MemNode::Leaf(Value::Int { ty: *ty, val: 0 }));
-                        }
+                if let LocalCell::Val(MemNode::Leaf(Value::Int { val, .. })) = cell {
+                    if let Some(renamed) = f(*val) {
+                        *val = renamed;
                     }
                 }
             }
@@ -383,7 +394,10 @@ impl Canonicalizer {
         }
         let threads = std::mem::take(&mut state.threads);
         for (old, mut thread) in threads {
-            self.rename_joined_handles(&mut thread, &perm, n);
+            self.rewrite_handles(&mut thread, HandleKind::Joined, |val| {
+                let renamed = perm[(2..=n as i128).contains(&val).then_some(val as usize)?];
+                (renamed as i128 != val).then_some(renamed as i128)
+            });
             state.threads.insert(perm[old as usize], thread);
         }
         let mut inverse = vec![0; n as usize];
@@ -391,44 +405,6 @@ impl Canonicalizer {
             inverse[perm[old] as usize - 1] = old as Tid;
         }
         Some(inverse)
-    }
-
-    /// Applies the tid permutation to every joined-handle slot of `thread`.
-    fn rename_joined_handles(&self, thread: &mut ThreadState, perm: &[Tid], n: Tid) {
-        for frame in &mut thread.frames {
-            let slots = &self.handles[frame.routine as usize];
-            if !slots.contains(&HandleKind::Joined) {
-                continue;
-            }
-            let stale = frame.locals.iter().enumerate().any(|(i, cell)| {
-                slots[i] == HandleKind::Joined
-                    && matches!(
-                        cell,
-                        LocalCell::Val(MemNode::Leaf(Value::Int { val, .. }))
-                            if (2..=n as i128).contains(val) && perm[*val as usize] != *val as Tid
-                    )
-            });
-            if !stale {
-                continue;
-            }
-            let frame = Arc::make_mut(frame);
-            for (i, cell) in frame.locals.iter_mut().enumerate() {
-                if slots[i] != HandleKind::Joined {
-                    continue;
-                }
-                if let LocalCell::Val(MemNode::Leaf(Value::Int { ty, val })) = cell {
-                    if (2..=n as i128).contains(val) {
-                        let renamed = perm[*val as usize] as i128;
-                        if renamed != *val {
-                            *cell = LocalCell::Val(MemNode::Leaf(Value::Int {
-                                ty: *ty,
-                                val: renamed,
-                            }));
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Renumbers non-global heap objects by a deterministic DFS from the
@@ -456,7 +432,7 @@ impl Canonicalizer {
             for id in 0..globals {
                 dfs.visit(ObjectId(id as u32));
             }
-            for ghost in &state.ghosts {
+            for ghost in state.ghosts.iter() {
                 scan_value_objects(ghost, &mut |id| dfs.visit(id));
             }
             for thread in state.threads.values() {
@@ -541,7 +517,9 @@ impl HeapDfs<'_> {
 }
 
 /// Rewrites every `ObjectId` in `state` through `new_of` (heap reindexed,
-/// pointers in heap nodes, locals, buffers, ghosts, and the log).
+/// pointers in heap nodes, locals, buffers, ghosts, and the log). Objects,
+/// threads, frames, ghosts and the log are unshared only if they hold an
+/// id that moves.
 fn apply_renumbering(state: &mut ProgState, new_of: &[u32]) {
     let map = |id: ObjectId| -> ObjectId {
         match new_of.get(id.0 as usize) {
@@ -549,13 +527,11 @@ fn apply_renumbering(state: &mut ProgState, new_of: &[u32]) {
             None => id,
         }
     };
-    let old_heap = std::mem::take(&mut state.heap);
-    let mut objects: Vec<Option<Arc<HeapObject>>> = vec![None; old_heap.len()];
-    for (old, object) in old_heap.into_objects().into_iter().enumerate() {
-        let node = map_node_objects(&object.node, &map);
-        let object = match node {
-            Some(node) => Arc::new(HeapObject { node, ..*object }),
-            None => object,
+    let mut objects: Vec<Option<Arc<HeapObject>>> = vec![None; state.heap.len()];
+    for (old, object) in state.heap.objects().iter().enumerate() {
+        let object = match map_node_objects(&object.node, &map) {
+            Some(node) => Arc::new(HeapObject { node, ..**object }),
+            None => Arc::clone(object),
         };
         objects[new_of[old] as usize] = Some(object);
     }
@@ -566,53 +542,71 @@ fn apply_renumbering(state: &mut ProgState, new_of: &[u32]) {
             .collect(),
     );
     for thread in state.threads.values_mut() {
-        for frame in &mut thread.frames {
-            let stale = frame.locals.iter().any(|cell| match cell {
-                LocalCell::Obj(id) => map(*id) != *id,
+        renumber_thread(thread, &map);
+    }
+    map_values_objects(&mut state.ghosts, &map);
+    map_values_objects(&mut state.log, &map);
+}
+
+/// Rewrites object ids in one thread's frames and store buffer, unsharing
+/// the thread and each frame only if it holds an id that moves.
+fn renumber_thread(thread: &mut Arc<ThreadState>, map: &impl Fn(ObjectId) -> ObjectId) {
+    let frame_moves = |frame: &Frame| {
+        frame.locals.iter().any(|cell| match cell {
+            LocalCell::Obj(id) => map(*id) != *id,
+            LocalCell::Val(node) => {
+                let mut touched = false;
+                scan_node_objects(node, &mut |id| touched |= map(id) != id);
+                touched
+            }
+        })
+    };
+    let write_moves = |write: &BufferedWrite| {
+        map(write.loc.object) != write.loc.object || map_value_objects(&write.value, map).is_some()
+    };
+    if !thread.frames.iter().any(|frame| frame_moves(frame))
+        && !thread.buffer.iter().any(write_moves)
+    {
+        return;
+    }
+    let thread = Arc::make_mut(thread);
+    for frame in &mut thread.frames {
+        if !frame_moves(frame) {
+            continue;
+        }
+        for cell in &mut Arc::make_mut(frame).locals {
+            match cell {
+                LocalCell::Obj(id) => *id = map(*id),
                 LocalCell::Val(node) => {
-                    let mut touched = false;
-                    scan_node_objects(node, &mut |id| touched |= map(id) != id);
-                    touched
-                }
-            });
-            if !stale {
-                continue;
-            }
-            let frame = Arc::make_mut(frame);
-            for cell in &mut frame.locals {
-                match cell {
-                    LocalCell::Obj(id) => *id = map(*id),
-                    LocalCell::Val(node) => {
-                        if let Some(mapped) = map_node_objects(node, &map) {
-                            *node = mapped;
-                        }
+                    if let Some(mapped) = map_node_objects(node, map) {
+                        *node = mapped;
                     }
                 }
             }
         }
-        if !thread.buffer.is_empty() {
-            let buffer = std::mem::take(&mut thread.buffer);
-            thread.buffer = buffer
-                .into_iter()
-                .map(|mut write| {
-                    write.loc.object = map(write.loc.object);
-                    if let Some(value) = map_value_objects(&write.value, &map) {
-                        write.value = value;
-                    }
-                    write
-                })
-                .collect::<VecDeque<_>>();
+    }
+    for write in &mut thread.buffer {
+        write.loc.object = map(write.loc.object);
+        if let Some(value) = map_value_objects(&write.value, map) {
+            write.value = value;
         }
     }
-    for ghost in &mut state.ghosts {
-        if let Some(value) = map_value_objects(ghost, &map) {
-            *ghost = value;
-        }
+}
+
+/// Rewrites object ids in a shared value list (ghosts or log), unsharing it
+/// only if some value changes.
+fn map_values_objects(values: &mut Arc<Vec<Value>>, map: &impl Fn(ObjectId) -> ObjectId) {
+    let mapped: Vec<(usize, Value)> = values
+        .iter()
+        .enumerate()
+        .filter_map(|(index, value)| map_value_objects(value, map).map(|value| (index, value)))
+        .collect();
+    if mapped.is_empty() {
+        return;
     }
-    for entry in &mut state.log {
-        if let Some(value) = map_value_objects(entry, &map) {
-            *entry = value;
-        }
+    let values = Arc::make_mut(values);
+    for (index, value) in mapped {
+        values[index] = value;
     }
 }
 
@@ -1018,8 +1012,7 @@ mod tests {
         let canon = Canonicalizer::new(&p);
         let mut state = crate::state::initial_state(&p).unwrap();
         // Simulate main having spawned both workers: handle slots hold 2, 3.
-        let main = state.threads.get_mut(&MAIN_TID).unwrap();
-        let frame = Arc::make_mut(main.frames.last_mut().unwrap());
+        let frame = state.thread_mut(MAIN_TID).top_frame_mut();
         frame.locals[0] = LocalCell::Val(MemNode::Leaf(Value::tid(2)));
         frame.locals[1] = LocalCell::Val(MemNode::Leaf(Value::tid(3)));
         let (canonical, inverse) = canon.canonicalize(state);

@@ -551,10 +551,7 @@ fn dec_thread(d: &mut Dec) -> DecResult<ThreadState> {
 
 fn enc_heap(e: &mut Enc, heap: &Heap) {
     e.len_of(heap.len());
-    for i in 0..heap.len() {
-        let obj = heap
-            .object(ObjectId(i as u32))
-            .expect("object ids are dense");
+    for obj in heap.objects() {
         enc_mem_node(e, &obj.node);
         e.u8(match obj.status {
             AllocStatus::Valid => 0,
@@ -598,11 +595,11 @@ pub fn enc_state(e: &mut Enc, state: &ProgState) {
     }
     enc_heap(e, &state.heap);
     e.len_of(state.ghosts.len());
-    for ghost in &state.ghosts {
+    for ghost in state.ghosts.iter() {
         enc_value(e, ghost);
     }
     e.len_of(state.log.len());
-    for event in &state.log {
+    for event in state.log.iter() {
         enc_value(e, event);
     }
     enc_termination(e, &state.termination);
@@ -615,7 +612,7 @@ pub fn dec_state(d: &mut Dec) -> DecResult<ProgState> {
     let mut threads = BTreeMap::new();
     for _ in 0..nthreads {
         let tid = d.u64()?;
-        threads.insert(tid, dec_thread(d)?);
+        threads.insert(tid, Arc::new(dec_thread(d)?));
     }
     let heap = dec_heap(d)?;
     let nghosts = d.len_of()?;
@@ -633,8 +630,8 @@ pub fn dec_state(d: &mut Dec) -> DecResult<ProgState> {
     Ok(ProgState {
         threads,
         heap,
-        ghosts,
-        log,
+        ghosts: Arc::new(ghosts),
+        log: Arc::new(log),
         termination,
         next_tid,
     })

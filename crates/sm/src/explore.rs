@@ -909,7 +909,7 @@ mod tests {
         );
         let final_state = run_to_completion(&p, &Bounds::small()).unwrap();
         assert_eq!(final_state.termination, Termination::Exited);
-        assert_eq!(final_state.log, vec![crate::value::Value::MathInt(5)]);
+        assert_eq!(*final_state.log, vec![crate::value::Value::MathInt(5)]);
     }
 
     #[test]
@@ -928,7 +928,7 @@ mod tests {
         );
         let final_state = run_to_completion(&p, &Bounds::small()).unwrap();
         assert_eq!(final_state.termination, Termination::Exited);
-        assert_eq!(final_state.log, vec![crate::value::Value::MathInt(7)]);
+        assert_eq!(*final_state.log, vec![crate::value::Value::MathInt(7)]);
     }
 
     #[test]

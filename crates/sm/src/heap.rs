@@ -218,11 +218,14 @@ pub struct HeapObject {
 /// the semantics deterministic given a step sequence.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Heap {
-    /// Objects are individually `Arc`-shared so cloning a state for one
-    /// step shares every object the step does not write (copy-on-write via
-    /// [`Arc::make_mut`]): a heap clone is one `Vec` allocation plus a
-    /// refcount bump per object instead of a deep tree copy.
-    objects: Vec<Arc<HeapObject>>,
+    /// The object table and each object in it are `Arc`-shared, so cloning
+    /// a heap for one step is a refcount bump: a step that writes no memory
+    /// leaves the whole table shared, and a write unshares the table (one
+    /// refcount bump per object) plus the one object it writes
+    /// (copy-on-write via [`Arc::make_mut`]). Writes validate against the
+    /// shared table first, so a step that turns out to be UB copies
+    /// nothing.
+    objects: Arc<Vec<Arc<HeapObject>>>,
 }
 
 impl Heap {
@@ -244,7 +247,7 @@ impl Heap {
     /// Allocates a new object and returns its id.
     pub fn alloc(&mut self, node: MemNode, kind: RootKind) -> ObjectId {
         let id = ObjectId(self.objects.len() as u32);
-        self.objects.push(Arc::new(HeapObject {
+        Arc::make_mut(&mut self.objects).push(Arc::new(HeapObject {
             node,
             status: AllocStatus::Valid,
             kind,
@@ -255,6 +258,18 @@ impl Heap {
     /// The object with the given id, if it exists.
     pub fn object(&self, id: ObjectId) -> Option<&HeapObject> {
         self.objects.get(id.0 as usize).map(Arc::as_ref)
+    }
+
+    /// Every object, in id order. Paired with [`Heap::from_objects`] by
+    /// symmetry canonicalization, which permutes dynamic object ids (see
+    /// `crate::canon`).
+    pub fn objects(&self) -> &[Arc<HeapObject>] {
+        &self.objects
+    }
+
+    /// The object with the given id, unshared for writing.
+    fn object_mut(&mut self, id: ObjectId) -> &mut HeapObject {
+        Arc::make_mut(&mut Arc::make_mut(&mut self.objects)[id.0 as usize])
     }
 
     /// True if the object exists and is live.
@@ -282,18 +297,15 @@ impl Heap {
     ///
     /// Same conditions as [`Heap::read`].
     pub fn write(&mut self, loc: &Location, node: MemNode) -> Result<(), UbReason> {
-        let obj = self
-            .objects
-            .get_mut(loc.object.0 as usize)
-            .ok_or(UbReason::FreedAccess)?;
-        if obj.status == AllocStatus::Freed {
-            return Err(UbReason::FreedAccess);
-        }
-        // Validate the path against the shared object first: make_mut
-        // unshares (deep-copies) the object, so don't pay that on a write
-        // that turns out to be out of bounds.
-        obj.node.descend(&loc.path)?;
-        *Arc::make_mut(obj).node.descend_mut(&loc.path)? = node;
+        // Validate against the shared table first: unsharing copies the
+        // table and deep-copies the object, so don't pay that on a write
+        // that turns out to be UB.
+        self.read(loc)?;
+        *self
+            .object_mut(loc.object)
+            .node
+            .descend_mut(&loc.path)
+            .expect("path validated") = node;
         Ok(())
     }
 
@@ -310,10 +322,7 @@ impl Heap {
     /// [`UbReason::InvalidDealloc`] unless `ptr` is the root of a live
     /// `malloc` allocation or element 0 of a live `calloc` allocation.
     pub fn dealloc(&mut self, ptr: &PtrVal) -> Result<(), UbReason> {
-        let obj = self
-            .objects
-            .get_mut(ptr.object.0 as usize)
-            .ok_or(UbReason::InvalidDealloc)?;
+        let obj = self.object(ptr.object).ok_or(UbReason::InvalidDealloc)?;
         if obj.status == AllocStatus::Freed {
             return Err(UbReason::FreedAccess);
         }
@@ -325,29 +334,24 @@ impl Heap {
         if !root_ok {
             return Err(UbReason::InvalidDealloc);
         }
-        Arc::make_mut(obj).status = AllocStatus::Freed;
+        self.object_mut(ptr.object).status = AllocStatus::Freed;
         Ok(())
-    }
-
-    /// Consumes the heap into its object list, in id order. Paired with
-    /// [`Heap::from_objects`] by symmetry canonicalization, which permutes
-    /// dynamic object ids (see `crate::canon`).
-    pub fn into_objects(self) -> Vec<Arc<HeapObject>> {
-        self.objects
     }
 
     /// Rebuilds a heap from an object list; the index of each entry becomes
     /// its [`ObjectId`]. The caller is responsible for having rewritten any
     /// pointers consistently with the new numbering.
     pub fn from_objects(objects: Vec<Arc<HeapObject>>) -> Heap {
-        Heap { objects }
+        Heap {
+            objects: Arc::new(objects),
+        }
     }
 
     /// Marks an object freed without dealloc rules; used for address-taken
     /// locals at frame exit.
     pub fn free_static(&mut self, id: ObjectId) {
-        if let Some(obj) = self.objects.get_mut(id.0 as usize) {
-            Arc::make_mut(obj).status = AllocStatus::Freed;
+        if self.is_valid(id) {
+            self.object_mut(id).status = AllocStatus::Freed;
         }
     }
 

@@ -83,6 +83,11 @@ pub struct BufferedWrite {
 
 /// The state of one thread: program counter, call stack, store buffer, and
 /// atomic-region depth.
+///
+/// A [`ProgState`] holds each thread behind an `Arc`, so a successor shares
+/// every thread its step does not touch; the stepping thread is unshared
+/// once through [`ProgState::thread_mut`], and within it only the frames
+/// the step writes are copied.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadState {
     /// Current program counter (top frame).
@@ -122,16 +127,26 @@ impl ThreadState {
 }
 
 /// A complete program state.
+///
+/// Every component a step may leave alone is a copy-on-write spine: each
+/// thread, the heap's object table (and each object in it), the ghosts and
+/// the log sit behind `Arc`s. Cloning a state for one step therefore
+/// allocates once — the thread map's node — and bumps refcounts; the step
+/// unshares only what it writes, through [`ProgState::thread_mut`] and
+/// [`Arc::make_mut`]. The derived `Hash`, `Eq`, `Ord` and `Debug` read
+/// through the `Arc`s, so they see exactly the unshared layout.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProgState {
-    /// All threads ever created (exited ones stay, for `join`).
-    pub threads: BTreeMap<Tid, ThreadState>,
+    /// All threads ever created (exited ones stay, for `join`). Write one
+    /// through [`ProgState::thread_mut`].
+    pub threads: BTreeMap<Tid, Arc<ThreadState>>,
     /// The heap forest; objects `0..globals.len()` back the globals.
     pub heap: Heap,
-    /// Ghost global values, by slot.
-    pub ghosts: Vec<Value>,
-    /// The observable event log written by `print`.
-    pub log: Vec<Value>,
+    /// Ghost global values, by slot (write through [`Arc::make_mut`]).
+    pub ghosts: Arc<Vec<Value>>,
+    /// The observable event log written by `print` (write through
+    /// [`Arc::make_mut`]).
+    pub log: Arc<Vec<Value>>,
     /// Termination status.
     pub termination: Termination,
     /// Next tid `create_thread` will hand out. Because threads are never
@@ -150,7 +165,17 @@ impl ProgState {
 
     /// The thread with the given id.
     pub fn thread(&self, tid: Tid) -> Option<&ThreadState> {
-        self.threads.get(&tid)
+        self.threads.get(&tid).map(Arc::as_ref)
+    }
+
+    /// The thread with the given id, mutably (copy-on-write: unshares the
+    /// thread if other states still hold it; its frames stay shared).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no thread has id `tid`.
+    pub fn thread_mut(&mut self, tid: Tid) -> &mut ThreadState {
+        Arc::make_mut(self.threads.get_mut(&tid).expect("thread exists"))
     }
 
     /// Reads a leaf location as seen by `tid` under x86-TSO: the newest
@@ -189,14 +214,14 @@ impl ProgState {
     /// Applies the oldest buffered write of `tid` to global memory.
     /// Returns `false` if the buffer was empty.
     pub fn drain_one(&mut self, tid: Tid) -> Result<bool, UbReason> {
-        let entry = match self
-            .threads
-            .get_mut(&tid)
-            .and_then(|t| t.buffer.pop_front())
-        {
-            Some(entry) => entry,
-            None => return Ok(false),
-        };
+        if self.thread(tid).is_none_or(|t| t.buffer.is_empty()) {
+            return Ok(false);
+        }
+        let entry = self
+            .thread_mut(tid)
+            .buffer
+            .pop_front()
+            .expect("buffer checked non-empty");
         // A drain of a write to since-freed memory is benign in hardware; we
         // model it as dropping the write rather than UB (the *access* UB was
         // already attributable to the dealloc/write race if any).
@@ -259,8 +284,8 @@ pub fn initial_state(program: &Program) -> Result<ProgState, String> {
     let mut state = ProgState {
         threads: BTreeMap::new(),
         heap,
-        ghosts,
-        log: Vec::new(),
+        ghosts: Arc::new(ghosts),
+        log: Arc::default(),
         termination: Termination::Running,
         next_tid: MAIN_TID + 1,
     };
@@ -269,13 +294,13 @@ pub fn initial_state(program: &Program) -> Result<ProgState, String> {
         .map_err(|err| format!("building main frame: {err}"))?;
     state.threads.insert(
         MAIN_TID,
-        ThreadState {
+        Arc::new(ThreadState {
             pc: Pc::new(main, 0),
             frames: vec![Arc::new(frame)],
             buffer: VecDeque::new(),
             atomic_depth: 0,
             status: ThreadStatus::Active,
-        },
+        }),
     );
     Ok(state)
 }
@@ -303,8 +328,8 @@ mod tests {
         let mut state = ProgState {
             threads: BTreeMap::new(),
             heap,
-            ghosts: vec![],
-            log: vec![],
+            ghosts: Arc::default(),
+            log: Arc::default(),
             termination: Termination::Running,
             next_tid: 2,
         };
@@ -323,7 +348,7 @@ mod tests {
             loc: loc.clone(),
             value: Value::int(IntType::U32, 2),
         });
-        state.threads.insert(1, thread);
+        state.threads.insert(1, Arc::new(thread));
 
         // Own view: newest buffered write.
         assert_eq!(

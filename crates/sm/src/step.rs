@@ -198,14 +198,14 @@ fn exec_instr(
         Instr::Jump(target) => advance(state, tid, Pc::new(pc.routine, *target)),
         Instr::AtomicBegin { .. } => {
             let mut new_state = state.clone();
-            let thread = new_state.threads.get_mut(&tid).expect("active");
+            let thread = new_state.thread_mut(tid);
             thread.atomic_depth += 1;
             thread.pc = pc.next();
             Ok(new_state)
         }
         Instr::AtomicEnd => {
             let mut new_state = state.clone();
-            let thread = new_state.threads.get_mut(&tid).expect("active");
+            let thread = new_state.thread_mut(tid);
             thread.atomic_depth = thread.atomic_depth.saturating_sub(1);
             thread.pc = pc.next();
             Ok(new_state)
@@ -245,8 +245,7 @@ fn exec_instr(
             // Log entries are observations, not typed storage: normalize so
             // that a `uint32` 1 and a ghost 1 are the same event and levels
             // of different concreteness stay comparable under R.
-            new_state
-                .log
+            Arc::make_mut(&mut new_state.log)
                 .extend(values.into_iter().map(crate::eval::normalize_key));
             set_pc(&mut new_state, tid, pc.next());
             Ok(new_state)
@@ -350,7 +349,7 @@ fn exec_instr(
             let mut frame =
                 build_frame(program, &mut new_state, *routine, &values).map_err(lift)?;
             frame.call_pc = Some(pc);
-            let thread = new_state.threads.get_mut(&tid).expect("active");
+            let thread = new_state.thread_mut(tid);
             thread.frames.push(Arc::new(frame));
             thread.pc = Pc::new(*routine, 0);
             Ok(new_state)
@@ -366,7 +365,7 @@ fn exec_instr(
                 (None, _) => None,
             };
             let mut new_state = state.clone();
-            let thread = new_state.threads.get_mut(&tid).expect("active");
+            let thread = new_state.thread_mut(tid);
             let popped = thread.frames.pop().expect("active thread has a frame");
             // Address-taken locals die with the frame (§3.2.4).
             for cell in &popped.locals {
@@ -377,7 +376,7 @@ fn exec_instr(
             match popped.call_pc {
                 None => {
                     // Bottom frame: the thread exits.
-                    let thread = new_state.threads.get_mut(&tid).expect("active");
+                    let thread = new_state.thread_mut(tid);
                     thread.status = ThreadStatus::Exited;
                     if tid == MAIN_TID {
                         new_state.termination = Termination::Exited;
@@ -385,7 +384,7 @@ fn exec_instr(
                     Ok(new_state)
                 }
                 Some(call_pc) => {
-                    let thread = new_state.threads.get_mut(&tid).expect("active");
+                    let thread = new_state.thread_mut(tid);
                     thread.pc = call_pc.next();
                     // Write the return value into the caller's lvalue.
                     let into = match program.instr_at(call_pc) {
@@ -429,13 +428,13 @@ fn exec_instr(
             new_state.next_tid += 1;
             new_state.threads.insert(
                 new_tid,
-                ThreadState {
+                Arc::new(ThreadState {
                     pc: Pc::new(*routine, 0),
                     frames: vec![Arc::new(frame)],
                     buffer: Default::default(),
                     atomic_depth: 0,
                     status: ThreadStatus::Active,
-                },
+                }),
             );
             if let Some(place) = into_place {
                 write_value(
@@ -592,7 +591,7 @@ fn advance(state: &ProgState, tid: Tid, pc: Pc) -> ExecResult {
 }
 
 fn set_pc(state: &mut ProgState, tid: Tid, pc: Pc) {
-    state.threads.get_mut(&tid).expect("active thread").pc = pc;
+    state.thread_mut(tid).pc = pc;
 }
 
 /// Writes a primitive value at a place. Heap writes go through the store
@@ -610,7 +609,7 @@ fn write_value(
 ) -> Result<(), ExecStop> {
     match &place.base {
         PlaceBase::Local(slot) => {
-            let thread = state.threads.get_mut(&tid).expect("active thread");
+            let thread = state.thread_mut(tid);
             let frame = thread.top_frame_mut();
             let node = match &mut frame.locals[*slot] {
                 LocalCell::Val(node) => node,
@@ -629,7 +628,7 @@ fn write_value(
                 Some(ty) => value.coerce_to(&ty),
                 None => value,
             };
-            state.ghosts[*slot] = coerced;
+            Arc::make_mut(&mut state.ghosts)[*slot] = coerced;
             Ok(())
         }
         PlaceBase::Heap(object) => {
@@ -657,14 +656,16 @@ fn write_value(
                     .write_leaf(&loc, coerced)
                     .map_err(|r| ExecStop::Terminal(Termination::UndefinedBehavior(r)))?;
             } else {
-                let thread = state.threads.get_mut(&tid).expect("active thread");
-                if thread.buffer.len() >= max_buffer {
+                if state.thread(tid).expect("active thread").buffer.len() >= max_buffer {
                     return Err(ExecStop::Disabled);
                 }
-                thread.buffer.push_back(crate::state::BufferedWrite {
-                    loc,
-                    value: coerced,
-                });
+                state
+                    .thread_mut(tid)
+                    .buffer
+                    .push_back(crate::state::BufferedWrite {
+                        loc,
+                        value: coerced,
+                    });
             }
             Ok(())
         }
@@ -683,7 +684,7 @@ fn write_node(
 ) -> Result<(), ExecStop> {
     match &place.base {
         PlaceBase::Local(slot) => {
-            let thread = state.threads.get_mut(&tid).expect("active thread");
+            let thread = state.thread_mut(tid);
             let frame = thread.top_frame_mut();
             let cell = match &mut frame.locals[*slot] {
                 LocalCell::Val(existing) => existing,

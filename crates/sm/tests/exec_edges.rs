@@ -111,7 +111,7 @@ fn somehow_with_solvable_postcondition_executes() {
     );
     let final_state = armada_sm::run_to_completion(&p, &Bounds::small()).unwrap();
     assert_eq!(final_state.termination, Termination::Exited);
-    assert_eq!(final_state.log, vec![armada_sm::Value::MathInt(42)]);
+    assert_eq!(*final_state.log, vec![armada_sm::Value::MathInt(42)]);
 }
 
 #[test]

@@ -327,8 +327,9 @@ fn compose_orig(
 /// refinement relation is a function of these alone (it reads an
 /// [`Observation`] of each side), which is what makes match-set expansion
 /// memoizable per (match-set, observables) pair and lets the high side be
-/// grouped into observation classes.
-type Obs = (Vec<Value>, Termination);
+/// grouped into observation classes. The log is the state's own shared
+/// spine, so building a key costs a refcount bump, not a log copy.
+type Obs = (Arc<Vec<Value>>, Termination);
 
 /// The relation's view of an owned observation.
 fn view(obs: &Obs) -> Observation<'_> {

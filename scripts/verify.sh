@@ -20,7 +20,7 @@ cargo test -q --offline
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> armada recheck gate (emit → recheck, corrupted witness → reject, warm --recheck)"
+echo "==> armada recheck gate (emit → recheck, fixture records, corrupted witness → reject, warm --recheck)"
 # For every shipped spec, a cold run persists witness-bearing certs (one
 # per recipe); the independent checker must accept every record
 # (structural + semantic replay), and a warm --recheck run must
@@ -43,6 +43,18 @@ for spec in specs/*.arm; do
         >"$RC_DIR/$name/warm.out" || recheck_fail "$spec: warm --recheck failed"
     grep -q "witness rechecked" "$RC_DIR/$name/warm.out" \
         || { cat "$RC_DIR/$name/warm.out"; recheck_fail "$spec: warm hit was not rechecked"; }
+done
+# Records written by an earlier build must stay accepted through the CLI:
+# tests/fixtures/certs pins the persisted state format (witnessed state
+# fingerprints and set digests), one directory per module with a copy of
+# its source.
+for dir in tests/fixtures/certs/*/; do
+    name=$(basename "$dir")
+    "$RECHECK_BIN" recheck "$dir" --source "$dir$name.arm" \
+        >"$RC_DIR/fixture_$name.out" \
+        || { cat "$RC_DIR/fixture_$name.out"; recheck_fail "fixture $name: records rejected"; }
+    grep -q "replayed" "$RC_DIR/fixture_$name.out" \
+        || recheck_fail "fixture $name: semantic replay did not run"
 done
 CERT_FIXTURE=$(ls "$RC_DIR"/counter/certs/*.cert | head -n1)
 sed -i '/^witness digest /y/0123456789/1032547698/' "$CERT_FIXTURE"
