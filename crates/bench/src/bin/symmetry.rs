@@ -104,10 +104,7 @@ fn main() {
             subject.name, subject.threads, counts[0][0], counts[1][0], collapse, effective_speedup,
         );
         speedups.push((subject.name.clone(), effective_speedup));
-        if best_collapse
-            .as_ref()
-            .map_or(true, |(_, _, c)| collapse > *c)
-        {
+        if best_collapse.as_ref().is_none_or(|(_, _, c)| collapse > *c) {
             best_collapse = Some((subject.name.clone(), subject.threads, collapse));
         }
         rows.push(Json::obj(vec![

@@ -401,14 +401,11 @@ mod tests {
             .replace("        x := t;\n        fence;", "        x := t;")
             .replace("        x ::= t;\n        fence;", "        x ::= t;");
         let pipeline = armada::Pipeline::from_source(&broken);
-        match pipeline {
-            Ok(pipeline) => {
-                let report = pipeline.run().unwrap();
-                assert!(!report.verified(), "missing fence must break the proof");
-            }
-            // Structural divergence across levels is also an acceptable
-            // failure mode for this mutation.
-            Err(_) => {}
+        // Structural divergence across levels (a front-end error) is also
+        // an acceptable failure mode for this mutation.
+        if let Ok(pipeline) = pipeline {
+            let report = pipeline.run().unwrap();
+            assert!(!report.verified(), "missing fence must break the proof");
         }
     }
 }

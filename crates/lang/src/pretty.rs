@@ -186,7 +186,7 @@ impl Printer {
             }
             StmtKind::Assign { lhs, rhs, sc } => {
                 let lhs_text: Vec<String> = lhs.iter().map(expr_to_string).collect();
-                let rhs_text: Vec<String> = rhs.iter().map(|r| rhs_to_string(r)).collect();
+                let rhs_text: Vec<String> = rhs.iter().map(rhs_to_string).collect();
                 let op = if *sc { "::=" } else { ":=" };
                 self.line(&format!(
                     "{} {op} {};",

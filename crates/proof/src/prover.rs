@@ -537,16 +537,10 @@ pub fn collect_vars(expr: &Expr, out: &mut Vec<String>) {
     fn rec(expr: &Expr, bound: &mut Vec<String>, out: &mut Vec<String>) {
         use ExprKind::*;
         match &expr.kind {
-            Var(name) => {
-                if !bound.contains(name) && !out.contains(name) {
-                    out.push(name.clone());
-                }
+            Var(name) if !bound.contains(name) && !out.contains(name) => {
+                out.push(name.clone());
             }
-            Me => {
-                if !out.contains(&"$me".to_string()) {
-                    out.push("$me".to_string());
-                }
-            }
+            Me if !out.iter().any(|v| v == "$me") => out.push("$me".to_string()),
             Unary(_, a)
             | AddrOf(a)
             | Deref(a)

@@ -129,7 +129,7 @@ pub fn renaming_digest(map: &[Tid]) -> u64 {
     let mut h = Fnv::new();
     h.u64(map.len() as u64);
     for &t in map {
-        h.u64(t as u64);
+        h.u64(t);
     }
     h.finish()
 }
@@ -649,7 +649,7 @@ fn hex_to_bytes(line: usize, text: &str) -> Result<Vec<u8>, RecheckError> {
     if text == "-" {
         return Ok(Vec::new());
     }
-    if text.len() % 2 != 0 {
+    if !text.len().is_multiple_of(2) {
         return Err(parse_err(line, "odd-length step encoding"));
     }
     (0..text.len())

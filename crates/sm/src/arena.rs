@@ -310,9 +310,7 @@ impl StateArena {
     /// RAM: a fingerprint hit costs at most one page fault, never
     /// correctness).
     pub fn lookup_with_fp_mut(&mut self, fp: u64, state: &ProgState) -> Option<StateId> {
-        let Some(bucket) = self.buckets.get(&fp) else {
-            return None;
-        };
+        let bucket = self.buckets.get(&fp)?;
         match &mut self.pager {
             None => bucket
                 .ids()

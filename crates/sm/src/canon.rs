@@ -88,7 +88,9 @@ use armada_lang::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 
 use crate::heap::{Heap, HeapObject, MemNode, ObjectId, PtrVal};
 use crate::program::{Instr, Program, Routine};
-use crate::state::{BufferedWrite, Frame, LocalCell, ProgState, ThreadState, Tid, MAIN_TID};
+use crate::state::{
+    BufferedWrite, Frame, LocalCell, ProgState, ThreadState, Threads, Tid, MAIN_TID,
+};
 use crate::value::Value;
 
 /// How a routine-local slot participates in thread-handle flow.
@@ -277,9 +279,9 @@ impl Canonicalizer {
             // Dead (never-joined) handle slots are write-only, so zeroing
             // them is automorphic, and keeping them would pin spawn order
             // into the spawner's locals.
-            for thread in state.threads.values_mut() {
-                self.rewrite_handles(thread, HandleKind::Dead, |val| (val != 0).then_some(0));
-            }
+            self.rewrite_handles(&mut state.threads, HandleKind::Dead, |val| {
+                (val != 0).then_some(0)
+            });
             inverse = self.sort_threads(&mut state);
         }
         if self.heap_ok && state.heap.len() > self.globals {
@@ -288,12 +290,13 @@ impl Canonicalizer {
         (state, inverse)
     }
 
-    /// Rewrites every `kind` handle slot of `thread` whose value `f` maps
-    /// to a new one. The check runs on the shared copy: the thread and each
-    /// of its frames are unshared only if one of their slots changes.
+    /// Rewrites every `kind` handle slot whose value `f` maps to a new one.
+    /// The check runs on the shared table: the table, a thread's frame
+    /// slice and a frame's locals are unshared only if one of their slots
+    /// changes.
     fn rewrite_handles(
         &self,
-        thread: &mut Arc<ThreadState>,
+        threads: &mut Threads,
         kind: HandleKind,
         f: impl Fn(i128) -> Option<i128>,
     ) {
@@ -307,22 +310,27 @@ impl Canonicalizer {
                     )
             })
         };
-        if !thread.frames.iter().any(|frame| stale(frame)) {
+        let thread_stale = |thread: &ThreadState| thread.frames.iter().any(stale);
+        if !threads.values().any(thread_stale) {
             return;
         }
-        for frame in &mut Arc::make_mut(thread).frames {
-            if !stale(frame) {
+        for thread in threads.slots_mut() {
+            if !thread_stale(thread) {
                 continue;
             }
-            let frame = Arc::make_mut(frame);
-            let slots = &self.handles[frame.routine as usize];
-            for (cell, &slot) in frame.locals.iter_mut().zip(slots) {
-                if slot != kind {
+            for frame in Arc::make_mut(&mut thread.frames) {
+                if !stale(frame) {
                     continue;
                 }
-                if let LocalCell::Val(MemNode::Leaf(Value::Int { val, .. })) = cell {
-                    if let Some(renamed) = f(*val) {
-                        *val = renamed;
+                let slots = &self.handles[frame.routine as usize];
+                for (cell, &slot) in Arc::make_mut(&mut frame.locals).iter_mut().zip(slots) {
+                    if slot != kind {
+                        continue;
+                    }
+                    if let LocalCell::Val(MemNode::Leaf(Value::Int { val, .. })) = cell {
+                        if let Some(renamed) = f(*val) {
+                            *val = renamed;
+                        }
                     }
                 }
             }
@@ -392,18 +400,20 @@ impl Canonicalizer {
         {
             return None;
         }
-        let threads = std::mem::take(&mut state.threads);
-        for (old, mut thread) in threads {
-            self.rewrite_handles(&mut thread, HandleKind::Joined, |val| {
-                let renamed = perm[(2..=n as i128).contains(&val).then_some(val as usize)?];
-                (renamed as i128 != val).then_some(renamed as i128)
-            });
-            state.threads.insert(perm[old as usize], thread);
-        }
         let mut inverse = vec![0; n as usize];
         for old in 1..=n as usize {
             inverse[perm[old] as usize - 1] = old as Tid;
         }
+        // The permuted table, in one allocation: canonical tid `c` holds
+        // the thread that carried `inverse[c - 1]`.
+        let threads = state.threads.clone();
+        state.threads = (MAIN_TID..=n)
+            .map(|tid| (tid, threads[&inverse[tid as usize - 1]].clone()))
+            .collect();
+        self.rewrite_handles(&mut state.threads, HandleKind::Joined, |val| {
+            let renamed = perm[(2..=n as i128).contains(&val).then_some(val as usize)?];
+            (renamed as i128 != val).then_some(renamed as i128)
+        });
         Some(inverse)
     }
 
@@ -436,8 +446,8 @@ impl Canonicalizer {
                 scan_value_objects(ghost, &mut |id| dfs.visit(id));
             }
             for thread in state.threads.values() {
-                for frame in &thread.frames {
-                    for cell in &frame.locals {
+                for frame in thread.frames.iter() {
+                    for cell in frame.locals.iter() {
                         match cell {
                             LocalCell::Obj(id) => dfs.visit(*id),
                             LocalCell::Val(node) => {
@@ -446,7 +456,7 @@ impl Canonicalizer {
                         }
                     }
                 }
-                for write in &thread.buffer {
+                for write in thread.buffer.iter() {
                     dfs.visit(write.loc.object);
                     scan_value_objects(&write.value, &mut |id| dfs.visit(id));
                 }
@@ -538,64 +548,78 @@ fn apply_renumbering(state: &mut ProgState, new_of: &[u32]) {
     state.heap = Heap::from_objects(
         objects
             .into_iter()
-            .map(|slot| slot.expect("renumbering is a bijection"))
-            .collect(),
+            .map(|slot| slot.expect("renumbering is a bijection")),
     );
-    for thread in state.threads.values_mut() {
-        renumber_thread(thread, &map);
+    if state
+        .threads
+        .values()
+        .any(|thread| thread_moves(thread, &map))
+    {
+        for thread in state.threads.slots_mut() {
+            renumber_thread(thread, &map);
+        }
     }
     map_values_objects(&mut state.ghosts, &map);
     map_values_objects(&mut state.log, &map);
 }
 
-/// Rewrites object ids in one thread's frames and store buffer, unsharing
-/// the thread and each frame only if it holds an id that moves.
-fn renumber_thread(thread: &mut Arc<ThreadState>, map: &impl Fn(ObjectId) -> ObjectId) {
-    let frame_moves = |frame: &Frame| {
-        frame.locals.iter().any(|cell| match cell {
-            LocalCell::Obj(id) => map(*id) != *id,
-            LocalCell::Val(node) => {
-                let mut touched = false;
-                scan_node_objects(node, &mut |id| touched |= map(id) != id);
-                touched
-            }
-        })
-    };
-    let write_moves = |write: &BufferedWrite| {
-        map(write.loc.object) != write.loc.object || map_value_objects(&write.value, map).is_some()
-    };
-    if !thread.frames.iter().any(|frame| frame_moves(frame))
-        && !thread.buffer.iter().any(write_moves)
-    {
-        return;
-    }
-    let thread = Arc::make_mut(thread);
-    for frame in &mut thread.frames {
-        if !frame_moves(frame) {
-            continue;
+/// Whether `frame` holds an object id that `map` moves.
+fn frame_moves(frame: &Frame, map: &impl Fn(ObjectId) -> ObjectId) -> bool {
+    frame.locals.iter().any(|cell| match cell {
+        LocalCell::Obj(id) => map(*id) != *id,
+        LocalCell::Val(node) => {
+            let mut touched = false;
+            scan_node_objects(node, &mut |id| touched |= map(id) != id);
+            touched
         }
-        for cell in &mut Arc::make_mut(frame).locals {
-            match cell {
-                LocalCell::Obj(id) => *id = map(*id),
-                LocalCell::Val(node) => {
-                    if let Some(mapped) = map_node_objects(node, map) {
-                        *node = mapped;
+    })
+}
+
+/// Whether `write` targets or carries an object id that `map` moves.
+fn write_moves(write: &BufferedWrite, map: &impl Fn(ObjectId) -> ObjectId) -> bool {
+    map(write.loc.object) != write.loc.object || map_value_objects(&write.value, map).is_some()
+}
+
+/// Whether `thread` holds an object id that `map` moves.
+fn thread_moves(thread: &ThreadState, map: &impl Fn(ObjectId) -> ObjectId) -> bool {
+    thread.frames.iter().any(|frame| frame_moves(frame, map))
+        || thread.buffer.iter().any(|write| write_moves(write, map))
+}
+
+/// Rewrites object ids in one thread's frames and store buffer, unsharing
+/// the frame slice, each frame's locals and the buffer only if they hold
+/// an id that moves.
+fn renumber_thread(thread: &mut ThreadState, map: &impl Fn(ObjectId) -> ObjectId) {
+    if thread.frames.iter().any(|frame| frame_moves(frame, map)) {
+        for frame in Arc::make_mut(&mut thread.frames) {
+            if !frame_moves(frame, map) {
+                continue;
+            }
+            for cell in Arc::make_mut(&mut frame.locals) {
+                match cell {
+                    LocalCell::Obj(id) => *id = map(*id),
+                    LocalCell::Val(node) => {
+                        if let Some(mapped) = map_node_objects(node, map) {
+                            *node = mapped;
+                        }
                     }
                 }
             }
         }
     }
-    for write in &mut thread.buffer {
-        write.loc.object = map(write.loc.object);
-        if let Some(value) = map_value_objects(&write.value, map) {
-            write.value = value;
+    if thread.buffer.iter().any(|write| write_moves(write, map)) {
+        for write in Arc::make_mut(&mut thread.buffer) {
+            write.loc.object = map(write.loc.object);
+            if let Some(value) = map_value_objects(&write.value, map) {
+                write.value = value;
+            }
         }
     }
 }
 
 /// Rewrites object ids in a shared value list (ghosts or log), unsharing it
 /// only if some value changes.
-fn map_values_objects(values: &mut Arc<Vec<Value>>, map: &impl Fn(ObjectId) -> ObjectId) {
+fn map_values_objects(values: &mut Arc<[Value]>, map: &impl Fn(ObjectId) -> ObjectId) {
     let mapped: Vec<(usize, Value)> = values
         .iter()
         .enumerate()
@@ -1013,8 +1037,8 @@ mod tests {
         let mut state = crate::state::initial_state(&p).unwrap();
         // Simulate main having spawned both workers: handle slots hold 2, 3.
         let frame = state.thread_mut(MAIN_TID).top_frame_mut();
-        frame.locals[0] = LocalCell::Val(MemNode::Leaf(Value::tid(2)));
-        frame.locals[1] = LocalCell::Val(MemNode::Leaf(Value::tid(3)));
+        *frame.local_mut(0) = LocalCell::Val(MemNode::Leaf(Value::tid(2)));
+        *frame.local_mut(1) = LocalCell::Val(MemNode::Leaf(Value::tid(3)));
         let (canonical, inverse) = canon.canonicalize(state);
         assert!(inverse.is_none(), "no candidate threads yet");
         let frame = canonical.threads[&MAIN_TID].top_frame();

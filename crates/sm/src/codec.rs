@@ -17,7 +17,7 @@
 //! Checkpoints add append-only [`Log`]s whose valid prefix a
 //! `write_atomic` manifest records.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -462,7 +462,7 @@ fn dec_termination(d: &mut Dec) -> DecResult<Termination> {
 fn enc_frame(e: &mut Enc, f: &Frame) {
     e.u32(f.routine);
     e.len_of(f.locals.len());
-    for local in &f.locals {
+    for local in f.locals.iter() {
         match local {
             LocalCell::Val(node) => {
                 e.u8(0);
@@ -486,14 +486,15 @@ fn enc_frame(e: &mut Enc, f: &Frame) {
 fn dec_frame(d: &mut Dec) -> DecResult<Frame> {
     let routine = d.u32()?;
     let n = d.len_of()?;
-    let mut locals = Vec::with_capacity(n);
-    for _ in 0..n {
-        locals.push(match d.u8()? {
-            0 => LocalCell::Val(dec_mem_node(d)?),
-            1 => LocalCell::Obj(ObjectId(d.u32()?)),
-            tag => return Err(CodecError(format!("bad local tag {tag}"))),
-        });
-    }
+    let locals = (0..n)
+        .map(|_| {
+            Ok(match d.u8()? {
+                0 => LocalCell::Val(dec_mem_node(d)?),
+                1 => LocalCell::Obj(ObjectId(d.u32()?)),
+                tag => return Err(CodecError(format!("bad local tag {tag}"))),
+            })
+        })
+        .collect::<DecResult<_>>()?;
     let call_pc = if d.bool()? { Some(dec_pc(d)?) } else { None };
     Ok(Frame {
         routine,
@@ -505,11 +506,11 @@ fn dec_frame(d: &mut Dec) -> DecResult<Frame> {
 fn enc_thread(e: &mut Enc, t: &ThreadState) {
     enc_pc(e, &t.pc);
     e.len_of(t.frames.len());
-    for frame in &t.frames {
+    for frame in t.frames.iter() {
         enc_frame(e, frame);
     }
     e.len_of(t.buffer.len());
-    for write in &t.buffer {
+    for write in t.buffer.iter() {
         enc_location(e, &write.loc);
         enc_value(e, &write.value);
     }
@@ -523,17 +524,17 @@ fn enc_thread(e: &mut Enc, t: &ThreadState) {
 fn dec_thread(d: &mut Dec) -> DecResult<ThreadState> {
     let pc = dec_pc(d)?;
     let nframes = d.len_of()?;
-    let mut frames = Vec::with_capacity(nframes);
-    for _ in 0..nframes {
-        frames.push(Arc::new(dec_frame(d)?));
-    }
+    let frames = (0..nframes)
+        .map(|_| dec_frame(d))
+        .collect::<DecResult<_>>()?;
     let nbuf = d.len_of()?;
-    let mut buffer = VecDeque::with_capacity(nbuf);
-    for _ in 0..nbuf {
-        let loc = dec_location(d)?;
-        let value = dec_value(d)?;
-        buffer.push_back(BufferedWrite { loc, value });
-    }
+    let buffer = (0..nbuf)
+        .map(|_| {
+            let loc = dec_location(d)?;
+            let value = dec_value(d)?;
+            Ok(BufferedWrite { loc, value })
+        })
+        .collect::<DecResult<_>>()?;
     let atomic_depth = d.u32()?;
     let status = match d.u8()? {
         0 => ThreadStatus::Active,
@@ -609,29 +610,34 @@ pub fn enc_state(e: &mut Enc, state: &ProgState) {
 /// Decodes a full program state.
 pub fn dec_state(d: &mut Dec) -> DecResult<ProgState> {
     let nthreads = d.len_of()?;
-    let mut threads = BTreeMap::new();
+    let mut threads = Vec::new();
     for _ in 0..nthreads {
         let tid = d.u64()?;
-        threads.insert(tid, Arc::new(dec_thread(d)?));
+        // The thread table is sorted by tid and looked up by binary search:
+        // a repeated or out-of-order tid is a malformed record.
+        if let Some(&(prev, _)) = threads.last() {
+            if tid <= prev {
+                return Err(CodecError(format!(
+                    "thread tids not strictly increasing: {tid} after {prev}"
+                )));
+            }
+        }
+        threads.push((tid, dec_thread(d)?));
     }
     let heap = dec_heap(d)?;
     let nghosts = d.len_of()?;
-    let mut ghosts = Vec::with_capacity(nghosts);
-    for _ in 0..nghosts {
-        ghosts.push(dec_value(d)?);
-    }
+    let ghosts = (0..nghosts)
+        .map(|_| dec_value(d))
+        .collect::<DecResult<_>>()?;
     let nlog = d.len_of()?;
-    let mut log = Vec::with_capacity(nlog);
-    for _ in 0..nlog {
-        log.push(dec_value(d)?);
-    }
+    let log = (0..nlog).map(|_| dec_value(d)).collect::<DecResult<_>>()?;
     let termination = dec_termination(d)?;
     let next_tid = d.u64()?;
     Ok(ProgState {
-        threads,
+        threads: threads.into_iter().collect(),
         heap,
-        ghosts: Arc::new(ghosts),
-        log: Arc::new(log),
+        ghosts,
+        log,
         termination,
         next_tid,
     })
@@ -887,6 +893,7 @@ mod tests {
     use crate::arena::StateArena;
     use crate::explore::{explore, Bounds};
     use crate::lower::lower;
+    use crate::state::Tid;
 
     fn program(source: &str) -> crate::program::Program {
         let module = armada_lang::parse_module(source).expect("parse");
@@ -956,6 +963,39 @@ mod tests {
             let mut d = Dec::new(&bytes);
             assert_eq!(dec_value(&mut d).expect("decode"), *v);
             assert!(d.at_end());
+        }
+    }
+
+    /// A state with an empty heap, no ghosts and no log whose thread
+    /// table lists `tids` in the given order.
+    fn hand_encoded_state(tids: &[Tid]) -> Vec<u8> {
+        let frame = Frame {
+            routine: 0,
+            locals: Arc::default(),
+            call_pc: None,
+        };
+        let thread = ThreadState::new(Pc::new(0, 0), frame);
+        let mut e = Enc::new();
+        e.len_of(tids.len());
+        for &tid in tids {
+            e.u64(tid);
+            enc_thread(&mut e, &thread);
+        }
+        enc_heap(&mut e, &Heap::new());
+        e.len_of(0);
+        e.len_of(0);
+        enc_termination(&mut e, &Termination::Running);
+        e.u64(tids.len() as u64 + 1);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn dec_state_rejects_unsorted_or_repeated_tids() {
+        let sorted = state_from_bytes(&hand_encoded_state(&[1, 2])).expect("sorted tids");
+        assert_eq!(sorted.threads.keys().copied().collect::<Vec<_>>(), [1, 2]);
+        for tids in [[2, 1], [1, 1]] {
+            let err = state_from_bytes(&hand_encoded_state(&tids)).unwrap_err();
+            assert!(err.0.contains("strictly increasing"), "{tids:?}: {err:?}");
         }
     }
 

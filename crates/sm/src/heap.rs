@@ -216,16 +216,16 @@ pub struct HeapObject {
 
 /// The heap forest. Object ids are assigned in allocation order, which keeps
 /// the semantics deterministic given a step sequence.
+///
+/// The object table is a shared slice of shared objects, so cloning a heap
+/// is a refcount bump. A step that writes no memory leaves the whole table
+/// shared; a write unshares the table (one allocation, one refcount bump
+/// per object) plus the one object it writes, and an allocation builds the
+/// grown table in one allocation. Writes validate against the shared table
+/// first, so a step that turns out to be UB copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Heap {
-    /// The object table and each object in it are `Arc`-shared, so cloning
-    /// a heap for one step is a refcount bump: a step that writes no memory
-    /// leaves the whole table shared, and a write unshares the table (one
-    /// refcount bump per object) plus the one object it writes
-    /// (copy-on-write via [`Arc::make_mut`]). Writes validate against the
-    /// shared table first, so a step that turns out to be UB copies
-    /// nothing.
-    objects: Arc<Vec<Arc<HeapObject>>>,
+    objects: Arc<[Arc<HeapObject>]>,
 }
 
 impl Heap {
@@ -247,11 +247,17 @@ impl Heap {
     /// Allocates a new object and returns its id.
     pub fn alloc(&mut self, node: MemNode, kind: RootKind) -> ObjectId {
         let id = ObjectId(self.objects.len() as u32);
-        Arc::make_mut(&mut self.objects).push(Arc::new(HeapObject {
+        let object = Arc::new(HeapObject {
             node,
             status: AllocStatus::Valid,
             kind,
-        }));
+        });
+        self.objects = self
+            .objects
+            .iter()
+            .cloned()
+            .chain(std::iter::once(object))
+            .collect();
         id
     }
 
@@ -340,10 +346,11 @@ impl Heap {
 
     /// Rebuilds a heap from an object list; the index of each entry becomes
     /// its [`ObjectId`]. The caller is responsible for having rewritten any
-    /// pointers consistently with the new numbering.
-    pub fn from_objects(objects: Vec<Arc<HeapObject>>) -> Heap {
+    /// pointers consistently with the new numbering. An iterator of known
+    /// length builds the table in one allocation.
+    pub fn from_objects(objects: impl IntoIterator<Item = Arc<HeapObject>>) -> Heap {
         Heap {
-            objects: Arc::new(objects),
+            objects: objects.into_iter().collect(),
         }
     }
 

@@ -185,9 +185,10 @@ impl<'p> Reducer<'p> {
         tid: Tid,
         max_buffer: usize,
     ) -> Option<(usize, ProgState)> {
-        let mut run_fps = HashSet::new();
-        run_fps.insert(StateArena::fingerprint(origin));
-        run_fps.insert(StateArena::fingerprint(&first));
+        // Most runs are a single step, which cannot revisit anything: the
+        // cycle set starts with the run's second step, seeded with the
+        // states visited so far (`origin` and `first`).
+        let mut run_fps: Option<HashSet<u64>> = None;
         let mut micro = 1usize;
         let mut cur = first;
         loop {
@@ -197,6 +198,12 @@ impl<'p> Reducer<'p> {
             let Some(next) = self.fusable_step(&cur, tid, max_buffer) else {
                 break;
             };
+            let run_fps = run_fps.get_or_insert_with(|| {
+                HashSet::from([
+                    StateArena::fingerprint(origin),
+                    StateArena::fingerprint(&cur),
+                ])
+            });
             if !run_fps.insert(StateArena::fingerprint(&next)) {
                 // The local run revisits a state: a pure local cycle under
                 // reduction would starve every other thread (C3). Abandon
@@ -386,6 +393,42 @@ mod tests {
             edges.iter().all(|(m, _)| m.micro_len() == 1),
             "cycle must abandon fusion"
         );
+    }
+
+    #[test]
+    fn two_step_local_cycle_abandons_reduction() {
+        // `while (true) {}` lowers to a guard and a jump back to it: from
+        // the guard, the run's first step reaches the jump and its second
+        // step returns to the run's origin. The revisit is caught only
+        // because the cycle set is seeded with the origin.
+        let p = program(
+            r#"level L {
+                var stop: uint32;
+                void main() {
+                    while (true) { }
+                }
+            }"#,
+        );
+        let reducer = Reducer::new(&p);
+        let max_buffer = Bounds::small().max_buffer;
+        let mut origin = initial_state(&p).unwrap();
+        while !matches!(p.instr_at(origin.threads[&1].pc), Some(Instr::Guard { .. })) {
+            origin = reducer
+                .fusable_step(&origin, 1, max_buffer)
+                .expect("fusable");
+        }
+        let first = reducer
+            .fusable_step(&origin, 1, max_buffer)
+            .expect("fusable");
+        let second = reducer
+            .fusable_step(&first, 1, max_buffer)
+            .expect("fusable");
+        assert_ne!(first, origin);
+        assert_eq!(second, origin, "a two-step cycle");
+        assert_eq!(reducer.fuse_run(&origin, first, 1, max_buffer), None);
+        let pool = Bounds::small().pool_for(&p);
+        let edges = reducer.macro_steps(&origin, &pool, max_buffer, true);
+        assert!(edges.iter().all(|(m, _)| m.micro_len() == 1));
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::eval::{count_nondet_sites, EvalCtx, EvalErr, Place, PlaceBase};
 use crate::heap::{Location, MemNode, PtrVal, RootKind};
 use crate::program::{Instr, Pc, Program};
 use crate::state::{
-    Frame, LocalCell, ProgState, Termination, ThreadState, ThreadStatus, Tid, MAIN_TID,
+    BufferedWrite, Frame, LocalCell, ProgState, Termination, ThreadState, ThreadStatus, Tid,
+    MAIN_TID,
 };
 use crate::value::{UbReason, Value};
 use std::sync::Arc;
@@ -245,8 +246,7 @@ fn exec_instr(
             // Log entries are observations, not typed storage: normalize so
             // that a `uint32` 1 and a ghost 1 are the same event and levels
             // of different concreteness stay comparable under R.
-            Arc::make_mut(&mut new_state.log)
-                .extend(values.into_iter().map(crate::eval::normalize_key));
+            new_state.append_log(values.into_iter().map(crate::eval::normalize_key));
             set_pc(&mut new_state, tid, pc.next());
             Ok(new_state)
         }
@@ -258,22 +258,26 @@ fn exec_instr(
         }
         Instr::Assign { lhs, rhs, sc } => {
             // Evaluate all RHSs, then all LHS places, against the pre-state;
-            // then apply the writes left to right.
-            let mut values = Vec::with_capacity(rhs.len());
-            for value_expr in rhs {
-                values.push(eval_rhs(&mut ctx, value_expr).map_err(lift)?);
-            }
-            let mut places = Vec::with_capacity(lhs.len());
-            for target in lhs {
-                places.push(ctx.eval_place(target).map_err(lift)?);
-            }
-            let mut new_state = state.clone();
-            for (place, value) in places.into_iter().zip(values) {
-                match value {
-                    Evaluated::Prim(value) => {
-                        write_value(program, &mut new_state, tid, &place, value, *sc, max_buffer)?
-                    }
-                    Evaluated::Composite(node) => write_node(&mut new_state, tid, &place, node)?,
+            // then apply the writes left to right. A single target (the
+            // common case) needs no staging vectors.
+            let mut new_state;
+            if let ([target], [value_expr]) = (&lhs[..], &rhs[..]) {
+                let value = eval_rhs(&mut ctx, value_expr).map_err(lift)?;
+                let place = ctx.eval_place(target).map_err(lift)?;
+                new_state = state.clone();
+                write_evaluated(program, &mut new_state, tid, &place, value, *sc, max_buffer)?;
+            } else {
+                let mut values = Vec::with_capacity(rhs.len());
+                for value_expr in rhs {
+                    values.push(eval_rhs(&mut ctx, value_expr).map_err(lift)?);
+                }
+                let mut places = Vec::with_capacity(lhs.len());
+                for target in lhs {
+                    places.push(ctx.eval_place(target).map_err(lift)?);
+                }
+                new_state = state.clone();
+                for (place, value) in places.into_iter().zip(values) {
+                    write_evaluated(program, &mut new_state, tid, &place, value, *sc, max_buffer)?;
                 }
             }
             set_pc(&mut new_state, tid, pc.next());
@@ -350,7 +354,7 @@ fn exec_instr(
                 build_frame(program, &mut new_state, *routine, &values).map_err(lift)?;
             frame.call_pc = Some(pc);
             let thread = new_state.thread_mut(tid);
-            thread.frames.push(Arc::new(frame));
+            thread.push_frame(frame);
             thread.pc = Pc::new(*routine, 0);
             Ok(new_state)
         }
@@ -366,9 +370,9 @@ fn exec_instr(
             };
             let mut new_state = state.clone();
             let thread = new_state.thread_mut(tid);
-            let popped = thread.frames.pop().expect("active thread has a frame");
+            let popped = thread.pop_frame();
             // Address-taken locals die with the frame (§3.2.4).
-            for cell in &popped.locals {
+            for cell in popped.locals.iter() {
                 if let LocalCell::Obj(id) = cell {
                     new_state.heap.free_static(*id);
                 }
@@ -426,16 +430,9 @@ fn exec_instr(
             let frame = build_frame(program, &mut new_state, *routine, &values).map_err(lift)?;
             let new_tid = new_state.next_tid;
             new_state.next_tid += 1;
-            new_state.threads.insert(
-                new_tid,
-                Arc::new(ThreadState {
-                    pc: Pc::new(*routine, 0),
-                    frames: vec![Arc::new(frame)],
-                    buffer: Default::default(),
-                    atomic_depth: 0,
-                    status: ThreadStatus::Active,
-                }),
-            );
+            new_state
+                .threads
+                .insert(new_tid, ThreadState::new(Pc::new(*routine, 0), frame));
             if let Some(place) = into_place {
                 write_value(
                     program,
@@ -472,9 +469,7 @@ fn exec_instr(
             requires,
             modifies,
             ensures,
-        } => exec_somehow(
-            program, state, tid, requires, modifies, ensures, nondets, pc,
-        ),
+        } => exec_somehow(program, state, tid, requires, modifies, ensures, nondets),
     }
 }
 
@@ -486,8 +481,8 @@ fn exec_somehow(
     modifies: &[Expr],
     ensures: &[Expr],
     nondets: &[Value],
-    pc: Pc,
 ) -> ExecResult {
+    let pc = state.thread(tid).expect("caller checked").pc;
     let mut ctx = EvalCtx::new(program, state, tid, nondets);
     for clause in requires {
         match ctx.eval(clause).map_err(lift)?.as_bool() {
@@ -598,6 +593,22 @@ fn set_pc(state: &mut ProgState, tid: Tid, pc: Pc) {
 /// buffer unless `sc`; a full buffer disables the step (the processor
 /// stalls). Values are coerced to the type of the location's current
 /// occupant, modeling assignment-width wrapping.
+/// Writes an evaluated right-hand side at a place.
+fn write_evaluated(
+    program: &Program,
+    state: &mut ProgState,
+    tid: Tid,
+    place: &Place,
+    value: Evaluated,
+    sc: bool,
+    max_buffer: usize,
+) -> Result<(), ExecStop> {
+    match value {
+        Evaluated::Prim(value) => write_value(program, state, tid, place, value, sc, max_buffer),
+        Evaluated::Composite(node) => write_node(state, tid, place, node),
+    }
+}
+
 fn write_value(
     program: &Program,
     state: &mut ProgState,
@@ -609,9 +620,8 @@ fn write_value(
 ) -> Result<(), ExecStop> {
     match &place.base {
         PlaceBase::Local(slot) => {
-            let thread = state.thread_mut(tid);
-            let frame = thread.top_frame_mut();
-            let node = match &mut frame.locals[*slot] {
+            let cell = state.thread_mut(tid).top_frame_mut().local_mut(*slot);
+            let node = match cell {
                 LocalCell::Val(node) => node,
                 LocalCell::Obj(_) => unreachable!("Obj cells resolve to heap places"),
             };
@@ -623,9 +633,8 @@ fn write_value(
             Ok(())
         }
         PlaceBase::Ghost(slot) => {
-            let ty = program.ghosts.get(*slot).map(|g| g.ty.clone());
-            let coerced = match ty {
-                Some(ty) => value.coerce_to(&ty),
+            let coerced = match program.ghosts.get(*slot) {
+                Some(ghost) => value.coerce_to(&ghost.ty),
                 None => value,
             };
             Arc::make_mut(&mut state.ghosts)[*slot] = coerced;
@@ -659,13 +668,10 @@ fn write_value(
                 if state.thread(tid).expect("active thread").buffer.len() >= max_buffer {
                     return Err(ExecStop::Disabled);
                 }
-                state
-                    .thread_mut(tid)
-                    .buffer
-                    .push_back(crate::state::BufferedWrite {
-                        loc,
-                        value: coerced,
-                    });
+                state.thread_mut(tid).push_write(BufferedWrite {
+                    loc,
+                    value: coerced,
+                });
             }
             Ok(())
         }
@@ -684,9 +690,7 @@ fn write_node(
 ) -> Result<(), ExecStop> {
     match &place.base {
         PlaceBase::Local(slot) => {
-            let thread = state.thread_mut(tid);
-            let frame = thread.top_frame_mut();
-            let cell = match &mut frame.locals[*slot] {
+            let cell = match state.thread_mut(tid).top_frame_mut().local_mut(*slot) {
                 LocalCell::Val(existing) => existing,
                 LocalCell::Obj(_) => unreachable!("Obj cells resolve to heap places"),
             };
@@ -758,20 +762,25 @@ pub fn build_frame(
             args.len()
         )));
     }
-    let mut locals = Vec::with_capacity(def.locals.len());
-    for (index, local) in def.locals.iter().enumerate() {
-        let mut node = MemNode::zero(&local.ty, &program.structs);
-        if index < def.param_count {
-            let value = args[index].clone().coerce_to(&local.ty);
-            node = MemNode::Leaf(value);
-        }
-        if local.addr_taken {
-            let id = state.heap.alloc(node, RootKind::Static);
-            locals.push(LocalCell::Obj(id));
-        } else {
-            locals.push(LocalCell::Val(node));
-        }
-    }
+    // A mapped slice iterator has a known length: the locals slice is
+    // built in one allocation.
+    let locals = def
+        .locals
+        .iter()
+        .enumerate()
+        .map(|(index, local)| {
+            let node = if index < def.param_count {
+                MemNode::Leaf(args[index].clone().coerce_to(&local.ty))
+            } else {
+                MemNode::zero(&local.ty, &program.structs)
+            };
+            if local.addr_taken {
+                LocalCell::Obj(state.heap.alloc(node, RootKind::Static))
+            } else {
+                LocalCell::Val(node)
+            }
+        })
+        .collect();
     Ok(Frame {
         routine,
         locals,
@@ -877,9 +886,19 @@ fn enumerate_tuples(
     out: &mut Vec<(Step, ProgState)>,
 ) {
     if remaining == 0 {
-        let step = Step::instr_with(tid, tuple.clone());
-        if let Some(next) = try_step_with_blocker(program, state, &step, max_buffer, blocker) {
-            out.push((step, next));
+        // The tuple moves into the candidate step and back out of it; it is
+        // copied only for a step that is enabled.
+        let step = Step::instr_with(tid, std::mem::take(tuple));
+        let next = try_step_with_blocker(program, state, &step, max_buffer, blocker);
+        let StepKind::Instr { nondets } = step.kind else {
+            unreachable!("built as an instruction step")
+        };
+        match next {
+            Some(next) => {
+                tuple.clone_from(&nondets);
+                out.push((Step::instr_with(tid, nondets), next));
+            }
+            None => *tuple = nondets,
         }
         return;
     }

@@ -34,6 +34,9 @@ impl std::fmt::Display for StmtPath {
 }
 
 /// One difference between the aligned levels.
+// Diff lists are short and built once per recipe: boxing the statements
+// would only add an indirection at every match site.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum DiffItem {
     /// A statement changed wholesale.

@@ -121,8 +121,8 @@ fn render_step_predicate(out: &mut String, routine: &str, ri: usize, ii: usize, 
         "  predicate Step_{name}(s: TotalState, s': TotalState, tid: uint64)\n"
     ));
     out.push_str("  {\n");
-    out.push_str(&format!("    && s.stop.Running?\n"));
-    out.push_str(&format!("    && tid in s.threads\n"));
+    out.push_str("    && s.stop.Running?\n");
+    out.push_str("    && tid in s.threads\n");
     out.push_str(&format!(
         "    && s.threads[tid].pc == PC_{name}  // r{ri}:{ii}\n"
     ));

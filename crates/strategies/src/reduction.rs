@@ -230,6 +230,16 @@ impl Segment {
     }
 }
 
+/// Ends the open segment of `routine`, if it has any instructions.
+fn close_segment(segments: &mut Vec<Segment>, routine: &str, current: &mut Vec<Pc>) {
+    if !current.is_empty() {
+        segments.push(Segment {
+            routine: routine.to_string(),
+            pcs: std::mem::take(current),
+        });
+    }
+}
+
 /// Splits each `explicit_yield`/`atomic` region of `high` into segments at
 /// its `YieldPoint`s.
 fn atomic_segments(high: &Program) -> Vec<Segment> {
@@ -244,20 +254,12 @@ fn atomic_segments(high: &Program) -> Vec<Segment> {
                 }
                 Instr::AtomicEnd => {
                     depth = depth.saturating_sub(1);
-                    if depth == 0 && !current.is_empty() {
-                        segments.push(Segment {
-                            routine: routine.name.clone(),
-                            pcs: std::mem::take(&mut current),
-                        });
+                    if depth == 0 {
+                        close_segment(&mut segments, &routine.name, &mut current);
                     }
                 }
                 Instr::YieldPoint if depth > 0 => {
-                    if !current.is_empty() {
-                        segments.push(Segment {
-                            routine: routine.name.clone(),
-                            pcs: std::mem::take(&mut current),
-                        });
-                    }
+                    close_segment(&mut segments, &routine.name, &mut current);
                 }
                 _ if depth > 0 => current.push(Pc::new(ri as u32, ii as u32)),
                 _ => {}

@@ -329,7 +329,7 @@ fn compose_orig(
 /// memoizable per (match-set, observables) pair and lets the high side be
 /// grouped into observation classes. The log is the state's own shared
 /// spine, so building a key costs a refcount bump, not a log copy.
-type Obs = (Arc<Vec<Value>>, Termination);
+type Obs = (Arc<[Value]>, Termination);
 
 /// The relation's view of an owned observation.
 fn view(obs: &Obs) -> Observation<'_> {
@@ -2428,8 +2428,10 @@ state (Running)
             "B",
         );
         let relation = StandardRelation::log_prefix();
-        let mut config = SimConfig::default();
-        config.max_nodes = 1;
+        let config = SimConfig {
+            max_nodes: 1,
+            ..SimConfig::default()
+        };
         let err = check_refinement(&low, &high, &relation, &config).unwrap_err();
         assert_eq!(err.kind, CexKind::Budget);
         assert!(err.kind.is_budget());

@@ -818,8 +818,10 @@ checksum e790f412edeb2cee
         assert_ne!(base, CertKey::compute("src2", "A", "B", &config));
         assert_ne!(base, CertKey::compute("src", "A", "C", &config));
         assert_ne!(base, CertKey::compute("src", "B", "A", &config));
-        let mut tighter = SimConfig::default();
-        tighter.max_nodes = 7;
+        let tighter = SimConfig {
+            max_nodes: 7,
+            ..SimConfig::default()
+        };
         assert_ne!(base, CertKey::compute("src", "A", "B", &tighter));
         // Reduction changes the cert's counters, so it is part of the key.
         let unreduced = SimConfig::default().with_reduction(false);

@@ -2,7 +2,8 @@
 # Pre-PR gate for the Armada reproduction. Fully offline by design: the
 # workspace has zero crates.io dependencies (see DESIGN.md, "Dependencies").
 #
-#   scripts/verify.sh          # release build + tier-1 tests + fmt check
+#   scripts/verify.sh          # release build + tier-1 tests + fmt and
+#                              # clippy checks
 #   scripts/verify.sh --full   # additionally: a quick pass over every
 #                              # bench target
 #
@@ -19,6 +20,9 @@ cargo test -q --offline
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy (all targets, warnings are errors)"
+cargo clippy --all-targets --offline -- -D warnings
 
 echo "==> armada recheck gate (emit → recheck, fixture records, corrupted witness → reject, warm --recheck)"
 # For every shipped spec, a cold run persists witness-bearing certs (one

@@ -145,7 +145,7 @@ fn unchecked_loads_mutant_is_caught_and_shrunk() {
         plan_override: Some(plan.clone()),
         ..FuzzConfig::default()
     };
-    let report = run_campaign(&[subject.clone()], &mutant);
+    let report = run_campaign(std::slice::from_ref(&subject), &mutant);
     let caught = report
         .violations
         .iter()

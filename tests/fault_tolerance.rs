@@ -279,8 +279,7 @@ fn structured_errors_keep_front_end_diagnostics() {
     // A type error is a structured `PipelineError` with a span, not a bare
     // string; its rendering still matches the front end's own diagnostic.
     let err = Pipeline::from_source("level A { void main() { x := 1; } }")
-        .err()
-        .expect("unknown variable is a front-end error");
+        .expect_err("unknown variable is a front-end error");
     assert!(err.recipe().is_none());
     assert!(err.span().line >= 1);
     // The legacy bridge renders identically, so stringly callers see the
