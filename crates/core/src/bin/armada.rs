@@ -75,13 +75,15 @@
 //! deterministic fault plan per `(seed, recipe)`, runs cold and warm
 //! against a scratch cert store at jobs ∈ {1, M}, and checks the campaign
 //! invariants (taxonomy, no-hang, no-corrupt-cert-served,
-//! verdict-invariance, determinism). `--events fate:recipe,...` replays an
-//! explicit plan — the reproducer format emitted for shrunk violations.
-//! Exit 0 when no invariant tripped, 1 otherwise. The campaign report JSON
-//! goes to `--out FILE` when given, else stdout; it is byte-identical
-//! across reruns of the same command line. `--mutate-bounds` additionally
-//! mutates the verification bounds (nondeterminism grid, store-buffer
-//! size, node cap) per seed, recomputing the baseline like-for-like.
+//! verdict-invariance, determinism, recheck). `--serve` runs the same
+//! sweep against a fresh daemon per cell with server-level fates instead.
+//! `--events fate:recipe,...` (`--server-events fate:ordinal,...` with
+//! `--serve`) replays an explicit plan — the reproducer format emitted for
+//! shrunk violations; an explicitly empty list (`--events ''`) is the
+//! no-fault plan. Exit 0 when no invariant tripped, 1 otherwise. The
+//! report JSON goes to `--out FILE` when given, else stdout; it is
+//! byte-identical across reruns of the same command line.
+//! `--mutate-bounds` also mutates the verification bounds per seed.
 //!
 //! `serve` binds a TCP daemon speaking a length-prefixed JSON protocol
 //! (see `armada::proto`): concurrent verify requests share an in-memory
@@ -136,6 +138,23 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Str
         }
     }
     Ok(None)
+}
+
+/// The positional arguments: everything that is neither a `--flag` nor
+/// the value of one of `value_flags`.
+fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut skip_next = false;
+    for arg in args {
+        if std::mem::take(&mut skip_next) {
+            continue;
+        }
+        skip_next = value_flags.contains(&arg.as_str());
+        if !arg.starts_with("--") {
+            out.push(arg.as_str());
+        }
+    }
+    out
 }
 
 /// Extracts `--jobs N` (or `--jobs=N`) from the argument list.
@@ -475,23 +494,12 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     };
     let serve = args.iter().any(|a| a == "--serve");
     let mutate_bounds = args.iter().any(|a| a == "--mutate-bounds");
-    let plan_override = match flag_value(args, "--events") {
-        Ok(Some(spec)) => match fuzz::parse_events(spec) {
-            Ok(events) if !events.is_empty() => Some(events),
-            Ok(_) => return fail("--events lists no events".to_string()),
-            Err(err) => return fail(err.to_string()),
-        },
-        Ok(None) => None,
-        Err(err) => return fail(err),
-    };
-    let server_plan_override = match flag_value(args, "--server-events") {
-        Ok(Some(spec)) => match fuzz::parse_server_events(spec) {
-            Ok(events) if !events.is_empty() => Some(events),
-            Ok(_) => return fail("--server-events lists no events".to_string()),
-            Err(err) => return fail(err.to_string()),
-        },
-        Ok(None) => None,
-        Err(err) => return fail(err),
+    let (plan_override, server_plan_override) = match (
+        events_flag(args, "--events"),
+        events_flag(args, "--server-events"),
+    ) {
+        (Ok(events), Ok(server_events)) => (events, server_events),
+        (Err(err), _) | (_, Err(err)) => return fail(err),
     };
     if serve && plan_override.is_some() {
         return fail(
@@ -508,27 +516,15 @@ fn fuzz_command(args: &[String]) -> ExitCode {
         Ok(out) => out.map(|s| s.to_string()),
         Err(err) => return fail(err),
     };
-    // Positional arguments are subject files; skip flags and their values.
     let value_flags = ["--seeds", "--jobs", "--events", "--server-events", "--out"];
-    let mut subjects = Vec::new();
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if arg.starts_with("--") {
-            continue;
-        }
-        match fuzz::FuzzSubject::from_path(arg) {
-            Ok(subject) => subjects.push(subject),
-            Err(err) => return fail(err),
-        }
-    }
+    let subjects: Vec<fuzz::FuzzSubject> = match positional(args, &value_flags)
+        .into_iter()
+        .map(fuzz::FuzzSubject::from_path)
+        .collect()
+    {
+        Ok(subjects) => subjects,
+        Err(err) => return fail(err),
+    };
     if subjects.is_empty() {
         return usage();
     }
@@ -586,6 +582,17 @@ fn fuzz_command(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Extracts an event-list flag (`--events`, `--server-events`). An
+/// explicitly empty list (`--events ''`) is the no-fault plan.
+fn events_flag<E>(args: &[String], flag: &str) -> Result<Option<Vec<E>>, String>
+where
+    E: std::str::FromStr<Err = String> + PartialEq,
+{
+    flag_value(args, flag)?
+        .map(|spec| fuzz::parse_events(spec).map_err(|err| err.to_string()))
+        .transpose()
 }
 
 /// Parses an optional positive-integer flag with a default.
@@ -704,23 +711,7 @@ fn client_command(args: &[String]) -> ExitCode {
         eprintln!("armada: {err}");
         ExitCode::from(2)
     };
-    let value_flags = ["--deadline", "--jobs"];
-    let mut positional = Vec::new();
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if arg.starts_with("--") {
-            continue;
-        }
-        positional.push(arg.as_str());
-    }
+    let positional = positional(args, &["--deadline", "--jobs"]);
     let Some(addr) = positional.first() else {
         return usage();
     };

@@ -11,9 +11,9 @@
 //!
 //! Three ways to build one:
 //!
-//! * the explicit builders ([`FaultPlan::panic_in_strategy`] and friends)
-//!   pin specific faults to specific recipes — integration tests use these
-//!   to assert one exact partial report;
+//! * [`FaultPlan::with_fate`] (plus [`FaultPlan::abort_at`] for a mid-run
+//!   kill) pins specific faults to specific recipes — integration tests
+//!   use it to assert one exact partial report;
 //! * [`FaultPlan::seeded`] derives the injection set from a SplitMix64
 //!   stream over the full [`FaultFate`] taxonomy, for randomized robustness
 //!   sweeps (`armada fuzz` runs a campaign of them). Each recipe's fate is
@@ -21,13 +21,19 @@
 //!   so the same seed produces the same faults at any `--jobs` count;
 //! * [`FaultPlan::from_events`] rebuilds a plan from an explicit event
 //!   list — the reproducer format `armada fuzz` emits after shrinking a
-//!   failing plan to a minimal fault sequence.
+//!   failing plan to a minimal fault sequence. Events print and parse
+//!   ([`std::str::FromStr`]) as `fate:recipe`.
+//!
+//! [`ServerPlan`] is the daemon-level counterpart for `armada fuzz
+//! --serve`, with its own [`ServerFate`] taxonomy and `fate:ordinal`
+//! events.
 //!
 //! Fault plans are test-only in intent: nothing in the pipeline constructs
 //! one unless a caller passes it in (the CLI gates it behind the
 //! deliberately test-scented `--fault-seed` / `fuzz --events`).
 
 use std::collections::BTreeSet;
+use std::str::FromStr;
 
 use armada_runtime::hash::fnv1a_64;
 use armada_runtime::SplitMix64;
@@ -157,6 +163,21 @@ impl std::fmt::Display for FaultEvent {
     }
 }
 
+impl FromStr for FaultEvent {
+    type Err = String;
+
+    /// Parses the `fate:recipe` form [`Display`](std::fmt::Display) writes.
+    fn from_str(token: &str) -> Result<FaultEvent, String> {
+        let (label, recipe) = token.split_once(':').ok_or("want fate:recipe")?;
+        let fate =
+            FaultFate::parse(label).ok_or_else(|| format!("unknown fault fate `{label}`"))?;
+        Ok(FaultEvent {
+            fate,
+            recipe: recipe.to_string(),
+        })
+    }
+}
+
 /// Declarative injection points for one pipeline run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -181,22 +202,6 @@ impl FaultPlan {
             recipe: recipe.to_string(),
         });
         self
-    }
-
-    /// Injects a panic at the start of `recipe`'s strategy stage.
-    pub fn panic_in_strategy(self, recipe: &str) -> FaultPlan {
-        self.with_fate(FaultFate::StrategyPanic, recipe)
-    }
-
-    /// Injects a panic at the start of `recipe`'s semantic check.
-    pub fn panic_in_check(self, recipe: &str) -> FaultPlan {
-        self.with_fate(FaultFate::CheckPanic, recipe)
-    }
-
-    /// Forces `recipe`'s semantic check to exhaust its node budget
-    /// immediately (the budget is clamped to one product node).
-    pub fn exhaust_budget(self, recipe: &str) -> FaultPlan {
-        self.with_fate(FaultFate::BudgetExhaustion, recipe)
     }
 
     /// Aborts the run before recipe index `index` (0-based, recipe
@@ -245,22 +250,6 @@ impl FaultPlan {
         self.events
             .iter()
             .any(|e| e.fate == fate && e.recipe == recipe)
-    }
-
-    /// True if `recipe`'s strategy stage should panic.
-    pub fn strategy_panics(&self, recipe: &str) -> bool {
-        self.has(FaultFate::StrategyPanic, recipe)
-    }
-
-    /// True if `recipe`'s semantic check should panic.
-    pub fn check_panics(&self, recipe: &str) -> bool {
-        self.has(FaultFate::CheckPanic, recipe)
-    }
-
-    /// True if `recipe`'s semantic check should run with an exhausted
-    /// budget.
-    pub fn exhausts_budget(&self, recipe: &str) -> bool {
-        self.has(FaultFate::BudgetExhaustion, recipe)
     }
 
     /// True if the run should skip the recipe at `index` (simulated kill).
@@ -398,6 +387,21 @@ impl std::fmt::Display for ServerEvent {
     }
 }
 
+impl FromStr for ServerEvent {
+    type Err = String;
+
+    /// Parses the `fate:ordinal` form [`Display`](std::fmt::Display) writes.
+    fn from_str(token: &str) -> Result<ServerEvent, String> {
+        let (label, ordinal) = token.split_once(':').ok_or("want fate:ordinal")?;
+        let fate =
+            ServerFate::parse(label).ok_or_else(|| format!("unknown server fate `{label}`"))?;
+        let ordinal = ordinal
+            .parse()
+            .map_err(|_| format!("ordinal `{ordinal}` is not a number"))?;
+        Ok(ServerEvent { fate, ordinal })
+    }
+}
+
 /// Declarative server-level injection points for one daemon's lifetime.
 ///
 /// Ordinals are assigned at admission, so a plan is only deterministic when
@@ -466,21 +470,6 @@ impl ServerPlan {
     pub fn count_of(&self, fate: ServerFate) -> usize {
         self.events.iter().filter(|e| e.fate == fate).count()
     }
-
-    /// One line per injection, for logging the plan alongside a report.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            let what = match event.fate {
-                ServerFate::WorkerKill => "kill worker on request",
-                ServerFate::Tier2Corrupt => "corrupt tier-2 reads of request",
-                ServerFate::AcceptJitter => "deadline jitter on accept of request",
-                ServerFate::SameKeyStorm => "same-key storm at request",
-            };
-            out.push_str(&format!("{what} #{}\n", event.ordinal));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -490,14 +479,14 @@ mod tests {
     #[test]
     fn builders_register_their_injection_points() {
         let plan = FaultPlan::new()
-            .panic_in_strategy("P1")
-            .panic_in_check("P2")
-            .exhaust_budget("P3")
+            .with_fate(FaultFate::StrategyPanic, "P1")
+            .with_fate(FaultFate::CheckPanic, "P2")
+            .with_fate(FaultFate::BudgetExhaustion, "P3")
             .abort_at(2);
-        assert!(plan.strategy_panics("P1"));
-        assert!(!plan.strategy_panics("P2"));
-        assert!(plan.check_panics("P2"));
-        assert!(plan.exhausts_budget("P3"));
+        assert!(plan.has(FaultFate::StrategyPanic, "P1"));
+        assert!(!plan.has(FaultFate::StrategyPanic, "P2"));
+        assert!(plan.has(FaultFate::CheckPanic, "P2"));
+        assert!(plan.has(FaultFate::BudgetExhaustion, "P3"));
         assert!(!plan.skips(1));
         assert!(plan.skips(2));
         assert!(plan.skips(99));
@@ -590,7 +579,6 @@ mod tests {
         assert!(plan.has(ServerFate::WorkerKill, 0));
         assert!(!plan.has(ServerFate::WorkerKill, 1));
         assert_eq!(ServerPlan::from_events(plan.events()), plan);
-        assert_eq!(plan.describe().lines().count(), 2);
         for fate in ALL_SERVER_FATES {
             assert_eq!(ServerFate::parse(fate.label()), Some(fate));
         }

@@ -1,59 +1,76 @@
-//! Deterministic fault-fuzzing campaigns over the verification pipeline.
+//! Deterministic fault-fuzzing campaigns over the verification pipeline
+//! and the `armada serve` daemon.
 //!
 //! A campaign sweeps a corpus of subjects (Armada source files) over a
-//! seed grid. Each `(subject, seed)` cell derives a [`FaultPlan`] from the
-//! seed (see [`FaultPlan::seeded`]), runs the pipeline cold and warm
-//! (against a fresh certificate store, then against the store the cold run
-//! populated) at every configured job count, and checks the campaign
-//! invariants:
+//! seed grid. Both modes share one driver: per subject it runs a fault-free
+//! baseline; per `(subject, seed)` cell it derives a plan from the seed
+//! (or takes the override), runs the mode's cell over the whole jobs grid,
+//! and shrinks every violation to a reproducer. The two modes differ only
+//! in their plans and their cells:
+//!
+//! * **pipeline** ([`run_campaign`]) — a [`FaultPlan`] (see
+//!   [`FaultPlan::seeded`]); the cell runs the pipeline cold and warm
+//!   (against a fresh certificate store, then against the store the cold
+//!   run populated) at every job count;
+//! * **serve** ([`run_serve_campaign`]) — a [`ServerPlan`]; the cell boots
+//!   a fresh daemon per job count and drives it through killed workers,
+//!   corrupted tier-2 entries, accept jitter and same-key storms.
+//!
+//! The cells check the campaign invariants:
 //!
 //! * **taxonomy** — every run lands inside the documented outcome space:
 //!   no escaped panic, no infrastructure error on a well-formed subject,
 //!   and a worst-status exit code in the 0–4 vocabulary;
-//! * **no-hang** — every run finishes inside the hang budget (faults may
-//!   slow a run down, never wedge it);
+//! * **no-hang** — every run finishes inside [`HANG_BUDGET`] (faults may
+//!   slow a run down, never wedge it); the daemon's analogue is
+//!   **deadline-overrun** (every request answered within deadline + grace);
 //! * **no-corrupt-cert-served** — whenever the store reports a cache hit,
 //!   the served certificate is identical to the fault-free baseline's
 //!   certificate for that level pair (a mangled record must be a miss,
 //!   never a lie);
 //! * **verdict-invariance** — when every injected fault is recoverable
-//!   (see [`FaultFate::is_recoverable`]), the report is byte-identical to
-//!   the fault-free baseline after erasing cache-disposition annotations;
+//!   (see [`crate::FaultFate::is_recoverable`]), the report is
+//!   byte-identical to the fault-free baseline after erasing
+//!   cache-disposition annotations;
 //! * **determinism** — for one `(subject, seed)` cell, renders are
-//!   byte-identical across job counts (cold vs cold, warm vs warm);
+//!   byte-identical across job counts;
 //! * **recheck** — every certificate an exit-0 run emits carries a witness
 //!   that passes the independent `armada recheck` checker: structural
-//!   validation plus semantic replay against the subject's own source.
+//!   validation plus semantic replay against the subject's own source;
+//! * **coalesce-divergence** (serve only) — a same-key herd costs one
+//!   verification and every member sees the leader's bytes.
 //!
 //! When an invariant trips, the campaign greedily shrinks the plan — retry
 //! the cell with each event removed, keep removals that preserve the
 //! violation, repeat to fixpoint — and records a minimal event list plus a
-//! ready-to-run `armada fuzz … --events …` reproducer line.
+//! ready-to-run `armada fuzz … --events …` (or `--serve … --server-events
+//! …`) reproducer line. A plan that shrinks to nothing replays as
+//! `--events ''`, the explicit no-fault plan.
 //!
 //! Everything is a pure function of `(subjects, config)`: the campaign
 //! report (see [`CampaignReport::to_json`]) contains no timestamps, paths,
 //! or durations, so reruns are byte-identical — the determinism gate
 //! `scripts/verify.sh` relies on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use armada_runtime::hash::fnv1a_64;
 use armada_runtime::SplitMix64;
 
 use crate::fault::{
-    FaultEvent, FaultFate, FaultPlan, ServerEvent, ServerFate, ServerPlan, ALL_FATES,
-    ALL_SERVER_FATES,
+    FaultEvent, FaultPlan, ServerEvent, ServerFate, ServerPlan, ALL_FATES, ALL_SERVER_FATES,
 };
 use crate::proto::{Json, Request, Response, VerifyRequest};
 use crate::serve::{client_request, Gate, ServeConfig, Server};
 use crate::verify::store::{CertStore, StoreShim};
 use crate::verify::tier::{MemTier, TieredStore};
 use crate::verify::SimConfig;
-use crate::{CacheDisposition, Pipeline, PipelineError};
+use crate::{panic_text, CacheDisposition, Pipeline, PipelineError};
 
 /// One fuzzing subject: a named Armada module source.
 #[derive(Debug, Clone)]
@@ -86,16 +103,18 @@ impl FuzzSubject {
     }
 }
 
-/// Campaign parameters.
+/// Wall-clock ceiling per pipeline run; exceeding it is a `no-hang`
+/// violation.
+pub const HANG_BUDGET: Duration = Duration::from_secs(30);
+
+/// Pipeline-campaign parameters.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// The seed grid; each seed derives one fault plan per subject.
     pub seeds: Vec<u64>,
-    /// Job counts to run each cell at (deduplicated in order).
+    /// Job counts to run each cell at (deduplicated in order, clamped to
+    /// at least 1).
     pub jobs: Vec<usize>,
-    /// Wall-clock ceiling per pipeline run; exceeding it is a `no-hang`
-    /// violation.
-    pub hang_budget: Duration,
     /// Root directory for per-run scratch cert stores (never reported).
     pub scratch_root: PathBuf,
     /// Test-only mutant: disable the store's checksum re-validation on
@@ -118,7 +137,6 @@ impl Default for FuzzConfig {
         FuzzConfig {
             seeds: (0..8).collect(),
             jobs: vec![1],
-            hang_budget: Duration::from_secs(30),
             scratch_root: std::env::temp_dir().join(format!("armada-fuzz-{}", std::process::id())),
             mutant_unchecked_loads: false,
             plan_override: None,
@@ -199,15 +217,11 @@ pub struct Violation {
     pub seed: u64,
     /// Human-readable specifics.
     pub detail: String,
-    /// The full plan that tripped the invariant.
-    pub plan: Vec<FaultEvent>,
+    /// The full plan that tripped the invariant, as event labels
+    /// (`fate:recipe` or `fate:ordinal`).
+    pub plan: Vec<String>,
     /// The greedily shrunk minimal plan that still trips it.
-    pub shrunk: Vec<FaultEvent>,
-    /// Serve campaigns: the full server-level plan that tripped the
-    /// invariant (empty for pipeline campaigns).
-    pub server_plan: Vec<ServerEvent>,
-    /// Serve campaigns: the shrunk minimal server-level plan.
-    pub server_shrunk: Vec<ServerEvent>,
+    pub shrunk: Vec<String>,
     /// A ready-to-run CLI reproducer line.
     pub replay: String,
 }
@@ -219,7 +233,7 @@ pub struct CampaignReport {
     pub subjects: Vec<String>,
     /// The seed grid.
     pub seeds: Vec<u64>,
-    /// The job-count grid.
+    /// The job-count grid that ran (deduplicated, each at least 1).
     pub jobs: Vec<usize>,
     /// Pipeline executions performed (baselines + cold + warm + shrinking;
     /// for serve campaigns, daemon requests sent).
@@ -262,18 +276,13 @@ impl CampaignReport {
         // The wire dialect's integers are i64; campaign seeds are `0..n`.
         let seed = |s: u64| Json::Int(s as i64);
         let violations = self.violations.iter().map(|v| {
-            let (plan, shrunk) = if v.server_plan.is_empty() {
-                (labels(&v.plan), labels(&v.shrunk))
-            } else {
-                (labels(&v.server_plan), labels(&v.server_shrunk))
-            };
             Json::Obj(vec![
                 field("invariant", Json::Str(v.invariant.label().into())),
                 field("subject", Json::Str(v.subject.clone())),
                 field("seed", seed(v.seed)),
                 field("detail", Json::Str(v.detail.clone())),
-                field("plan", plan),
-                field("shrunk", shrunk),
+                field("plan", labels(&v.plan)),
+                field("shrunk", labels(&v.shrunk)),
                 field("replay", Json::Str(v.replay.clone())),
             ])
         });
@@ -300,46 +309,40 @@ impl CampaignReport {
 }
 
 /// A JSON array of the items' display strings.
-fn labels(items: &[impl std::fmt::Display]) -> Json {
-    Json::Arr(
-        items
-            .iter()
-            .map(|item| Json::Str(item.to_string()))
-            .collect(),
-    )
+fn labels(items: &[impl Display]) -> Json {
+    Json::Arr(strings(items).into_iter().map(Json::Str).collect())
 }
 
-/// Parses a comma-separated `fate:recipe` event list (the `--events` CLI
-/// argument and the reproducer vocabulary).
+/// The items' display strings.
+fn strings(items: &[impl Display]) -> Vec<String> {
+    items.iter().map(ToString::to_string).collect()
+}
+
+/// Parses a comma-separated event list — `fate:recipe` for [`FaultEvent`]s
+/// (`--events`), `fate:ordinal` for [`ServerEvent`]s (`--server-events`);
+/// the reproducer vocabulary. An empty list is the no-fault plan.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Events`] naming the offending token when an
-/// entry is malformed, names an unknown fate, or repeats an earlier
-/// token. Repeats are an error rather than a no-op because a
-/// [`FaultPlan`] stores an event *set*: a silently deduplicated repeat
-/// would make a reproducer line claim more injections than it performs.
-pub fn parse_events(spec: &str) -> Result<Vec<FaultEvent>, PipelineError> {
-    let bad = |token: &str, message: String| PipelineError::Events {
-        token: token.to_string(),
-        message,
-    };
-    let mut events: Vec<FaultEvent> = Vec::new();
-    for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-        let entry = entry.trim();
-        let (label, recipe) = entry
-            .split_once(':')
-            .ok_or_else(|| bad(entry, "want fate:recipe".to_string()))?;
-        let fate = FaultFate::parse(label)
-            .ok_or_else(|| bad(entry, format!("unknown fault fate `{label}`")))?;
-        let event = FaultEvent {
-            fate,
-            recipe: recipe.to_string(),
+/// entry does not parse or repeats an earlier token. Repeats are an error
+/// rather than a no-op because a plan stores an event *set*: a silently
+/// deduplicated repeat would make a reproducer line claim more injections
+/// than it performs.
+pub fn parse_events<E>(spec: &str) -> Result<Vec<E>, PipelineError>
+where
+    E: FromStr<Err = String> + PartialEq,
+{
+    let mut events: Vec<E> = Vec::new();
+    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        let bad = |message: String| PipelineError::Events {
+            token: token.to_string(),
+            message,
         };
+        let event: E = token.parse().map_err(bad)?;
         if events.contains(&event) {
             return Err(bad(
-                entry,
-                "duplicate event (a fault plan is a set; the repeat would be dropped)".to_string(),
+                "duplicate event (a plan is a set; the repeat would be dropped)".to_string(),
             ));
         }
         events.push(event);
@@ -348,6 +351,7 @@ pub fn parse_events(spec: &str) -> Result<Vec<FaultEvent>, PipelineError> {
 }
 
 /// What one pipeline execution produced, as the invariant checks see it.
+#[derive(Default)]
 struct RunResult {
     /// The report's rendering (empty when the run errored).
     render: String,
@@ -364,6 +368,8 @@ struct RunResult {
     /// (serialized, then validated and replayed against the subject's own
     /// source). Always empty for nonzero exits.
     recheck_failures: Vec<String>,
+    /// The report's recipe names, in declaration order.
+    recipes: Vec<String>,
     /// Wall-clock duration (checked against the hang budget; never
     /// reported).
     elapsed: Duration,
@@ -394,86 +400,74 @@ fn run_once(
             .with_cert_store(store)
             .with_fault_plan(plan);
         pipeline.run().map_err(|e| e.to_string())
-    }));
+    }))
+    .unwrap_or_else(|payload| {
+        Err(format!(
+            "panic escaped the pipeline: {}",
+            panic_text(&*payload)
+        ))
+    });
     let elapsed = start.elapsed();
-    match outcome {
-        Err(payload) => {
-            let text = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            RunResult {
-                render: String::new(),
-                error: Some(format!("panic escaped the pipeline: {text}")),
-                exit_code: None,
-                served_hits: Vec::new(),
-                certs: Vec::new(),
-                recheck_failures: Vec::new(),
+    let report = match outcome {
+        Ok(report) => report,
+        Err(message) => {
+            return RunResult {
+                error: Some(message),
                 elapsed,
+                ..RunResult::default()
             }
         }
-        Ok(Err(message)) => RunResult {
-            render: String::new(),
-            error: Some(message),
-            exit_code: None,
-            served_hits: Vec::new(),
-            certs: Vec::new(),
-            recheck_failures: Vec::new(),
-            elapsed,
-        },
-        Ok(Ok(report)) => {
-            let certs: Vec<(String, String, usize, usize)> = report
-                .refinements
+    };
+    let certs: Vec<(String, String, usize, usize)> = report
+        .refinements
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .map(|c| {
+            (
+                c.low.clone(),
+                c.high.clone(),
+                c.product_nodes,
+                c.low_transitions,
+            )
+        })
+        .collect();
+    let served_hits = report
+        .outcomes
+        .iter()
+        .filter(|o| o.cache == CacheDisposition::Hit)
+        .filter_map(|o| {
+            certs
                 .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .map(|c| {
-                    (
-                        c.low.clone(),
-                        c.high.clone(),
-                        c.product_nodes,
-                        c.low_transitions,
-                    )
-                })
-                .collect();
-            let served_hits = report
-                .outcomes
-                .iter()
-                .filter(|o| o.cache == CacheDisposition::Hit)
-                .filter_map(|o| {
-                    certs
-                        .iter()
-                        .find(|(low, high, _, _)| *low == o.low && *high == o.high)
-                        .cloned()
-                })
-                .collect();
-            let exit_code = if report.verified() {
-                0
-            } else {
-                report.worst_status().exit_code()
-            };
-            // Invariant #6: every certificate of an exit-0 run must survive
-            // the independent checker — serialize, then structurally
-            // validate and semantically replay against the subject source.
-            let mut recheck_failures = Vec::new();
-            if exit_code == 0 {
-                for cert in report.refinements.iter().filter_map(|r| r.as_ref().ok()) {
-                    let record = crate::verify::store::serialize(cert);
-                    if let Err(e) = crate::recheck::recheck_record(&record, Some(&subject.source)) {
-                        recheck_failures.push(format!("{}⊑{}: {e}", cert.low, cert.high));
-                    }
-                }
-            }
-            RunResult {
-                render: report.to_string(),
-                error: None,
-                exit_code: Some(exit_code),
-                served_hits,
-                certs,
-                recheck_failures,
-                elapsed,
+                .find(|(low, high, _, _)| *low == o.low && *high == o.high)
+                .cloned()
+        })
+        .collect();
+    let exit_code = if report.verified() {
+        0
+    } else {
+        report.worst_status().exit_code()
+    };
+    // Invariant #6: every certificate of an exit-0 run must survive the
+    // independent checker — serialize, then structurally validate and
+    // semantically replay against the subject source.
+    let mut recheck_failures = Vec::new();
+    if exit_code == 0 {
+        for cert in report.refinements.iter().filter_map(|r| r.as_ref().ok()) {
+            let record = crate::verify::store::serialize(cert);
+            if let Err(e) = crate::recheck::recheck_record(&record, Some(&subject.source)) {
+                recheck_failures.push(format!("{}⊑{}: {e}", cert.low, cert.high));
             }
         }
+    }
+    RunResult {
+        render: report.to_string(),
+        error: None,
+        exit_code: Some(exit_code),
+        served_hits,
+        certs,
+        recheck_failures,
+        recipes: report.outcomes.iter().map(|o| o.recipe.clone()).collect(),
+        elapsed,
     }
 }
 
@@ -487,210 +481,112 @@ fn normalize_render(render: &str) -> String {
         .replace(" (from cert store)", "")
 }
 
-/// The fault-free reference for one subject.
+/// The fault-free reference for one subject under one set of bounds.
 struct Baseline {
+    /// The bounds the baseline ran under (and its cells run under).
+    sim: SimConfig,
     /// Normalized render of a clean jobs=1 run.
     render_norm: String,
     /// `(low, high)` → `(product_nodes, low_transitions)`.
     certs: BTreeMap<(String, String), (usize, usize)>,
+    /// The subject's recipe names (what seeded pipeline plans draw over).
+    recipes: Vec<String>,
     /// Baseline infrastructure failure, if any (the subject is unusable).
     error: Option<String>,
 }
 
-fn compute_baseline(subject: &FuzzSubject, scratch: &Path, sim: &SimConfig) -> (Baseline, usize) {
+/// One fault-free jobs=1 run of `subject` under `sim`.
+fn compute_baseline(subject: &FuzzSubject, scratch: &Path, sim: SimConfig) -> Baseline {
     let dir = scratch.join("baseline");
-    let result = run_once(subject, &FaultPlan::new(), 1, &dir, false, sim);
+    let result = run_once(subject, &FaultPlan::new(), 1, &dir, false, &sim);
     let _ = std::fs::remove_dir_all(&dir);
-    let baseline = Baseline {
+    Baseline {
+        sim,
         render_norm: normalize_render(&result.render),
         certs: result
             .certs
-            .iter()
-            .map(|(low, high, nodes, transitions)| {
-                ((low.clone(), high.clone()), (*nodes, *transitions))
-            })
+            .into_iter()
+            .map(|(low, high, nodes, transitions)| ((low, high), (nodes, transitions)))
             .collect(),
+        recipes: result.recipes,
         error: result.error,
-    };
-    (baseline, 1)
+    }
 }
 
-/// One `(subject, plan)` cell: cold + warm runs at every job count, then
-/// the invariant checks. Returns `(violations, runs, checks)`.
-fn run_cell(
-    subject: &FuzzSubject,
-    plan: &FaultPlan,
-    config: &FuzzConfig,
-    baseline: &Baseline,
-    scratch: &Path,
-    sim: &SimConfig,
-) -> (Vec<(Invariant, String)>, usize, usize) {
-    let mut violations: Vec<(Invariant, String)> = Vec::new();
-    let mut runs = 0usize;
-    let mut checks = 0usize;
-    let mut colds: Vec<(usize, RunResult)> = Vec::new();
-    let mut warms: Vec<(usize, RunResult)> = Vec::new();
+/// What one cell (or one shrink trial) produced.
+#[derive(Debug, Default)]
+struct Cell {
+    /// Each tripped invariant with its specifics, in detection order.
+    violations: Vec<(Invariant, String)>,
+    /// Pipeline runs (pipeline mode) or daemon requests (serve mode).
+    runs: usize,
+    /// Invariant evaluations.
+    checks: usize,
+}
 
-    let mut jobs_grid: Vec<usize> = Vec::new();
-    for &j in &config.jobs {
-        let j = j.max(1);
-        if !jobs_grid.contains(&j) {
-            jobs_grid.push(j);
+impl Cell {
+    /// Counts one evaluation of `invariant`, tripping it unless `ok`.
+    fn check(&mut self, invariant: Invariant, ok: bool, detail: impl FnOnce() -> String) {
+        self.checks += 1;
+        if !ok {
+            self.violations.push((invariant, detail()));
         }
     }
+}
 
-    for &jobs in &jobs_grid {
-        // A fresh store per job count, so cold/warm pairs are comparable
-        // across the grid.
-        let dir = scratch.join(format!("j{jobs}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cold = run_once(
-            subject,
-            plan,
-            jobs,
-            &dir,
-            config.mutant_unchecked_loads,
-            sim,
-        );
-        let warm = run_once(
-            subject,
-            plan,
-            jobs,
-            &dir,
-            config.mutant_unchecked_loads,
-            sim,
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        runs += 2;
-
-        for (phase, result) in [("cold", &cold), ("warm", &warm)] {
-            // Taxonomy: no escaped panic, no infra error, exit code 0–4.
-            checks += 1;
-            if let Some(error) = &result.error {
-                violations.push((
-                    Invariant::Taxonomy,
-                    format!("{phase} jobs={jobs}: run left the outcome taxonomy: {error}"),
-                ));
-            } else if result.exit_code.is_none_or(|code| code > 4) {
-                violations.push((
-                    Invariant::Taxonomy,
-                    format!(
-                        "{phase} jobs={jobs}: exit code {:?} outside 0-4",
-                        result.exit_code
-                    ),
-                ));
-            }
-            // No-hang: the run finished inside the budget.
-            checks += 1;
-            if result.elapsed > config.hang_budget {
-                violations.push((
-                    Invariant::NoHang,
-                    format!(
-                        "{phase} jobs={jobs}: run took {:?}, budget {:?}",
-                        result.elapsed, config.hang_budget
-                    ),
-                ));
-            }
-            // No-corrupt-cert-served: every hit matches the baseline cert.
-            checks += 1;
-            for (low, high, nodes, transitions) in &result.served_hits {
-                match baseline.certs.get(&(low.clone(), high.clone())) {
-                    Some(&(base_nodes, base_transitions))
-                        if base_nodes == *nodes && base_transitions == *transitions => {}
-                    Some(&(base_nodes, base_transitions)) => violations.push((
-                        Invariant::CorruptCertServed,
-                        format!(
-                            "{phase} jobs={jobs}: hit for {low}⊑{high} served \
-                             ({nodes}, {transitions}), baseline ({base_nodes}, {base_transitions})"
-                        ),
-                    )),
-                    None => violations.push((
-                        Invariant::CorruptCertServed,
-                        format!(
-                            "{phase} jobs={jobs}: hit for {low}⊑{high} has no baseline certificate"
-                        ),
-                    )),
-                }
-            }
-            // Recheck: an exit-0 run's certificates all pass the
-            // independent checker (structural witness validation plus
-            // semantic replay).
-            checks += 1;
-            for failure in &result.recheck_failures {
-                violations.push((
-                    Invariant::RecheckFailed,
-                    format!("{phase} jobs={jobs}: certificate failed recheck: {failure}"),
-                ));
-            }
-            // Verdict-invariance: recoverable faults leave the normalized
-            // render byte-identical to the baseline.
-            if plan.is_recoverable_only() && baseline.error.is_none() && result.error.is_none() {
-                checks += 1;
-                let norm = normalize_render(&result.render);
-                if norm != baseline.render_norm {
-                    violations.push((
-                        Invariant::VerdictInvariance,
-                        format!(
-                            "{phase} jobs={jobs}: recoverable faults changed the verdict:\n\
-                             --- baseline ---\n{}--- faulted ---\n{norm}",
-                            baseline.render_norm
-                        ),
-                    ));
-                }
-            }
-        }
-        colds.push((jobs, cold));
-        warms.push((jobs, warm));
+/// What a campaign mode supplies to the shared [`sweep`]: its fate
+/// vocabulary, its seeded plans, its cell runner and its replay line.
+trait Mode {
+    /// One plan entry (`fate:target`).
+    type Event: Clone + Ord + Display;
+    /// The report's `mode` label.
+    const NAME: &'static str;
+    /// The mode's fate labels, in report order.
+    fn fates() -> Vec<&'static str>;
+    /// The fate label of one event.
+    fn fate(event: &Self::Event) -> &'static str;
+    /// The plan `seed` derives for the subject `baseline` describes.
+    fn seeded(&self, seed: u64, baseline: &Baseline) -> Vec<Self::Event>;
+    /// Bounds `seed`'s cells run under when they are not the defaults (the
+    /// seed then gets a baseline of its own).
+    fn bounds(&self, _seed: u64) -> Option<SimConfig> {
+        None
     }
-
-    // Determinism: renders byte-identical across job counts.
-    for (phase, results) in [("cold", &colds), ("warm", &warms)] {
-        checks += 1;
-        if let Some((first_jobs, first)) = results.first() {
-            for (jobs, result) in &results[1..] {
-                if result.render != first.render || result.error != first.error {
-                    violations.push((
-                        Invariant::Determinism,
-                        format!(
-                            "{phase}: render differs between jobs={first_jobs} and jobs={jobs}"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    (violations, runs, checks)
+    /// Runs `events` over the whole jobs grid and checks the invariants,
+    /// cross-jobs determinism included.
+    fn run_cell(
+        &self,
+        subject: &FuzzSubject,
+        events: &[Self::Event],
+        jobs: &[usize],
+        baseline: &Baseline,
+        scratch: &Path,
+    ) -> Cell;
+    /// The CLI line that reruns `events` (already rendered, never empty)
+    /// on `subject` at `seed` over jobs `{1, jobs}`.
+    fn replay(&self, subject: &str, seed: u64, jobs: usize, events: &str) -> String;
 }
 
 /// Greedy delta-debugging: drop events one at a time, keeping removals
-/// that preserve a violation of `invariant`, to fixpoint. Returns the
-/// minimal plan and the number of pipeline runs spent shrinking.
-fn shrink(
-    subject: &FuzzSubject,
-    events: &[FaultEvent],
+/// whose `cell` still trips `invariant`, to fixpoint. Returns the minimal
+/// plan plus the runs and checks its trial cells spent.
+fn shrink<E: Clone>(
+    events: &[E],
     invariant: Invariant,
-    config: &FuzzConfig,
-    baseline: &Baseline,
-    scratch: &Path,
-    sim: &SimConfig,
-) -> (Vec<FaultEvent>, usize, usize) {
-    let mut current: Vec<FaultEvent> = events.to_vec();
-    let mut runs = 0usize;
-    let mut checks = 0usize;
-    let still_violates = |trial: &[FaultEvent], runs: &mut usize, checks: &mut usize| -> bool {
-        let plan = FaultPlan::from_events(trial.iter().cloned());
-        let (violations, r, c) = run_cell(subject, &plan, config, baseline, scratch, sim);
-        *runs += r;
-        *checks += c;
-        violations.iter().any(|(inv, _)| *inv == invariant)
-    };
+    mut cell: impl FnMut(&[E]) -> Cell,
+) -> (Vec<E>, usize, usize) {
+    let mut current = events.to_vec();
+    let (mut runs, mut checks) = (0, 0);
     let mut progress = true;
     while progress && !current.is_empty() {
         progress = false;
         for i in 0..current.len() {
             let mut trial = current.clone();
             trial.remove(i);
-            if still_violates(&trial, &mut runs, &mut checks) {
+            let result = cell(&trial);
+            runs += result.runs;
+            checks += result.checks;
+            if result.violations.iter().any(|(inv, _)| *inv == invariant) {
                 current = trial;
                 progress = true;
                 break;
@@ -711,209 +607,288 @@ fn quiet_injected_panics() {
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("injected fault"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains("injected fault"))
-                })
-                .unwrap_or(false);
-            if !injected {
+            if !panic_text(info.payload()).contains("injected fault") {
                 previous(info);
             }
         }));
     });
 }
 
-/// Runs the whole campaign (see the module docs).
-pub fn run_campaign(subjects: &[FuzzSubject], config: &FuzzConfig) -> CampaignReport {
+/// The one campaign driver both modes run through (see the module docs).
+fn sweep<M: Mode>(
+    mode: &M,
+    subjects: &[FuzzSubject],
+    seeds: &[u64],
+    jobs: &[usize],
+    scratch_root: &Path,
+    plan_override: Option<&[M::Event]>,
+) -> CampaignReport {
     quiet_injected_panics();
-    let mut injected: Vec<(&'static str, usize)> =
-        ALL_FATES.iter().map(|f| (f.label(), 0)).collect();
+    let mut grid: Vec<usize> = Vec::new();
+    for &j in jobs {
+        if !grid.contains(&j.max(1)) {
+            grid.push(j.max(1));
+        }
+    }
+    if grid.is_empty() {
+        grid.push(1);
+    }
+    let max_jobs = grid.iter().copied().max().unwrap_or(1);
+    let mut injected: Vec<(&'static str, usize)> = M::fates().into_iter().map(|f| (f, 0)).collect();
+    // A plan is an event set, sorted and deduplicated like the plan types.
+    let plan_override: Option<BTreeSet<_>> = plan_override.map(|e| e.iter().cloned().collect());
     let mut violations: Vec<Violation> = Vec::new();
-    let mut runs = 0usize;
-    let mut checks = 0usize;
-    let max_jobs = config.jobs.iter().copied().max().unwrap_or(1);
+    let (mut runs, mut checks) = (0, 0);
+    let failed_baseline = |subject: &FuzzSubject, seed, detail| Violation {
+        invariant: Invariant::Taxonomy,
+        subject: subject.name.clone(),
+        seed,
+        detail,
+        plan: Vec::new(),
+        shrunk: Vec::new(),
+        replay: format!("armada verify {}", subject.name),
+    };
 
     for (subject_index, subject) in subjects.iter().enumerate() {
-        let scratch = config.scratch_root.join(format!("s{subject_index}"));
-        let (baseline, baseline_runs) = compute_baseline(subject, &scratch, &SimConfig::default());
-        runs += baseline_runs;
-        if let Some(error) = &baseline.error {
-            violations.push(Violation {
-                invariant: Invariant::Taxonomy,
-                subject: subject.name.clone(),
-                seed: 0,
-                detail: format!("fault-free baseline failed: {error}"),
-                plan: Vec::new(),
-                shrunk: Vec::new(),
-                server_plan: Vec::new(),
-                server_shrunk: Vec::new(),
-                replay: format!("armada verify {}", subject.name),
-            });
+        let scratch = scratch_root.join(format!("s{subject_index}"));
+        let base = compute_baseline(subject, &scratch, SimConfig::default());
+        runs += 1;
+        if let Some(error) = &base.error {
+            let detail = format!("fault-free baseline failed: {error}");
+            violations.push(failed_baseline(subject, 0, detail));
             continue;
         }
-        let recipe_names: Vec<String> = {
-            // The baseline succeeded, so the source parses.
-            let pipeline = Pipeline::from_source(&subject.source).expect("baseline parsed");
-            pipeline
-                .typed()
-                .module
-                .recipes
-                .iter()
-                .map(|r| r.name.clone())
-                .collect()
-        };
-        for &seed in &config.seeds {
-            let plan = match &config.plan_override {
-                Some(events) => FaultPlan::from_events(events.iter().cloned()),
-                None => FaultPlan::seeded(seed, recipe_names.iter().map(|n| n.as_str())),
+        for &seed in seeds {
+            let events = match &plan_override {
+                Some(events) => events.iter().cloned().collect(),
+                None => mode.seeded(seed, &base),
             };
-            for entry in injected.iter_mut() {
-                entry.1 += plan
-                    .events()
-                    .iter()
-                    .filter(|e| e.fate.label() == entry.0)
-                    .count();
+            for (label, count) in injected.iter_mut() {
+                *count += events.iter().filter(|e| M::fate(e) == *label).count();
             }
             let cell_scratch = scratch.join(format!("seed{seed}"));
             // Mutated bounds change verdicts legitimately (a tighter node
             // cap is a real budget-exhaustion), so each mutated seed gets
             // its own like-for-like baseline.
-            let sim = if config.mutate_bounds {
-                mutated_sim(seed)
-            } else {
-                SimConfig::default()
-            };
-            let cell_baseline;
-            let baseline = if config.mutate_bounds && seed != 0 {
-                let (b, baseline_runs) = compute_baseline(subject, &cell_scratch, &sim);
-                runs += baseline_runs;
-                cell_baseline = b;
-                if let Some(error) = &cell_baseline.error {
-                    violations.push(Violation {
-                        invariant: Invariant::Taxonomy,
-                        subject: subject.name.clone(),
-                        seed,
-                        detail: format!("mutated-bounds baseline failed: {error}"),
-                        plan: Vec::new(),
-                        shrunk: Vec::new(),
-                        server_plan: Vec::new(),
-                        server_shrunk: Vec::new(),
-                        replay: format!("armada verify {}", subject.name),
-                    });
-                    continue;
+            let mutated;
+            let baseline = match mode.bounds(seed) {
+                Some(sim) => {
+                    mutated = compute_baseline(subject, &cell_scratch, sim);
+                    runs += 1;
+                    if let Some(error) = &mutated.error {
+                        let detail = format!("mutated-bounds baseline failed: {error}");
+                        violations.push(failed_baseline(subject, seed, detail));
+                        continue;
+                    }
+                    &mutated
                 }
-                &cell_baseline
-            } else {
-                &baseline
+                None => &base,
             };
-            let (cell_violations, cell_runs, cell_checks) =
-                run_cell(subject, &plan, config, baseline, &cell_scratch, &sim);
-            runs += cell_runs;
-            checks += cell_checks;
-            for (invariant, detail) in cell_violations {
-                let (shrunk, shrink_runs, shrink_checks) = shrink(
-                    subject,
-                    &plan.events(),
-                    invariant,
-                    config,
-                    baseline,
-                    &cell_scratch,
-                    &sim,
-                );
+            let run =
+                |trial: &[M::Event]| mode.run_cell(subject, trial, &grid, baseline, &cell_scratch);
+            let cell = run(&events);
+            runs += cell.runs;
+            checks += cell.checks;
+            for (invariant, detail) in cell.violations {
+                let (shrunk, shrink_runs, shrink_checks) = shrink(&events, invariant, run);
                 runs += shrink_runs;
                 checks += shrink_checks;
-                let events_spec = shrunk
-                    .iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                // An explicit event plan replays on any seed; mutated
-                // bounds are a function of the seed, so the replay must
-                // sweep up to the failing one to reproduce them.
-                let replay = if config.mutate_bounds {
-                    format!(
-                        "armada fuzz {} --seeds {} --jobs {max_jobs} --mutate-bounds \
-                         --events {events_spec}",
-                        subject.name,
-                        seed + 1
-                    )
-                } else {
-                    format!(
-                        "armada fuzz {} --seeds 1 --jobs {max_jobs} --events {events_spec}",
-                        subject.name
-                    )
-                };
+                let spec = strings(&shrunk).join(",");
+                let spec = if spec.is_empty() { "''" } else { &spec };
                 violations.push(Violation {
                     invariant,
                     subject: subject.name.clone(),
                     seed,
                     detail,
-                    plan: plan.events(),
-                    shrunk,
-                    server_plan: Vec::new(),
-                    server_shrunk: Vec::new(),
-                    replay,
+                    plan: strings(&events),
+                    shrunk: strings(&shrunk),
+                    replay: mode.replay(&subject.name, seed, max_jobs, spec),
                 });
             }
             let _ = std::fs::remove_dir_all(&cell_scratch);
         }
         let _ = std::fs::remove_dir_all(&scratch);
     }
-    let _ = std::fs::remove_dir_all(&config.scratch_root);
+    let _ = std::fs::remove_dir_all(scratch_root);
     CampaignReport {
         subjects: subjects.iter().map(|s| s.name.clone()).collect(),
-        seeds: config.seeds.clone(),
-        jobs: config.jobs.clone(),
+        seeds: seeds.to_vec(),
+        jobs: grid,
         runs,
         checks,
         injected,
         violations,
-        mode: "pipeline",
-        mutate_bounds: config.mutate_bounds,
+        mode: M::NAME,
+        mutate_bounds: false,
     }
 }
 
-/// Parses a comma-separated `fate:ordinal` server-event list (the
-/// `--server-events` CLI argument and the serve-campaign reproducer
-/// vocabulary).
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Events`] naming the offending token when an
-/// entry is malformed, names an unknown server fate, has a non-numeric
-/// ordinal, or repeats an earlier token (a [`ServerPlan`] is a set; see
-/// [`parse_events`] for the rationale).
-pub fn parse_server_events(spec: &str) -> Result<Vec<ServerEvent>, PipelineError> {
-    let bad = |token: &str, message: String| PipelineError::Events {
-        token: token.to_string(),
-        message,
-    };
-    let mut events: Vec<ServerEvent> = Vec::new();
-    for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-        let entry = entry.trim();
-        let (label, ordinal) = entry
-            .split_once(':')
-            .ok_or_else(|| bad(entry, "want fate:ordinal".to_string()))?;
-        let fate = ServerFate::parse(label)
-            .ok_or_else(|| bad(entry, format!("unknown server fate `{label}`")))?;
-        let ordinal: usize = ordinal
-            .parse()
-            .map_err(|_| bad(entry, format!("ordinal `{ordinal}` is not a number")))?;
-        let event = ServerEvent { fate, ordinal };
-        if events.contains(&event) {
-            return Err(bad(
-                entry,
-                "duplicate event (a server plan is a set; the repeat would be dropped)".to_string(),
-            ));
-        }
-        events.push(event);
+/// Runs a pipeline campaign (see the module docs).
+pub fn run_campaign(subjects: &[FuzzSubject], config: &FuzzConfig) -> CampaignReport {
+    CampaignReport {
+        mutate_bounds: config.mutate_bounds,
+        ..sweep(
+            config,
+            subjects,
+            &config.seeds,
+            &config.jobs,
+            &config.scratch_root,
+            config.plan_override.as_deref(),
+        )
     }
-    Ok(events)
+}
+
+impl Mode for FuzzConfig {
+    type Event = FaultEvent;
+    const NAME: &'static str = "pipeline";
+
+    fn fates() -> Vec<&'static str> {
+        ALL_FATES.iter().map(|f| f.label()).collect()
+    }
+
+    fn fate(event: &FaultEvent) -> &'static str {
+        event.fate.label()
+    }
+
+    fn seeded(&self, seed: u64, baseline: &Baseline) -> Vec<FaultEvent> {
+        FaultPlan::seeded(seed, baseline.recipes.iter().map(String::as_str)).events()
+    }
+
+    fn bounds(&self, seed: u64) -> Option<SimConfig> {
+        (self.mutate_bounds && seed != 0).then(|| mutated_sim(seed))
+    }
+
+    /// Cold + warm runs at every job count, then the invariant checks.
+    fn run_cell(
+        &self,
+        subject: &FuzzSubject,
+        events: &[FaultEvent],
+        jobs: &[usize],
+        baseline: &Baseline,
+        scratch: &Path,
+    ) -> Cell {
+        let plan = FaultPlan::from_events(events.iter().cloned());
+        let mut cell = Cell::default();
+        let mut colds: Vec<(usize, RunResult)> = Vec::new();
+        let mut warms: Vec<(usize, RunResult)> = Vec::new();
+        for &jobs in jobs {
+            // A fresh store per job count, so cold/warm pairs are
+            // comparable across the grid.
+            let dir = scratch.join(format!("j{jobs}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let run = || {
+                run_once(
+                    subject,
+                    &plan,
+                    jobs,
+                    &dir,
+                    self.mutant_unchecked_loads,
+                    &baseline.sim,
+                )
+            };
+            let cold = run();
+            let warm = run();
+            let _ = std::fs::remove_dir_all(&dir);
+            cell.runs += 2;
+
+            for (phase, result) in [("cold", &cold), ("warm", &warm)] {
+                // Taxonomy: no escaped panic, no infra error, exit code 0–4.
+                let code = result.exit_code;
+                cell.check(
+                    Invariant::Taxonomy,
+                    result.error.is_none() && code.is_some_and(|c| c <= 4),
+                    || match &result.error {
+                        Some(error) => {
+                            format!("{phase} jobs={jobs}: run left the outcome taxonomy: {error}")
+                        }
+                        None => format!("{phase} jobs={jobs}: exit code {code:?} outside 0-4"),
+                    },
+                );
+                cell.check(Invariant::NoHang, result.elapsed <= HANG_BUDGET, || {
+                    format!(
+                        "{phase} jobs={jobs}: run took {:?}, budget {HANG_BUDGET:?}",
+                        result.elapsed
+                    )
+                });
+                // No-corrupt-cert-served: every hit matches the baseline cert.
+                cell.checks += 1;
+                for (low, high, nodes, transitions) in &result.served_hits {
+                    let detail = match baseline.certs.get(&(low.clone(), high.clone())) {
+                        Some(&base) if base == (*nodes, *transitions) => continue,
+                        Some((base_nodes, base_transitions)) => format!(
+                            "{phase} jobs={jobs}: hit for {low}⊑{high} served \
+                             ({nodes}, {transitions}), baseline ({base_nodes}, {base_transitions})"
+                        ),
+                        None => format!(
+                            "{phase} jobs={jobs}: hit for {low}⊑{high} has no baseline certificate"
+                        ),
+                    };
+                    cell.violations.push((Invariant::CorruptCertServed, detail));
+                }
+                // Recheck: an exit-0 run's certificates all pass the
+                // independent checker (structural witness validation plus
+                // semantic replay).
+                cell.checks += 1;
+                for failure in &result.recheck_failures {
+                    cell.violations.push((
+                        Invariant::RecheckFailed,
+                        format!("{phase} jobs={jobs}: certificate failed recheck: {failure}"),
+                    ));
+                }
+                // Verdict-invariance: recoverable faults leave the
+                // normalized render byte-identical to the baseline.
+                if plan.is_recoverable_only() && result.error.is_none() {
+                    let norm = normalize_render(&result.render);
+                    cell.check(
+                        Invariant::VerdictInvariance,
+                        norm == baseline.render_norm,
+                        || {
+                            format!(
+                                "{phase} jobs={jobs}: recoverable faults changed the verdict:\n\
+                             --- baseline ---\n{}--- faulted ---\n{norm}",
+                                baseline.render_norm
+                            )
+                        },
+                    );
+                }
+            }
+            colds.push((jobs, cold));
+            warms.push((jobs, warm));
+        }
+
+        // Determinism: renders byte-identical across job counts.
+        for (phase, results) in [("cold", &colds), ("warm", &warms)] {
+            cell.checks += 1;
+            let Some(((first_jobs, first), rest)) = results.split_first() else {
+                continue;
+            };
+            for (jobs, result) in rest {
+                if result.render != first.render || result.error != first.error {
+                    cell.violations.push((
+                        Invariant::Determinism,
+                        format!(
+                            "{phase}: render differs between jobs={first_jobs} and jobs={jobs}"
+                        ),
+                    ));
+                }
+            }
+        }
+        cell
+    }
+
+    fn replay(&self, subject: &str, seed: u64, jobs: usize, events: &str) -> String {
+        // An explicit event plan replays on any seed; mutated bounds are a
+        // function of the seed, so the replay must sweep up to the failing
+        // one to reproduce them.
+        if self.mutate_bounds {
+            format!(
+                "armada fuzz {subject} --seeds {} --jobs {jobs} --mutate-bounds --events {events}",
+                seed + 1
+            )
+        } else {
+            format!("armada fuzz {subject} --seeds 1 --jobs {jobs} --events {events}")
+        }
+    }
 }
 
 /// Parameters for a daemon-level campaign (`armada fuzz --serve`).
@@ -921,18 +896,9 @@ pub fn parse_server_events(spec: &str) -> Result<Vec<ServerEvent>, PipelineError
 pub struct ServeFuzzConfig {
     /// The seed grid; each seed derives one [`ServerPlan`] per subject.
     pub seeds: Vec<u64>,
-    /// Job counts each request is sent at (deduplicated in order).
+    /// Job counts each request is sent at (deduplicated in order, clamped
+    /// to at least 1).
     pub jobs: Vec<usize>,
-    /// Deadline attached to every fuzz request.
-    pub request_deadline: Duration,
-    /// Grace window the daemon is configured with.
-    pub grace: Duration,
-    /// Extra slack past `deadline + grace` before a slow answer counts as
-    /// a `deadline_overrun` violation (absorbs scheduler noise; never
-    /// reported).
-    pub overrun_slack: Duration,
-    /// Concurrent clients in a same-key storm.
-    pub storm_width: usize,
     /// Root directory for per-cell scratch cert stores (never reported).
     pub scratch_root: PathBuf,
     /// When set, every cell uses exactly this plan instead of a seeded one
@@ -945,16 +911,22 @@ impl Default for ServeFuzzConfig {
         ServeFuzzConfig {
             seeds: (0..8).collect(),
             jobs: vec![1],
-            request_deadline: Duration::from_secs(20),
-            grace: Duration::from_secs(5),
-            overrun_slack: Duration::from_secs(5),
-            storm_width: 4,
             scratch_root: std::env::temp_dir()
                 .join(format!("armada-serve-fuzz-{}", std::process::id())),
             plan_override: None,
         }
     }
 }
+
+/// Deadline attached to every serve-campaign request.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(20);
+/// Grace window the campaign's daemons are configured with.
+const GRACE: Duration = Duration::from_secs(5);
+/// Extra slack past deadline + grace before a slow answer counts as a
+/// `deadline_overrun` violation (absorbs scheduler noise; never reported).
+const OVERRUN_SLACK: Duration = Duration::from_secs(5);
+/// Concurrent clients in a same-key storm.
+const STORM_WIDTH: usize = 4;
 
 /// Admission ordinals a seeded server plan can pin fates on. The
 /// sequential phase sends exactly this many requests one at a time, so
@@ -963,42 +935,95 @@ impl Default for ServeFuzzConfig {
 /// ordinals ≥ `SEQ_ORDINALS`) and deliberately carry no fates.
 const SEQ_ORDINALS: usize = 3;
 
-/// What one daemon cell produced.
-struct ServeCell {
-    violations: Vec<(Invariant, String)>,
-    runs: usize,
-    checks: usize,
-    /// Renders from the sequential phase, `None` where the request was
-    /// jittered or failed (used for the cross-jobs determinism check).
-    seq_renders: Vec<Option<String>>,
+/// Runs a daemon-level campaign (see the module docs): the pipeline
+/// invariants that transfer plus `deadline_overrun` and
+/// `coalesce_divergence`, with `armada fuzz --serve … --server-events …`
+/// reproducer lines.
+pub fn run_serve_campaign(subjects: &[FuzzSubject], config: &ServeFuzzConfig) -> CampaignReport {
+    sweep(
+        config,
+        subjects,
+        &config.seeds,
+        &config.jobs,
+        &config.scratch_root,
+        config.plan_override.as_deref(),
+    )
 }
 
-/// One `(subject, plan, jobs)` daemon cell: boot a fresh daemon over a
-/// fresh tiered store, drive the sequential phase (cold at ordinal 0,
-/// warm after), then — when the plan calls for it — a same-key storm
-/// behind the worker gate, then a clean shutdown.
-fn run_serve_cell(
+impl Mode for ServeFuzzConfig {
+    type Event = ServerEvent;
+    const NAME: &'static str = "serve";
+
+    fn fates() -> Vec<&'static str> {
+        ALL_SERVER_FATES.iter().map(|f| f.label()).collect()
+    }
+
+    fn fate(event: &ServerEvent) -> &'static str {
+        event.fate.label()
+    }
+
+    fn seeded(&self, seed: u64, _baseline: &Baseline) -> Vec<ServerEvent> {
+        ServerPlan::seeded(seed, SEQ_ORDINALS).events()
+    }
+
+    /// One daemon per job count, then the cross-jobs determinism check:
+    /// sequential renders must agree wherever both job counts produced one.
+    fn run_cell(
+        &self,
+        subject: &FuzzSubject,
+        events: &[ServerEvent],
+        jobs: &[usize],
+        baseline: &Baseline,
+        scratch: &Path,
+    ) -> Cell {
+        let plan = ServerPlan::from_events(events.iter().copied());
+        let mut cell = Cell::default();
+        let renders: Vec<(usize, Vec<Option<String>>)> = jobs
+            .iter()
+            .map(|&j| {
+                let dir = scratch.join(format!("j{j}"));
+                (j, run_daemon(subject, &plan, j, baseline, &dir, &mut cell))
+            })
+            .collect();
+        if let Some(((first_jobs, first), rest)) = renders.split_first() {
+            for (other_jobs, other) in rest {
+                let agree = first
+                    .iter()
+                    .zip(other)
+                    .all(|(a, b)| !matches!((a, b), (Some(a), Some(b)) if a != b));
+                cell.check(Invariant::Determinism, agree, || {
+                    format!("daemon renders differ between jobs={first_jobs} and jobs={other_jobs}")
+                });
+            }
+        }
+        cell
+    }
+
+    fn replay(&self, subject: &str, _seed: u64, jobs: usize, events: &str) -> String {
+        format!("armada fuzz --serve {subject} --seeds 1 --jobs {jobs} --server-events {events}")
+    }
+}
+
+/// Boots a fresh daemon over a fresh tiered store in `store_dir`, drives
+/// the sequential phase (cold at ordinal 0, warm after), then — when the
+/// plan calls for it — a same-key storm behind the worker gate, then a
+/// clean shutdown. Records into `cell`; returns the sequential renders,
+/// `None` where the request was jittered or failed.
+fn run_daemon(
     subject: &FuzzSubject,
     plan: &ServerPlan,
     jobs: usize,
-    config: &ServeFuzzConfig,
     baseline: &Baseline,
-) -> ServeCell {
-    static CELL_SEQ: AtomicUsize = AtomicUsize::new(0);
-    let cell_id = CELL_SEQ.fetch_add(1, AtomicOrdering::SeqCst);
-    let store_dir = config.scratch_root.join(format!("serve{cell_id}"));
-    let mut cell = ServeCell {
-        violations: Vec::new(),
-        runs: 0,
-        checks: 0,
-        seq_renders: Vec::new(),
-    };
-
-    let store = TieredStore::disk(CertStore::open(&store_dir)).with_mem(MemTier::with_capacity(32));
+    store_dir: &Path,
+    cell: &mut Cell,
+) -> Vec<Option<String>> {
+    let mut renders = Vec::new();
+    let _ = std::fs::remove_dir_all(store_dir);
+    let store = TieredStore::disk(CertStore::open(store_dir)).with_mem(MemTier::with_capacity(32));
     let gate = Gate::open();
     let mut serve_config = ServeConfig::new(store);
-    serve_config.default_deadline = config.request_deadline;
-    serve_config.grace = config.grace;
+    serve_config.default_deadline = REQUEST_DEADLINE;
+    serve_config.grace = GRACE;
     serve_config.plan = plan.clone();
     serve_config.gate = Some(gate.clone());
     let handle = match Server::start(serve_config) {
@@ -1006,21 +1031,21 @@ fn run_serve_cell(
         Err(e) => {
             cell.violations
                 .push((Invariant::Taxonomy, format!("daemon failed to start: {e}")));
-            return cell;
+            return renders;
         }
     };
     let addr = handle.addr().to_string();
     // The client-side timeout sits well past the daemon's no-hang
     // guarantee: hitting it means the guarantee broke, which the
     // deadline-overrun check below turns into a violation.
-    let timeout = config.request_deadline + config.grace + Duration::from_secs(10);
-    let ceiling = config.request_deadline + config.grace + config.overrun_slack;
+    let timeout = REQUEST_DEADLINE + GRACE + Duration::from_secs(10);
+    let ceiling = REQUEST_DEADLINE + GRACE + OVERRUN_SLACK;
     let verify_request = || {
         Request::Verify(VerifyRequest {
             source: Some(subject.source.clone()),
             path: None,
             name: Some(subject.name.clone()),
-            deadline_ms: Some(config.request_deadline.as_millis() as u64),
+            deadline_ms: Some(REQUEST_DEADLINE.as_millis() as u64),
             jobs: Some(jobs),
         })
     };
@@ -1031,28 +1056,24 @@ fn run_serve_cell(
         let elapsed = start.elapsed();
         cell.runs += 1;
         let jittered = plan.has(ServerFate::AcceptJitter, ordinal);
+        cell.check(Invariant::DeadlineOverrun, elapsed <= ceiling, || {
+            format!(
+                "request {ordinal} answered after {}ms (ceiling {}ms)",
+                elapsed.as_millis(),
+                ceiling.as_millis()
+            )
+        });
         cell.checks += 1;
-        if elapsed > ceiling {
-            cell.violations.push((
-                Invariant::DeadlineOverrun,
-                format!(
-                    "request {ordinal} answered after {}ms (ceiling {}ms)",
-                    elapsed.as_millis(),
-                    ceiling.as_millis()
-                ),
-            ));
-        }
-        cell.checks += 1;
+        let mut render = None;
         match response {
-            Err(message) => {
-                cell.violations.push((
-                    Invariant::Taxonomy,
-                    format!("request {ordinal} failed: {message}"),
-                ));
-                cell.seq_renders.push(None);
-            }
+            Err(message) => cell.violations.push((
+                Invariant::Taxonomy,
+                format!("request {ordinal} failed: {message}"),
+            )),
             Ok(Response::Result {
-                exit_code, render, ..
+                exit_code,
+                render: text,
+                ..
             }) => {
                 if exit_code > 4 {
                     cell.violations.push((
@@ -1062,23 +1083,21 @@ fn run_serve_cell(
                         ),
                     ));
                 }
-                if jittered {
-                    // A collapsed deadline legitimately degrades the
-                    // verdict; the render is excluded from invariance and
-                    // determinism comparisons.
-                    cell.seq_renders.push(None);
-                } else {
-                    cell.checks += 1;
-                    if normalize_render(&render) != baseline.render_norm {
-                        cell.violations.push((
-                            Invariant::VerdictInvariance,
+                // A collapsed deadline legitimately degrades the verdict;
+                // the render is excluded from invariance and determinism
+                // comparisons.
+                if !jittered {
+                    cell.check(
+                        Invariant::VerdictInvariance,
+                        normalize_render(&text) == baseline.render_norm,
+                        || {
                             format!(
                                 "request {ordinal} verdict diverged from the fault-free \
                                  baseline under recoverable faults"
-                            ),
-                        ));
-                    }
-                    cell.seq_renders.push(Some(render));
+                            )
+                        },
+                    );
+                    render = Some(text);
                 }
             }
             Ok(Response::Deadline { .. }) => {
@@ -1088,30 +1107,26 @@ fn run_serve_cell(
                         format!("request {ordinal} hit its deadline without injected jitter"),
                     ));
                 }
-                cell.seq_renders.push(None);
             }
-            Ok(other) => {
-                cell.violations.push((
-                    Invariant::Taxonomy,
-                    format!(
-                        "request {ordinal} got an unexpected response kind (exit {})",
-                        other.exit_code()
-                    ),
-                ));
-                cell.seq_renders.push(None);
-            }
+            Ok(other) => cell.violations.push((
+                Invariant::Taxonomy,
+                format!(
+                    "request {ordinal} got an unexpected response kind (exit {})",
+                    other.exit_code()
+                ),
+            )),
         }
+        renders.push(render);
     }
 
     if plan.count_of(ServerFate::SameKeyStorm) > 0 {
-        let width = config.storm_width;
         // Close the gate so the storm's leader blocks mid-verification and
         // the herd piles up behind its in-flight entry.
         gate.hold();
         let waiters_before = handle.stats().waiters();
         let verifications_before = handle.stats().verifications();
         let results: Vec<Result<Response, String>> = std::thread::scope(|scope| {
-            let clients: Vec<_> = (0..width)
+            let clients: Vec<_> = (0..STORM_WIDTH)
                 .map(|_| {
                     let addr = addr.clone();
                     let request = verify_request();
@@ -1122,7 +1137,7 @@ fn run_serve_cell(
             // coalescing (not timing luck) is what the checks exercise. The
             // cap keeps a broken daemon from wedging the campaign.
             let pile_up_by = Instant::now() + Duration::from_secs(10);
-            while handle.stats().waiters() < waiters_before + width as u64
+            while handle.stats().waiters() < waiters_before + STORM_WIDTH as u64
                 && Instant::now() < pile_up_by
             {
                 std::thread::sleep(Duration::from_millis(5));
@@ -1136,70 +1151,56 @@ fn run_serve_cell(
                 })
                 .collect()
         });
-        cell.runs += width;
+        cell.runs += STORM_WIDTH;
         cell.checks += 1;
         let mut rows: Vec<(u8, bool, String, bool)> = Vec::new();
-        let mut broken = false;
         for (member, result) in results.into_iter().enumerate() {
-            match result {
+            let detail = match result {
                 Ok(Response::Result {
                     exit_code,
                     verified,
                     render,
                     coalesced,
                     ..
-                }) => rows.push((exit_code, verified, render, coalesced)),
-                Ok(other) => {
-                    broken = true;
-                    cell.violations.push((
-                        Invariant::CoalesceDivergence,
-                        format!(
-                            "storm member {member} got a non-result response (exit {})",
-                            other.exit_code()
-                        ),
-                    ));
+                }) => {
+                    rows.push((exit_code, verified, render, coalesced));
+                    continue;
                 }
-                Err(message) => {
-                    broken = true;
-                    cell.violations.push((
-                        Invariant::CoalesceDivergence,
-                        format!("storm member {member} failed: {message}"),
-                    ));
-                }
-            }
+                Ok(other) => format!(
+                    "storm member {member} got a non-result response (exit {})",
+                    other.exit_code()
+                ),
+                Err(message) => format!("storm member {member} failed: {message}"),
+            };
+            cell.violations
+                .push((Invariant::CoalesceDivergence, detail));
         }
-        if !broken {
+        if rows.len() == STORM_WIDTH {
             let delta = handle.stats().verifications() - verifications_before;
-            if delta != 1 {
-                cell.violations.push((
-                    Invariant::CoalesceDivergence,
-                    format!("same-key storm cost {delta} verifications (want exactly 1)"),
-                ));
-            }
             let leaders = rows.iter().filter(|r| !r.3).count();
-            if leaders != 1 {
-                cell.violations.push((
-                    Invariant::CoalesceDivergence,
-                    format!("storm produced {leaders} leaders (want exactly 1)"),
-                ));
-            }
             let first = &rows[0];
-            if rows
+            let differ = rows
                 .iter()
-                .any(|r| (r.0, r.1, &r.2) != (first.0, first.1, &first.2))
-            {
-                cell.violations.push((
-                    Invariant::CoalesceDivergence,
-                    "storm members observed differing responses".to_string(),
+                .any(|r| (r.0, r.1, &r.2) != (first.0, first.1, &first.2));
+            let mut diverged = |detail: String| {
+                cell.violations
+                    .push((Invariant::CoalesceDivergence, detail))
+            };
+            if delta != 1 {
+                diverged(format!(
+                    "same-key storm cost {delta} verifications (want exactly 1)"
                 ));
             }
-            cell.checks += 1;
-            if normalize_render(&first.2) != baseline.render_norm {
-                cell.violations.push((
-                    Invariant::CoalesceDivergence,
-                    "coalesced verdict diverged from a cold run".to_string(),
-                ));
+            if leaders != 1 {
+                diverged(format!("storm produced {leaders} leaders (want exactly 1)"));
             }
+            if differ {
+                diverged("storm members observed differing responses".to_string());
+            }
+            let cold = normalize_render(&first.2) == baseline.render_norm;
+            cell.check(Invariant::CoalesceDivergence, cold, || {
+                "coalesced verdict diverged from a cold run".to_string()
+            });
         }
     }
 
@@ -1210,200 +1211,14 @@ fn run_serve_cell(
             format!("clean shutdown failed: {message}"),
         ));
     }
-    let _ = std::fs::remove_dir_all(&store_dir);
-    cell
-}
-
-/// Greedy shrink over a server plan (the daemon analogue of [`shrink`]).
-fn shrink_serve(
-    subject: &FuzzSubject,
-    events: &[ServerEvent],
-    invariant: Invariant,
-    jobs: usize,
-    config: &ServeFuzzConfig,
-    baseline: &Baseline,
-) -> (Vec<ServerEvent>, usize, usize) {
-    let mut current: Vec<ServerEvent> = events.to_vec();
-    let mut runs = 0usize;
-    let mut checks = 0usize;
-    let still_violates = |trial: &[ServerEvent], runs: &mut usize, checks: &mut usize| -> bool {
-        let plan = ServerPlan::from_events(trial.iter().copied());
-        let cell = run_serve_cell(subject, &plan, jobs, config, baseline);
-        *runs += cell.runs;
-        *checks += cell.checks;
-        cell.violations.iter().any(|(inv, _)| *inv == invariant)
-    };
-    let mut progress = true;
-    while progress && !current.is_empty() {
-        progress = false;
-        for i in 0..current.len() {
-            let mut trial = current.clone();
-            trial.remove(i);
-            if still_violates(&trial, &mut runs, &mut checks) {
-                current = trial;
-                progress = true;
-                break;
-            }
-        }
-    }
-    (current, runs, checks)
-}
-
-/// Runs a daemon-level campaign: per `(subject, seed, jobs)` cell, boot a
-/// fresh `armada serve` daemon, drive it through the seeded [`ServerPlan`]
-/// (killed workers, corrupted tier-2 entries under live readers, accept
-/// jitter, same-key storms), and check the pipeline invariants that
-/// transfer plus the two daemon-specific ones: `deadline_overrun` (every
-/// request is answered within deadline + grace) and `coalesce_divergence`
-/// (a herd costs one verification and every member sees the leader's
-/// bytes). Violations shrink and get `armada fuzz --serve …
-/// --server-events …` reproducer lines. The report is as deterministic as
-/// the pipeline campaign's: same `(subjects, config)` → byte-identical
-/// JSON.
-pub fn run_serve_campaign(subjects: &[FuzzSubject], config: &ServeFuzzConfig) -> CampaignReport {
-    quiet_injected_panics();
-    let mut injected: Vec<(&'static str, usize)> =
-        ALL_SERVER_FATES.iter().map(|f| (f.label(), 0)).collect();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut runs = 0usize;
-    let mut checks = 0usize;
-    let mut jobs_grid: Vec<usize> = Vec::new();
-    for &jobs in &config.jobs {
-        if !jobs_grid.contains(&jobs) {
-            jobs_grid.push(jobs);
-        }
-    }
-    if jobs_grid.is_empty() {
-        jobs_grid.push(1);
-    }
-
-    for (subject_index, subject) in subjects.iter().enumerate() {
-        let scratch = config.scratch_root.join(format!("s{subject_index}"));
-        let (baseline, baseline_runs) = compute_baseline(subject, &scratch, &SimConfig::default());
-        runs += baseline_runs;
-        if let Some(error) = &baseline.error {
-            violations.push(Violation {
-                invariant: Invariant::Taxonomy,
-                subject: subject.name.clone(),
-                seed: 0,
-                detail: format!("fault-free baseline failed: {error}"),
-                plan: Vec::new(),
-                shrunk: Vec::new(),
-                server_plan: Vec::new(),
-                server_shrunk: Vec::new(),
-                replay: format!("armada verify {}", subject.name),
-            });
-            continue;
-        }
-        for &seed in &config.seeds {
-            let plan = match &config.plan_override {
-                Some(events) => ServerPlan::from_events(events.iter().copied()),
-                None => ServerPlan::seeded(seed, SEQ_ORDINALS),
-            };
-            for entry in injected.iter_mut() {
-                entry.1 += plan
-                    .events()
-                    .iter()
-                    .filter(|e| e.fate.label() == entry.0)
-                    .count();
-            }
-            let mut renders_by_jobs: Vec<(usize, Vec<Option<String>>)> = Vec::new();
-            for &jobs in &jobs_grid {
-                let cell = run_serve_cell(subject, &plan, jobs, config, &baseline);
-                runs += cell.runs;
-                checks += cell.checks;
-                for (invariant, detail) in cell.violations {
-                    let (shrunk, shrink_runs, shrink_checks) =
-                        shrink_serve(subject, &plan.events(), invariant, jobs, config, &baseline);
-                    runs += shrink_runs;
-                    checks += shrink_checks;
-                    let events_spec = shrunk
-                        .iter()
-                        .map(|e| e.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    let replay = if events_spec.is_empty() {
-                        format!(
-                            "armada fuzz --serve {} --seeds 1 --jobs {jobs}",
-                            subject.name
-                        )
-                    } else {
-                        format!(
-                            "armada fuzz --serve {} --seeds 1 --jobs {jobs} \
-                             --server-events {events_spec}",
-                            subject.name
-                        )
-                    };
-                    violations.push(Violation {
-                        invariant,
-                        subject: subject.name.clone(),
-                        seed,
-                        detail,
-                        plan: Vec::new(),
-                        shrunk: Vec::new(),
-                        server_plan: plan.events(),
-                        server_shrunk: shrunk,
-                        replay,
-                    });
-                }
-                renders_by_jobs.push((jobs, cell.seq_renders));
-            }
-            // Cross-jobs determinism: sequential renders must agree
-            // wherever both job counts produced one.
-            if let Some((first_jobs, first_renders)) = renders_by_jobs.first() {
-                for (other_jobs, other_renders) in renders_by_jobs.iter().skip(1) {
-                    checks += 1;
-                    let diverged = first_renders
-                        .iter()
-                        .zip(other_renders.iter())
-                        .any(|(a, b)| matches!((a, b), (Some(a), Some(b)) if a != b));
-                    if diverged {
-                        violations.push(Violation {
-                            invariant: Invariant::Determinism,
-                            subject: subject.name.clone(),
-                            seed,
-                            detail: format!(
-                                "daemon renders differ between jobs={first_jobs} and \
-                                 jobs={other_jobs}"
-                            ),
-                            plan: Vec::new(),
-                            shrunk: Vec::new(),
-                            server_plan: plan.events(),
-                            server_shrunk: plan.events(),
-                            replay: format!(
-                                "armada fuzz --serve {} --seeds {} --jobs {}",
-                                subject.name,
-                                seed + 1,
-                                jobs_grid
-                                    .iter()
-                                    .map(|j| j.to_string())
-                                    .collect::<Vec<_>>()
-                                    .join(",")
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
-    let _ = std::fs::remove_dir_all(&config.scratch_root);
-    CampaignReport {
-        subjects: subjects.iter().map(|s| s.name.clone()).collect(),
-        seeds: config.seeds.clone(),
-        jobs: jobs_grid,
-        runs,
-        checks,
-        injected,
-        violations,
-        mode: "serve",
-        mutate_bounds: false,
-    }
+    let _ = std::fs::remove_dir_all(store_dir);
+    renders
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultFate;
 
     const TINY: &str = r#"
         level Impl {
@@ -1423,17 +1238,17 @@ mod tests {
 
     #[test]
     fn event_specs_round_trip() {
-        let events = parse_events("torn_cert_write:P1, worker_abort:P2").unwrap();
+        let events = parse_events::<FaultEvent>("torn_cert_write:P1, worker_abort:P2").unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].fate, FaultFate::TornCertWrite);
         assert_eq!(events[1].recipe, "P2");
-        assert!(parse_events("no_separator").is_err());
-        assert!(parse_events("").unwrap().is_empty());
+        assert!(parse_events::<FaultEvent>("no_separator").is_err());
+        assert!(parse_events::<FaultEvent>("").unwrap().is_empty());
     }
 
     #[test]
     fn event_specs_reject_unknown_fates_naming_the_token() {
-        let err = parse_events("bogus:P").unwrap_err();
+        let err = parse_events::<FaultEvent>("bogus:P").unwrap_err();
         match &err {
             PipelineError::Events { token, message } => {
                 assert_eq!(token, "bogus:P");
@@ -1449,14 +1264,15 @@ mod tests {
         // A FaultPlan stores a set: without rejection the second token
         // would silently vanish and the reproducer line would lie about
         // how many faults it injects.
-        let err = parse_events("worker_abort:P1,torn_cert_write:P2,worker_abort:P1").unwrap_err();
+        let err = parse_events::<FaultEvent>("worker_abort:P1,torn_cert_write:P2,worker_abort:P1")
+            .unwrap_err();
         match &err {
             PipelineError::Events { token, .. } => assert_eq!(token, "worker_abort:P1"),
             other => panic!("expected Events error, got {other:?}"),
         }
         // Same fate on different recipes is not a duplicate.
         assert_eq!(
-            parse_events("worker_abort:P1,worker_abort:P2")
+            parse_events::<FaultEvent>("worker_abort:P1,worker_abort:P2")
                 .unwrap()
                 .len(),
             2
@@ -1465,7 +1281,7 @@ mod tests {
 
     #[test]
     fn server_event_specs_round_trip_and_reject_bad_tokens() {
-        let events = parse_server_events("worker_kill:0, same_key_storm:2").unwrap();
+        let events = parse_events::<ServerEvent>("worker_kill:0, same_key_storm:2").unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].fate, ServerFate::WorkerKill);
         assert_eq!(events[1].ordinal, 2);
@@ -1474,7 +1290,7 @@ mod tests {
             .map(|e| e.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        assert_eq!(parse_server_events(&spec).unwrap(), events);
+        assert_eq!(parse_events::<ServerEvent>(&spec).unwrap(), events);
         for bad in [
             "dance:0",
             "worker_kill",
@@ -1482,10 +1298,151 @@ mod tests {
             "worker_kill:0,worker_kill:0",
         ] {
             assert!(
-                matches!(parse_server_events(bad), Err(PipelineError::Events { .. })),
+                matches!(
+                    parse_events::<ServerEvent>(bad),
+                    Err(PipelineError::Events { .. })
+                ),
                 "`{bad}` should be rejected"
             );
         }
+    }
+
+    /// Drives the one greedy shrinker with a synthetic cell that trips
+    /// `Taxonomy` iff `culprit` is in the trial plan (and always trips a
+    /// decoy invariant the shrink must ignore).
+    fn shrinks_to_the_culprit<E: Clone + PartialEq + std::fmt::Debug>(events: &[E], culprit: &E) {
+        let mut trials = 0;
+        let mut cell = |trial: &[E]| {
+            trials += 1;
+            let mut cell = Cell {
+                runs: 2,
+                checks: 3,
+                ..Cell::default()
+            };
+            cell.violations
+                .push((Invariant::NoHang, "decoy".to_string()));
+            if trial.contains(culprit) {
+                cell.violations
+                    .push((Invariant::Taxonomy, "culprit present".to_string()));
+            }
+            cell
+        };
+        let (shrunk, runs, checks) = shrink(events, Invariant::Taxonomy, &mut cell);
+        assert_eq!(shrunk, vec![culprit.clone()]);
+        // Fixpoint: shrinking the result again removes nothing and costs
+        // exactly one trial (dropping the culprit, which clears the trip).
+        let (again, again_runs, again_checks) = shrink(&shrunk, Invariant::Taxonomy, &mut cell);
+        assert_eq!(again, shrunk);
+        assert_eq!((again_runs, again_checks), (2, 3));
+        // Every trial cell's runs and checks are accounted for. With the
+        // culprit third of four, the greedy passes cost 1 + 1 + 2 + 1
+        // trials, plus the one re-shrink trial.
+        assert_eq!(trials, 6);
+        assert_eq!((runs, checks), (2 * 5, 3 * 5));
+    }
+
+    /// The pipeline mode with a cell that trips whatever the plan: the
+    /// violation needs no fault at all.
+    struct AlwaysTrips(FuzzConfig);
+
+    impl Mode for AlwaysTrips {
+        type Event = FaultEvent;
+        const NAME: &'static str = "always_trips";
+
+        fn fates() -> Vec<&'static str> {
+            FuzzConfig::fates()
+        }
+
+        fn fate(event: &FaultEvent) -> &'static str {
+            FuzzConfig::fate(event)
+        }
+
+        fn seeded(&self, seed: u64, baseline: &Baseline) -> Vec<FaultEvent> {
+            self.0.seeded(seed, baseline)
+        }
+
+        fn run_cell(
+            &self,
+            _: &FuzzSubject,
+            _: &[FaultEvent],
+            _: &[usize],
+            _: &Baseline,
+            _: &Path,
+        ) -> Cell {
+            Cell {
+                violations: vec![(Invariant::Taxonomy, "always".to_string())],
+                runs: 1,
+                checks: 1,
+            }
+        }
+
+        fn replay(&self, subject: &str, seed: u64, jobs: usize, events: &str) -> String {
+            self.0.replay(subject, seed, jobs, events)
+        }
+    }
+
+    #[test]
+    fn a_fault_free_violation_replays_with_an_explicitly_empty_plan() {
+        let config = FuzzConfig {
+            seeds: vec![0],
+            jobs: vec![2, 0, 2],
+            scratch_root: scratch("always-trips"),
+            ..FuzzConfig::default()
+        };
+        let events: Vec<FaultEvent> = parse_events("worker_abort:P,torn_cert_write:P").unwrap();
+        let subjects = [FuzzSubject::new("tiny", TINY)];
+        let report = sweep(
+            &AlwaysTrips(config.clone()),
+            &subjects,
+            &config.seeds,
+            &config.jobs,
+            &config.scratch_root,
+            Some(&events),
+        );
+        // The grid that ran: clamped to ≥ 1 and deduplicated in order.
+        assert_eq!(report.jobs, vec![2, 1]);
+        assert_eq!(report.total_injected(), 2);
+        let [violation] = &report.violations[..] else {
+            panic!("want one violation: {}", report.to_json());
+        };
+        // The plan is stored as a set, in fate order.
+        assert_eq!(violation.plan, ["torn_cert_write:P", "worker_abort:P"]);
+        assert!(violation.shrunk.is_empty());
+        assert_eq!(
+            violation.replay,
+            "armada fuzz tiny --seeds 1 --jobs 2 --events ''"
+        );
+        // Baseline + cell + two shrink trials (each removal still trips).
+        assert_eq!((report.runs, report.checks), (4, 3));
+    }
+
+    #[test]
+    fn shrink_keeps_exactly_the_culprit_for_both_event_types() {
+        let event = |fate, recipe: &str| FaultEvent {
+            fate,
+            recipe: recipe.to_string(),
+        };
+        let culprit = event(FaultFate::BitFlipCertWrite, "P");
+        shrinks_to_the_culprit(
+            &[
+                event(FaultFate::WaveStall, "P"),
+                event(FaultFate::CancelDelay, "P"),
+                culprit.clone(),
+                event(FaultFate::WorkerAbort, "Q"),
+            ],
+            &culprit,
+        );
+        let server = |fate, ordinal| ServerEvent { fate, ordinal };
+        let culprit = server(ServerFate::Tier2Corrupt, 1);
+        shrinks_to_the_culprit(
+            &[
+                server(ServerFate::WorkerKill, 0),
+                server(ServerFate::AcceptJitter, 2),
+                culprit,
+                server(ServerFate::SameKeyStorm, 0),
+            ],
+            &culprit,
+        );
     }
 
     #[test]
@@ -1494,15 +1451,11 @@ mod tests {
         let config = ServeFuzzConfig {
             seeds: vec![0],
             jobs: vec![1],
-            storm_width: 3,
             scratch_root: scratch("serve-campaign"),
             plan_override: Some(
-                parse_server_events(
-                    "worker_kill:0,tier2_corrupt:1,accept_jitter:2,same_key_storm:0",
-                )
-                .unwrap(),
+                parse_events("worker_kill:0,tier2_corrupt:1,accept_jitter:2,same_key_storm:0")
+                    .unwrap(),
             ),
-            ..ServeFuzzConfig::default()
         };
         let report = run_serve_campaign(&subjects, &config);
         assert_eq!(report.mode, "serve");
@@ -1598,13 +1551,11 @@ mod tests {
                     subject: "counter.arm".into(),
                     seed: 7,
                     detail: format!("quote \" backslash \\ tab \t ctl \u{1} end{detail_tail}"),
-                    plan: vec![
+                    plan: strings(&[
                         event(FaultFate::BitFlipCertWrite, "P"),
                         event(FaultFate::WorkerAbort, "Q"),
-                    ],
+                    ]),
                     shrunk: vec![],
-                    server_plan: vec![],
-                    server_shrunk: vec![],
                     replay: "armada verify counter.arm --events bit_flip_cert_write:P".into(),
                 },
                 Violation {
@@ -1612,13 +1563,11 @@ mod tests {
                     subject: "odd \"name\".arm".into(),
                     seed: 0,
                     detail: "line one\nline two ⊑".into(),
-                    plan: vec![],
-                    shrunk: vec![],
-                    server_plan: vec![
+                    plan: strings(&[
                         server(ServerFate::WorkerKill, 0),
                         server(ServerFate::SameKeyStorm, 2),
-                    ],
-                    server_shrunk: vec![server(ServerFate::SameKeyStorm, 2)],
+                    ]),
+                    shrunk: strings(&[server(ServerFate::SameKeyStorm, 2)]),
                     replay: String::new(),
                 },
             ],

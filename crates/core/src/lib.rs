@@ -598,7 +598,7 @@ impl Pipeline {
 
         // Stage 1: the strategy, panic-isolated.
         let strategy = catch_unwind(AssertUnwindSafe(|| {
-            if self.fault.strategy_panics(&recipe.name) {
+            if self.fault.has(FaultFate::StrategyPanic, &recipe.name) {
                 panic!("injected fault: strategy panic in recipe `{}`", recipe.name);
             }
             armada_strategies::run_recipe(&self.typed, recipe, self.sim.clone())
@@ -673,7 +673,7 @@ impl Pipeline {
                 armada_runtime::hash::fnv1a_64(recipe.name.as_bytes())
             ));
         }
-        if self.fault.exhausts_budget(&recipe.name) {
+        if self.fault.has(FaultFate::BudgetExhaustion, &recipe.name) {
             // Clamp the budget so exhaustion is certain on any nontrivial
             // product (one node is never enough to finish a check).
             sim.max_nodes = 1;
@@ -786,7 +786,7 @@ impl Pipeline {
             }
         }
         let checked = catch_unwind(AssertUnwindSafe(|| {
-            if self.fault.check_panics(&recipe.name) {
+            if self.fault.has(FaultFate::CheckPanic, &recipe.name) {
                 panic!(
                     "injected fault: semantic-check panic in recipe `{}`",
                     recipe.name

@@ -84,6 +84,32 @@ fn fault_injection_exit_codes_classify_outcomes() {
 
 /// `--cert-cache`: the second run reuses the first run's certificate and
 /// says so.
+/// An explicitly empty event list is the no-fault plan — the form a
+/// violation whose plan shrinks to nothing is replayed with.
+#[test]
+fn fuzz_accepts_an_explicitly_empty_event_list() {
+    for args in [
+        &["fuzz", "specs/counter.arm", "--seeds", "1", "--events", ""][..],
+        &[
+            "fuzz",
+            "--serve",
+            "specs/counter.arm",
+            "--seeds",
+            "1",
+            "--server-events",
+            "",
+        ],
+    ] {
+        let output = armada(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(", 0 faults injected, 0 violations"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn cert_cache_flag_round_trips() {
     let dir = std::env::temp_dir().join("armada_cli_cert_cache_test");

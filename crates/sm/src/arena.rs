@@ -227,21 +227,10 @@ impl StateArena {
         Ok(())
     }
 
-    /// True if this arena pages state bytes to disk.
-    pub fn spill_enabled(&self) -> bool {
-        self.pager.is_some()
-    }
-
     /// The spill pager's event counters (`(label, value)` pairs), if
     /// spill is enabled — drained into stage telemetry by the engines.
     pub fn spill_counters(&self) -> Option<Vec<(&'static str, u64)>> {
         self.pager.as_ref().map(|p| p.counters())
-    }
-
-    /// Total encoded bytes the arena's states occupy on disk (spill mode
-    /// only) — the footprint axis of the spill bench.
-    pub fn spill_total_bytes(&self) -> Option<u64> {
-        self.pager.as_ref().map(|p| p.total_bytes())
     }
 
     /// Number of distinct interned states.

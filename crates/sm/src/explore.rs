@@ -440,17 +440,6 @@ pub fn explore_from(program: &Program, initial: ProgState, bounds: &Bounds) -> E
     explore_from_impl(program, initial, bounds, false, &mut telemetry, None)
 }
 
-/// [`explore_from`] with per-stage telemetry collection.
-pub fn explore_from_with_telemetry(
-    program: &Program,
-    initial: ProgState,
-    bounds: &Bounds,
-) -> (Exploration, StageTelemetry) {
-    let mut telemetry = StageTelemetry::new();
-    let exploration = explore_from_impl(program, initial, bounds, true, &mut telemetry, None);
-    (exploration, telemetry)
-}
-
 /// Mutable commit-stage bookkeeping threaded through [`commit_slot`].
 #[derive(Default)]
 struct CommitState {

@@ -246,12 +246,6 @@ impl Pager {
         state
     }
 
-    /// True if the state at `index` is resident (no disk access needed).
-    pub fn is_resident(&self, index: usize) -> bool {
-        let page_ix = index / self.spec.page_states;
-        page_ix >= self.pages.len() || self.pages[page_ix].states.is_some()
-    }
-
     /// Reads, verifies, and decodes one evicted page.
     fn fault(&mut self, page_ix: usize) -> Vec<Arc<ProgState>> {
         let path = self.page_path(page_ix);

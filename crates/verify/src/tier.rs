@@ -226,11 +226,6 @@ impl TieredStore {
         self.disk.as_ref()
     }
 
-    /// The memory tier, when present.
-    pub fn mem_tier(&self) -> Option<&Arc<MemTier>> {
-        self.mem.as_ref()
-    }
-
     /// The disk tier's fault-shim configuration (defaults when there is no
     /// disk tier).
     pub fn shim(&self) -> StoreShim {

@@ -159,6 +159,22 @@ if [[ "${1:-}" == "--full" ]]; then
     diff "$SMOKE_DIR/fuzz_report.json" "$SMOKE_DIR/fuzz_report_again.json" \
         || { echo "fuzz campaign report is not deterministic"; exit 1; }
 
+    echo "==> armada fuzz --mutate-bounds gate (per-seed bounds, full spec corpus)"
+    # The same sweep with the verification bounds mutated per seed
+    # (nondeterminism grid, store-buffer size, node cap), each seed checked
+    # against a baseline under its own bounds: clean, and byte-identical
+    # across reruns because the mutation is a pure function of the seed.
+    "$ARMADA_BIN" fuzz specs/*.arm --seeds 8 --jobs 4 --mutate-bounds \
+        --out "$SMOKE_DIR/fuzz_mutated.json" \
+        || { echo "armada fuzz --mutate-bounds found invariant violations:"; \
+             cat "$SMOKE_DIR/fuzz_mutated.json"; exit 1; }
+    grep -q '"violations": \[\]' "$SMOKE_DIR/fuzz_mutated.json" \
+        || { echo "non-empty violations in mutated-bounds fuzz report"; exit 1; }
+    "$ARMADA_BIN" fuzz specs/*.arm --seeds 8 --jobs 4 --mutate-bounds \
+        --out "$SMOKE_DIR/fuzz_mutated_again.json" 2>/dev/null || true
+    diff "$SMOKE_DIR/fuzz_mutated.json" "$SMOKE_DIR/fuzz_mutated_again.json" \
+        || { echo "mutated-bounds fuzz report is not deterministic"; exit 1; }
+
     echo "==> armada serve smoke gate (cold+warm+coalesced, clean shutdown)"
     # Boot the daemon on an ephemeral port, drive it through a cold
     # request, a warm (cache-hit) request, and an 8-client same-key storm,

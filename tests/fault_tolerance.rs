@@ -6,7 +6,7 @@
 
 use armada::verify::store::CertStore;
 use armada::verify::SimConfig;
-use armada::{CacheDisposition, FaultPlan, Pipeline, RecipeStatus};
+use armada::{CacheDisposition, FaultFate, FaultPlan, Pipeline, RecipeStatus};
 
 const TWO_STEP: &str = r#"
     level Impl {
@@ -63,7 +63,7 @@ fn injected_panic_is_isolated_to_its_recipe() {
     let mut rendered = Vec::new();
     for jobs in [1, 4] {
         let report = pipeline(jobs)
-            .with_fault_plan(FaultPlan::new().panic_in_strategy("P1"))
+            .with_fault_plan(FaultPlan::new().with_fate(FaultFate::StrategyPanic, "P1"))
             .run()
             .expect("panics are outcomes, not errors");
         assert!(!report.verified());
@@ -90,7 +90,7 @@ fn injected_panic_is_isolated_to_its_recipe() {
 #[test]
 fn injected_check_panic_is_isolated_too() {
     let report = pipeline(2)
-        .with_fault_plan(FaultPlan::new().panic_in_check("P2"))
+        .with_fault_plan(FaultPlan::new().with_fate(FaultFate::CheckPanic, "P2"))
         .run()
         .expect("panics are outcomes, not errors");
     assert_eq!(report.outcomes[0].status, RecipeStatus::Verified);
@@ -104,7 +104,7 @@ fn injected_check_panic_is_isolated_too() {
 #[test]
 fn injected_budget_exhaustion_degrades_gracefully() {
     let report = pipeline(1)
-        .with_fault_plan(FaultPlan::new().exhaust_budget("P1"))
+        .with_fault_plan(FaultPlan::new().with_fate(FaultFate::BudgetExhaustion, "P1"))
         .run()
         .expect("budget exhaustion is an outcome, not an error");
     assert_eq!(report.outcomes[0].status, RecipeStatus::BudgetExhausted);
