@@ -60,12 +60,16 @@
 //! `target/armada-spill`) behind checksums and fault back on demand —
 //! verdicts are byte-identical to an all-resident run, and `--telemetry`
 //! reports the hit/miss/evict counters. `--checkpoint[=DIR]` (default
-//! `target/armada-checkpoints`) persists each check's frontier crash-safely
-//! at every wave boundary; `--resume` continues an interrupted run from its
-//! last completed wave (a missing, torn, or mismatched checkpoint falls
-//! back to a cold start). A resumed run may raise `--deadline` or budget
-//! caps; anything that changes what a check *means* (the module, bounds,
-//! reduction/symmetry) starts cold.
+//! `target/armada-checkpoints`) persists each recipe's refinement check
+//! crash-safely at every wave boundary, one `ck-*` subdirectory per
+//! recipe; `--resume` continues an interrupted check from its last
+//! completed wave (a missing, torn, or mismatched checkpoint falls back to
+//! a cold start). The strategy stage never checkpoints. A resumed run may
+//! raise `--deadline` or budget caps; anything that changes what a check
+//! *means* (the programs, bounds, reduction/symmetry) starts cold.
+//!
+//! Every subcommand rejects a flag it does not know with the usage text
+//! and exit code 2.
 //!
 //! `verify`/`effort` exit codes classify the worst per-recipe outcome:
 //! 0 verified, 1 refuted, 2 usage/IO error, 3 budget exhausted or skipped,
@@ -125,6 +129,19 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Each subcommand's flags. A trailing `=` marks a flag that takes a value
+/// (`--flag VALUE` or `--flag=VALUE`); the rest are switches, of which
+/// `--cert-cache` and `--checkpoint` also take `=DIR`. The first list
+/// serves `verify`, `check`, `effort`, `emit-c` and `emit-rust`.
+const VERIFY_FLAGS: &str = "--jobs= --deadline= --fault-seed= --mem-cap= --spill-dir= \
+    --cert-cache --no-reduction --no-symmetry --telemetry --conservative --checkpoint \
+    --resume --recheck";
+const FUZZ_FLAGS: &str = "--seeds= --jobs= --events= --server-events= --out= --serve \
+    --mutate-bounds";
+const SERVE_FLAGS: &str = "--addr= --addr-file= --workers= --queue-depth= --mem-cap= \
+    --deadline= --spill-mem-cap= --spill-dir= --cert-cache --telemetry --checkpoint";
+const CLIENT_FLAGS: &str = "--deadline= --jobs= --stats --shutdown";
+
 /// Extracts `--flag VALUE` (or `--flag=VALUE`) from the argument list.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
     let prefix = format!("{flag}=");
@@ -141,20 +158,28 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Str
 }
 
 /// The positional arguments: everything that is neither a `--flag` nor
-/// the value of one of `value_flags`.
-fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
+/// the value of one. Every `--flag` must be one of `flags` (see
+/// [`VERIFY_FLAGS`]), so a misspelled flag fails instead of being ignored.
+fn positional<'a>(args: &'a [String], flags: &str) -> Result<Vec<&'a str>, String> {
     let mut out = Vec::new();
     let mut skip_next = false;
     for arg in args {
         if std::mem::take(&mut skip_next) {
             continue;
         }
-        skip_next = value_flags.contains(&arg.as_str());
         if !arg.starts_with("--") {
             out.push(arg.as_str());
+            continue;
+        }
+        let name = arg.split('=').next().unwrap_or(arg);
+        let known = |flag: &str| flags.split_whitespace().any(|f| f == flag);
+        if known(&format!("{name}=")) {
+            skip_next = name == arg;
+        } else if !known(name) {
+            return Err(format!("unknown flag `{arg}`"));
         }
     }
-    out
+    Ok(out)
 }
 
 /// Extracts `--jobs N` (or `--jobs=N`) from the argument list.
@@ -227,7 +252,7 @@ fn spill_flag(args: &[String]) -> Result<Option<armada::sm::SpillSpec>, String> 
 
 /// Extracts `--checkpoint` (default root) or `--checkpoint=DIR`, plus
 /// `--resume`.
-fn checkpoint_flag(args: &[String]) -> Result<Option<armada::sm::CheckpointSpec>, String> {
+fn checkpoint_flag(args: &[String]) -> Result<Option<armada::verify::CheckpointSpec>, String> {
     let mut dir = None;
     for arg in args {
         if let Some(value) = arg.strip_prefix("--checkpoint=") {
@@ -239,7 +264,7 @@ fn checkpoint_flag(args: &[String]) -> Result<Option<armada::sm::CheckpointSpec>
     let resume = args.iter().any(|a| a == "--resume");
     match dir {
         Some(dir) => Ok(Some(
-            armada::sm::CheckpointSpec::new(dir).with_resume(resume),
+            armada::verify::CheckpointSpec::new(dir).with_resume(resume),
         )),
         None if resume => Err("--resume requires --checkpoint".to_string()),
         None => Ok(None),
@@ -259,21 +284,33 @@ fn fault_seed_flag(args: &[String]) -> Result<Option<u64>, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = match args.first().map(|s| s.as_str()) {
+        // Same checker as the standalone `armada-recheck` binary, which
+        // checks its own flags; bundled here so one installed tool covers
+        // the whole workflow.
+        Some("recheck") => return ExitCode::from(armada::recheck::run_cli(&args[1..])),
+        Some("serve") => SERVE_FLAGS,
+        Some("client") => CLIENT_FLAGS,
+        Some("fuzz") => FUZZ_FLAGS,
+        _ => VERIFY_FLAGS,
+    };
+    let positional = match positional(args.get(1..).unwrap_or_default(), flags) {
+        Ok(positional) => positional,
+        Err(err) => {
+            eprintln!("armada: {err}");
+            return usage();
+        }
+    };
     match args.first().map(|s| s.as_str()) {
         Some("serve") => return serve_command(&args[1..]),
-        Some("client") => return client_command(&args[1..]),
-        // Same checker as the standalone `armada-recheck` binary; bundled
-        // here so one installed tool covers the whole workflow.
-        Some("recheck") => return ExitCode::from(armada::recheck::run_cli(&args[1..])),
+        Some("client") => return client_command(&args[1..], &positional),
+        Some("fuzz") => return fuzz_command(&args[1..], &positional),
         _ => {}
     }
-    let (command, path) = match (args.first(), args.get(1)) {
-        (Some(command), Some(path)) => (command.as_str(), path.as_str()),
+    let (command, path) = match (args.first(), positional.first()) {
+        (Some(command), Some(path)) => (command.as_str(), *path),
         _ => return usage(),
     };
-    if command == "fuzz" {
-        return fuzz_command(&args[1..]);
-    }
     let jobs = match jobs_flag(&args) {
         Ok(jobs) => jobs,
         Err(err) => {
@@ -321,7 +358,7 @@ fn main() -> ExitCode {
         }
     }
     match checkpoint_flag(&args) {
-        Ok(Some(spec)) => sim.bounds = sim.bounds.with_checkpoint(spec),
+        Ok(Some(spec)) => sim = sim.with_checkpoint(spec),
         Ok(None) => {}
         Err(err) => {
             eprintln!("armada: {err}");
@@ -472,7 +509,7 @@ fn main() -> ExitCode {
 /// over one or more subject files (see [`armada::fuzz`] for the
 /// invariants). Exit 0 when clean, 1 on any invariant violation, 2 on
 /// usage errors.
-fn fuzz_command(args: &[String]) -> ExitCode {
+fn fuzz_command(args: &[String], positional: &[&str]) -> ExitCode {
     let fail = |err: String| {
         eprintln!("armada: {err}");
         ExitCode::from(2)
@@ -516,9 +553,9 @@ fn fuzz_command(args: &[String]) -> ExitCode {
         Ok(out) => out.map(|s| s.to_string()),
         Err(err) => return fail(err),
     };
-    let value_flags = ["--seeds", "--jobs", "--events", "--server-events", "--out"];
-    let subjects: Vec<fuzz::FuzzSubject> = match positional(args, &value_flags)
-        .into_iter()
+    let subjects: Vec<fuzz::FuzzSubject> = match positional
+        .iter()
+        .copied()
         .map(fuzz::FuzzSubject::from_path)
         .collect()
     {
@@ -681,9 +718,7 @@ fn serve_command(args: &[String]) -> ExitCode {
     if let Some(spec) = spill {
         config.sim.bounds = config.sim.bounds.with_spill(spec);
     }
-    if let Some(spec) = checkpoint {
-        config.sim.bounds = config.sim.bounds.with_checkpoint(spec);
-    }
+    config.sim.checkpoint = checkpoint;
     if let Some(deadline) = deadline {
         config.default_deadline = deadline;
     }
@@ -706,12 +741,11 @@ fn serve_command(args: &[String]) -> ExitCode {
 /// The `armada client` subcommand: one request against a running daemon.
 /// Verify responses adopt the pipeline's 0–4 exit taxonomy; `deadline` and
 /// `overloaded` map to 3 (inconclusive), protocol errors to 2.
-fn client_command(args: &[String]) -> ExitCode {
+fn client_command(args: &[String], positional: &[&str]) -> ExitCode {
     let fail = |err: String| {
         eprintln!("armada: {err}");
         ExitCode::from(2)
     };
-    let positional = positional(args, &["--deadline", "--jobs"]);
     let Some(addr) = positional.first() else {
         return usage();
     };

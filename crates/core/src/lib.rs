@@ -45,10 +45,11 @@
 //!   rerun, and a corrupted record silently falls back to recomputation.
 //! * **Spill and resume.** Each semantic check can run its state arenas
 //!   under a memory cap ([`sm::SpillSpec`]), paging cold shards to disk
-//!   behind checksums, and can checkpoint its frontier at wave boundaries
-//!   ([`sm::CheckpointSpec`]) so an interrupted check resumes instead of
-//!   restarting; both knobs change how a check runs, never what it
-//!   concludes.
+//!   behind checksums, and can checkpoint its product-search frontier at
+//!   wave boundaries ([`verify::CheckpointSpec`]) so an interrupted check
+//!   resumes instead of restarting; both knobs change how a check runs,
+//!   never what it concludes. Only the semantic check checkpoints: the
+//!   strategy stage always runs cold.
 //! * **Deterministic fault injection.** [`FaultPlan`] drives all of the
 //!   above in tests: injected panics, forced budget exhaustion, simulated
 //!   mid-run kills, torn/bit-flipped cert writes, corrupt cert reads,
@@ -111,7 +112,8 @@ use armada_sm::lower;
 use armada_verify::store::{CertKey, CertStore, ReadFault, WriteFault};
 use armada_verify::tier::TieredStore;
 use armada_verify::{
-    check_refinement, check_refinement_with_telemetry, RefinementCert, RefinementChain, SimConfig,
+    check_refinement, check_refinement_with_telemetry, CheckpointSpec, RefinementCert,
+    RefinementChain, SimConfig,
 };
 
 /// What one recipe contributed to the report: a crashed or skipped recipe
@@ -601,7 +603,13 @@ impl Pipeline {
             if self.fault.has(FaultFate::StrategyPanic, &recipe.name) {
                 panic!("injected fault: strategy panic in recipe `{}`", recipe.name);
             }
-            armada_strategies::run_recipe(&self.typed, recipe, self.sim.clone())
+            // Only the semantic check below checkpoints: the strategy
+            // stage (combining's inner check included) always runs cold.
+            let sim = SimConfig {
+                checkpoint: None,
+                ..self.sim.clone()
+            };
+            armada_strategies::run_recipe(&self.typed, recipe, sim)
         }));
         let report = match strategy {
             Err(payload) => {
@@ -667,7 +675,7 @@ impl Pipeline {
         // A configured checkpoint dir is a *base*: recipes run concurrently,
         // so each one checkpoints into its own content-named subdirectory
         // (stable across runs, which is what makes `--resume` find it).
-        if let Some(spec) = &mut sim.bounds.checkpoint {
+        if let Some(spec) = &mut sim.checkpoint {
             spec.dir = spec.dir.join(format!(
                 "ck-{:016x}",
                 armada_runtime::hash::fnv1a_64(recipe.name.as_bytes())
@@ -709,9 +717,7 @@ impl Pipeline {
             ));
             let _ = std::fs::create_dir_all(&dir);
             let _ = std::fs::write(dir.join("manifest.bin"), [0x17, 0x2a, 0x03]);
-            sim.bounds = sim
-                .bounds
-                .with_checkpoint(sm::CheckpointSpec::new(dir).with_resume(true));
+            sim.checkpoint = Some(CheckpointSpec::new(dir).with_resume(true));
         }
         if self.fault.has(FaultFate::CorruptSpillRead, &recipe.name) {
             // A bad sector under the spill dir: the first cold-page fault

@@ -502,7 +502,7 @@ fn handle_verify(
     // dir by the coalescing key, so concurrent requests for different
     // modules never share (or tear) each other's manifests while a retry
     // of the same request resumes its own.
-    if let Some(spec) = &mut sim.bounds.checkpoint {
+    if let Some(spec) = &mut sim.checkpoint {
         spec.dir = spec.dir.join(format!(
             "rq-{:016x}",
             armada_runtime::hash::fnv1a_64(coalesce_key.as_bytes())

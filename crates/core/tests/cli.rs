@@ -136,6 +136,23 @@ fn bad_usage_and_missing_files_fail_cleanly() {
     let output = armada(&["verify", "specs/does_not_exist.arm"]);
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("cannot read"));
+
+    // A misspelled flag is a usage error, not silently ignored.
+    let output = armada(&["verify", "specs/counter.arm", "--job", "4"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag `--job`"), "{stderr}");
+    assert!(stderr.contains("usage: armada"), "{stderr}");
+}
+
+#[test]
+fn flags_may_precede_the_file() {
+    let output = armada(&["check", "--jobs", "2", "--no-symmetry", "specs/counter.arm"]);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
 
 #[test]

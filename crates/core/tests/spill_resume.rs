@@ -8,8 +8,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use armada::sm::{CheckpointSpec, SpillSpec};
-use armada::verify::SimConfig;
+use armada::sm::SpillSpec;
+use armada::verify::{CheckpointSpec, SimConfig};
 use armada::{Pipeline, RecipeStatus};
 
 fn subject() -> String {
@@ -56,11 +56,10 @@ fn deadline_killed_pipeline_resumes_to_identical_report() {
 
         // Kill: a zero deadline cuts the check at its first wave boundary,
         // leaving a checkpoint behind.
-        let mut cut_sim = SimConfig::default().with_jobs(jobs);
-        cut_sim.bounds = cut_sim
-            .bounds
-            .with_deadline(Duration::ZERO)
+        let mut cut_sim = SimConfig::default()
+            .with_jobs(jobs)
             .with_checkpoint(CheckpointSpec::new(dir.clone()));
+        cut_sim.bounds = cut_sim.bounds.with_deadline(Duration::ZERO);
         let pipeline = Pipeline::from_source(&source)
             .expect("subject parses")
             .with_sim_config(cut_sim);
@@ -72,9 +71,8 @@ fn deadline_killed_pipeline_resumes_to_identical_report() {
         );
 
         // Resume: same module and bounds, deadline lifted.
-        let mut resume_sim = SimConfig::default().with_jobs(jobs);
-        resume_sim.bounds = resume_sim
-            .bounds
+        let resume_sim = SimConfig::default()
+            .with_jobs(jobs)
             .with_checkpoint(CheckpointSpec::new(dir.clone()).with_resume(true));
         let resumed = run(&source, resume_sim);
         assert_eq!(plain, resumed, "jobs={jobs}");
@@ -90,25 +88,65 @@ fn spill_checkpoint_and_resume_compose() {
     let ck = tmp("both-ck");
     let spill = tmp("both-spill");
 
-    let mut cut_sim = SimConfig::default();
+    let mut cut_sim = SimConfig::default().with_checkpoint(CheckpointSpec::new(ck.clone()));
     cut_sim.bounds = cut_sim
         .bounds
         .with_deadline(Duration::ZERO)
-        .with_spill(SpillSpec::new(1, spill.clone()))
-        .with_checkpoint(CheckpointSpec::new(ck.clone()));
+        .with_spill(SpillSpec::new(1, spill.clone()));
     let pipeline = Pipeline::from_source(&source)
         .expect("subject parses")
         .with_sim_config(cut_sim);
     let cut = pipeline.run().expect("no infrastructure error");
     assert_eq!(cut.worst_status(), RecipeStatus::BudgetExhausted);
 
-    let mut resume_sim = SimConfig::default();
+    let mut resume_sim =
+        SimConfig::default().with_checkpoint(CheckpointSpec::new(ck.clone()).with_resume(true));
     resume_sim.bounds = resume_sim
         .bounds
-        .with_spill(SpillSpec::new(1, spill.clone()))
-        .with_checkpoint(CheckpointSpec::new(ck.clone()).with_resume(true));
+        .with_spill(SpillSpec::new(1, spill.clone()));
     let resumed = run(&source, resume_sim);
     assert_eq!(plain, resumed);
     let _ = std::fs::remove_dir_all(&ck);
     let _ = std::fs::remove_dir_all(&spill);
+}
+
+#[test]
+fn a_base_checkpoint_dir_holds_only_per_recipe_dirs() {
+    // Only the refinement check checkpoints, each recipe into its own
+    // `ck-*` subdirectory of the base; the strategy stage writes nothing
+    // there, at any job count.
+    let source = subject();
+    for jobs in [1usize, 2] {
+        let dir = tmp(&format!("base-{jobs}"));
+        let mut sim = SimConfig::default()
+            .with_jobs(jobs)
+            .with_checkpoint(CheckpointSpec::new(dir.clone()));
+        sim.bounds = sim.bounds.with_deadline(Duration::ZERO);
+        let pipeline = Pipeline::from_source(&source)
+            .expect("subject parses")
+            .with_sim_config(sim);
+        let cut = pipeline.run().expect("no infrastructure error");
+        assert_eq!(
+            cut.worst_status(),
+            RecipeStatus::BudgetExhausted,
+            "jobs={jobs}"
+        );
+        let mut entries: Vec<String> = std::fs::read_dir(&dir)
+            .expect("the cut leaves checkpoints behind")
+            .map(|entry| {
+                entry
+                    .expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        entries.sort();
+        assert!(!entries.is_empty(), "jobs={jobs}");
+        assert!(
+            entries.iter().all(|name| name.starts_with("ck-")),
+            "jobs={jobs}: {entries:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,5 +1,6 @@
-//! Binary codec for program states, steps, and the spill/checkpoint file
-//! discipline.
+//! Binary codec for program states, steps, and the crash-safe file
+//! discipline shared by the spill pager and the refinement check's
+//! checkpoints (`armada-verify`).
 //!
 //! States that spill to disk or land in a checkpoint must round-trip
 //! *exactly*: the decoded [`ProgState`] compares equal to the original and
@@ -14,13 +15,11 @@
 //! `rename` into place, and every file carries a trailing FNV-1a checksum
 //! over its payload. [`read_verified`] returns exactly what a completed
 //! [`write_atomic`] wrote, or an error — never a torn or corrupted prefix.
-//! Checkpoints add append-only [`Log`]s whose valid prefix a
-//! `write_atomic` manifest records.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -773,120 +772,6 @@ pub fn read_verified(path: &Path) -> Result<Vec<u8>, String> {
     verify_bytes(&raw, path)
 }
 
-/// One append-only checkpoint log: per-record FNV-1a checksums, with the
-/// valid prefix (record count and byte length) recorded by the caller in
-/// its manifest. Both search engines keep their checkpoint logs in these.
-///
-/// The crash discipline: [`Log::append`] syncs the log *before* the caller
-/// rewrites its manifest with [`write_atomic`], so the manifest's prefix is
-/// always durable. [`Log::read`] returns exactly that prefix or nothing,
-/// and [`Log::truncate_to_valid`] drops a torn tail past it so later
-/// appends extend clean bytes.
-pub struct Log {
-    path: PathBuf,
-    /// Records in the valid prefix.
-    saved: usize,
-    /// Byte length of the valid prefix.
-    bytes: u64,
-}
-
-impl Log {
-    /// An empty log at `path` (nothing is read or written yet).
-    pub fn new(path: PathBuf) -> Log {
-        Log {
-            path,
-            saved: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Records in the valid prefix.
-    pub fn saved(&self) -> usize {
-        self.saved
-    }
-
-    /// Byte length of the valid prefix.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Appends pre-encoded records (each framed as `bytes + fnv`) and
-    /// syncs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O failure: a checkpoint directory that stops accepting
-    /// writes is an operator problem, and a silently stale checkpoint is
-    /// worse than a crash.
-    pub fn append(&mut self, records: &[Vec<u8>]) {
-        if records.is_empty() {
-            return;
-        }
-        let mut enc = Enc::new();
-        for record in records {
-            enc.bytes(record);
-            enc.u64(fnv1a_64(record));
-        }
-        let chunk = enc.into_bytes();
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .unwrap_or_else(|err| panic!("checkpoint: opening {}: {err}", self.path.display()));
-        file.write_all(&chunk)
-            .and_then(|()| file.sync_all())
-            .unwrap_or_else(|err| panic!("checkpoint: appending {}: {err}", self.path.display()));
-        self.saved += records.len();
-        self.bytes += chunk.len() as u64;
-    }
-
-    /// Reads and verifies the first `count` records of the `bytes`-long
-    /// valid prefix, adopting it as this log's prefix. `None` when the file
-    /// is short, a checksum fails, or the records do not fill the prefix
-    /// exactly.
-    pub fn read(&mut self, count: usize, bytes: u64) -> Option<Vec<Vec<u8>>> {
-        let raw = if count == 0 {
-            Vec::new()
-        } else {
-            fs::read(&self.path).ok()?
-        };
-        if (raw.len() as u64) < bytes {
-            return None;
-        }
-        let mut d = Dec::new(&raw[..bytes as usize]);
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            let record = d.bytes().ok()?;
-            let checksum = d.u64().ok()?;
-            if fnv1a_64(&record) != checksum {
-                return None;
-            }
-            records.push(record);
-        }
-        if !d.at_end() {
-            return None;
-        }
-        self.saved = count;
-        self.bytes = bytes;
-        Some(records)
-    }
-
-    /// Drops any torn tail past the valid prefix so future appends extend
-    /// clean bytes.
-    pub fn truncate_to_valid(&self) {
-        if let Ok(file) = fs::OpenOptions::new().write(true).open(&self.path) {
-            let _ = file.set_len(self.bytes);
-        }
-    }
-
-    /// Deletes the file and forgets the prefix.
-    pub fn clear(&mut self) {
-        let _ = fs::remove_file(&self.path);
-        self.saved = 0;
-        self.bytes = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1038,49 +923,6 @@ mod tests {
         assert!(read_verified(&path)
             .unwrap_err()
             .contains("length mismatch"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn log_rejects_a_flipped_record_and_truncates_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("armada-codec-log-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("records.log");
-        let _ = fs::remove_file(&path);
-        let records = vec![b"first".to_vec(), b"middle".to_vec(), b"last".to_vec()];
-        let mut log = Log::new(path.clone());
-        log.append(&records[..1]);
-        log.append(&records[1..]);
-        let (count, bytes) = (log.saved(), log.bytes());
-        assert_eq!(count, 3);
-        assert_eq!(
-            Log::new(path.clone()).read(count, bytes),
-            Some(records.clone())
-        );
-
-        // One byte flipped inside the middle record fails its checksum.
-        let clean = fs::read(&path).unwrap();
-        let mut flipped = clean.clone();
-        flipped[clean.windows(6).position(|w| w == b"middle").unwrap() + 3] ^= 0x01;
-        fs::write(&path, &flipped).unwrap();
-        assert_eq!(Log::new(path.clone()).read(count, bytes), None);
-
-        // A torn tail past the recorded prefix is ignored on read and
-        // truncated on resume; the next append extends clean bytes.
-        let mut torn = clean.clone();
-        torn.extend_from_slice(b"torn-partial-record");
-        fs::write(&path, &torn).unwrap();
-        let mut resumed = Log::new(path.clone());
-        assert_eq!(resumed.read(count, bytes), Some(records.clone()));
-        resumed.truncate_to_valid();
-        assert_eq!(fs::read(&path).unwrap(), clean);
-        resumed.append(&[b"fourth".to_vec()]);
-        let mut all = records;
-        all.push(b"fourth".to_vec());
-        assert_eq!(Log::new(path.clone()).read(4, resumed.bytes()), Some(all));
-
-        resumed.clear();
-        assert!(!path.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

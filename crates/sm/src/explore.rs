@@ -35,7 +35,6 @@
 //! same observables.
 
 use crate::arena::{StateArena, StateId};
-use crate::checkpoint::{ExploreCheckpoint, TerminalIds};
 use crate::program::{Instr, Program};
 use crate::reduce::Reducer;
 use crate::state::{initial_state, ProgState, Termination};
@@ -159,12 +158,6 @@ pub struct Bounds {
     /// back on demand. `None` (the default) keeps everything resident.
     /// Results are byte-identical with and without spilling.
     pub spill: Option<crate::pager::SpillSpec>,
-    /// Wave-boundary checkpointing (`--checkpoint`/`--resume` on the
-    /// CLI): the frontier, seen set, and progress counters persist
-    /// crash-safely at every wave boundary, and a fresh run with
-    /// `resume` set continues from them instead of starting cold. A
-    /// resumed run is byte-identical to an uninterrupted one.
-    pub checkpoint: Option<crate::checkpoint::CheckpointSpec>,
 }
 
 impl Bounds {
@@ -180,7 +173,6 @@ impl Bounds {
             reduction: true,
             symmetry: true,
             spill: None,
-            checkpoint: None,
         }
     }
 
@@ -212,24 +204,6 @@ impl Bounds {
     pub fn with_spill(mut self, spec: crate::pager::SpillSpec) -> Bounds {
         self.spill = Some(spec);
         self
-    }
-
-    /// The same bounds with wave-boundary checkpointing under `spec`.
-    pub fn with_checkpoint(mut self, spec: crate::checkpoint::CheckpointSpec) -> Bounds {
-        self.checkpoint = Some(spec);
-        self
-    }
-
-    /// A semantic guard over the fields that determine the explored
-    /// graph for `program` — jobs, deadline, budgets, spill, and
-    /// checkpoint knobs are all excluded, so a resumed run may raise its
-    /// budget or change its worker count and still match.
-    pub fn semantic_guard(&self, program: &Program) -> u64 {
-        let key = format!(
-            "{}|{:?}|{}|{}|{}",
-            program.name, self.nondet_ints, self.max_buffer, self.reduction, self.symmetry
-        );
-        armada_runtime::fnv1a_64(key.as_bytes())
     }
 
     /// True once the wall-clock deadline (if any) has passed.
@@ -469,7 +443,6 @@ fn commit_slot(
     cs: &mut CommitState,
     record: bool,
     tel: &mut StageTelemetry,
-    terminals: &mut TerminalIds,
     table: Option<&mut EdgeTable>,
 ) {
     let mut recorded: Option<Vec<(Step, StateId)>> = table.as_ref().map(|_| Vec::new());
@@ -477,23 +450,13 @@ fn commit_slot(
         Expansion::Terminal => {
             let state = result.arena.get_arc_mut(id);
             match &state.termination {
-                Termination::Exited => {
-                    terminals.exited.push(id.0);
-                    result.exited.push(state);
-                }
-                Termination::AssertFailed(_) => {
-                    terminals.assert_failures.push(id.0);
-                    result.assert_failures.push(state);
-                }
-                Termination::UndefinedBehavior(_) => {
-                    terminals.ub_states.push(id.0);
-                    result.ub_states.push(state);
-                }
+                Termination::Exited => result.exited.push(state),
+                Termination::AssertFailed(_) => result.assert_failures.push(state),
+                Termination::UndefinedBehavior(_) => result.ub_states.push(state),
                 Termination::Running => unreachable!("terminal expansion of running state"),
             }
         }
         Expansion::Stuck => {
-            terminals.stuck.push(id.0);
             let state = result.arena.get_arc_mut(id);
             result.stuck.push(state);
         }
@@ -593,54 +556,12 @@ fn explore_from_impl(
             .enable_spill(spec.clone())
             .unwrap_or_else(|err| panic!("spill: creating {}: {err}", spec.dir.display()));
     }
-    let mut terminals = TerminalIds::default();
-    let mut checkpoint = bounds.checkpoint.as_ref().map(|spec| {
-        ExploreCheckpoint::new(spec.dir.clone(), bounds.semantic_guard(program))
-            .unwrap_or_else(|err| panic!("checkpoint: creating {}: {err}", spec.dir.display()))
-    });
-
-    // Resume, if asked and a compatible checkpoint exists: rebuild the
-    // arena by re-interning the saved prefix in order (ids are interning
-    // order, so they land where they were), then continue the wave loop
-    // from the saved frontier. Any defect in the checkpoint falls back to
-    // a cold start.
-    let mut wave: Vec<StateId> = Vec::new();
-    let resume_ok = bounds.checkpoint.as_ref().is_some_and(|s| s.resume)
-        && checkpoint
-            .as_mut()
-            .and_then(|ck| ck.try_resume())
-            .map(|data| {
-                for (i, (fp, state)) in data.states.into_iter().enumerate() {
-                    let (id, fresh) = result.arena.intern_with_fp(fp, state);
-                    assert!(
-                        fresh && id.index() == i,
-                        "checkpoint states must re-intern densely"
-                    );
-                }
-                wave = data.wave.into_iter().map(StateId).collect();
-                result.transitions = data.transitions as usize;
-                result.micro_steps = data.micro_steps as usize;
-                terminals = data.terminals;
-                for (ids, list) in [
-                    (&terminals.exited, &mut result.exited),
-                    (&terminals.assert_failures, &mut result.assert_failures),
-                    (&terminals.ub_states, &mut result.ub_states),
-                    (&terminals.stuck, &mut result.stuck),
-                ] {
-                    for &id in ids {
-                        list.push(result.arena.get_arc_mut(StateId(id)));
-                    }
-                }
-            })
-            .is_some();
-    if !resume_ok {
-        let initial = match canon {
-            Some(canon) => canon.canonicalize(initial).0,
-            None => initial,
-        };
-        let (root, _) = result.arena.intern(initial);
-        wave = vec![root];
-    }
+    let initial = match canon {
+        Some(canon) => canon.canonicalize(initial).0,
+        None => initial,
+    };
+    let (root, _) = result.arena.intern(initial);
+    let mut wave = vec![root];
 
     // The explore stage: successor enumeration for one state. The lean
     // enumeration — no per-edge `Step` vectors or intermediate state
@@ -698,15 +619,6 @@ fn explore_from_impl(
     let mut explore_sampler = 0usize;
     let mut batches = 0usize;
     while !wave.is_empty() && !result.truncated {
-        if let Some(ck) = checkpoint.as_mut() {
-            ck.save(
-                &mut result.arena,
-                &wave,
-                result.transitions,
-                result.micro_steps,
-                &terminals,
-            );
-        }
         if bounds.deadline_expired() {
             result.truncated = true;
             break;
@@ -733,7 +645,6 @@ fn explore_from_impl(
                 &mut cs,
                 record,
                 tel,
-                &mut terminals,
                 table.as_deref_mut(),
             );
             cs.deadline_cut
@@ -795,14 +706,6 @@ fn explore_from_impl(
     }
     if batches > 0 {
         tel.counters_mut().add(wave::BATCHES, batches as u64);
-    }
-    // A clean, complete run needs no resume point; leaving one behind
-    // would make a later `--resume` of the same directory skip work it
-    // should redo under different budgets.
-    if !result.truncated {
-        if let Some(ck) = checkpoint.as_mut() {
-            ck.clear();
-        }
     }
     // Spill counters surface through telemetry only: they depend on fault
     // order (and thus the worker count), so they are diagnostics, never
@@ -1184,106 +1087,6 @@ mod tests {
                 "jobs={jobs}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resumed_exploration_is_identical_to_uninterrupted() {
-        let p = program(RACY);
-        let plain = explore(&p, &Bounds::small());
-        for jobs in [1, 4] {
-            let dir = tmp(&format!("resume-{jobs}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let spec = crate::checkpoint::CheckpointSpec::new(dir.clone());
-
-            // Interrupted run: a zero deadline kills it at the first wave
-            // boundary — after the boundary checkpoint was saved.
-            let cut = explore(
-                &p,
-                &Bounds::small()
-                    .with_jobs(jobs)
-                    .with_checkpoint(spec.clone())
-                    .with_deadline(std::time::Duration::ZERO),
-            );
-            assert!(cut.truncated, "jobs={jobs}");
-
-            // Resume without the deadline: must finish and match the
-            // uninterrupted run field for field.
-            let resumed = explore(
-                &p,
-                &Bounds::small()
-                    .with_jobs(jobs)
-                    .with_checkpoint(spec.clone().with_resume(true)),
-            );
-            assert_eq!(plain.arena, resumed.arena, "jobs={jobs}");
-            assert_eq!(plain.exited, resumed.exited, "jobs={jobs}");
-            assert_eq!(
-                plain.assert_failures, resumed.assert_failures,
-                "jobs={jobs}"
-            );
-            assert_eq!(plain.ub_states, resumed.ub_states, "jobs={jobs}");
-            assert_eq!(plain.stuck, resumed.stuck, "jobs={jobs}");
-            assert_eq!(plain.transitions, resumed.transitions, "jobs={jobs}");
-            assert_eq!(plain.micro_steps, resumed.micro_steps, "jobs={jobs}");
-            assert!(!resumed.truncated, "jobs={jobs}");
-            assert!(
-                !dir.join("manifest.bin").exists(),
-                "jobs={jobs}: clean completion clears the checkpoint"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn resume_after_a_budget_cut_continues_under_a_raised_budget() {
-        // A max_states cut mid-run leaves a checkpoint from the last wave
-        // boundary; resuming with the full budget continues from there and
-        // lands on the uninterrupted result.
-        let p = program(RACY);
-        let plain = explore(&p, &Bounds::small());
-        let dir = tmp("resume-budget");
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = crate::checkpoint::CheckpointSpec::new(dir.clone());
-        let mut small_budget = Bounds::small().with_checkpoint(spec.clone());
-        small_budget.max_states = 3;
-        let cut = explore(&p, &small_budget);
-        assert!(cut.truncated);
-        let resumed = explore(&p, &Bounds::small().with_checkpoint(spec.with_resume(true)));
-        assert_eq!(plain.arena, resumed.arena);
-        assert_eq!(plain.exited, resumed.exited);
-        assert_eq!(plain.transitions, resumed.transitions);
-        assert_eq!(plain.micro_steps, resumed.micro_steps);
-        assert!(!resumed.truncated);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_with_a_mismatched_guard_starts_cold_and_still_finishes() {
-        // Changing a semantic knob (nondet pool) invalidates the guard:
-        // resume refuses the stale checkpoint, clears it, and the run
-        // completes cold with the new semantics.
-        let p = program(RACY);
-        let dir = tmp("resume-guard");
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = crate::checkpoint::CheckpointSpec::new(dir.clone());
-        let cut = explore(
-            &p,
-            &Bounds::small()
-                .with_checkpoint(spec.clone())
-                .with_deadline(std::time::Duration::ZERO),
-        );
-        assert!(cut.truncated);
-        let mut changed = Bounds::small().with_checkpoint(spec.with_resume(true));
-        changed.nondet_ints = vec![0, 1];
-        let resumed = explore(&p, &changed);
-        assert!(!resumed.truncated, "cold start must still finish");
-        let reference = {
-            let mut b = Bounds::small();
-            b.nondet_ints = vec![0, 1];
-            explore(&p, &b)
-        };
-        assert_eq!(reference.arena, resumed.arena);
-        assert_eq!(reference.exited, resumed.exited);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

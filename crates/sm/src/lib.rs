@@ -16,7 +16,10 @@
 //! that [`next_state`] is a deterministic total function, mirroring §4.1's
 //! annotated behaviors. [`enabled_steps`] enumerates the steps available in
 //! a state under configurable [`Bounds`], and [`explore()`] exhaustively
-//! enumerates the reachable state space.
+//! enumerates the reachable state space. Exploration always runs from the
+//! initial state: it can spill its arena to disk ([`SpillSpec`]) but has
+//! no checkpoint/resume — that belongs to the refinement check in
+//! `armada-verify`, whose product search is the expensive one.
 //!
 //! # Example
 //!
@@ -35,7 +38,6 @@
 
 pub mod arena;
 pub mod canon;
-pub mod checkpoint;
 pub mod codec;
 pub mod effects;
 pub mod eval;
@@ -52,7 +54,6 @@ pub mod value;
 
 pub use arena::{StateArena, StateId};
 pub use canon::Canonicalizer;
-pub use checkpoint::CheckpointSpec;
 pub use explore::{explore, explore_with_telemetry, run_to_completion, Bounds, Exploration};
 pub use graph::{StateGraph, Walk};
 pub use heap::{Heap, Location, MemNode, ObjectId, PtrVal};

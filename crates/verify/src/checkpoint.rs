@@ -1,10 +1,12 @@
-//! Wave-boundary checkpointing for the refinement search.
+//! Wave-boundary checkpointing for the refinement search — the only
+//! checkpoint engine in the workspace (`--checkpoint`/`--resume` on the
+//! CLI). Exploration (`armada_sm::explore`) and the strategy stage always
+//! run cold; they are cheap next to the product search.
 //!
-//! Like [`armada_sm::checkpoint`] for exploration, a product-search wave
-//! boundary is a complete description of progress — but the product state
-//! is richer: the node table (low state, match-set id, parent index and
-//! the edge's machine steps, tid renaming), the interned match sets, the
-//! memoized *high-level* arena prefix (match-set ids index into it, so its
+//! A product-search wave boundary is a complete description of progress:
+//! the node table (low state, match-set id, parent index and the edge's
+//! machine steps, tid renaming), the interned match sets, the memoized
+//! *high-level* arena prefix (match-set ids index into it, so its
 //! interning order must survive a restart), the depth-bucketed pending
 //! queue, and the transition counter. Derived data is rebuilt on resume
 //! rather than persisted: each node's low-state fingerprint is recomputed,
@@ -13,12 +15,13 @@
 //! search's hash-cons table on resume, so a checkpoint holding two sets of
 //! equal content is rejected.
 //!
-//! The record layout is versioned through the guard ([`guard`]): a
-//! checkpoint written in another layout fails the guard check and the
-//! search starts cold instead of misreading it.
+//! The guard ([`guard`]) binds a checkpoint to the record layout and to
+//! everything the check is about, the content of both lowered programs
+//! included: a checkpoint written in another layout, or for programs that
+//! changed since, fails the guard check and the search starts cold instead
+//! of continuing someone else's search.
 //!
-//! Storage is log-structured with the same crash discipline as the
-//! exploration checkpoint: three append-only [`codec::Log`]s (`nodes.log`,
+//! Storage is log-structured: three append-only [`Log`]s (`nodes.log`,
 //! `high.log`, `sets.log`; one checksummed record per item) appended and
 //! synced *before* the small `manifest.bin` is atomically rewritten
 //! ([`codec::write_atomic`]). A crash leaves either the old manifest
@@ -29,10 +32,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use armada_sm::codec::{self, Dec, Enc, Log};
+use armada_runtime::fnv1a_64;
+use armada_sm::codec::{self, Dec, Enc};
 use armada_sm::{ProgState, StateArena, StateId, Tid};
 
 use crate::{distinct_content, MatchSet, Node};
@@ -45,12 +50,35 @@ const SETS_LOG: &str = "sets.log";
 /// The record layout. Folded into every guard, so a checkpoint written
 /// with another layout never passes the guard check; change it whenever a
 /// record's encoding changes.
-const FORMAT: &str = "verify-checkpoint/2";
+const FORMAT: &str = "verify-checkpoint/3";
 
 /// The manifest guard for a check described by `fields` (the text of
 /// everything that determines its product graph), under this layout.
 pub(crate) fn guard(fields: &str) -> u64 {
-    armada_runtime::fnv1a_64(format!("{FORMAT}|{fields}").as_bytes())
+    fnv1a_64(format!("{FORMAT}|{fields}").as_bytes())
+}
+
+/// Where (and whether) a refinement check checkpoints and resumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointSpec {
+    /// Directory holding the logs and `manifest.bin`.
+    pub dir: PathBuf,
+    /// Attempt to resume from an existing checkpoint in `dir` before
+    /// starting cold.
+    pub resume: bool,
+}
+
+impl CheckpointSpec {
+    /// A spec that checkpoints into `dir` without resuming.
+    pub fn new(dir: PathBuf) -> CheckpointSpec {
+        CheckpointSpec { dir, resume: false }
+    }
+
+    /// The same spec with resume on or off.
+    pub fn with_resume(mut self, resume: bool) -> CheckpointSpec {
+        self.resume = resume;
+        self
+    }
 }
 
 /// Everything a resumed search needs to continue at a wave boundary.
@@ -326,5 +354,167 @@ impl VerifyCheckpoint {
         e.len_of(wave_index);
         codec::write_atomic(&self.manifest_path(), &e.into_bytes())
             .unwrap_or_else(|err| panic!("checkpoint: writing manifest: {err}"));
+    }
+}
+
+/// One append-only checkpoint log: per-record FNV-1a checksums, with the
+/// valid prefix (record count and byte length) recorded by the caller in
+/// its manifest.
+///
+/// The crash discipline: [`Log::append`] syncs the log *before* the caller
+/// rewrites its manifest with [`codec::write_atomic`], so the manifest's
+/// prefix is always durable. [`Log::read`] returns exactly that prefix or
+/// nothing, and [`Log::truncate_to_valid`] drops a torn tail past it so
+/// later appends extend clean bytes.
+struct Log {
+    path: PathBuf,
+    /// Records in the valid prefix.
+    saved: usize,
+    /// Byte length of the valid prefix.
+    bytes: u64,
+}
+
+impl Log {
+    /// An empty log at `path` (nothing is read or written yet).
+    fn new(path: PathBuf) -> Log {
+        Log {
+            path,
+            saved: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Records in the valid prefix.
+    fn saved(&self) -> usize {
+        self.saved
+    }
+
+    /// Byte length of the valid prefix.
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Appends pre-encoded records (each framed as `bytes + fnv`) and
+    /// syncs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on I/O failure: a checkpoint directory that stops accepting
+    /// writes is an operator problem, and a silently stale checkpoint is
+    /// worse than a crash.
+    fn append(&mut self, records: &[Vec<u8>]) {
+        if records.is_empty() {
+            return;
+        }
+        let mut enc = Enc::new();
+        for record in records {
+            enc.bytes(record);
+            enc.u64(fnv1a_64(record));
+        }
+        let chunk = enc.into_bytes();
+        let mut file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)
+            .unwrap_or_else(|err| panic!("checkpoint: opening {}: {err}", self.path.display()));
+        file.write_all(&chunk)
+            .and_then(|()| file.sync_all())
+            .unwrap_or_else(|err| panic!("checkpoint: appending {}: {err}", self.path.display()));
+        self.saved += records.len();
+        self.bytes += chunk.len() as u64;
+    }
+
+    /// Reads and verifies the first `count` records of the `bytes`-long
+    /// valid prefix, adopting it as this log's prefix. `None` when the file
+    /// is short, a checksum fails, or the records do not fill the prefix
+    /// exactly.
+    fn read(&mut self, count: usize, bytes: u64) -> Option<Vec<Vec<u8>>> {
+        let raw = if count == 0 {
+            Vec::new()
+        } else {
+            fs::read(&self.path).ok()?
+        };
+        if (raw.len() as u64) < bytes {
+            return None;
+        }
+        let mut d = Dec::new(&raw[..bytes as usize]);
+        let mut records = Vec::with_capacity(count);
+        for _ in 0..count {
+            let record = d.bytes().ok()?;
+            let checksum = d.u64().ok()?;
+            if fnv1a_64(&record) != checksum {
+                return None;
+            }
+            records.push(record);
+        }
+        if !d.at_end() {
+            return None;
+        }
+        self.saved = count;
+        self.bytes = bytes;
+        Some(records)
+    }
+
+    /// Drops any torn tail past the valid prefix so future appends extend
+    /// clean bytes.
+    fn truncate_to_valid(&self) {
+        if let Ok(file) = fs::OpenOptions::new().write(true).open(&self.path) {
+            let _ = file.set_len(self.bytes);
+        }
+    }
+
+    /// Deletes the file and forgets the prefix.
+    fn clear(&mut self) {
+        let _ = fs::remove_file(&self.path);
+        self.saved = 0;
+        self.bytes = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn log_rejects_a_flipped_record_and_truncates_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("armada-ck-log-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("records.log");
+        let _ = fs::remove_file(&path);
+        let records = vec![b"first".to_vec(), b"middle".to_vec(), b"last".to_vec()];
+        let mut log = Log::new(path.clone());
+        log.append(&records[..1]);
+        log.append(&records[1..]);
+        let (count, bytes) = (log.saved(), log.bytes());
+        assert_eq!(count, 3);
+        assert_eq!(
+            Log::new(path.clone()).read(count, bytes),
+            Some(records.clone())
+        );
+
+        // One byte flipped inside the middle record fails its checksum.
+        let clean = fs::read(&path).unwrap();
+        let mut flipped = clean.clone();
+        flipped[clean.windows(6).position(|w| w == b"middle").unwrap() + 3] ^= 0x01;
+        fs::write(&path, &flipped).unwrap();
+        assert_eq!(Log::new(path.clone()).read(count, bytes), None);
+
+        // A torn tail past the recorded prefix is ignored on read and
+        // truncated on resume; the next append extends clean bytes.
+        let mut torn = clean.clone();
+        torn.extend_from_slice(b"torn-partial-record");
+        fs::write(&path, &torn).unwrap();
+        let mut resumed = Log::new(path.clone());
+        assert_eq!(resumed.read(count, bytes), Some(records.clone()));
+        resumed.truncate_to_valid();
+        assert_eq!(fs::read(&path).unwrap(), clean);
+        resumed.append(&[b"fourth".to_vec()]);
+        let mut all = records;
+        all.push(b"fourth".to_vec());
+        assert_eq!(Log::new(path.clone()).read(4, resumed.bytes()), Some(all));
+
+        resumed.clear();
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -86,6 +86,8 @@ mod checkpoint;
 pub mod store;
 pub mod tier;
 
+pub use checkpoint::CheckpointSpec;
+
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -147,6 +149,13 @@ pub struct SimConfig {
     /// from [`store::CertKey`]: faults never change what a *successful*
     /// check certifies.
     pub faults: CheckFaults,
+    /// Wave-boundary checkpointing (`--checkpoint`/`--resume` on the CLI):
+    /// the product search persists crash-safely at every wave boundary,
+    /// and a run with `resume` set continues from the last one instead of
+    /// starting cold. A resumed check is byte-identical to an
+    /// uninterrupted one. Excluded from [`store::CertKey`], like jobs and
+    /// deadlines.
+    pub checkpoint: Option<CheckpointSpec>,
 }
 
 impl Default for SimConfig {
@@ -156,6 +165,7 @@ impl Default for SimConfig {
             max_match: 4,
             max_nodes: 200_000,
             faults: CheckFaults::default(),
+            checkpoint: None,
         }
     }
 }
@@ -183,6 +193,13 @@ impl SimConfig {
     /// only).
     pub fn with_faults(mut self, faults: CheckFaults) -> SimConfig {
         self.faults = faults;
+        self
+    }
+
+    /// The same configuration with wave-boundary checkpointing under
+    /// `spec`.
+    pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> SimConfig {
+        self.checkpoint = Some(spec);
         self
     }
 }
@@ -958,15 +975,20 @@ fn check_refinement_impl(
     }
 
     // Wave-boundary checkpointing. The guard covers everything that
-    // determines the product graph — programs, relation, semantic bounds,
-    // the stutter budget — and excludes jobs, deadlines, node budgets, and
-    // faults, so a resumed run may raise its budget or change its worker
-    // count and still continue.
-    let mut ck = config.bounds.checkpoint.as_ref().map(|spec| {
+    // determines the product graph — both programs' content (their
+    // `Debug` rendering, source spans included), relation, semantic
+    // bounds, the stutter budget — and excludes jobs, deadlines, node
+    // budgets, and faults, so a resumed run may raise its budget or change
+    // its worker count and still continue.
+    let mut ck = config.checkpoint.as_ref().map(|spec| {
+        let digest =
+            |program: &Program| armada_runtime::fnv1a_64(format!("{program:?}").as_bytes());
         let guard = checkpoint::guard(&format!(
-            "{}|{}|{}|{:?}|{}|{}|{}|{}",
+            "{}|{:016x}|{}|{:016x}|{}|{:?}|{}|{}|{}|{}",
             low.name,
+            digest(low),
             high.name,
+            digest(high),
             relation.describe(),
             config.bounds.nondet_ints,
             config.bounds.max_buffer,
@@ -977,7 +999,7 @@ fn check_refinement_impl(
         checkpoint::VerifyCheckpoint::new(spec.dir.clone(), guard)
             .unwrap_or_else(|err| panic!("checkpoint: creating {}: {err}", spec.dir.display()))
     });
-    let resumed = if config.bounds.checkpoint.as_ref().is_some_and(|s| s.resume) {
+    let resumed = if config.checkpoint.as_ref().is_some_and(|s| s.resume) {
         ck.as_mut().and_then(|ck| ck.try_resume())
     } else {
         None
@@ -1877,24 +1899,20 @@ mod tests {
         for jobs in [1, 4] {
             let dir = tmp(&format!("resume-{jobs}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let spec = armada_sm::CheckpointSpec::new(dir.clone());
+            let spec = CheckpointSpec::new(dir.clone());
 
             // Interrupted: a zero deadline fires at the first boundary,
             // after the boundary checkpoint landed.
             let mut cut_config = SimConfig::default().with_jobs(jobs);
-            cut_config.bounds = cut_config
-                .bounds
-                .with_checkpoint(spec.clone())
-                .with_deadline(std::time::Duration::ZERO);
+            cut_config.bounds = cut_config.bounds.with_deadline(std::time::Duration::ZERO);
+            cut_config.checkpoint = Some(spec.clone());
             let cut = check_refinement(&low, &high, &relation, &cut_config).unwrap_err();
             assert_eq!(cut.kind, CexKind::Deadline, "jobs={jobs}");
 
             // Resumed without the deadline: identical certificate, and a
             // definitive verdict clears the checkpoint.
             let mut resume_config = SimConfig::default().with_jobs(jobs);
-            resume_config.bounds = resume_config
-                .bounds
-                .with_checkpoint(spec.clone().with_resume(true));
+            resume_config.checkpoint = Some(spec.clone().with_resume(true));
             let resumed = check_refinement(&low, &high, &relation, &resume_config).unwrap();
             assert_eq!(plain, resumed, "jobs={jobs}");
             assert!(
@@ -1918,12 +1936,12 @@ mod tests {
         for jobs in [1, 4] {
             let dir = tmp(&format!("resume-mid-{jobs}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let spec = armada_sm::CheckpointSpec::new(dir.clone());
+            let spec = CheckpointSpec::new(dir.clone());
 
             // 15 of the check's 26 nodes: the cut lands four waves deep.
             let mut cut_config = base.clone().with_jobs(jobs);
             cut_config.max_nodes = 15;
-            cut_config.bounds = cut_config.bounds.with_checkpoint(spec.clone());
+            cut_config.checkpoint = Some(spec.clone());
             let mut tel = StageTelemetry::new();
             let mut cut_ids = SetIds::default();
             let cut = check_refinement_impl(
@@ -1944,7 +1962,7 @@ mod tests {
             );
 
             let mut resume_config = base.clone().with_jobs(jobs);
-            resume_config.bounds = resume_config.bounds.with_checkpoint(spec.with_resume(true));
+            resume_config.checkpoint = Some(spec.with_resume(true));
             let mut ids = SetIds::default();
             let resumed = check_refinement_impl(
                 &low,
@@ -2219,10 +2237,10 @@ mod tests {
         assert_eq!(plain.kind, CexKind::Refinement);
         let dir = tmp("resume-budget");
         let _ = std::fs::remove_dir_all(&dir);
-        let spec = armada_sm::CheckpointSpec::new(dir.clone());
+        let spec = CheckpointSpec::new(dir.clone());
         let mut cut_config = SimConfig::default().with_reduction(false);
         cut_config.max_nodes = 2;
-        cut_config.bounds = cut_config.bounds.with_checkpoint(spec.clone());
+        cut_config.checkpoint = Some(spec.clone());
         let cut = check_refinement(&low, &high, &relation, &cut_config).unwrap_err();
         assert_eq!(cut.kind, CexKind::Budget);
         assert!(
@@ -2230,13 +2248,53 @@ mod tests {
             "a budget cut keeps its checkpoint"
         );
         let mut resume_config = SimConfig::default().with_reduction(false);
-        resume_config.bounds = resume_config.bounds.with_checkpoint(spec.with_resume(true));
+        resume_config.checkpoint = Some(spec.with_resume(true));
         let resumed = check_refinement(&low, &high, &relation, &resume_config).unwrap_err();
         assert_eq!(plain.to_string(), resumed.to_string());
         assert!(
             !dir.join("manifest.bin").exists(),
             "a refutation clears its checkpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_after_the_programs_changed_starts_cold() {
+        // Cut a verifying check by its node budget, then resume against a
+        // low level with the same name and a different body. The guard
+        // covers program content, so the stale search is discarded and the
+        // result is the cold check's refutation, not the old certificate.
+        let source = |first: u32| {
+            format!(
+                "level A {{ void main() {{ print({first}); var i: uint32 := 0; \
+                 while (i < 30) {{ i := i + 1; }} print(i); }} }} \
+                 level B {{ void main() {{ print(2); var i: uint32 := 0; \
+                 while (i < 30) {{ i := i + 1; }} print(i); }} }}"
+            )
+        };
+        let (low, high) = programs(&source(2), "A", "B");
+        let (edited, _) = programs(&source(3), "A", "B");
+        let relation = StandardRelation::log_prefix();
+        let config = SimConfig::default().with_reduction(false);
+        let cold = check_refinement(&edited, &high, &relation, &config).unwrap_err();
+        assert_eq!(cold.kind, CexKind::Refinement);
+
+        let dir = tmp("resume-edited");
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = CheckpointSpec::new(dir.clone());
+        let mut cut_config = config.clone();
+        cut_config.max_nodes = 10;
+        cut_config.checkpoint = Some(spec.clone());
+        let cut = check_refinement(&low, &high, &relation, &cut_config).unwrap_err();
+        assert_eq!(cut.kind, CexKind::Budget);
+        assert!(
+            dir.join("manifest.bin").exists(),
+            "a budget cut keeps its checkpoint"
+        );
+
+        let resume_config = config.with_checkpoint(spec.with_resume(true));
+        let resumed = check_refinement(&edited, &high, &relation, &resume_config).unwrap_err();
+        assert_eq!(cold.to_string(), resumed.to_string());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2330,16 +2388,16 @@ state (Running)
 
             let dir = tmp(&format!("cex-text-{jobs}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let spec = armada_sm::CheckpointSpec::new(dir.clone());
+            let spec = CheckpointSpec::new(dir.clone());
             let mut cut_config = config.clone();
             cut_config.max_nodes = 8;
-            cut_config.bounds = cut_config.bounds.with_checkpoint(spec.clone());
+            cut_config.checkpoint = Some(spec.clone());
             let cut = check_refinement(&low, &high, &relation, &cut_config).unwrap_err();
             assert_eq!(cut.kind, CexKind::Budget, "jobs={jobs}");
             assert_eq!(cut.to_string(), REFUTED_WORKERS_BUDGET_TEXT, "jobs={jobs}");
 
             let mut resume_config = config.clone();
-            resume_config.bounds = resume_config.bounds.with_checkpoint(spec.with_resume(true));
+            resume_config.checkpoint = Some(spec.with_resume(true));
             let resumed = check_refinement(&low, &high, &relation, &resume_config).unwrap_err();
             assert_eq!(resumed.to_string(), REFUTED_WORKERS_TEXT, "jobs={jobs}");
             let _ = std::fs::remove_dir_all(&dir);

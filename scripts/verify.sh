@@ -311,6 +311,11 @@ if [[ "${1:-}" == "--full" ]]; then
         --checkpoint="$CK_DIR" >/dev/null && rc=0 || rc=$?
     [[ "$rc" -eq 3 ]] \
         || { echo "1ms deadline should exhaust the budget (exit 3), got $rc"; exit 1; }
+    # Only the refinement check checkpoints, each recipe into its own
+    # `ck-*` directory under the base; nothing else may land there.
+    STRAY=$(find "$CK_DIR" -mindepth 1 -maxdepth 1 \( ! -name 'ck-*' -o ! -type d \))
+    [[ -z "$STRAY" ]] \
+        || { echo "checkpoint base dir holds more than ck-* dirs:"; echo "$STRAY"; exit 1; }
     "$ARMADA_BIN" verify specs/counter.arm --checkpoint="$CK_DIR" --resume \
         >"$SMOKE_DIR/spill_resumed.out" \
         || { echo "resumed verify failed"; exit 1; }
