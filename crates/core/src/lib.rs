@@ -102,7 +102,7 @@ pub use armada_verify as verify;
 pub use error::PipelineError;
 pub use fault::{FaultFate, FaultPlan};
 
-use armada_lang::ast::Recipe;
+use armada_lang::ast::{Recipe, RelationKind};
 use armada_lang::typeck::TypedModule;
 use armada_lang::{check_module, count_sloc, parse_module};
 use armada_proof::relation::StandardRelation;
@@ -567,6 +567,7 @@ impl Pipeline {
         &self,
         index: usize,
         recipe: &Recipe,
+        declared: &RelationKind,
         relation: &StandardRelation,
         cert_store: Option<&TieredStore>,
     ) -> Result<RecipeRun, PipelineError> {
@@ -629,6 +630,16 @@ impl Pipeline {
         };
         let strategy_ok = report.success();
 
+        // What the semantic check reads of the module: both lowered levels
+        // and the relation, spans excluded. The cert key, the witness
+        // subject and the strategy-only placeholder all cover exactly this,
+        // so an edit outside it (a comment, another level) is answered from
+        // the store. The strategy verdict is never cached: it reruns above.
+        let low = lower(&self.typed, &recipe.low).map_err(|e| recipe_err(e.to_string()))?;
+        let high = lower(&self.typed, &recipe.high).map_err(|e| recipe_err(e.to_string()))?;
+        let content = sm::pair_content(&low, &high, declared);
+        let subject = armada_recheck::subject_digest(&content, &recipe.low, &recipe.high);
+
         if !self.semantic_check {
             let (status, detail, chain_cert) = if strategy_ok {
                 (
@@ -648,11 +659,7 @@ impl Pipeline {
                         low_transitions: 0,
                         witness: {
                             let mut w = armada_recheck::Witness::empty();
-                            w.bind_subject(armada_recheck::subject_digest(
-                                &self.source,
-                                &recipe.low,
-                                &recipe.high,
-                            ));
+                            w.bind_subject(subject);
                             w
                         },
                     }),
@@ -669,8 +676,6 @@ impl Pipeline {
         }
 
         // Stage 2: the bounded semantic check, behind the cert store.
-        let low = lower(&self.typed, &recipe.low).map_err(|e| recipe_err(e.to_string()))?;
-        let high = lower(&self.typed, &recipe.high).map_err(|e| recipe_err(e.to_string()))?;
         let mut sim = self.sim.clone();
         // A configured checkpoint dir is a *base*: recipes run concurrently,
         // so each one checkpoints into its own content-named subdirectory
@@ -704,21 +709,6 @@ impl Pipeline {
             // boundary instead of hanging.
             sim.bounds = sim.bounds.with_deadline(std::time::Duration::ZERO);
         }
-        if self.fault.has(FaultFate::TornCheckpointWrite, &recipe.name) {
-            // A kill mid-save: the checkpoint manifest on disk is a torn
-            // fragment. Resume must reject it and fall back to a cold
-            // start — verdict byte-identical to a run that never
-            // checkpointed. The torn bytes are rewritten every run, so the
-            // fate is deterministic even across reruns of the same seed.
-            let dir = std::env::temp_dir().join(format!(
-                "armada-fault-ck-{}-{:016x}",
-                std::process::id(),
-                armada_runtime::hash::fnv1a_64(recipe.name.as_bytes())
-            ));
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(dir.join("manifest.bin"), [0x17, 0x2a, 0x03]);
-            sim.checkpoint = Some(CheckpointSpec::new(dir).with_resume(true));
-        }
         if self.fault.has(FaultFate::CorruptSpillRead, &recipe.name) {
             // A bad sector under the spill dir: the first cold-page fault
             // reads flipped bytes. The page checksum must reject them and
@@ -750,22 +740,19 @@ impl Pipeline {
             store.clone().with_faults(shim)
         });
         let cert_store = store_view.as_ref();
-        let key = CertKey::compute(&self.source, &recipe.low, &recipe.high, &sim);
-        let subject = armada_recheck::subject_digest(&self.source, &recipe.low, &recipe.high);
+        let key = CertKey::compute(&content, &recipe.low, &recipe.high, &sim);
         if let Some(store) = cert_store {
             if let Some(cert) = store.load(&key, &recipe.low, &recipe.high) {
-                // Under `--recheck`, a warm hit must survive the full
-                // independent check — subject binding, structural
-                // validation, and semantic replay of the witnessed low
-                // tree — before it is served. A failing witness is not an
-                // error: the hit demotes to a miss and the check reruns
+                // The load already validated the witness's structure
+                // (counts, hash chain, the digest that seals the subject).
+                // Under `--recheck`, a warm hit must also be bound to this
+                // subject and replay the witnessed low tree against the
+                // semantics before it is served. A failing witness is not
+                // an error: the hit demotes to a miss and the check reruns
                 // below, exactly as if the record had failed its checksum.
                 let recheck_failed = self.recheck
-                    && cert
-                        .witness
-                        .validate(cert.product_nodes, cert.low_transitions, Some(subject))
-                        .and_then(|()| armada_recheck::replay(&cert.witness, &low))
-                        .is_err();
+                    && (cert.witness.subject != subject
+                        || armada_recheck::replay(&cert.witness, &low).is_err());
                 if !recheck_failed {
                     let detail = format!(
                         "{} product nodes, {} low transitions (from cert store{})",
@@ -791,6 +778,27 @@ impl Pipeline {
                 }
             }
         }
+        let mut fault_checkpoint = None;
+        if self.fault.has(FaultFate::TornCheckpointWrite, &recipe.name) {
+            // A kill mid-save: the checkpoint manifest on disk is a torn
+            // fragment. Resume must reject it and fall back to a cold
+            // start — verdict byte-identical to a run that never
+            // checkpointed. Each run gets a private dir holding fresh torn
+            // bytes, so the fate is deterministic even across reruns of
+            // the same seed and concurrent runs never share a checkpoint;
+            // the dir goes once the check returns.
+            static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "armada-fault-ck-{}-{:016x}-{}",
+                std::process::id(),
+                armada_runtime::hash::fnv1a_64(recipe.name.as_bytes()),
+                RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            let _ = std::fs::create_dir_all(&dir);
+            let _ = std::fs::write(dir.join("manifest.bin"), [0x17, 0x2a, 0x03]);
+            sim.checkpoint = Some(CheckpointSpec::new(dir.clone()).with_resume(true));
+            fault_checkpoint = Some(dir);
+        }
         let checked = catch_unwind(AssertUnwindSafe(|| {
             if self.fault.has(FaultFate::CheckPanic, &recipe.name) {
                 panic!(
@@ -805,6 +813,9 @@ impl Pipeline {
                 (check_refinement(&low, &high, relation, &sim), None)
             }
         }));
+        if let Some(dir) = fault_checkpoint {
+            let _ = std::fs::remove_dir_all(dir);
+        }
         let cache = if cert_store.is_some() {
             CacheDisposition::Miss
         } else {
@@ -890,7 +901,8 @@ impl Pipeline {
     /// Returns a [`PipelineError`] for *infrastructure* failures (unknown
     /// levels, lowering errors), naming the failing recipe and its span.
     pub fn run(&self) -> Result<PipelineReport, PipelineError> {
-        let relation = StandardRelation::new(self.typed.module.relation());
+        let declared = self.typed.module.relation();
+        let relation = StandardRelation::new(declared.clone());
         let recipes = &self.typed.module.recipes;
         // Resolved once per run: either the configured store or the
         // `ARMADA_CERT_CACHE` environment fallback.
@@ -899,7 +911,7 @@ impl Pipeline {
         // serve daemon reuses one hierarchy), so report the delta.
         let corrupt_before = cert_store.as_ref().map_or(0, |s| s.corrupt_loads());
         let runs = armada_runtime::wave::map(self.sim.bounds.jobs, recipes, |index, recipe| {
-            self.run_recipe(index, recipe, &relation, cert_store.as_ref())
+            self.run_recipe(index, recipe, &declared, &relation, cert_store.as_ref())
         });
 
         let mut strategy_reports = Vec::new();
@@ -941,14 +953,17 @@ impl Pipeline {
             }
             outcomes.push(run.outcome);
         }
-        // Order certificates along the chain and compose.
+        // Order certificates along the chain and compose. Each cert moves
+        // into the chain: `refinements` holds the report's only copy.
         let chain = match self.level_chain() {
             Ok(levels) => {
                 let mut ordered = Vec::new();
                 for pair in levels.windows(2) {
-                    if let Some(cert) = certs.iter().find(|c| c.low == pair[0] && c.high == pair[1])
+                    if let Some(at) = certs
+                        .iter()
+                        .position(|c| c.low == pair[0] && c.high == pair[1])
                     {
-                        ordered.push(cert.clone());
+                        ordered.push(certs.remove(at));
                     }
                 }
                 if ordered.len() + 1 == levels.len() {

@@ -150,3 +150,41 @@ fn a_base_checkpoint_dir_holds_only_per_recipe_dirs() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn a_definitive_verdict_removes_its_recipe_checkpoint_dir() {
+    // The cut leaves one `ck-*` dir per recipe; the resumed run reaches a
+    // verdict and removes its dir with the files in it, so the base ends
+    // empty instead of collecting an empty `ck-*` dir per recipe.
+    let source = subject();
+    let dir = tmp("finish");
+    let checkpointed = |resume: bool| {
+        SimConfig::default().with_checkpoint(CheckpointSpec::new(dir.clone()).with_resume(resume))
+    };
+    let mut cut = checkpointed(false);
+    cut.bounds = cut.bounds.with_deadline(Duration::ZERO);
+    let pipeline = Pipeline::from_source(&source).expect("subject parses");
+    let cut = pipeline.with_sim_config(cut).run().expect("cut run");
+    assert_eq!(cut.worst_status(), RecipeStatus::BudgetExhausted);
+    let listing = || -> Vec<String> {
+        std::fs::read_dir(&dir)
+            .expect("the base dir stays")
+            .map(|entry| {
+                entry
+                    .expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect()
+    };
+    assert!(!listing().is_empty(), "the cut leaves checkpoints behind");
+    let resumed = Pipeline::from_source(&source)
+        .expect("subject parses")
+        .with_sim_config(checkpointed(true))
+        .run()
+        .expect("resumed run");
+    assert!(resumed.verified(), "{}", resumed.failure_summary());
+    assert_eq!(listing(), Vec::<String>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+}

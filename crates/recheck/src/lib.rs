@@ -93,13 +93,17 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     Fnv::new().bytes(bytes).finish()
 }
 
-/// Binds a witness to its subject: the whole module source plus the level
-/// pair. A witness spliced from a different module — or the same module's
-/// other recipe — fails this binding.
-pub fn subject_digest(module_source: &str, low: &str, high: &str) -> u64 {
+/// Binds a witness to its subject: `content`, the content the check
+/// covers (the level pair's span-free [`armada_sm::pair_content`], which
+/// takes in the module's refinement relation), plus the level names. A
+/// witness spliced from another level pair, another relation, or another
+/// module whose pair differs fails this binding; one whose pair differs
+/// only in comments, layout or unrelated levels was checked against the
+/// same programs and passes.
+pub fn subject_digest(content: &str, low: &str, high: &str) -> u64 {
     Fnv::new()
-        .str("armada-subject v2")
-        .str(module_source)
+        .str("armada-subject v3")
+        .str(content)
         .str(low)
         .str(high)
         .finish()
@@ -136,7 +140,7 @@ pub fn renaming_digest(map: &[Tid]) -> u64 {
 
 /// Seed of the obligation hash chain. Deliberately independent of the
 /// subject digest so a certificate can be emitted by the engine (which
-/// does not know the module source) and bound to its subject afterwards.
+/// does not compute the subject) and bound to its subject afterwards.
 pub fn chain_seed() -> u64 {
     fnv1a_64(b"armada-witness v2")
 }
@@ -244,7 +248,7 @@ impl Witness {
 
     /// Binds the witness to its subject and reseals the digest. The
     /// obligation chain is subject-independent by design, so late binding
-    /// (the pipeline knows the module source; the engine does not) changes
+    /// (the pipeline computes the subject; the engine does not) changes
     /// only the binding and the digest.
     pub fn bind_subject(&mut self, subject: u64) {
         self.subject = subject;
@@ -560,9 +564,11 @@ pub struct CertRecord {
     pub witness: Witness,
 }
 
-/// Magic first line this checker accepts (format v2; v1 records predate
-/// witnesses and are rejected as unparseable).
-pub const RECORD_MAGIC: &str = "armada-cert v2";
+/// Magic first line this checker accepts (format v3, whose subject covers
+/// the level pair's content; v2 records bound the whole module source and
+/// v1 records predate witnesses, and both are rejected naming their
+/// version).
+pub const RECORD_MAGIC: &str = "armada-cert v3";
 
 fn parse_err(line: usize, reason: impl Into<String>) -> RecheckError {
     RecheckError::Parse {
@@ -770,7 +776,15 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
 
     let (ln, magic_rest) = next("")?;
     if magic_rest != RECORD_MAGIC {
-        return Err(parse_err(ln, format!("bad magic `{magic_rest}`")));
+        let reason = match magic_rest.strip_prefix("armada-cert ") {
+            Some(version) => format!(
+                "record format {version} is not supported (this checker reads {}); \
+                 re-verify to write it again",
+                &RECORD_MAGIC["armada-cert ".len()..]
+            ),
+            None => format!("bad magic `{magic_rest}`"),
+        };
+        return Err(parse_err(ln, reason));
     }
     let (_, low) = next("low ")?;
     let (_, high) = next("high ")?;
@@ -1045,26 +1059,34 @@ pub struct RecheckReport {
 /// The first failing check, as a [`RecheckError`].
 pub fn recheck_record(text: &str, source: Option<&str>) -> Result<RecheckReport, RecheckError> {
     let record = parse_record(text)?;
-    let expected = source.map(|s| subject_digest(s, &record.low, &record.high));
+    let Some(source) = source else {
+        record
+            .witness
+            .validate(record.product_nodes, record.low_transitions, None)?;
+        return Ok(RecheckReport {
+            pairs: record.witness.pairs.len(),
+            obligations: record.witness.obligations.len(),
+            replayed: false,
+        });
+    };
+    let subject = |reason: String| RecheckError::Subject { reason };
+    let module = armada_lang::parse_module(source).map_err(|e| subject(format!("parse: {e}")))?;
+    let typed =
+        armada_lang::check_module(&module).map_err(|e| subject(format!("typecheck: {e}")))?;
+    let lowered =
+        |level: &str| lower(&typed, level).map_err(|e| subject(format!("lower `{level}`: {e}")));
+    let low = lowered(&record.low)?;
+    let high = lowered(&record.high)?;
+    let content = armada_sm::pair_content(&low, &high, &typed.module.relation());
+    let expected = subject_digest(&content, &record.low, &record.high);
     record
         .witness
-        .validate(record.product_nodes, record.low_transitions, expected)?;
-    if let Some(source) = source {
-        let module = armada_lang::parse_module(source).map_err(|e| RecheckError::Subject {
-            reason: format!("parse: {e}"),
-        })?;
-        let typed = armada_lang::check_module(&module).map_err(|e| RecheckError::Subject {
-            reason: format!("typecheck: {e}"),
-        })?;
-        let low = lower(&typed, &record.low).map_err(|e| RecheckError::Subject {
-            reason: format!("lower `{}`: {e}", record.low),
-        })?;
-        replay(&record.witness, &low)?;
-    }
+        .validate(record.product_nodes, record.low_transitions, Some(expected))?;
+    replay(&record.witness, &low)?;
     Ok(RecheckReport {
         pairs: record.witness.pairs.len(),
         obligations: record.witness.obligations.len(),
-        replayed: source.is_some(),
+        replayed: true,
     })
 }
 

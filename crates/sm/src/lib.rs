@@ -39,6 +39,7 @@
 pub mod arena;
 pub mod canon;
 pub mod codec;
+pub mod content;
 pub mod effects;
 pub mod eval;
 pub mod explore;
@@ -54,6 +55,7 @@ pub mod value;
 
 pub use arena::{StateArena, StateId};
 pub use canon::Canonicalizer;
+pub use content::pair_content;
 pub use explore::{explore, explore_with_telemetry, run_to_completion, Bounds, Exploration};
 pub use graph::{StateGraph, Walk};
 pub use heap::{Heap, Location, MemNode, ObjectId, PtrVal};

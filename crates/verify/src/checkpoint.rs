@@ -262,13 +262,19 @@ impl VerifyCheckpoint {
         })
     }
 
-    /// Removes all checkpoint files (cold start, or cleanup after a
-    /// definitive verdict).
+    /// Removes all checkpoint files (a cold start).
     pub fn clear(&mut self) {
         let _ = fs::remove_file(self.manifest_path());
         self.nodes.clear();
         self.high.clear();
         self.sets.clear();
+    }
+
+    /// Cleanup after a definitive verdict: removes the checkpoint files
+    /// and then the directory itself, when nothing else is left in it.
+    pub fn finish(mut self) {
+        self.clear();
+        let _ = fs::remove_dir(&self.dir);
     }
 
     /// Persists the wave boundary: appends new nodes, high states, and

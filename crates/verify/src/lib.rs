@@ -221,7 +221,7 @@ pub struct RefinementCert {
     /// product edge. `armada recheck` replays it against the spec
     /// semantics without re-exploring; see `armada-recheck` for the format
     /// and the trusted-core boundary. Emitted unbound (subject 0) — the
-    /// pipeline binds it to the module source before persisting.
+    /// pipeline binds it to the level pair's content before persisting.
     pub witness: Witness,
 }
 
@@ -1126,8 +1126,8 @@ fn check_refinement_impl(
         Err(cex) => !cex.kind.is_budget(),
     };
     if definitive {
-        if let Some(ck) = ck.as_mut() {
-            ck.clear();
+        if let Some(ck) = ck.take() {
+            ck.finish();
         }
     }
     // Spill, memo and graph counters are diagnostics (fault order and
@@ -2695,8 +2695,9 @@ state (Running)
                 .with_symmetry(symmetry);
             let mut cert = check_refinement(&low, &high, &relation, &config).unwrap();
             assert_eq!(cert.witness.pairs.len(), cert.product_nodes);
+            let content = armada_sm::pair_content(&low, &high, &RelationKind::LogPrefix);
             cert.witness
-                .bind_subject(armada_recheck::subject_digest(src, "Impl", "Spec"));
+                .bind_subject(armada_recheck::subject_digest(&content, "Impl", "Spec"));
             let record = crate::store::serialize(&cert);
             let report = armada_recheck::recheck_record(&record, Some(src))
                 .unwrap_or_else(|e| panic!("reduction={reduction} symmetry={symmetry}: {e}"));

@@ -1,6 +1,6 @@
 //! Crash-safe, content-addressed persistence of [`RefinementCert`]s.
 //!
-//! Re-verifying a level pair whose program text and bounds have not changed
+//! Re-verifying a level pair whose programs and bounds have not changed
 //! is pure waste, so the pipeline can persist each successful certificate
 //! under `target/armada-certs/` and reuse it on the next run (the ROADMAP's
 //! cert-cache item). Because a cache that silently serves stale or mangled
@@ -13,11 +13,15 @@
 //!
 //! Mechanics:
 //!
-//! * **Content addressing.** [`CertKey::compute`] hashes the whole module
-//!   source, the level pair, and every result-affecting bound (`jobs` and
-//!   the wall-clock deadline are deliberately excluded — they change
-//!   wall-clock behavior, never results). Any edit to the program or the
-//!   bounds changes the key, so stale certs are simply never addressed.
+//! * **Content addressing.** [`CertKey::compute`] hashes the content the
+//!   check reads — the pipeline passes the level pair's span-free
+//!   [`armada_sm::pair_content`], relation included — the level names,
+//!   and every result-affecting bound (`jobs` and the wall-clock deadline
+//!   are deliberately excluded — they change wall-clock behavior, never
+//!   results). Any edit to either program, the relation or the bounds
+//!   changes the key, so stale certs are simply never addressed; an edit
+//!   elsewhere in the module (a comment, another level) leaves it alone,
+//!   and the cert is served again.
 //! * **Atomic writes.** [`CertStore::save`] writes a temp file in the same
 //!   directory and `rename`s it into place, so a crash mid-write leaves
 //!   either the old entry or a stray `.tmp` — never a half-written `.cert`
@@ -33,10 +37,11 @@
 //!   witness's structural checks (subject-agnostic: counts, step
 //!   encodings, the obligation hash chain, the sealed digest). A cached
 //!   verdict therefore re-proves its own shape on every load; `armada
-//!   recheck` can go further and replay it against the semantics. The v1→
-//!   v2 bump changes [`CertKey`] derivation too, so every witnessless v1
-//!   entry became unaddressable the moment this shipped — a one-time full
-//!   cache invalidation, not a parse hazard.
+//!   recheck` can go further and replay it against the semantics. Each
+//!   format bump changes [`CertKey`] derivation too, so every older entry
+//!   becomes unaddressable the moment it ships — a one-time full cache
+//!   invalidation, not a parse hazard. v3 re-keys records on the level
+//!   pair's content and binds the witness subject to the same content.
 
 use std::fs;
 use std::io;
@@ -134,7 +139,9 @@ fn flip_payload_digit(bytes: &mut [u8]) {
 /// bump it when the record format or the certificate semantics change, and
 /// every old entry becomes unaddressable garbage instead of a parse hazard.
 /// v2: records carry the machine-checkable refinement witness.
-const FORMAT_VERSION: u32 = 2;
+/// v3: keys and witness subjects cover the level pair's content, not the
+/// module source.
+const FORMAT_VERSION: u32 = 3;
 
 /// Magic first line of a certificate record — the checker's, so the store
 /// cannot drift from what `armada recheck` accepts.
@@ -146,12 +153,15 @@ const MAGIC: &str = armada_recheck::RECORD_MAGIC;
 pub struct CertKey(u64);
 
 impl CertKey {
-    /// Derives the key for checking `low ⊑ high` within `module_source`
-    /// under `config`.
-    pub fn compute(module_source: &str, low: &str, high: &str, config: &SimConfig) -> CertKey {
+    /// Derives the key for checking `low ⊑ high` under `config`, where
+    /// `content` is the content the key covers: for a recipe, the level
+    /// pair's [`armada_sm::pair_content`] (both lowered programs and the
+    /// relation, spans excluded). The serve daemon passes a whole module
+    /// source with empty level names to coalesce requests per source.
+    pub fn compute(content: &str, low: &str, high: &str, config: &SimConfig) -> CertKey {
         let mut h = Fnv64::new();
         h.write_u64(FORMAT_VERSION as u64);
-        h.write_str(module_source);
+        h.write_str(content);
         h.write_str(low);
         h.write_str(high);
         h.write_usize(config.max_match);
@@ -670,7 +680,7 @@ mod tests {
         }
     }
 
-    /// A record touching every field shape of the v2 layout: truncated
+    /// A record touching every field shape of the v3 layout: truncated
     /// status, multi-entry and identity renamings, empty and odd-valued
     /// step encodings, and digests at both ends of `u64`. Not a valid
     /// witness — only the bytes matter here.

@@ -24,7 +24,7 @@ cargo fmt --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> armada recheck gate (emit → recheck, fixture records, corrupted witness → reject, warm --recheck)"
+echo "==> armada recheck gate (emit → recheck, fixture records, corrupted witness → reject, warm --recheck, comment edit → store hit)"
 # For every shipped spec, a cold run persists witness-bearing certs (one
 # per recipe); the independent checker must accept every record
 # (structural + semantic replay), and a warm --recheck run must
@@ -47,6 +47,24 @@ for spec in specs/*.arm; do
         >"$RC_DIR/$name/warm.out" || recheck_fail "$spec: warm --recheck failed"
     grep -q "witness rechecked" "$RC_DIR/$name/warm.out" \
         || { cat "$RC_DIR/$name/warm.out"; recheck_fail "$spec: warm hit was not rechecked"; }
+    # Certs are keyed on each level pair's span-free content: a copy with
+    # one comment line appended must be served whole from the store, and
+    # the store's records must recheck against the copy with replay.
+    EDITED="$RC_DIR/$name/edited.arm"
+    { cat "$spec"; echo "// a comment outside every level"; } >"$EDITED"
+    "$RECHECK_BIN" verify "$EDITED" --cert-cache="$RC_DIR/$name/certs" \
+        >"$RC_DIR/$name/edited.out" || recheck_fail "$spec: comment-edited copy failed"
+    grep -q '^recipe [^ ]*: ' "$RC_DIR/$name/edited.out" \
+        || recheck_fail "$spec: comment-edited copy printed no recipe"
+    if grep '^recipe [^ ]*: ' "$RC_DIR/$name/edited.out" | grep -qv '(from cert store'; then
+        cat "$RC_DIR/$name/edited.out"
+        recheck_fail "$spec: a comment edit missed the cert store"
+    fi
+    "$RECHECK_BIN" recheck "$RC_DIR/$name/certs" --source "$EDITED" \
+        >"$RC_DIR/$name/edited_recheck.out" \
+        || { cat "$RC_DIR/$name/edited_recheck.out"; recheck_fail "$spec: certs rejected against the comment-edited copy"; }
+    grep -q "replayed" "$RC_DIR/$name/edited_recheck.out" \
+        || recheck_fail "$spec: replay against the comment-edited copy did not run"
 done
 # Records written by an earlier build must stay accepted through the CLI:
 # tests/fixtures/certs pins the persisted state format (witnessed state
@@ -321,6 +339,10 @@ if [[ "${1:-}" == "--full" ]]; then
         || { echo "resumed verify failed"; exit 1; }
     diff "$SMOKE_DIR/spill_plain.out" "$SMOKE_DIR/spill_resumed.out" \
         || { echo "resumed report differs from the uninterrupted run"; exit 1; }
+    # A definitive verdict removes each recipe's checkpoint dir.
+    LEFT=$(find "$CK_DIR" -mindepth 1 -maxdepth 1 -name 'ck-*')
+    [[ -z "$LEFT" ]] \
+        || { echo "verdict left checkpoint dirs behind:"; echo "$LEFT"; exit 1; }
 
     echo "==> telemetry overhead gate (<2% of states/sec)"
     cargo run --release --offline --example telemetry_gate

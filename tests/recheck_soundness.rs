@@ -170,3 +170,59 @@ fn case_study_records_recheck_with_replay() {
     }
     assert!(largest > 25_000, "the queue witness shrank: {largest}");
 }
+
+/// Mutation class 5, at the pipeline: a stored record rebound to another
+/// subject, with its digest and checksum recomputed, passes every check a
+/// load makes. Only `--recheck`'s subject comparison can reject it, and
+/// then the hit demotes to a miss: the check reruns and rewrites the
+/// record under the true subject.
+#[test]
+fn a_forged_subject_demotes_a_recheck_hit_to_a_miss() {
+    use armada::verify::store::{deserialize, CertStore};
+    use armada::CacheDisposition;
+
+    let source = spec_source("specs/counter.arm");
+    let dir = std::env::temp_dir().join(format!("armada-forged-subject-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = |recheck: bool| {
+        let report = Pipeline::from_source(&source)
+            .expect("spec parses")
+            .with_cert_store(CertStore::open(&dir))
+            .with_recheck(recheck)
+            .run()
+            .expect("pipeline runs");
+        assert!(report.verified(), "{}", report.failure_summary());
+        report.outcomes[0].cache
+    };
+    assert_eq!(run(false), CacheDisposition::Miss);
+    let path = std::fs::read_dir(&dir)
+        .expect("store written")
+        .map(|entry| entry.expect("dir entry").path())
+        .next()
+        .expect("one record");
+    let clean = std::fs::read_to_string(&path).expect("record");
+    let mut cert = deserialize(&clean, true).expect("clean record loads");
+    cert.witness.bind_subject(cert.witness.subject ^ 1);
+    let forged = serialize(&cert);
+    assert!(
+        deserialize(&forged, true).is_some(),
+        "the forgery passes a load"
+    );
+    std::fs::write(&path, &forged).expect("plant the forgery");
+    assert_eq!(
+        run(false),
+        CacheDisposition::Hit,
+        "a plain load cannot tell"
+    );
+    assert_eq!(
+        run(true),
+        CacheDisposition::Miss,
+        "recheck served the forgery"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("record"),
+        clean,
+        "the rerun rewrites the true record"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
