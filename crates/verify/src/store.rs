@@ -737,7 +737,7 @@ mod tests {
     }
 
     const GOLDEN: &str = "\
-armada-cert v2
+armada-cert v3
 low Impl
 high Spec
 product_nodes 3
@@ -753,7 +753,7 @@ witness obligations 2
 obl 0 1 - 0000000000000000 ffffffffffffffff -
 obl 1 4294967295 2,1,10 00ab000000000001 0000000000000000 000fa5ff10
 witness digest 8000000000000000
-checksum e790f412edeb2cee
+checksum 89b20f0d6a726aeb
 ";
 
     #[test]

@@ -1,4 +1,4 @@
-//! Byte-level gates for the v2 certificate record codec on real records.
+//! Byte-level gates for the v3 certificate record codec on real records.
 //!
 //! The store's writer and parser are tuned for speed, so these tests pin
 //! what speed must not change: the exact bytes of the queue model's four
@@ -35,11 +35,11 @@ fn queue_record_checksums_are_pinned() {
         (
             "Implementation",
             "AbstractQueue",
-            "checksum d55455da9cfd9ac6",
+            "checksum a3f255ae42018aaa",
         ),
-        ("AbstractQueue", "Cemented", "checksum 170c6d694e7acea8"),
-        ("Cemented", "Weak", "checksum 888be2dab2953727"),
-        ("Weak", "Spec", "checksum 060d0a321ce041cf"),
+        ("AbstractQueue", "Cemented", "checksum ace12476b0d7f778"),
+        ("Cemented", "Weak", "checksum 090b731f4a5f2eab"),
+        ("Weak", "Spec", "checksum 067dc3cdeff7b4a8"),
     ];
     let certs = queue_certs();
     assert_eq!(certs.len(), pinned.len());
