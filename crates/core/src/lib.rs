@@ -102,7 +102,7 @@ pub use armada_verify as verify;
 pub use error::PipelineError;
 pub use fault::{FaultFate, FaultPlan};
 
-use armada_lang::ast::{Recipe, RelationKind};
+use armada_lang::ast::Recipe;
 use armada_lang::typeck::TypedModule;
 use armada_lang::{check_module, count_sloc, parse_module};
 use armada_proof::relation::StandardRelation;
@@ -567,7 +567,6 @@ impl Pipeline {
         &self,
         index: usize,
         recipe: &Recipe,
-        declared: &RelationKind,
         relation: &StandardRelation,
         cert_store: Option<&TieredStore>,
     ) -> Result<RecipeRun, PipelineError> {
@@ -637,7 +636,7 @@ impl Pipeline {
         // the store. The strategy verdict is never cached: it reruns above.
         let low = lower(&self.typed, &recipe.low).map_err(|e| recipe_err(e.to_string()))?;
         let high = lower(&self.typed, &recipe.high).map_err(|e| recipe_err(e.to_string()))?;
-        let content = sm::pair_content(&low, &high, declared);
+        let content = sm::pair_content(&low, &high, relation.kind());
         let subject = armada_recheck::subject_digest(&content, &recipe.low, &recipe.high);
 
         if !self.semantic_check {
@@ -901,8 +900,7 @@ impl Pipeline {
     /// Returns a [`PipelineError`] for *infrastructure* failures (unknown
     /// levels, lowering errors), naming the failing recipe and its span.
     pub fn run(&self) -> Result<PipelineReport, PipelineError> {
-        let declared = self.typed.module.relation();
-        let relation = StandardRelation::new(declared.clone());
+        let relation = StandardRelation::new(self.typed.module.relation());
         let recipes = &self.typed.module.recipes;
         // Resolved once per run: either the configured store or the
         // `ARMADA_CERT_CACHE` environment fallback.
@@ -911,7 +909,7 @@ impl Pipeline {
         // serve daemon reuses one hierarchy), so report the delta.
         let corrupt_before = cert_store.as_ref().map_or(0, |s| s.corrupt_loads());
         let runs = armada_runtime::wave::map(self.sim.bounds.jobs, recipes, |index, recipe| {
-            self.run_recipe(index, recipe, &declared, &relation, cert_store.as_ref())
+            self.run_recipe(index, recipe, &relation, cert_store.as_ref())
         });
 
         let mut strategy_reports = Vec::new();
@@ -954,7 +952,8 @@ impl Pipeline {
             outcomes.push(run.outcome);
         }
         // Order certificates along the chain and compose. Each cert moves
-        // into the chain: `refinements` holds the report's only copy.
+        // into the chain, so a served cert is copied once (into
+        // `refinements`), not twice.
         let chain = match self.level_chain() {
             Ok(levels) => {
                 let mut ordered = Vec::new();

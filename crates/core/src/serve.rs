@@ -485,8 +485,8 @@ fn handle_verify(
         .with_jobs(request.jobs.unwrap_or(1))
         .with_deadline(deadline);
     // The coalescing key is the cert store's content address over the whole
-    // module (level pair left empty — the key must cover the run, not one
-    // recipe). jobs and deadline are excluded by construction, so requests
+    // module source (level pair left empty — the key must cover the run's
+    // whole report, not one recipe's cert, which is keyed per level pair). jobs and deadline are excluded by construction, so requests
     // differing only in those coalesce. A jittered request must NOT join
     // (or lead) a herd: its collapsed deadline would leak a degraded
     // verdict to clean waiters, so it runs under a private key.

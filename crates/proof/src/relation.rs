@@ -85,6 +85,11 @@ impl StandardRelation {
         StandardRelation { kind }
     }
 
+    /// The declaration this relation was built from.
+    pub fn kind(&self) -> &RelationKind {
+        &self.kind
+    }
+
     /// The default log-prefix relation.
     pub fn log_prefix() -> StandardRelation {
         StandardRelation {

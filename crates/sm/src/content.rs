@@ -33,6 +33,15 @@ pub fn pair_content(low: &Program, high: &Program, relation: &RelationKind) -> S
     out.0
 }
 
+/// The span-free content of one program: the first half of
+/// [`pair_content`]. The refinement check's checkpoint guard digests each
+/// side with it.
+pub fn program_content(program: &Program) -> String {
+    let mut out = Content(String::with_capacity(2048));
+    out.program(program);
+    out.0
+}
+
 /// The encoder: appends tokens to the content string.
 struct Content(String);
 

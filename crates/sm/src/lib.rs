@@ -20,6 +20,8 @@
 //! initial state: it can spill its arena to disk ([`SpillSpec`]) but has
 //! no checkpoint/resume — that belongs to the refinement check in
 //! `armada-verify`, whose product search is the expensive one.
+//! [`pair_content`] renders a level pair span-free: what that check reads
+//! of a module, and so what its certificates are keyed on.
 //!
 //! # Example
 //!

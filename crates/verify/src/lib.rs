@@ -98,6 +98,7 @@ use armada_recheck::{Witness, WitnessBuilder};
 use armada_runtime::telemetry::{Stage, StageTelemetry};
 use armada_runtime::wave;
 use armada_sm::arena::FpIdentityHasher;
+use armada_sm::content::program_content;
 use armada_sm::{
     initial_state, try_step, Bounds, Canonicalizer, ProgState, Program, Reducer, StateArena,
     StateId, Step, StepKind, Termination, Tid, Value,
@@ -975,14 +976,14 @@ fn check_refinement_impl(
     }
 
     // Wave-boundary checkpointing. The guard covers everything that
-    // determines the product graph — both programs' content (their
-    // `Debug` rendering, source spans included), relation, semantic
+    // determines the product graph — both programs' span-free content
+    // (the encoding cert keys use), relation, semantic
     // bounds, the stutter budget — and excludes jobs, deadlines, node
     // budgets, and faults, so a resumed run may raise its budget or change
     // its worker count and still continue.
     let mut ck = config.checkpoint.as_ref().map(|spec| {
         let digest =
-            |program: &Program| armada_runtime::fnv1a_64(format!("{program:?}").as_bytes());
+            |program: &Program| armada_runtime::fnv1a_64(program_content(program).as_bytes());
         let guard = checkpoint::guard(&format!(
             "{}|{:016x}|{}|{:016x}|{}|{:?}|{}|{}|{}|{}",
             low.name,
