@@ -1059,16 +1059,28 @@ pub struct RecheckReport {
 /// The first failing check, as a [`RecheckError`].
 pub fn recheck_record(text: &str, source: Option<&str>) -> Result<RecheckReport, RecheckError> {
     let record = parse_record(text)?;
-    let Some(source) = source else {
-        record
-            .witness
-            .validate(record.product_nodes, record.low_transitions, None)?;
-        return Ok(RecheckReport {
-            pairs: record.witness.pairs.len(),
-            obligations: record.witness.obligations.len(),
-            replayed: false,
-        });
-    };
+    let bound = source
+        .map(|source| subject_of(source, &record))
+        .transpose()?;
+    record.witness.validate(
+        record.product_nodes,
+        record.low_transitions,
+        bound.as_ref().map(|(subject, _)| *subject),
+    )?;
+    if let Some((_, low)) = &bound {
+        replay(&record.witness, low)?;
+    }
+    Ok(RecheckReport {
+        pairs: record.witness.pairs.len(),
+        obligations: record.witness.obligations.len(),
+        replayed: bound.is_some(),
+    })
+}
+
+/// The subject `record` must be bound to within `source` — the digest of
+/// its level pair's content, recomputed from the lowered levels — and the
+/// low program its witness replays against.
+fn subject_of(source: &str, record: &CertRecord) -> Result<(u64, Program), RecheckError> {
     let subject = |reason: String| RecheckError::Subject { reason };
     let module = armada_lang::parse_module(source).map_err(|e| subject(format!("parse: {e}")))?;
     let typed =
@@ -1078,16 +1090,7 @@ pub fn recheck_record(text: &str, source: Option<&str>) -> Result<RecheckReport,
     let low = lowered(&record.low)?;
     let high = lowered(&record.high)?;
     let content = armada_sm::pair_content(&low, &high, &typed.module.relation());
-    let expected = subject_digest(&content, &record.low, &record.high);
-    record
-        .witness
-        .validate(record.product_nodes, record.low_transitions, Some(expected))?;
-    replay(&record.witness, &low)?;
-    Ok(RecheckReport {
-        pairs: record.witness.pairs.len(),
-        obligations: record.witness.obligations.len(),
-        replayed: true,
-    })
+    Ok((subject_digest(&content, &record.low, &record.high), low))
 }
 
 /// The `armada-recheck` / `armada recheck` command-line driver. Returns

@@ -160,7 +160,7 @@ level Low {
     function twice(n: int): int { n + n }
 
     void main() {
-        x := 2;
+        x := 1 + 2;
         g := twice(g);
         print(x);
     }
@@ -208,7 +208,13 @@ fn every_input_the_check_reads_changes_the_key() {
         ),
         ("a struct field", "var w: uint32; }", "var w: uint64; }"),
         ("a ghost function body", "{ n + n }", "{ n * 2 }"),
-        ("a routine statement", "x := 2;", "x := 3;"),
+        ("an operator", "x := 1 + 2;", "x := 1 - 2;"),
+        ("a literal", "x := 1 + 2;", "x := 1 + 3;"),
+        (
+            "a routine statement",
+            "g := twice(g);",
+            "g := twice(g);\n        g := 1;",
+        ),
         (
             "the high level",
             "x := *; print(x); }",
