@@ -108,7 +108,6 @@ use armada_lang::{check_module, count_sloc, parse_module};
 use armada_proof::relation::StandardRelation;
 use armada_proof::StrategyReport;
 use armada_runtime::StageTelemetry;
-use armada_sm::lower;
 use armada_verify::store::{CertKey, CertStore, ReadFault, WriteFault};
 use armada_verify::tier::TieredStore;
 use armada_verify::{
@@ -609,9 +608,11 @@ impl Pipeline {
                 checkpoint: None,
                 ..self.sim.clone()
             };
-            armada_strategies::run_recipe(&self.typed, recipe, sim)
+            let ctx = armada_strategies::StrategyCtx::build(&self.typed, recipe, sim)?;
+            let report = armada_strategies::run(&ctx);
+            Ok((report, ctx.into_programs()))
         }));
-        let report = match strategy {
+        let (report, (low, high)) = match strategy {
             Err(payload) => {
                 return Ok(RecipeRun {
                     strategy_report: None,
@@ -625,17 +626,16 @@ impl Pipeline {
                 });
             }
             Ok(Err(message)) => return Err(recipe_err(message)),
-            Ok(Ok(report)) => report,
+            Ok(Ok(run)) => run,
         };
         let strategy_ok = report.success();
 
-        // What the semantic check reads of the module: both lowered levels
-        // and the relation, spans excluded. The cert key, the witness
-        // subject and the strategy-only placeholder all cover exactly this,
-        // so an edit outside it (a comment, another level) is answered from
-        // the store. The strategy verdict is never cached: it reruns above.
-        let low = lower(&self.typed, &recipe.low).map_err(|e| recipe_err(e.to_string()))?;
-        let high = lower(&self.typed, &recipe.high).map_err(|e| recipe_err(e.to_string()))?;
+        // What the semantic check reads of the module: both levels as the
+        // strategy stage lowered them and the relation, spans excluded. The
+        // cert key, the witness subject and the strategy-only placeholder
+        // all cover exactly this, so an edit outside it (a comment, another
+        // level) is answered from the store. The strategy verdict is never
+        // cached: it reruns above.
         let content = sm::pair_content(&low, &high, relation.kind());
         let subject = armada_recheck::subject_digest(&content, &recipe.low, &recipe.high);
 

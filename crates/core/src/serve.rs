@@ -13,9 +13,11 @@
 //!   request is *rejected immediately* with a structured `overloaded`
 //!   response carrying `retry_after_ms` — never queued into unbounded
 //!   memory, never a dropped connection.
-//! * **Herd coalescing.** Requests are keyed by the same content address
-//!   the cert store uses ([`CertKey`] over source + bounds; `jobs` and
-//!   deadlines are excluded because they never change results). N
+//! * **Herd coalescing.** Requests are keyed by a [`CertKey`] computed
+//!   over the whole module source and the bounds (`jobs` and deadlines
+//!   are excluded because they never change results). The cert store
+//!   keys each recipe's level pair instead, so two sources that differ
+//!   only in a comment run separately here and share every cert there. N
 //!   concurrent requests for one key cost one verification: the first
 //!   becomes the *leader* and enqueues a job, the rest register as waiters
 //!   and receive the leader's report — byte-identical, flagged
@@ -177,9 +179,9 @@ impl ServeStats {
         self.requests.load(Ordering::SeqCst)
     }
 
-    /// Underlying pipeline runs actually started (coalescing and cache
-    /// hits both keep this below `requests`; a cache hit still runs the
-    /// pipeline, so only coalescing reduces it).
+    /// Underlying pipeline runs actually started. Only coalescing keeps
+    /// this below `requests`: a request answered from the cert store still
+    /// runs the pipeline, whose recipes then load their certs.
     pub fn verifications(&self) -> u64 {
         self.verifications.load(Ordering::SeqCst)
     }
@@ -484,10 +486,11 @@ fn handle_verify(
         .bounds
         .with_jobs(request.jobs.unwrap_or(1))
         .with_deadline(deadline);
-    // The coalescing key is the cert store's content address over the whole
-    // module source (level pair left empty — the key must cover the run's
-    // whole report, not one recipe's cert, which is keyed per level pair). jobs and deadline are excluded by construction, so requests
-    // differing only in those coalesce. A jittered request must NOT join
+    // The coalescing key is a cert-store key over the whole module source
+    // with the level pair left empty: it must cover the run's whole
+    // report, not one recipe's cert, which is keyed per level pair. Jobs
+    // and deadline are excluded by construction, so requests differing
+    // only in those coalesce. A jittered request must NOT join
     // (or lead) a herd: its collapsed deadline would leak a degraded
     // verdict to clean waiters, so it runs under a private key.
     let coalesce_key = if jittered {

@@ -223,9 +223,29 @@ pub fn check_valid(goal: &Expr, ctx: &ProverCtx) -> Verdict {
             "candidate lattice too large ({lattice} assignments)"
         ));
     }
-    let mut env = BTreeMap::new();
+    // File each assumption under the depth at which its last free variable
+    // is bound, so a failing assumption prunes the whole subtree below it
+    // instead of failing once per leaf.
+    let mut by_depth: Vec<Vec<&Expr>> = vec![Vec::new(); domains.len() + 1];
+    for assumption in &assumptions {
+        let mut free = Vec::new();
+        collect_vars(assumption, &mut free);
+        let depth = domains
+            .iter()
+            .rposition(|(name, _)| free.contains(name))
+            .map_or(0, |last| last + 1);
+        by_depth[depth].push(assumption);
+    }
+    // Every name is bound once up front; the enumeration then overwrites
+    // its value in place. An expression is only evaluated once all of its
+    // free variables hold this path's values, so the placeholder is never
+    // read.
+    let mut env: BTreeMap<String, Value> = domains
+        .iter()
+        .map(|(name, _)| (name.clone(), Value::Bool(false)))
+        .collect();
     let mut checked = 0usize;
-    let verdict = enumerate(&domains, 0, &mut env, &assumptions, &goal, &mut checked);
+    let verdict = enumerate(&domains, 0, &mut env, &by_depth, &goal, &mut checked);
     match verdict {
         Some(counterexample) => Verdict::Refuted { counterexample },
         // Zero satisfying assignments means the assumptions were not
@@ -269,26 +289,28 @@ fn collect_literals(expr: &Expr, out: &mut Vec<i128>) {
     }
 }
 
+/// Enumerates the assignments of `domains[index..]` in order, skipping
+/// every subtree in which an assumption of `by_depth` fails (or cannot be
+/// evaluated), and counts the goal checks in `checked`. Returns the first
+/// counterexample.
 fn enumerate(
     domains: &[(String, Vec<Value>)],
     index: usize,
     env: &mut BTreeMap<String, Value>,
-    assumptions: &[Expr],
+    by_depth: &[Vec<&Expr>],
     goal: &Expr,
     checked: &mut usize,
 ) -> Option<String> {
-    if index == domains.len() {
-        // All assumptions must evaluate to true; un-evaluable assumptions
-        // make the assignment vacuous (we cannot rely on them, so skip — the
-        // conservative direction would be Unknown, but assumptions that
-        // mention heap state simply do not constrain pure assignments).
-        for assumption in assumptions {
-            match pure_eval(assumption, env) {
-                Ok(Value::Bool(true)) => {}
-                Ok(Value::Bool(false)) => return None, // vacuous
-                _ => return None,                      // unconstraining
-            }
+    // Un-evaluable assumptions make the assignment vacuous, like false
+    // ones: we cannot rely on them, so skip (the conservative direction
+    // would be Unknown, but assumptions that mention heap state simply do
+    // not constrain pure assignments).
+    for assumption in &by_depth[index] {
+        if !matches!(pure_eval(assumption, env), Ok(Value::Bool(true))) {
+            return None;
         }
+    }
+    if index == domains.len() {
         *checked += 1;
         return match pure_eval(goal, env) {
             Ok(Value::Bool(true)) => None,
@@ -302,12 +324,13 @@ fn enumerate(
     }
     let (name, domain) = &domains[index];
     for value in domain {
-        env.insert(name.clone(), value.clone());
-        if let Some(ce) = enumerate(domains, index + 1, env, assumptions, goal, checked) {
+        env.get_mut(name)
+            .expect("every name is bound up front")
+            .clone_from(value);
+        if let Some(ce) = enumerate(domains, index + 1, env, by_depth, goal, checked) {
             return Some(ce);
         }
     }
-    env.remove(name);
     None
 }
 

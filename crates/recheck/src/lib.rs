@@ -176,27 +176,58 @@ pub struct WitnessPair {
     pub set_digest: u64,
 }
 
+/// A half-open `start..end` range into one of a [`Witness`]'s arenas.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Extent {
+    pub start: u32,
+    pub end: u32,
+}
+
+impl Extent {
+    /// The extent `start..end`, if both offsets fit `u32` (an arena under
+    /// 4 GiB).
+    pub fn new(start: usize, end: usize) -> Option<Extent> {
+        Some(Extent {
+            start: start.try_into().ok()?,
+            end: end.try_into().ok()?,
+        })
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
 /// One proof obligation: the product edge that admitted pair `index + 1`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A fixed-size record; its variable-length fields live in the witness's
+/// arenas ([`Witness::steps_of`], [`Witness::renaming_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Obligation {
     /// Pair index of the edge's source node (the child is implicit: pair
     /// `index + 1`, in admission order).
     pub parent: u32,
     /// Micro-steps on this (possibly fused) edge.
     pub micro: u32,
-    /// The child pair's canonical→original tid map (empty = identity);
-    /// the commuted symmetry renaming, validated during replay.
-    pub renaming: Vec<Tid>,
     /// The low micro-steps, codec-encoded, in the *parent's canonical
-    /// coordinates* — exactly what [`replay`] feeds the step function.
-    pub steps_enc: Vec<u8>,
-    /// FNV-1a digest of `steps_enc`.
+    /// coordinates* — exactly what [`replay`] feeds the step function: a
+    /// range of [`Witness::steps`].
+    pub steps: Extent,
+    /// The child pair's canonical→original tid map (empty = identity),
+    /// the commuted symmetry renaming validated during replay: a range of
+    /// [`Witness::renamings`].
+    pub renaming: Extent,
+    /// FNV-1a digest of the step encoding.
     pub steps_digest: u64,
     /// Chained [`obligation_hash`] up to and including this link.
     pub hash: u64,
 }
 
 /// The machine-checkable refinement witness carried by a certificate.
+///
+/// One flat layout: the fixed-size [`Obligation`] records index into two
+/// shared arenas, so a witness of any size is a handful of allocations.
+/// Every producer (the builder and both record parsers) lays the arenas out
+/// in obligation order, so equal witnesses compare equal field by field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
     /// [`subject_digest`] binding; 0 until [`Witness::bind_subject`].
@@ -221,13 +252,62 @@ pub struct Witness {
     pub pairs: Vec<WitnessPair>,
     /// One obligation per non-root pair, in admission order.
     pub obligations: Vec<Obligation>,
+    /// Arena of every obligation's step encoding, back to back in
+    /// obligation order.
+    pub steps: Vec<u8>,
+    /// Arena of every obligation's renaming, back to back in obligation
+    /// order.
+    pub renamings: Vec<Tid>,
     /// [`Witness::compute_digest`] over everything above.
     pub digest: u64,
 }
 
 impl Witness {
+    /// Obligation `index`'s step encoding and renaming; `None` when either
+    /// extent lies outside its arena.
+    fn slices(&self, index: usize) -> Option<(&[u8], &[Tid])> {
+        let obl = &self.obligations[index];
+        Some((
+            self.steps.get(obl.steps.range())?,
+            self.renamings.get(obl.renaming.range())?,
+        ))
+    }
+
+    /// Obligation `index`'s codec-encoded micro-steps.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of range or its extent lies outside the arena
+    /// (never for a witness built or parsed here).
+    pub fn steps_of(&self, index: usize) -> &[u8] {
+        self.slices(index)
+            .expect("obligation extents lie in the arenas")
+            .0
+    }
+
+    /// Obligation `index`'s renaming (empty = identity).
+    ///
+    /// # Panics
+    ///
+    /// As [`Witness::steps_of`].
+    pub fn renaming_of(&self, index: usize) -> &[Tid] {
+        self.slices(index)
+            .expect("obligation extents lie in the arenas")
+            .1
+    }
+
     /// The digest the `digest` field must equal.
     pub fn compute_digest(&self) -> u64 {
+        self.digest_over(
+            self.pairs
+                .iter()
+                .map(|p| pair_digest(p.low_fp, p.set_digest)),
+        )
+    }
+
+    /// [`Witness::compute_digest`] given every pair's [`pair_digest`] in
+    /// order.
+    fn digest_over(&self, pair_digests: impl Iterator<Item = u64>) -> u64 {
         let mut h = Fnv::new();
         h.str("armada-witness-digest v2")
             .u64(self.subject)
@@ -238,8 +318,8 @@ impl Witness {
             .u64(self.max_buffer)
             .u64(renaming_digest(&self.root_renaming))
             .u64(self.pairs.len() as u64);
-        for pair in &self.pairs {
-            h.u64(pair_digest(pair.low_fp, pair.set_digest));
+        for digest in pair_digests {
+            h.u64(digest);
         }
         h.u64(self.obligations.len() as u64);
         h.u64(self.obligations.last().map_or(chain_seed(), |o| o.hash));
@@ -269,6 +349,8 @@ impl Witness {
             root_renaming: Vec::new(),
             pairs: Vec::new(),
             obligations: Vec::new(),
+            steps: Vec::new(),
+            renamings: Vec::new(),
             digest: 0,
         };
         w.digest = w.compute_digest();
@@ -297,9 +379,17 @@ impl Witness {
                 });
             }
         }
-        if self.digest != self.compute_digest() {
+        // Each pair digest enters the sealed digest once and the chain once
+        // or more: hash each pair once.
+        let pair_digests: Vec<u64> = self
+            .pairs
+            .iter()
+            .map(|p| pair_digest(p.low_fp, p.set_digest))
+            .collect();
+        let want = self.digest_over(pair_digests.iter().copied());
+        if self.digest != want {
             return Err(RecheckError::DigestMismatch {
-                want: self.compute_digest(),
+                want,
                 got: self.digest,
             });
         }
@@ -340,30 +430,28 @@ impl Witness {
             if obl.micro == 0 {
                 return Err(fail("zero micro-steps".to_string()));
             }
-            if obl.steps_digest != fnv1a_64(&obl.steps_enc) {
+            let (steps, renaming) = self
+                .slices(index)
+                .ok_or_else(|| fail("extent outside the witness arenas".to_string()))?;
+            if obl.steps_digest != fnv1a_64(steps) {
                 return Err(fail(
                     "step digest does not cover the recorded steps".to_string(),
                 ));
             }
-            let steps = decode_steps(&obl.steps_enc)
-                .map_err(|e| fail(format!("undecodable steps: {e}")))?;
-            if steps.len() != obl.micro as usize {
+            let count = count_steps(steps).map_err(|e| fail(format!("undecodable steps: {e}")))?;
+            if count != obl.micro as usize {
                 return Err(fail(format!(
-                    "micro count {} disagrees with {} recorded steps",
-                    obl.micro,
-                    steps.len()
+                    "micro count {} disagrees with {count} recorded steps",
+                    obl.micro
                 )));
             }
             chain = obligation_hash(
                 chain,
-                pair_digest(
-                    self.pairs[obl.parent as usize].low_fp,
-                    self.pairs[obl.parent as usize].set_digest,
-                ),
-                pair_digest(self.pairs[child].low_fp, self.pairs[child].set_digest),
+                pair_digests[obl.parent as usize],
+                pair_digests[child],
                 obl.micro,
                 obl.steps_digest,
-                &obl.renaming,
+                renaming,
             );
             if chain != obl.hash {
                 return Err(RecheckError::ObligationHash {
@@ -381,15 +469,20 @@ impl Witness {
 /// emitter (and by tests that need small valid witnesses). The chain and
 /// digests are computed here so an emitted witness validates by
 /// construction.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WitnessBuilder {
     symmetry: bool,
     max_buffer: u64,
     root_renaming: Vec<Tid>,
     pairs: Vec<WitnessPair>,
     obligations: Vec<Obligation>,
+    steps: Enc,
+    renamings: Vec<Tid>,
     chain: u64,
 }
+
+/// Why an arena extent cannot be recorded.
+const ARENA_LIMIT: &str = "witness arenas are limited to u32 offsets";
 
 impl WitnessBuilder {
     /// Starts a witness whose root pair is `(root_fp, root_set)` reached
@@ -409,29 +502,37 @@ impl WitnessBuilder {
                 low_fp: root_fp,
                 set_digest: root_set,
             }],
-            obligations: Vec::new(),
             chain: chain_seed(),
+            ..WitnessBuilder::default()
         }
     }
 
-    /// Admits the next pair via an edge from `parent`; `steps_enc` is the
-    /// codec encoding of the edge's micro-steps in the parent's canonical
-    /// coordinates.
+    /// Admits the next pair via an edge from `parent` whose micro-steps are
+    /// `steps`, given in the parent's canonical coordinates; they are
+    /// encoded straight into the witness's step arena.
+    ///
+    /// # Panics
+    ///
+    /// If an arena outgrows `u32` offsets (a witness of over 4 GiB).
     pub fn push_node(
         &mut self,
         parent: u32,
         low_fp: u64,
         set: u64,
-        steps_enc: Vec<u8>,
-        micro: u32,
-        renaming: Vec<Tid>,
+        steps: &[Step],
+        renaming: &[Tid],
     ) {
         let child = self.pairs.len();
         self.pairs.push(WitnessPair {
             low_fp,
             set_digest: set,
         });
-        let steps_digest = fnv1a_64(&steps_enc);
+        let start = self.steps.len();
+        encode_steps_into(&mut self.steps, steps);
+        let steps_digest = fnv1a_64(&self.steps.as_bytes()[start..]);
+        let renamed = self.renamings.len();
+        self.renamings.extend_from_slice(renaming);
+        let micro = u32::try_from(steps.len()).expect("an edge's micro-steps fit u32");
         let parent_pair = self.pairs[parent as usize];
         self.chain = obligation_hash(
             self.chain,
@@ -439,13 +540,13 @@ impl WitnessBuilder {
             pair_digest(self.pairs[child].low_fp, self.pairs[child].set_digest),
             micro,
             steps_digest,
-            &renaming,
+            renaming,
         );
         self.obligations.push(Obligation {
             parent,
             micro,
-            renaming,
-            steps_enc,
+            steps: Extent::new(start, self.steps.len()).expect(ARENA_LIMIT),
+            renaming: Extent::new(renamed, self.renamings.len()).expect(ARENA_LIMIT),
             steps_digest,
             hash: self.chain,
         });
@@ -463,6 +564,8 @@ impl WitnessBuilder {
             root_renaming: self.root_renaming,
             pairs: self.pairs,
             obligations: self.obligations,
+            steps: self.steps.into_bytes(),
+            renamings: self.renamings,
             digest: 0,
         };
         w.digest = w.compute_digest();
@@ -581,16 +684,24 @@ fn parse_hex64(line: usize, text: &str, what: &str) -> Result<u64, RecheckError>
     u64::from_str_radix(text, 16).map_err(|_| parse_err(line, format!("bad {what} `{text}`")))
 }
 
-fn parse_renaming(line: usize, text: &str) -> Result<Vec<Tid>, RecheckError> {
-    if text == "-" {
-        return Ok(Vec::new());
+/// Parses a renaming onto the end of `arena`, returning its extent.
+fn parse_renaming(line: usize, text: &str, arena: &mut Vec<Tid>) -> Result<Extent, RecheckError> {
+    let start = arena.len();
+    if text != "-" {
+        for t in text.split(',') {
+            let tid = t
+                .parse::<Tid>()
+                .map_err(|_| parse_err(line, format!("bad renaming entry `{t}`")))?;
+            arena.push(tid);
+        }
     }
-    text.split(',')
-        .map(|t| {
-            t.parse::<Tid>()
-                .map_err(|_| parse_err(line, format!("bad renaming entry `{t}`")))
-        })
-        .collect()
+    arena_extent(line, start, arena.len())
+}
+
+/// The extent `start..end` of a parsed field, or a parse error if the
+/// arena outgrew `u32` offsets.
+fn arena_extent(line: usize, start: usize, end: usize) -> Result<Extent, RecheckError> {
+    Extent::new(start, end).ok_or_else(|| parse_err(line, ARENA_LIMIT))
 }
 
 fn renaming_text(map: &[Tid]) -> String {
@@ -651,20 +762,22 @@ fn push_steps(out: &mut String, bytes: &[u8]) {
     }
 }
 
-fn hex_to_bytes(line: usize, text: &str) -> Result<Vec<u8>, RecheckError> {
-    if text == "-" {
-        return Ok(Vec::new());
+/// Parses a step encoding onto the end of `arena`, returning its extent.
+fn hex_to_bytes(line: usize, text: &str, arena: &mut Vec<u8>) -> Result<Extent, RecheckError> {
+    let start = arena.len();
+    if text != "-" {
+        if !text.len().is_multiple_of(2) {
+            return Err(parse_err(line, "odd-length step encoding"));
+        }
+        for pair in text.as_bytes().chunks_exact(2) {
+            let byte = std::str::from_utf8(pair)
+                .ok()
+                .and_then(|pair| u8::from_str_radix(pair, 16).ok())
+                .ok_or_else(|| parse_err(line, "non-hex step encoding"))?;
+            arena.push(byte);
+        }
     }
-    if !text.len().is_multiple_of(2) {
-        return Err(parse_err(line, "odd-length step encoding"));
-    }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16)
-                .map_err(|_| parse_err(line, "non-hex step encoding"))
-        })
-        .collect()
+    arena_extent(line, start, arena.len())
 }
 
 /// Renders the witness section exactly as the store serializes it; shared
@@ -679,13 +792,10 @@ pub fn witness_lines(w: &Witness) -> String {
 /// its size up front (the store renders whole records into one buffer).
 pub fn write_witness_lines(w: &Witness, out: &mut String) {
     // A reservation, not a bound: 39 bytes per pair line; per obligation
-    // line 42 fixed bytes, up to 20 digits of parent and micro count, up
-    // to 21 bytes per renaming entry, and two hex digits per step byte.
-    let obligations: usize = w
-        .obligations
-        .iter()
-        .map(|o| 62 + 21 * o.renaming.len() + 2 * o.steps_enc.len().max(1))
-        .sum();
+    // line 42 fixed bytes, up to 20 digits of parent and micro count, a
+    // `-` or up to 21 bytes per renaming entry, and a `-` or two hex
+    // digits per step byte.
+    let obligations = 64 * w.obligations.len() + 21 * w.renamings.len() + 2 * w.steps.len();
     out.reserve(256 + 39 * w.pairs.len() + obligations);
     out.push_str("witness subject ");
     push_hex16(out, w.subject);
@@ -714,19 +824,19 @@ pub fn write_witness_lines(w: &Witness, out: &mut String) {
     out.push_str("witness obligations ");
     push_dec(out, w.obligations.len() as u64);
     out.push('\n');
-    for obl in &w.obligations {
+    for (index, obl) in w.obligations.iter().enumerate() {
         out.push_str("obl ");
         push_dec(out, obl.parent as u64);
         out.push(' ');
         push_dec(out, obl.micro as u64);
         out.push(' ');
-        push_renaming(out, &obl.renaming);
+        push_renaming(out, w.renaming_of(index));
         out.push(' ');
         push_hex16(out, obl.steps_digest);
         out.push(' ');
         push_hex16(out, obl.hash);
         out.push(' ');
-        push_steps(out, &obl.steps_enc);
+        push_steps(out, w.steps_of(index));
         out.push('\n');
     }
     out.push_str("witness digest ");
@@ -821,7 +931,8 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
         .parse()
         .map_err(|_| parse_err(ln, "bad buffer bound"))?;
     let (ln, root) = next("witness root ")?;
-    let root_renaming = parse_renaming(ln, &root)?;
+    let mut root_renaming = Vec::new();
+    parse_renaming(ln, &root, &mut root_renaming)?;
     let (ln, count) = next("witness pairs ")?;
     let pair_count: usize = count.parse().map_err(|_| parse_err(ln, "bad pair count"))?;
     let mut pairs = Vec::with_capacity(pair_count);
@@ -840,6 +951,7 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
         .parse()
         .map_err(|_| parse_err(ln, "bad obligation count"))?;
     let mut obligations = Vec::with_capacity(obl_count);
+    let (mut steps_arena, mut renamings) = (Vec::new(), Vec::new());
     for _ in 0..obl_count {
         let (ln, obl) = next("obl ")?;
         let fields: Vec<&str> = obl.split(' ').collect();
@@ -853,10 +965,10 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
             micro: micro
                 .parse()
                 .map_err(|_| parse_err(ln, "bad micro count"))?,
-            renaming: parse_renaming(ln, renaming)?,
+            renaming: parse_renaming(ln, renaming, &mut renamings)?,
             steps_digest: parse_hex64(ln, steps_digest, "step digest")?,
             hash: parse_hex64(ln, hash, "obligation hash")?,
-            steps_enc: hex_to_bytes(ln, steps)?,
+            steps: hex_to_bytes(ln, steps, &mut steps_arena)?,
         });
     }
     let (ln, digest) = next("witness digest ")?;
@@ -879,19 +991,20 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
             root_renaming,
             pairs,
             obligations,
+            steps: steps_arena,
+            renamings,
             digest,
         },
     })
 }
 
-/// Encodes an edge's micro-steps for the witness record.
-pub fn encode_steps(steps: &[Step]) -> Vec<u8> {
-    let mut e = Enc::new();
+/// Encodes an edge's micro-steps onto the end of `e`: the step count,
+/// then each step's codec encoding.
+fn encode_steps_into(e: &mut Enc, steps: &[Step]) {
     e.len_of(steps.len());
     for step in steps {
-        codec::enc_step(&mut e, step);
+        codec::enc_step(e, step);
     }
-    e.into_bytes()
 }
 
 /// Decodes an edge's micro-steps.
@@ -900,19 +1013,46 @@ pub fn encode_steps(steps: &[Step]) -> Vec<u8> {
 ///
 /// A message describing the malformation.
 pub fn decode_steps(bytes: &[u8]) -> Result<Vec<Step>, String> {
+    let mut steps = Vec::new();
+    decode_steps_into(bytes, &mut steps)?;
+    Ok(steps)
+}
+
+/// [`decode_steps`] onto the end of `steps`, for a caller that reuses one
+/// buffer.
+fn decode_steps_into(bytes: &[u8], steps: &mut Vec<Step>) -> Result<(), String> {
+    walk_steps(bytes, |d| {
+        steps.push(codec::dec_step(d)?);
+        Ok(())
+    })
+    .map(drop)
+}
+
+/// The number of micro-steps an encoding holds, accepting exactly what
+/// [`decode_steps`] accepts without building the steps.
+fn count_steps(bytes: &[u8]) -> Result<usize, String> {
+    walk_steps(bytes, codec::skip_step)
+}
+
+/// Reads an edge's step count and then each step through `step`, and
+/// returns the count; the one framing behind [`decode_steps`] and
+/// [`count_steps`].
+fn walk_steps(
+    bytes: &[u8],
+    mut step: impl FnMut(&mut Dec) -> Result<(), codec::CodecError>,
+) -> Result<usize, String> {
     let mut d = Dec::new(bytes);
     let count = d.len_of().map_err(|e| e.to_string())?;
     if count > bytes.len() {
         return Err(format!("step count {count} exceeds encoding size"));
     }
-    let mut steps = Vec::with_capacity(count);
     for _ in 0..count {
-        steps.push(codec::dec_step(&mut d).map_err(|e| e.to_string())?);
+        step(&mut d).map_err(|e| e.to_string())?;
     }
     if !d.at_end() {
         return Err("trailing bytes after steps".to_string());
     }
-    Ok(steps)
+    Ok(count)
 }
 
 /// Composes a parent's canonical→original tid map with one more inverse
@@ -989,17 +1129,34 @@ pub fn replay(witness: &Witness, low: &Program) -> Result<(), RecheckError> {
         });
     }
     let max_buffer = witness.max_buffer as usize;
-    let mut states = Vec::with_capacity(witness.pairs.len());
-    states.push(init);
+    // Each pair's state is kept only until the last obligation that steps
+    // from it, so replay holds the tree's frontier, not every state.
+    let mut last_child: Vec<Option<usize>> = vec![None; witness.pairs.len()];
+    for (index, obl) in witness.obligations.iter().enumerate() {
+        if let Some(last) = last_child.get_mut(obl.parent as usize) {
+            *last = Some(index);
+        }
+    }
+    let mut states: Vec<Option<ProgState>> = Vec::with_capacity(witness.pairs.len());
+    states.push(Some(init));
+    let mut steps = Vec::new();
     for (index, obl) in witness.obligations.iter().enumerate() {
         let child = index + 1;
         let fail = |reason: String| RecheckError::Obligation { index, reason };
-        let steps =
-            decode_steps(&obl.steps_enc).map_err(|e| fail(format!("undecodable steps: {e}")))?;
+        let (encoded, recorded) = witness
+            .slices(index)
+            .ok_or_else(|| fail("extent outside the witness arenas".to_string()))?;
+        steps.clear();
+        decode_steps_into(encoded, &mut steps)
+            .map_err(|e| fail(format!("undecodable steps: {e}")))?;
+        let parent_index = obl.parent as usize;
+        let parent = states
+            .get(parent_index)
+            .and_then(Option::as_ref)
+            .ok_or_else(|| fail(format!("parent {parent_index} is not an earlier pair")))?;
         // Step from the borrowed parent: the first micro-step's result is
         // the first owned state, so no parent is ever cloned just to be
         // stepped (a zero-step obligation yields the parent itself).
-        let parent = &states[obl.parent as usize];
         let mut stepped: Option<ProgState> = None;
         for (k, step) in steps.iter().enumerate() {
             let from = stepped.as_ref().unwrap_or(parent);
@@ -1011,6 +1168,9 @@ pub fn replay(witness: &Witness, low: &Program) -> Result<(), RecheckError> {
             })?);
         }
         let state = stepped.unwrap_or_else(|| parent.clone());
+        if last_child[parent_index] == Some(index) {
+            states[parent_index] = None;
+        }
         let (state, inverse) = match canon {
             Some(c) => c.canonicalize(state),
             None => (state, None),
@@ -1018,13 +1178,13 @@ pub fn replay(witness: &Witness, low: &Program) -> Result<(), RecheckError> {
         let parent_renaming: &[Tid] = if obl.parent == 0 {
             &witness.root_renaming
         } else {
-            &witness.obligations[obl.parent as usize - 1].renaming
+            witness.renaming_of(parent_index - 1)
         };
         let renaming = compose_renaming(parent_renaming, inverse, state.threads.len());
-        if renaming != obl.renaming {
+        if renaming != recorded {
             return Err(fail(format!(
                 "renaming `{}` does not replay (`{}`)",
-                renaming_text(&obl.renaming),
+                renaming_text(recorded),
                 renaming_text(&renaming)
             )));
         }
@@ -1035,7 +1195,7 @@ pub fn replay(witness: &Witness, low: &Program) -> Result<(), RecheckError> {
                 witness.pairs[child].low_fp
             )));
         }
-        states.push(state);
+        states.push(last_child.get(child).copied().flatten().map(|_| state));
     }
     Ok(())
 }
@@ -1204,10 +1364,8 @@ mod tests {
 
     fn tiny_witness() -> Witness {
         // Two pairs, one obligation: a hand-built chain (no semantics).
-        let step = Step::instr(1);
-        let enc = encode_steps(std::slice::from_ref(&step));
         let mut b = WitnessBuilder::new(false, 8, Vec::new(), 0x1111, 0x2222);
-        b.push_node(0, 0x3333, 0x4444, enc, 1, Vec::new());
+        b.push_node(0, 0x3333, 0x4444, &[Step::instr(1)], &[]);
         let mut w = b.seal(true, 2, 1);
         w.bind_subject(subject_digest("module", "A", "B"));
         w
@@ -1308,7 +1466,9 @@ mod tests {
     #[test]
     fn steps_round_trip_through_the_codec() {
         let steps = vec![Step::instr(1), Step::drain(2)];
-        let enc = encode_steps(&steps);
+        let mut enc = Enc::new();
+        encode_steps_into(&mut enc, &steps);
+        let enc = enc.into_bytes();
         assert_eq!(decode_steps(&enc).expect("decodes"), steps);
         assert!(decode_steps(&enc[..enc.len() - 1]).is_err());
     }
@@ -1336,14 +1496,7 @@ mod tests {
     fn one_edge_witness(low: &Program, steps: &[Step]) -> Witness {
         let init = initial_state(low).expect("initial state");
         let mut b = WitnessBuilder::new(false, 8, Vec::new(), StateArena::fingerprint(&init), 1);
-        b.push_node(
-            0,
-            0x5eed,
-            2,
-            encode_steps(steps),
-            steps.len() as u32,
-            Vec::new(),
-        );
+        b.push_node(0, 0x5eed, 2, steps, &[]);
         b.seal(true, 2, steps.len() as u64)
     }
 
@@ -1371,6 +1524,25 @@ mod tests {
     }
 
     #[test]
+    fn a_parent_that_is_not_an_earlier_pair_is_rejected_naming_it() {
+        let low = two_write_program();
+        let init = initial_state(&low).expect("initial state");
+        let (step, _) = armada_sm::enabled_steps(&low, &init, &[], 8)
+            .into_iter()
+            .next()
+            .expect("one enabled step");
+        let mut w = one_edge_witness(&low, std::slice::from_ref(&step));
+        w.obligations[0].parent = 1;
+        assert_eq!(
+            replay(&w, &low),
+            Err(RecheckError::Obligation {
+                index: 0,
+                reason: "parent 1 is not an earlier pair".to_string(),
+            })
+        );
+    }
+
+    #[test]
     fn semantic_replay_accepts_a_real_run_and_rejects_a_forged_fingerprint() {
         // A deterministic run; the witness is built by hand from the
         // semantics, as the engine would.
@@ -1382,14 +1554,7 @@ mod tests {
         let (step, next) = steps.into_iter().next().expect("one enabled step");
         let fp1 = StateArena::fingerprint(&next);
         let mut b = WitnessBuilder::new(false, 8, Vec::new(), fp0, 0xd1d1);
-        b.push_node(
-            0,
-            fp1,
-            0xd2d2,
-            encode_steps(std::slice::from_ref(&step)),
-            1,
-            Vec::new(),
-        );
+        b.push_node(0, fp1, 0xd2d2, std::slice::from_ref(&step), &[]);
         let w = b.seal(true, 2, 1);
         replay(&w, &low).expect("real run replays");
 

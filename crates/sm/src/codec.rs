@@ -49,7 +49,7 @@ impl std::error::Error for CodecError {}
 type DecResult<T> = Result<T, CodecError>;
 
 /// Append-only encoder over a byte buffer.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
 }
@@ -61,6 +61,11 @@ impl Enc {
 
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     pub fn len(&self) -> usize {
@@ -676,20 +681,38 @@ pub fn enc_step(e: &mut Enc, step: &Step) {
 
 /// Decodes a step.
 pub fn dec_step(d: &mut Dec) -> DecResult<Step> {
-    let tid = d.u64()?;
-    let kind = match d.u8()? {
-        0 => StepKind::Drain,
-        1 => {
-            let n = d.len_of()?;
-            let mut nondets = Vec::with_capacity(n);
-            for _ in 0..n {
-                nondets.push(dec_value(d)?);
-            }
-            StepKind::Instr { nondets }
-        }
-        tag => return Err(CodecError(format!("bad step tag {tag}"))),
+    let mut nondets = Vec::new();
+    let (tid, instr) = dec_step_with(d, |value| nondets.push(value))?;
+    let kind = if instr {
+        StepKind::Instr { nondets }
+    } else {
+        StepKind::Drain
     };
     Ok(Step { tid, kind })
+}
+
+/// Decodes a step without building it, dropping each nondet value once it
+/// is decoded: accepts exactly the encodings [`dec_step`] accepts, and
+/// allocates only for values that own heap data.
+pub fn skip_step(d: &mut Dec) -> DecResult<()> {
+    dec_step_with(d, drop).map(drop)
+}
+
+/// The step decoder behind [`dec_step`] and [`skip_step`]: the acting tid
+/// and whether the step is an instruction, with each nondet value handed
+/// to `nondet` in order.
+fn dec_step_with(d: &mut Dec, mut nondet: impl FnMut(Value)) -> DecResult<(u64, bool)> {
+    let tid = d.u64()?;
+    match d.u8()? {
+        0 => Ok((tid, false)),
+        1 => {
+            for _ in 0..d.len_of()? {
+                nondet(dec_value(d)?);
+            }
+            Ok((tid, true))
+        }
+        tag => Err(CodecError(format!("bad step tag {tag}"))),
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -78,6 +78,12 @@ impl<'a> StrategyCtx<'a> {
         })
     }
 
+    /// The lowered low and high programs, once the strategy has run (the
+    /// explored state graph is dropped).
+    pub fn into_programs(self) -> (Program, Program) {
+        (self.low_prog, self.high_prog)
+    }
+
     /// The low level's reachable state graph under this run's bounds:
     /// explored on first use, then shared by every model-checked
     /// obligation of the run, so each state is expanded at most once.

@@ -1472,17 +1472,14 @@ fn emit_witness(
         set_digests.insert(node.set_id, digest);
         digest
     };
-    let renaming_of = |node: &Node| -> Vec<Tid> {
-        node.orig
-            .as_ref()
-            .map(|m| (**m).clone())
-            .unwrap_or_default()
-    };
+    fn renaming_of(node: &Node) -> &[Tid] {
+        node.orig.as_deref().map_or(&[], Vec::as_slice)
+    }
     let root = &nodes[0];
     let mut builder = WitnessBuilder::new(
         symmetry_on,
         max_buffer as u64,
-        renaming_of(root),
+        renaming_of(root).to_vec(),
         root.fp,
         set_digest_of(root),
     );
@@ -1492,13 +1489,11 @@ fn emit_witness(
         let parent_id = node.parent.expect("non-root node has a parent");
         // The witness wants the steps in the *parent's canonical
         // coordinates*: what `try_step` executes during recheck.
-        let raw_steps = canonical_steps(&nodes[parent_id], &node.edge_steps);
         builder.push_node(
             parent_id as u32,
             node.fp,
             set_digest_of(node),
-            armada_recheck::encode_steps(&raw_steps),
-            node.edge_steps.len() as u32,
+            &canonical_steps(&nodes[parent_id], &node.edge_steps),
             renaming_of(node),
         );
     }

@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use armada_recheck::Witness;
+use armada_recheck::{Extent, Witness};
 use armada_runtime::hash::Fnv64;
 use armada_sm::Tid;
 
@@ -425,8 +425,11 @@ pub fn serialize(cert: &RefinementCert) -> String {
 /// sixteen lowercase digits per hex field), and lines end in a bare `\n`.
 pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
     // The checksum line is last; everything before it is the payload the
-    // checksum covers. Re-hash first so *any* payload damage — even damage
-    // that would still parse — is rejected.
+    // checksum covers. Every payload line is hashed as it is parsed, and
+    // the record is rejected unless the lines read cover the payload and
+    // hash to the stored checksum, so *any* payload damage — even damage
+    // that would still parse — is rejected. Hashing in the parse loop lets
+    // the CPU overlap the hash's serial multiply chain with the parsing.
     let rest = text.strip_suffix('\n')?;
     let (payload, checksum_line) = text.split_at(rest.rfind('\n')? + 1);
     let stored = hex64(
@@ -434,10 +437,10 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
             .strip_prefix("checksum ")?
             .strip_suffix('\n')?,
     )?;
-    if validate && stored != armada_runtime::hash::fnv1a_64(payload.as_bytes()) {
-        return None;
-    }
-    let mut lines = Lines(payload);
+    let mut lines = Lines {
+        rest: payload,
+        checksum: validate.then(Fnv64::new),
+    };
     if lines.next("")? != MAGIC {
         return None;
     }
@@ -446,7 +449,7 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
     let product_nodes = dec(lines.next("product_nodes ")?)?.try_into().ok()?;
     let low_transitions = dec(lines.next("low_transitions ")?)?.try_into().ok()?;
     let witness = parse_witness(&mut lines)?;
-    if !lines.0.is_empty() {
+    if !lines.rest.is_empty() || lines.checksum.is_some_and(|h| h.finish() != stored) {
         return None;
     }
     let cert = RefinementCert {
@@ -468,15 +471,21 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
 }
 
 /// The unread rest of a record's payload, consumed one `\n`-terminated
-/// line at a time.
-struct Lines<'a>(&'a str);
+/// line at a time, and when validating, the checksum of the lines read.
+struct Lines<'a> {
+    rest: &'a str,
+    checksum: Option<Fnv64>,
+}
 
 impl<'a> Lines<'a> {
     /// The next line with `prefix` stripped; `None` at the end of the
     /// payload or when the line does not start with `prefix`.
     fn next(&mut self, prefix: &str) -> Option<&'a str> {
-        let (line, rest) = self.0.split_once('\n')?;
-        self.0 = rest;
+        let (line, rest) = self.rest.split_once('\n')?;
+        if let Some(checksum) = &mut self.checksum {
+            checksum.write(&self.rest.as_bytes()[..line.len() + 1]);
+        }
+        self.rest = rest;
         line.strip_prefix(prefix)
     }
 }
@@ -520,33 +529,72 @@ fn dec(text: &str) -> Option<u64> {
     })
 }
 
-/// A renaming: `-` for the identity, else comma-separated tids.
-fn renaming(text: &str) -> Option<Vec<Tid>> {
-    if text == "-" {
-        return Some(Vec::new());
+/// A renaming, `-` for the identity, else comma-separated tids, parsed
+/// onto the end of `arena`.
+fn renaming(text: &str, arena: &mut Vec<Tid>) -> Option<Extent> {
+    let start = arena.len();
+    if text != "-" {
+        for tid in text.split(',') {
+            arena.push(dec(tid)?);
+        }
     }
-    text.split(',').map(dec).collect()
+    Extent::new(start, arena.len())
 }
 
-/// A step encoding: `-` when empty, else lowercase hex pairs.
-fn steps(text: &str) -> Option<Vec<u8>> {
-    if text == "-" {
-        return Some(Vec::new());
-    }
-    let digits = text.as_bytes();
-    if digits.is_empty() || !digits.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut bad = 0u8;
-    let bytes: Vec<u8> = digits
-        .chunks_exact(2)
-        .map(|pair| {
+/// A step encoding, `-` when empty, else lowercase hex pairs, decoded onto
+/// the end of `arena`: sixteen digits at a time through [`hex8`], the
+/// remaining pairs through [`HEX_VALUE`].
+fn steps(text: &str, arena: &mut Vec<u8>) -> Option<Extent> {
+    let start = arena.len();
+    if text != "-" {
+        let digits = text.as_bytes();
+        if digits.is_empty() || !digits.len().is_multiple_of(2) {
+            return None;
+        }
+        let mut words = digits.chunks_exact(16);
+        for word in &mut words {
+            let (first, second) = word.split_at(8);
+            let first = hex8(u64::from_le_bytes(first.try_into().ok()?))?;
+            let second = hex8(u64::from_le_bytes(second.try_into().ok()?))?;
+            arena.extend_from_slice(&(first as u64 | (second as u64) << 32).to_le_bytes());
+        }
+        let mut bad = 0u8;
+        for pair in words.remainder().chunks_exact(2) {
             let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
             bad |= hi | lo;
-            hi << 4 | (lo & 0xf)
-        })
-        .collect();
-    (bad < 16).then_some(bytes)
+            arena.push(hi << 4 | (lo & 0xf));
+        }
+        if bad >= 16 {
+            return None;
+        }
+    }
+    Extent::new(start, arena.len())
+}
+
+/// Eight lowercase hex digits, read as a little-endian word (the first
+/// digit in the low byte), decoded to four bytes in digit order; `None`
+/// if any byte is not in `0-9a-f`. Each range test adds a per-byte bias
+/// that carries into the byte's high bit exactly when the byte passes it;
+/// bytes are checked to be ASCII first, so no sum carries into the next
+/// byte.
+fn hex8(word: u64) -> Option<u32> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    if word & HIGH != 0 {
+        return None;
+    }
+    let at_least = |low: u8| word + ONES * (0x80 - low as u64);
+    let at_most = |high: u8| !(word + ONES * (0x7f - high as u64));
+    let digit = at_least(b'0') & at_most(b'9') & HIGH;
+    let alpha = at_least(b'a') & at_most(b'f') & HIGH;
+    if digit | alpha != HIGH {
+        return None;
+    }
+    // '0'-'9' carry their value in the low nibble; 'a'-'f' carry 1-6.
+    let nibbles = (word & (ONES * 0x0f)) + (alpha >> 7) * 9;
+    let bytes = (nibbles << 4 | nibbles >> 8) & 0x00ff_00ff_00ff_00ff;
+    let bytes = (bytes | bytes >> 8) & 0x0000_ffff_0000_ffff;
+    Some((bytes | bytes >> 16) as u32)
 }
 
 /// Splits the next space-terminated field off the front of `rest` (a byte
@@ -588,12 +636,13 @@ fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
     if status.next().is_some() {
         return None;
     }
-    let root_renaming = renaming(lines.next("witness root ")?)?;
+    let mut root_renaming = Vec::new();
+    renaming(lines.next("witness root ")?, &mut root_renaming)?;
     let pair_count: usize = dec(lines.next("witness pairs ")?)?.try_into().ok()?;
     // Every pair line takes 39 bytes and every obligation line at least
     // 46, so a count the rest of the payload cannot hold is rejected
     // before it sizes an allocation.
-    if pair_count > lines.0.len() / 39 {
+    if pair_count > lines.rest.len() / 39 {
         return None;
     }
     let mut pairs = Vec::with_capacity(pair_count);
@@ -605,10 +654,15 @@ fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
         });
     }
     let obl_count: usize = dec(lines.next("witness obligations ")?)?.try_into().ok()?;
-    if obl_count > lines.0.len() / 46 {
+    if obl_count > lines.rest.len() / 46 {
         return None;
     }
     let mut obligations = Vec::with_capacity(obl_count);
+    // Every obligation line holds at least 45 bytes besides its step
+    // digits, and two digits make one byte: this bound sizes the step
+    // arena once for a well-formed record.
+    let mut step_arena = Vec::with_capacity((lines.rest.len() - 45 * obl_count) / 2);
+    let mut renamings = Vec::new();
     for _ in 0..obl_count {
         // The steps field is the rest of the line, and `steps` rejects a
         // space in it, so a seventh field cannot slip through.
@@ -616,10 +670,10 @@ fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
         obligations.push(armada_recheck::Obligation {
             parent: dec(field(&mut rest)?)?.try_into().ok()?,
             micro: dec(field(&mut rest)?)?.try_into().ok()?,
-            renaming: renaming(field(&mut rest)?)?,
+            renaming: renaming(field(&mut rest)?, &mut renamings)?,
             steps_digest: hex64(field(&mut rest)?)?,
             hash: hex64(field(&mut rest)?)?,
-            steps_enc: steps(rest)?,
+            steps: steps(rest, &mut step_arena)?,
         });
     }
     let digest = hex64(lines.next("witness digest ")?)?;
@@ -633,6 +687,8 @@ fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
         root_renaming,
         pairs,
         obligations,
+        steps: step_arena,
+        renamings,
         digest,
     })
 }
@@ -655,17 +711,10 @@ mod tests {
         if nodes == 0 {
             return Witness::empty();
         }
-        let step = armada_recheck::encode_steps(&[armada_sm::Step::instr(1)]);
+        let step = [armada_sm::Step::instr(1)];
         let mut b = armada_recheck::WitnessBuilder::new(false, 8, Vec::new(), 0xaaaa, 0xbbbb);
         for i in 1..nodes {
-            b.push_node(
-                (i - 1) as u32,
-                0xaaaa + i as u64,
-                0xbbbb,
-                step.clone(),
-                1,
-                Vec::new(),
-            );
+            b.push_node((i - 1) as u32, 0xaaaa + i as u64, 0xbbbb, &step, &[]);
         }
         b.seal(true, nodes as u64, (nodes - 1) as u64)
     }
@@ -717,20 +766,22 @@ mod tests {
                     Obligation {
                         parent: 0,
                         micro: 1,
-                        renaming: Vec::new(),
-                        steps_enc: Vec::new(),
+                        renaming: Extent { start: 0, end: 0 },
+                        steps: Extent { start: 0, end: 0 },
                         steps_digest: 0,
                         hash: u64::MAX,
                     },
                     Obligation {
                         parent: 1,
                         micro: 4_294_967_295,
-                        renaming: vec![2, 1, 10],
-                        steps_enc: vec![0x00, 0x0f, 0xa5, 0xff, 0x10],
+                        renaming: Extent { start: 0, end: 3 },
+                        steps: Extent { start: 0, end: 5 },
                         steps_digest: 0x00ab_0000_0000_0001,
                         hash: 0,
                     },
                 ],
+                steps: vec![0x00, 0x0f, 0xa5, 0xff, 0x10],
+                renamings: vec![2, 1, 10],
                 digest: 0x8000_0000_0000_0000,
             },
         }
@@ -764,6 +815,45 @@ checksum 89b20f0d6a726aeb
         assert_eq!(deserialize(&text, false), Some(cert.clone()));
         let parsed = armada_recheck::parse_record(&text).expect("checker parses the record");
         assert_eq!(parsed.witness, cert.witness);
+    }
+
+    #[test]
+    fn step_digits_decode_a_word_at_a_time_and_accept_only_lowercase_hex() {
+        // Two whole words (decoded by `hex8`) and a tail pair (decoded by
+        // the table): every byte value at every position, plus a
+        // two-byte character.
+        let base = b"0123456789abcdef0123456789abcdef0f";
+        let decoded = |text: &str| {
+            let mut arena = vec![0xee];
+            steps(text, &mut arena).map(|extent| {
+                assert_eq!((extent.start, extent.end as usize), (1, arena.len()));
+                arena.split_off(1)
+            })
+        };
+        let reference = |digits: &[u8]| -> Vec<u8> {
+            digits
+                .chunks(2)
+                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+                .collect()
+        };
+        assert_eq!(
+            decoded(std::str::from_utf8(base).unwrap()),
+            Some(reference(base))
+        );
+        for at in 0..base.len() {
+            for byte in 0..=0x7fu8 {
+                let mut digits = *base;
+                digits[at] = byte;
+                let text = std::str::from_utf8(&digits).expect("ASCII");
+                let lowercase_hex = byte.is_ascii_digit() || (b'a'..=b'f').contains(&byte);
+                let want = lowercase_hex.then(|| reference(&digits));
+                assert_eq!(decoded(text), want, "byte {byte:#04x} at {at}");
+            }
+        }
+        assert_eq!(decoded("0123456789abcdé0123456789abcdef0f"), None);
+        assert_eq!(decoded("-"), Some(Vec::new()));
+        assert_eq!(decoded(""), None);
+        assert_eq!(decoded("012"), None);
     }
 
     #[test]

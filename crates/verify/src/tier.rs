@@ -328,7 +328,7 @@ mod tests {
         let witness = if n == 0 {
             armada_recheck::Witness::empty()
         } else {
-            let step = armada_recheck::encode_steps(&[armada_sm::Step::instr(1)]);
+            let step = [armada_sm::Step::instr(1)];
             let mut b = armada_recheck::WitnessBuilder::new(
                 false,
                 8,
@@ -337,14 +337,7 @@ mod tests {
                 0x2000,
             );
             for i in 1..n {
-                b.push_node(
-                    (i - 1) as u32,
-                    0x1000 + (n + i) as u64,
-                    0x2000,
-                    step.clone(),
-                    1,
-                    Vec::new(),
-                );
+                b.push_node((i - 1) as u32, 0x1000 + (n + i) as u64, 0x2000, &step, &[]);
             }
             b.seal(true, n as u64, n.saturating_sub(1) as u64)
         };

@@ -3,7 +3,7 @@
 # workspace has zero crates.io dependencies (see DESIGN.md, "Dependencies").
 #
 #   scripts/verify.sh          # release build + tier-1 tests + fmt and
-#                              # clippy checks
+#                              # clippy checks + recheck gate + e2e smoke
 #   scripts/verify.sh --full   # additionally: a quick pass over every
 #                              # bench target
 #
@@ -84,6 +84,15 @@ if "$RECHECK_BIN" recheck "$RC_DIR/counter/certs" >/dev/null 2>&1; then
     recheck_fail "corrupted witness was accepted"
 fi
 rm -rf "$RC_DIR"
+
+echo "==> e2e smoke (every verdict checked, warm passes and serve repeats must hit the store)"
+# One cold pass, ten warm plain/--recheck pairs and twenty serve requests
+# over the benchmark corpus: a wrong verdict, or a warm recipe that misses
+# the cert store (disk tier or the daemon's memory tier), exits nonzero.
+E2E_DIR=$(mktemp -d)
+cargo run --release --offline -p armada-bench --bin e2e -- --smoke --out "$E2E_DIR/e2e.json" \
+    || { rm -rf "$E2E_DIR"; echo "e2e smoke failed"; exit 1; }
+rm -rf "$E2E_DIR"
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "==> quick benches"
