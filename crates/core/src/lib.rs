@@ -345,7 +345,7 @@ impl PipelineReport {
     /// witnesses behind it (and audit them via `armada recheck`). `None`
     /// when the run yielded no certificates.
     pub fn witness_digest(&self) -> Option<String> {
-        let mut h = armada_recheck::Fnv::new();
+        let mut h = armada_recheck::WordDigest::new();
         let mut any = false;
         for cert in self.refinements.iter().filter_map(|r| r.as_ref().ok()) {
             h.u64(cert.witness.digest);

@@ -21,9 +21,11 @@
 //!   serializer (`armada-verify/src/store.rs`). The duplication is the
 //!   point: a parser bug in the tool cannot hide from the checker.
 //! * The *hash definitions* ([`subject_digest`], [`pair_digest`],
-//!   [`obligation_hash`], [`Witness::compute_digest`]) live here and are
-//!   reused by the emitter, so tool and checker agree on the format by
-//!   construction while the checker owns its meaning.
+//!   [`obligation_hash`], [`Witness::compute_digest`], [`record_checksum`])
+//!   live here and are reused by the emitter and the store, so tool and
+//!   checker agree on the format by construction while the checker owns
+//!   its meaning. All of them are one hash, [`WordDigest`], which is the
+//!   state-fingerprint hasher the replay already trusts.
 //!
 //! What `recheck` does and does not establish (see DESIGN.md,
 //! "Certificates and recheck"):
@@ -44,53 +46,68 @@
 //!   they do not re-establish it.
 
 use std::fmt;
+use std::hash::Hasher;
 
+use armada_sm::arena::FpHasher;
 use armada_sm::codec::{self, Dec, Enc};
 use armada_sm::{
     initial_state, lower, try_step, Canonicalizer, ProgState, Program, StateArena, Step, Tid,
 };
 
-/// FNV-1a, 64-bit, as an explicit incremental hasher so chained digests
-/// have one unambiguous byte-level definition shared by emitter and
-/// checker.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
+/// The witness format's one hash, as an explicit incremental hasher so
+/// chained digests have one unambiguous word-level definition shared by
+/// emitter and checker. It is [`FpHasher`], the word-at-a-time
+/// rotate-xor-multiply behind the state fingerprints a witness carries, so
+/// the checker trusts a single hash: each 64-bit word costs one multiply,
+/// where a byte-serial FNV paid one per byte. The state starts from a
+/// fixed nonzero word, so leading zero words still move it.
+pub struct WordDigest(FpHasher);
 
-impl Default for Fnv {
+/// The word every [`WordDigest`] absorbs first.
+const DIGEST_SEED: u64 = 0x6172_6d61_6461_7634; // "armadav4"
+
+impl Default for WordDigest {
     fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        WordDigest::new()
     }
 }
 
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv::default()
+impl WordDigest {
+    pub fn new() -> WordDigest {
+        let mut h = WordDigest(FpHasher::default());
+        h.u64(DIGEST_SEED);
+        h
     }
 
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    /// Absorbs `bytes` eight at a time; a short tail is zero-padded and
+    /// tagged with its length.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut WordDigest {
+        self.0.write(bytes);
         self
     }
 
-    pub fn u64(&mut self, v: u64) -> &mut Fnv {
-        self.bytes(&v.to_le_bytes())
+    pub fn u64(&mut self, v: u64) -> &mut WordDigest {
+        self.0.write_u64(v);
+        self
     }
 
-    pub fn str(&mut self, s: &str) -> &mut Fnv {
+    /// Absorbs `s` behind its length, so adjacent strings cannot trade
+    /// bytes.
+    pub fn str(&mut self, s: &str) -> &mut WordDigest {
         self.u64(s.len() as u64).bytes(s.as_bytes())
     }
 
     pub fn finish(&self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 
-/// One-shot FNV-1a over a byte slice.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    Fnv::new().bytes(bytes).finish()
+/// The checksum on a record's last line, over the whole payload before
+/// it (every line up to and including the one before `checksum`). The
+/// store's writer and parser and this crate's [`parse_record`] all call
+/// it, so the one definition cannot drift between them.
+pub fn record_checksum(payload: &str) -> u64 {
+    WordDigest::new().str(payload).finish()
 }
 
 /// Binds a witness to its subject: `content`, the content the check
@@ -101,8 +118,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// only in comments, layout or unrelated levels was checked against the
 /// same programs and passes.
 pub fn subject_digest(content: &str, low: &str, high: &str) -> u64 {
-    Fnv::new()
-        .str("armada-subject v3")
+    WordDigest::new()
+        .str("armada-subject v4")
         .str(content)
         .str(low)
         .str(high)
@@ -112,7 +129,7 @@ pub fn subject_digest(content: &str, low: &str, high: &str) -> u64 {
 /// Digest of one simulation pair: the canonical low state's fingerprint
 /// and the digest of its matched high-state set.
 pub fn pair_digest(low_fp: u64, set_digest: u64) -> u64 {
-    Fnv::new().u64(low_fp).u64(set_digest).finish()
+    WordDigest::new().u64(low_fp).u64(set_digest).finish()
 }
 
 /// Digest of a match set, over its member states' content fingerprints in
@@ -120,7 +137,7 @@ pub fn pair_digest(low_fp: u64, set_digest: u64) -> u64 {
 /// count: interned state *ids* depend on exploration interleaving,
 /// fingerprints do not.
 pub fn set_digest(member_fps_sorted: &[u64]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordDigest::new();
     h.u64(member_fps_sorted.len() as u64);
     for &fp in member_fps_sorted {
         h.u64(fp);
@@ -130,7 +147,7 @@ pub fn set_digest(member_fps_sorted: &[u64]) -> u64 {
 
 /// Digest of a canonical→original tid renaming (empty = identity).
 pub fn renaming_digest(map: &[Tid]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordDigest::new();
     h.u64(map.len() as u64);
     for &t in map {
         h.u64(t);
@@ -142,7 +159,15 @@ pub fn renaming_digest(map: &[Tid]) -> u64 {
 /// subject digest so a certificate can be emitted by the engine (which
 /// does not compute the subject) and bound to its subject afterwards.
 pub fn chain_seed() -> u64 {
-    fnv1a_64(b"armada-witness v2")
+    WordDigest::new().str("armada-witness v2").finish()
+}
+
+/// Digest of one obligation's encoded low steps, behind their length.
+pub fn steps_digest(encoded: &[u8]) -> u64 {
+    WordDigest::new()
+        .u64(encoded.len() as u64)
+        .bytes(encoded)
+        .finish()
 }
 
 /// One link of the obligation chain: the previous hash, both pair digests,
@@ -156,7 +181,7 @@ pub fn obligation_hash(
     steps_digest: u64,
     renaming: &[Tid],
 ) -> u64 {
-    Fnv::new()
+    WordDigest::new()
         .u64(prev)
         .u64(parent_digest)
         .u64(child_digest)
@@ -216,7 +241,7 @@ pub struct Obligation {
     /// the commuted symmetry renaming validated during replay: a range of
     /// [`Witness::renamings`].
     pub renaming: Extent,
-    /// FNV-1a digest of the step encoding.
+    /// [`steps_digest`] of the step encoding.
     pub steps_digest: u64,
     /// Chained [`obligation_hash`] up to and including this link.
     pub hash: u64,
@@ -308,7 +333,7 @@ impl Witness {
     /// [`Witness::compute_digest`] given every pair's [`pair_digest`] in
     /// order.
     fn digest_over(&self, pair_digests: impl Iterator<Item = u64>) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordDigest::new();
         h.str("armada-witness-digest v2")
             .u64(self.subject)
             .u64(self.complete as u64)
@@ -433,7 +458,7 @@ impl Witness {
             let (steps, renaming) = self
                 .slices(index)
                 .ok_or_else(|| fail("extent outside the witness arenas".to_string()))?;
-            if obl.steps_digest != fnv1a_64(steps) {
+            if obl.steps_digest != steps_digest(steps) {
                 return Err(fail(
                     "step digest does not cover the recorded steps".to_string(),
                 ));
@@ -529,7 +554,7 @@ impl WitnessBuilder {
         });
         let start = self.steps.len();
         encode_steps_into(&mut self.steps, steps);
-        let steps_digest = fnv1a_64(&self.steps.as_bytes()[start..]);
+        let steps_digest = steps_digest(&self.steps.as_bytes()[start..]);
         let renamed = self.renamings.len();
         self.renamings.extend_from_slice(renaming);
         let micro = u32::try_from(steps.len()).expect("an edge's micro-steps fit u32");
@@ -667,11 +692,11 @@ pub struct CertRecord {
     pub witness: Witness,
 }
 
-/// Magic first line this checker accepts (format v3, whose subject covers
-/// the level pair's content; v2 records bound the whole module source and
-/// v1 records predate witnesses, and both are rejected naming their
-/// version).
-pub const RECORD_MAGIC: &str = "armada-cert v3";
+/// Magic first line this checker accepts (format v4, whose digests and
+/// checksum hash 64-bit words; v3 records hashed bytes with FNV-1a, v2
+/// records bound the whole module source and v1 records predate
+/// witnesses, and all are rejected naming their version).
+pub const RECORD_MAGIC: &str = "armada-cert v4";
 
 fn parse_err(line: usize, reason: impl Into<String>) -> RecheckError {
     RecheckError::Parse {
@@ -856,15 +881,16 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
     let rest = text
         .strip_suffix('\n')
         .ok_or_else(|| parse_err(0, "record does not end in a newline"))?;
-    let (payload_text, checksum_line) = rest
-        .rsplit_once('\n')
-        .ok_or_else(|| parse_err(0, "record has no checksum line"))?;
-    let payload_text = format!("{payload_text}\n");
+    let checksum_at = rest
+        .rfind('\n')
+        .ok_or_else(|| parse_err(0, "record has no checksum line"))?
+        + 1;
+    let (payload_text, checksum_line) = (&text[..checksum_at], &rest[checksum_at..]);
     let stored = checksum_line
         .strip_prefix("checksum ")
         .ok_or_else(|| parse_err(0, "record has no checksum line"))?;
     let stored = parse_hex64(0, stored, "checksum")?;
-    let computed = fnv1a_64(payload_text.as_bytes());
+    let computed = record_checksum(payload_text);
     if stored != computed {
         return Err(RecheckError::Checksum {
             want: computed,
@@ -1446,7 +1472,7 @@ mod tests {
             "{RECORD_MAGIC}\nlow A\nhigh B\nproduct_nodes 2\nlow_transitions 1\n{}",
             witness_lines(&w)
         );
-        let checksum = fnv1a_64(payload.as_bytes());
+        let checksum = record_checksum(&payload);
         let text = format!("{payload}checksum {checksum:016x}\n");
         let record = parse_record(&text).expect("parses");
         assert_eq!(record.low, "A");

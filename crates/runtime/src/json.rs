@@ -107,6 +107,7 @@ impl Json {
     /// Parses one JSON value; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             at: 0,
         };
@@ -240,6 +241,7 @@ pub fn quote(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -340,12 +342,14 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the run of unescaped characters up to the next
+                    // quote or backslash in one step: both are ASCII, so the
+                    // run ends on a character boundary of the text.
+                    let start = self.at;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.at += 1;
+                    }
+                    out.push_str(&self.text[start..self.at]);
                 }
             }
         }
@@ -498,8 +502,23 @@ mod tests {
             .chain(['é', '⊑', '€', '𝄞', '\u{7ff}', '\u{ffff}'])
             .collect();
         let mut rng = SplitMix64::new(0x15);
-        for _ in 0..500 {
-            let s = rng.string_from(&alphabet, 24);
+        let mut strings: Vec<String> = (0..500).map(|_| rng.string_from(&alphabet, 24)).collect();
+        // A few strings of 64 KiB and more, one of them a single unescaped
+        // run: the parser copies each run in one step, so these parse in
+        // linear time.
+        let unescaped: Vec<char> = alphabet
+            .iter()
+            .copied()
+            .filter(|&c| c >= ' ' && c != '"' && c != '\\')
+            .collect();
+        for (letters, len) in [
+            (&alphabet, 64 * 1024),
+            (&alphabet, 100_000),
+            (&unescaped, 80_000),
+        ] {
+            strings.push((0..len).map(|_| *rng.choose(letters)).collect());
+        }
+        for s in strings {
             let wire = Json::Str(s.clone()).encode();
             assert_eq!(Json::parse(&wire), Ok(Json::Str(s.clone())), "{s:?}");
             assert_eq!(Report::Str(s.clone()).to_string(), wire, "{s:?}");

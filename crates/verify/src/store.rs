@@ -26,8 +26,9 @@
 //!   directory and `rename`s it into place, so a crash mid-write leaves
 //!   either the old entry or a stray `.tmp` — never a half-written `.cert`
 //!   at the addressed path.
-//! * **Checksummed records.** The record embeds an FNV-1a checksum of its
-//!   payload; [`CertStore::load`] re-verifies it, re-parses every field,
+//! * **Checksummed records.** The record embeds a checksum of its payload
+//!   ([`armada_recheck::record_checksum`], the witness format's word hash);
+//!   [`CertStore::load`] re-verifies it, re-parses every field,
 //!   and cross-checks the level names against the requested pair. Any
 //!   mismatch — torn write, flipped byte, truncation, hand-editing — makes
 //!   the load return `None`.
@@ -41,7 +42,9 @@
 //!   format bump changes [`CertKey`] derivation too, so every older entry
 //!   becomes unaddressable the moment it ships — a one-time full cache
 //!   invalidation, not a parse hazard. v3 re-keys records on the level
-//!   pair's content and binds the witness subject to the same content.
+//!   pair's content and binds the witness subject to the same content; v4
+//!   hashes 64-bit words, not bytes, in every witness digest and in the
+//!   record checksum.
 
 use std::fs;
 use std::io;
@@ -141,7 +144,9 @@ fn flip_payload_digit(bytes: &mut [u8]) {
 /// v2: records carry the machine-checkable refinement witness.
 /// v3: keys and witness subjects cover the level pair's content, not the
 /// module source.
-const FORMAT_VERSION: u32 = 3;
+/// v4: witness digests and the record checksum hash 64-bit words
+/// ([`armada_recheck::WordDigest`]), not bytes.
+const FORMAT_VERSION: u32 = 4;
 
 /// Magic first line of a certificate record — the checker's, so the store
 /// cannot drift from what `armada recheck` accepts.
@@ -410,7 +415,7 @@ pub fn serialize(cert: &RefinementCert) -> String {
         cert.product_nodes, cert.low_transitions
     ));
     armada_recheck::write_witness_lines(&cert.witness, &mut out);
-    let checksum = armada_runtime::hash::fnv1a_64(out.as_bytes());
+    let checksum = armada_recheck::record_checksum(&out);
     out.push_str(&format!("checksum {checksum:016x}\n"));
     out
 }
@@ -425,11 +430,9 @@ pub fn serialize(cert: &RefinementCert) -> String {
 /// sixteen lowercase digits per hex field), and lines end in a bare `\n`.
 pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
     // The checksum line is last; everything before it is the payload the
-    // checksum covers. Every payload line is hashed as it is parsed, and
-    // the record is rejected unless the lines read cover the payload and
-    // hash to the stored checksum, so *any* payload damage — even damage
-    // that would still parse — is rejected. Hashing in the parse loop lets
-    // the CPU overlap the hash's serial multiply chain with the parsing.
+    // checksum covers. The whole payload is hashed once before parsing, so
+    // *any* payload damage — even damage that would still parse — is
+    // rejected.
     let rest = text.strip_suffix('\n')?;
     let (payload, checksum_line) = text.split_at(rest.rfind('\n')? + 1);
     let stored = hex64(
@@ -437,10 +440,10 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
             .strip_prefix("checksum ")?
             .strip_suffix('\n')?,
     )?;
-    let mut lines = Lines {
-        rest: payload,
-        checksum: validate.then(Fnv64::new),
-    };
+    if validate && armada_recheck::record_checksum(payload) != stored {
+        return None;
+    }
+    let mut lines = Lines { rest: payload };
     if lines.next("")? != MAGIC {
         return None;
     }
@@ -449,7 +452,7 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
     let product_nodes = dec(lines.next("product_nodes ")?)?.try_into().ok()?;
     let low_transitions = dec(lines.next("low_transitions ")?)?.try_into().ok()?;
     let witness = parse_witness(&mut lines)?;
-    if !lines.rest.is_empty() || lines.checksum.is_some_and(|h| h.finish() != stored) {
+    if !lines.rest.is_empty() {
         return None;
     }
     let cert = RefinementCert {
@@ -471,10 +474,9 @@ pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
 }
 
 /// The unread rest of a record's payload, consumed one `\n`-terminated
-/// line at a time, and when validating, the checksum of the lines read.
+/// line at a time.
 struct Lines<'a> {
     rest: &'a str,
-    checksum: Option<Fnv64>,
 }
 
 impl<'a> Lines<'a> {
@@ -482,9 +484,6 @@ impl<'a> Lines<'a> {
     /// payload or when the line does not start with `prefix`.
     fn next(&mut self, prefix: &str) -> Option<&'a str> {
         let (line, rest) = self.rest.split_once('\n')?;
-        if let Some(checksum) = &mut self.checksum {
-            checksum.write(&self.rest.as_bytes()[..line.len() + 1]);
-        }
         self.rest = rest;
         line.strip_prefix(prefix)
     }
@@ -729,7 +728,7 @@ mod tests {
         }
     }
 
-    /// A record touching every field shape of the v3 layout: truncated
+    /// A record touching every field shape of the v4 layout: truncated
     /// status, multi-entry and identity renamings, empty and odd-valued
     /// step encodings, and digests at both ends of `u64`. Not a valid
     /// witness — only the bytes matter here.

@@ -24,7 +24,7 @@ cargo fmt --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> armada recheck gate (emit → recheck, fixture records, corrupted witness → reject, warm --recheck, comment edit → store hit)"
+echo "==> armada recheck gate (emit → recheck, fixture records, v3 record → reject, corrupted witness → reject, warm --recheck, comment edit → store hit)"
 # For every shipped spec, a cold run persists witness-bearing certs (one
 # per recipe); the independent checker must accept every record
 # (structural + semantic replay), and a warm --recheck run must
@@ -66,10 +66,10 @@ for spec in specs/*.arm; do
     grep -q "replayed" "$RC_DIR/$name/edited_recheck.out" \
         || recheck_fail "$spec: replay against the comment-edited copy did not run"
 done
-# Records written by an earlier build must stay accepted through the CLI:
-# tests/fixtures/certs pins the persisted state format (witnessed state
-# fingerprints and set digests), one directory per module with a copy of
-# its source.
+# The fixture records pin the current format version through the CLI:
+# tests/fixtures/certs holds records of this format (witnessed state
+# fingerprints, set digests and every hash), one directory per module
+# with a copy of its source, and each must recheck with replay.
 for dir in tests/fixtures/certs/*/; do
     name=$(basename "$dir")
     "$RECHECK_BIN" recheck "$dir" --source "$dir$name.arm" \
@@ -79,6 +79,15 @@ for dir in tests/fixtures/certs/*/; do
         || recheck_fail "fixture $name: semantic replay did not run"
 done
 CERT_FIXTURE=$(ls "$RC_DIR"/counter/certs/*.cert | head -n1)
+# A fresh record relabelled as the previous format must be rejected,
+# naming its version.
+mkdir "$RC_DIR/previous"
+sed '1s/^armada-cert v4$/armada-cert v3/' "$CERT_FIXTURE" >"$RC_DIR/previous/relabelled.cert"
+if "$RECHECK_BIN" recheck "$RC_DIR/previous" >"$RC_DIR/previous.out" 2>&1; then
+    recheck_fail "a record relabelled armada-cert v3 was accepted"
+fi
+grep -q "record format v3" "$RC_DIR/previous.out" \
+    || { cat "$RC_DIR/previous.out"; recheck_fail "recheck did not name record format v3"; }
 sed -i '/^witness digest /y/0123456789/1032547698/' "$CERT_FIXTURE"
 if "$RECHECK_BIN" recheck "$RC_DIR/counter/certs" >/dev/null 2>&1; then
     recheck_fail "corrupted witness was accepted"

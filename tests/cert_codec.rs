@@ -1,4 +1,4 @@
-//! Byte-level gates for the v3 certificate record codec on real records.
+//! Byte-level gates for the v4 certificate record codec on real records.
 //!
 //! The store's writer and parser are tuned for speed, so these tests pin
 //! what speed must not change: the exact bytes of the queue model's four
@@ -55,7 +55,8 @@ fn queue_record_checksums_are_pinned() {
 /// not the checksum — decide whether a damaged payload is accepted.
 fn reseal(payload: &[u8]) -> Vec<u8> {
     let mut record = payload.to_vec();
-    let checksum = armada_runtime::fnv1a_64(payload);
+    let text = std::str::from_utf8(payload).expect("damage keeps the record ASCII");
+    let checksum = armada_recheck::record_checksum(text);
     record.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
     record
 }

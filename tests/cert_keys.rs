@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use armada::lang::{check_module, parse_module};
-use armada::recheck::subject_digest;
+use armada::recheck::{record_checksum, subject_digest};
 use armada::sm::{lower, pair_content};
 use armada::verify::store::{serialize, CertKey, CertStore};
 use armada::verify::SimConfig;
@@ -320,37 +320,38 @@ fn editing_queues_middle_level_misses_exactly_its_two_recipes() {
 }
 
 #[test]
-fn a_v2_record_is_never_served_and_recheck_names_its_version() {
+fn a_previous_format_record_is_never_served_and_recheck_names_its_version() {
     let source = spec_source("specs/counter.arm");
-    let dir = scratch("v2");
+    let dir = scratch("v3");
     run_cached(&source, &dir);
     let file = stored(&dir).into_iter().next().expect("one record");
     let path = dir.join(&file);
     let record = std::fs::read_to_string(&path).expect("record");
     let cert = armada::verify::store::deserialize(&record, true).expect("valid record");
     assert_eq!(serialize(&cert), record);
-    // The same certificate in the v2 layout, checksum recomputed: only
-    // the magic line differs from a record the store accepts.
+    // The same certificate labelled v3, checksum recomputed: only the
+    // magic line differs from a record the store accepts.
     let payload = record
-        .replacen("armada-cert v3\n", "armada-cert v2\n", 1)
+        .replacen("armada-cert v4\n", "armada-cert v3\n", 1)
         .rsplit_once("checksum ")
         .expect("checksum line")
         .0
         .to_string();
-    let checksum = armada_runtime::fnv1a_64(payload.as_bytes());
-    let v2 = format!("{payload}checksum {checksum:016x}\n");
-    std::fs::write(&path, &v2).expect("plant the v2 record");
+    assert!(payload.starts_with("armada-cert v3\n"), "relabel must land");
+    let checksum = record_checksum(&payload);
+    let v3 = format!("{payload}checksum {checksum:016x}\n");
+    std::fs::write(&path, &v3).expect("plant the v3 record");
     let served = run_cached(&source, &dir);
     assert!(
         served
             .iter()
             .all(|(_, cache)| *cache == CacheDisposition::Miss),
-        "a v2 record was served: {served:?}"
+        "a v3 record was served: {served:?}"
     );
-    let err = armada::recheck::recheck_record(&v2, Some(&source)).expect_err("v2 accepted");
+    let err = armada::recheck::recheck_record(&v3, Some(&source)).expect_err("v3 accepted");
     assert!(
         err.to_string()
-            .contains("record format v2 is not supported"),
+            .contains("record format v3 is not supported (this checker reads v4)"),
         "{err}"
     );
     let _ = std::fs::remove_dir_all(&dir);

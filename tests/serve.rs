@@ -394,8 +394,18 @@ fn a_corrupted_witness_on_disk_is_recomputed_and_audited_never_served() {
         .and_then(|r| r.rsplit_once('\n'))
         .expect("record has a checksum line");
     let payload = format!("{payload}\n");
-    let checksum = armada_runtime::hash::fnv1a_64(payload.as_bytes());
-    std::fs::write(&cert_path, format!("{payload}checksum {checksum:016x}\n")).expect("rot lands");
+    let checksum = armada::recheck::record_checksum(&payload);
+    let rotted = format!("{payload}checksum {checksum:016x}\n");
+    // The resealed record passes the checksum; only the witness's own
+    // sealed digest rejects it.
+    assert!(
+        matches!(
+            armada::recheck::recheck_record(&rotted, None),
+            Err(armada::recheck::RecheckError::DigestMismatch { .. })
+        ),
+        "the rotted record must pass the checksum and fail the witness digest"
+    );
+    std::fs::write(&cert_path, rotted).expect("rot lands");
 
     let warm_digest = ask();
     assert_eq!(
