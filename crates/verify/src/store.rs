@@ -787,7 +787,7 @@ mod tests {
     }
 
     const GOLDEN: &str = "\
-armada-cert v3
+armada-cert v4
 low Impl
 high Spec
 product_nodes 3
@@ -803,7 +803,7 @@ witness obligations 2
 obl 0 1 - 0000000000000000 ffffffffffffffff -
 obl 1 4294967295 2,1,10 00ab000000000001 0000000000000000 000fa5ff10
 witness digest 8000000000000000
-checksum 89b20f0d6a726aeb
+checksum d5d659bd090b537b
 ";
 
     #[test]

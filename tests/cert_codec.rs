@@ -35,11 +35,11 @@ fn queue_record_checksums_are_pinned() {
         (
             "Implementation",
             "AbstractQueue",
-            "checksum a3f255ae42018aaa",
+            "checksum ed609e37fdd96b7b",
         ),
-        ("AbstractQueue", "Cemented", "checksum ace12476b0d7f778"),
-        ("Cemented", "Weak", "checksum 090b731f4a5f2eab"),
-        ("Weak", "Spec", "checksum 067dc3cdeff7b4a8"),
+        ("AbstractQueue", "Cemented", "checksum 10559a3c4007fe8a"),
+        ("Cemented", "Weak", "checksum ab2083ea0d9ef9eb"),
+        ("Weak", "Spec", "checksum d4cb576f667245c8"),
     ];
     let certs = queue_certs();
     assert_eq!(certs.len(), pinned.len());
