@@ -869,15 +869,29 @@ pub fn write_witness_lines(w: &Witness, out: &mut String) {
     out.push('\n');
 }
 
-/// Parses a full certificate record, validating the trailing checksum.
-/// This parser is deliberately independent of the store's (see the module
-/// docs).
+/// Parses a full certificate record, validating its format version and
+/// then the trailing checksum. This parser is deliberately independent of
+/// the store's (see the module docs).
 ///
 /// # Errors
 ///
 /// [`RecheckError::Parse`] naming the first offending line, or
 /// [`RecheckError::Checksum`].
 pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
+    // The version comes first: another format's checksum is another
+    // function, so a v3 record (FNV-1a) is named as v3, not as damaged.
+    let magic = text.lines().next().unwrap_or_default();
+    if magic != RECORD_MAGIC {
+        let reason = match magic.strip_prefix("armada-cert ") {
+            Some(version) => format!(
+                "record format {version} is not supported (this checker reads {}); \
+                 re-verify to write it again",
+                &RECORD_MAGIC["armada-cert ".len()..]
+            ),
+            None => format!("bad magic `{magic}`"),
+        };
+        return Err(parse_err(1, reason));
+    }
     let rest = text
         .strip_suffix('\n')
         .ok_or_else(|| parse_err(0, "record does not end in a newline"))?;
@@ -910,18 +924,7 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
         Ok((line_no, rest.to_string()))
     };
 
-    let (ln, magic_rest) = next("")?;
-    if magic_rest != RECORD_MAGIC {
-        let reason = match magic_rest.strip_prefix("armada-cert ") {
-            Some(version) => format!(
-                "record format {version} is not supported (this checker reads {}); \
-                 re-verify to write it again",
-                &RECORD_MAGIC["armada-cert ".len()..]
-            ),
-            None => format!("bad magic `{magic_rest}`"),
-        };
-        return Err(parse_err(ln, reason));
-    }
+    next("")?; // the magic, checked above
     let (_, low) = next("low ")?;
     let (_, high) = next("high ")?;
     let (ln, pn) = next("product_nodes ")?;
