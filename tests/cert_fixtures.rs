@@ -1,9 +1,10 @@
 //! The persisted state format, pinned: `tests/fixtures/certs/<name>/` holds
 //! the cert records of the current format version for `<name>.arm`, plus a
-//! copy of that source. Witnesses store low-state fingerprints and set digests over
-//! member fingerprints, so any change to how `ProgState` hashes (or to the
-//! canonical states the engines reach) shows up here as a record that no
-//! longer rechecks or no longer matches a fresh run byte for byte.
+//! copy of that source. Witnesses store low-state fingerprints and set
+//! digests over member fingerprints, so any change to how `ProgState`
+//! hashes (or to the canonical states the engines reach) shows up here as a
+//! record that no longer rechecks or no longer matches a fresh run byte for
+//! byte.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
