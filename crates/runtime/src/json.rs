@@ -106,15 +106,11 @@ impl Json {
 
     /// Parses one JSON value; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            at: 0,
-        };
+        let mut p = Parser { text, at: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.at != p.bytes.len() {
+        if p.at != text.len() {
             return Err(format!("trailing bytes at offset {}", p.at));
         }
         Ok(value)
@@ -242,14 +238,14 @@ pub fn quote(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.at)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -258,7 +254,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.text.as_bytes().get(self.at).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), String> {
@@ -271,7 +267,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(text.as_bytes()) {
+        if self.text[self.at..].starts_with(text) {
             self.at += text.len();
             Ok(value)
         } else {
@@ -301,7 +297,7 @@ impl<'a> Parser<'a> {
             self.at += 1;
         }
         // Integers only: the protocol never carries floats.
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii");
+        let text = &self.text[start..self.at];
         text.parse::<i64>()
             .map(Json::Int)
             .map_err(|_| format!("bad integer `{text}` at offset {start}"))
@@ -328,7 +324,8 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.at + 1..self.at + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
