@@ -453,7 +453,7 @@ fn run_once(
     let mut recheck_failures = Vec::new();
     if exit_code == 0 {
         for cert in report.refinements.iter().filter_map(|r| r.as_ref().ok()) {
-            let record = crate::verify::store::serialize(cert);
+            let record = crate::recheck::write_record(cert);
             if let Err(e) = crate::recheck::recheck_record(&record, Some(&subject.source)) {
                 recheck_failures.push(format!("{}⊑{}: {e}", cert.low, cert.high));
             }

@@ -17,9 +17,14 @@
 //!   It never links the exploration engine (`armada-verify`), whose search,
 //!   subsumption, and match-set machinery are exactly the code a witness
 //!   exists to double-check.
-//! * The record parser here is written independently of the store's
-//!   serializer (`armada-verify/src/store.rs`). The duplication is the
-//!   point: a parser bug in the tool cannot hide from the checker.
+//! * The record codec lives here, and only here: [`parse_record`] is the
+//!   one reader of a certificate record and [`write_record`] its one
+//!   writer; the store, its memory tier, the fuzzer and `armada recheck`
+//!   all call them. Soundness does not rest on the parser: a record is
+//!   accepted only if the parsed [`Witness`] passes the checksum,
+//!   [`Witness::validate`] and, with a source, [`replay`], so a misread
+//!   record either fails those checks or is a valid witness for that
+//!   subject. A second parser would add a grammar to trust, not a check.
 //! * The *hash definitions* ([`subject_digest`], [`pair_digest`],
 //!   [`obligation_hash`], [`Witness::compute_digest`], [`record_checksum`])
 //!   live here and are reused by the emitter and the store, so tool and
@@ -103,9 +108,7 @@ impl WordDigest {
 }
 
 /// The checksum on a record's last line, over the whole payload before
-/// it (every line up to and including the one before `checksum`). The
-/// store's writer and parser and this crate's [`parse_record`] all call
-/// it, so the one definition cannot drift between them.
+/// it (every line up to and including the one before `checksum`).
 pub fn record_checksum(payload: &str) -> u64 {
     WordDigest::new().str(payload).finish()
 }
@@ -251,8 +254,8 @@ pub struct Obligation {
 ///
 /// One flat layout: the fixed-size [`Obligation`] records index into two
 /// shared arenas, so a witness of any size is a handful of allocations.
-/// Every producer (the builder and both record parsers) lays the arenas out
-/// in obligation order, so equal witnesses compare equal field by field.
+/// Both producers (the builder and [`parse_record`]) lay the arenas out in
+/// obligation order, so equal witnesses compare equal field by field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
     /// [`subject_digest`] binding; 0 until [`Witness::bind_subject`].
@@ -682,15 +685,37 @@ impl fmt::Display for RecheckError {
     }
 }
 
-/// A parsed certificate record: the claimed verdict plus its witness.
+/// A certificate record: evidence that the bounded refinement check
+/// succeeded, as the store persists it and [`recheck_record`] reads it.
+/// `armada-verify` re-exports it as `RefinementCert`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertRecord {
+    /// Name of the low-level program.
     pub low: String,
+    /// Name of the high-level program.
     pub high: String,
+    /// Product nodes explored.
     pub product_nodes: usize,
+    /// Low-level micro-transitions checked (fused macro edges count their
+    /// full micro length).
     pub low_transitions: usize,
+    /// The machine-checkable witness: the simulation relation as
+    /// fingerprinted canonical state pairs plus one chained obligation per
+    /// product edge. [`replay`] checks it against the spec semantics
+    /// without re-exploring. Emitted unbound (subject 0) — the pipeline
+    /// binds it to the level pair's content before persisting.
     pub witness: Witness,
 }
+
+/// Version of the record format. The store's cert keys hash it, so a bump
+/// makes every older record unaddressable garbage instead of a parse
+/// hazard; [`RECORD_MAGIC`] names it on each record's first line.
+/// v2: records carry the machine-checkable refinement witness.
+/// v3: keys and witness subjects cover the level pair's content, not the
+/// module source.
+/// v4: witness digests and the record checksum hash 64-bit words
+/// ([`WordDigest`]), not bytes.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic first line this checker accepts (format v4, whose digests and
 /// checksum hash 64-bit words; v3 records hashed bytes with FNV-1a, v2
@@ -703,30 +728,6 @@ fn parse_err(line: usize, reason: impl Into<String>) -> RecheckError {
         line,
         reason: reason.into(),
     }
-}
-
-fn parse_hex64(line: usize, text: &str, what: &str) -> Result<u64, RecheckError> {
-    u64::from_str_radix(text, 16).map_err(|_| parse_err(line, format!("bad {what} `{text}`")))
-}
-
-/// Parses a renaming onto the end of `arena`, returning its extent.
-fn parse_renaming(line: usize, text: &str, arena: &mut Vec<Tid>) -> Result<Extent, RecheckError> {
-    let start = arena.len();
-    if text != "-" {
-        for t in text.split(',') {
-            let tid = t
-                .parse::<Tid>()
-                .map_err(|_| parse_err(line, format!("bad renaming entry `{t}`")))?;
-            arena.push(tid);
-        }
-    }
-    arena_extent(line, start, arena.len())
-}
-
-/// The extent `start..end` of a parsed field, or a parse error if the
-/// arena outgrew `u32` offsets.
-fn arena_extent(line: usize, start: usize, end: usize) -> Result<Extent, RecheckError> {
-    Extent::new(start, end).ok_or_else(|| parse_err(line, ARENA_LIMIT))
 }
 
 fn renaming_text(map: &[Tid]) -> String {
@@ -787,35 +788,32 @@ fn push_steps(out: &mut String, bytes: &[u8]) {
     }
 }
 
-/// Parses a step encoding onto the end of `arena`, returning its extent.
-fn hex_to_bytes(line: usize, text: &str, arena: &mut Vec<u8>) -> Result<Extent, RecheckError> {
-    let start = arena.len();
-    if text != "-" {
-        if !text.len().is_multiple_of(2) {
-            return Err(parse_err(line, "odd-length step encoding"));
-        }
-        for pair in text.as_bytes().chunks_exact(2) {
-            let byte = std::str::from_utf8(pair)
-                .ok()
-                .and_then(|pair| u8::from_str_radix(pair, 16).ok())
-                .ok_or_else(|| parse_err(line, "non-hex step encoding"))?;
-            arena.push(byte);
-        }
-    }
-    arena_extent(line, start, arena.len())
-}
-
-/// Renders the witness section exactly as the store serializes it; shared
-/// so emitter-side serialization and this crate's tests cannot drift.
-pub fn witness_lines(w: &Witness) -> String {
-    let mut out = String::new();
-    write_witness_lines(w, &mut out);
+/// Renders `cert` as its record, checksum line included: the one writer
+/// of the format [`parse_record`] reads. Header and witness go into one
+/// buffer, which is then checksummed in place.
+pub fn write_record(cert: &CertRecord) -> String {
+    let mut out = String::with_capacity(128 + cert.low.len() + cert.high.len());
+    out.push_str(RECORD_MAGIC);
+    out.push_str("\nlow ");
+    out.push_str(&cert.low);
+    out.push_str("\nhigh ");
+    out.push_str(&cert.high);
+    out.push_str("\nproduct_nodes ");
+    push_dec(&mut out, cert.product_nodes as u64);
+    out.push_str("\nlow_transitions ");
+    push_dec(&mut out, cert.low_transitions as u64);
+    out.push('\n');
+    write_witness_lines(&cert.witness, &mut out);
+    let checksum = record_checksum(&out);
+    out.push_str("checksum ");
+    push_hex16(&mut out, checksum);
+    out.push('\n');
     out
 }
 
 /// Appends the witness section of a record to `out` in one pass, reserving
-/// its size up front (the store renders whole records into one buffer).
-pub fn write_witness_lines(w: &Witness, out: &mut String) {
+/// its size up front.
+fn write_witness_lines(w: &Witness, out: &mut String) {
     // A reservation, not a bound: 39 bytes per pair line; per obligation
     // line 42 fixed bytes, up to 20 digits of parent and micro count, a
     // `-` or up to 21 bytes per renaming entry, and a `-` or two hex
@@ -869,42 +867,54 @@ pub fn write_witness_lines(w: &Witness, out: &mut String) {
     out.push('\n');
 }
 
-/// Parses a full certificate record, validating its format version and
-/// then the trailing checksum. This parser is deliberately independent of
-/// the store's (see the module docs).
+/// Bytes in every pair line (`pair`, two digests, a space, a newline).
+const PAIR_LINE: usize = 39;
+
+/// Bytes in the shortest obligation line: one-digit parent and micro
+/// count, identity renaming, two digests and `-` for the steps. All but
+/// one of them are not step digits.
+const MIN_OBLIGATION_LINE: usize = 46;
+
+/// Parses a full certificate record: the format version first (another
+/// format's checksum is another function, so a v3 record is named as v3,
+/// not as damaged), then the trailing checksum over the whole payload, so
+/// *any* payload damage — even damage that would still parse — is
+/// rejected, then every field. Numbers must be in the canonical form
+/// [`write_record`] writes (no sign, no leading zeros, exactly sixteen
+/// lowercase digits per hex field), lines end in a bare `\n`, and a count
+/// is checked against the bytes left before it sizes an allocation: every
+/// record this accepts writes back to the same bytes. It does not validate
+/// the witness; see [`Witness::validate`].
 ///
 /// # Errors
 ///
 /// [`RecheckError::Parse`] naming the first offending line, or
 /// [`RecheckError::Checksum`].
 pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
-    // The version comes first: another format's checksum is another
-    // function, so a v3 record (FNV-1a) is named as v3, not as damaged.
-    let magic = text.lines().next().unwrap_or_default();
+    let magic = text.split('\n').next().unwrap_or_default();
     if magic != RECORD_MAGIC {
         let reason = match magic.strip_prefix("armada-cert ") {
-            Some(version) => format!(
+            Some(version) if version.bytes().all(|b| b.is_ascii_alphanumeric()) => format!(
                 "record format {version} is not supported (this checker reads {}); \
                  re-verify to write it again",
                 &RECORD_MAGIC["armada-cert ".len()..]
             ),
-            None => format!("bad magic `{magic}`"),
+            _ => format!("bad magic `{}`", magic.escape_debug()),
         };
         return Err(parse_err(1, reason));
     }
+    // Line numbers are counted only on these error paths.
+    let line_at = |offset: usize| text[..offset].matches('\n').count() + 1;
     let rest = text
         .strip_suffix('\n')
-        .ok_or_else(|| parse_err(0, "record does not end in a newline"))?;
-    let checksum_at = rest
-        .rfind('\n')
-        .ok_or_else(|| parse_err(0, "record has no checksum line"))?
-        + 1;
-    let (payload_text, checksum_line) = (&text[..checksum_at], &rest[checksum_at..]);
+        .ok_or_else(|| parse_err(line_at(text.len()), "record does not end in a newline"))?;
+    let checksum_at = rest.rfind('\n').map_or(0, |at| at + 1);
+    let (payload, checksum_line) = (&text[..checksum_at], &rest[checksum_at..]);
     let stored = checksum_line
         .strip_prefix("checksum ")
-        .ok_or_else(|| parse_err(0, "record has no checksum line"))?;
-    let stored = parse_hex64(0, stored, "checksum")?;
-    let computed = record_checksum(payload_text);
+        .and_then(hex64)
+        .ok_or_else(|| parse_err(line_at(checksum_at), "record ends without a checksum line"))?;
+    let computed = record_checksum(payload);
     if stored != computed {
         return Err(RecheckError::Checksum {
             want: computed,
@@ -912,98 +922,45 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
         });
     }
 
-    let mut lines = payload_text.lines().enumerate().peekable();
-    let mut next = |want: &str| -> Result<(usize, String), RecheckError> {
-        let (i, line) = lines
-            .next()
-            .ok_or_else(|| parse_err(0, format!("record ends before `{want}`")))?;
-        let line_no = i + 1;
-        let rest = line
-            .strip_prefix(want)
-            .ok_or_else(|| parse_err(line_no, format!("expected `{want}…`, got `{line}`")))?;
-        Ok((line_no, rest.to_string()))
+    let mut lines = Lines {
+        rest: payload,
+        line: 0,
     };
-
-    next("")?; // the magic, checked above
-    let (_, low) = next("low ")?;
-    let (_, high) = next("high ")?;
-    let (ln, pn) = next("product_nodes ")?;
-    let product_nodes: usize = pn
-        .parse()
-        .map_err(|_| parse_err(ln, format!("bad product_nodes `{pn}`")))?;
-    let (ln, lt) = next("low_transitions ")?;
-    let low_transitions: usize = lt
-        .parse()
-        .map_err(|_| parse_err(ln, format!("bad low_transitions `{lt}`")))?;
-    let (ln, subject) = next("witness subject ")?;
-    let subject = parse_hex64(ln, &subject, "subject")?;
-    let (ln, status) = next("witness status ")?;
-    let words: Vec<&str> = status.split(' ').collect();
-    let [state, "waves", waves, "depth", depth, "symmetry", symmetry, "buffer", buffer] =
-        words.as_slice()
-    else {
-        return Err(parse_err(ln, format!("bad status line `{status}`")));
-    };
-    let complete = match *state {
-        "complete" => true,
-        "truncated" => false,
-        other => return Err(parse_err(ln, format!("bad status `{other}`"))),
-    };
-    let waves: u64 = waves.parse().map_err(|_| parse_err(ln, "bad wave count"))?;
-    let max_depth: u64 = depth.parse().map_err(|_| parse_err(ln, "bad depth"))?;
-    let symmetry = match *symmetry {
-        "0" => false,
-        "1" => true,
-        _ => return Err(parse_err(ln, "bad symmetry flag")),
-    };
-    let max_buffer: u64 = buffer
-        .parse()
-        .map_err(|_| parse_err(ln, "bad buffer bound"))?;
-    let (ln, root) = next("witness root ")?;
+    lines.next("")?; // the magic, checked above
+    let low = lines.next("low ")?.to_string();
+    let high = lines.next("high ")?.to_string();
+    let product_nodes = lines.read("product_nodes ", int)?;
+    let low_transitions = lines.read("low_transitions ", int)?;
+    let subject = lines.read("witness subject ", hex64)?;
+    let (complete, waves, max_depth, symmetry, max_buffer) =
+        lines.read("witness status ", status)?;
     let mut root_renaming = Vec::new();
-    parse_renaming(ln, &root, &mut root_renaming)?;
-    let (ln, count) = next("witness pairs ")?;
-    let pair_count: usize = count.parse().map_err(|_| parse_err(ln, "bad pair count"))?;
+    lines.read("witness root ", |text| renaming(text, &mut root_renaming))?;
+    let pair_count = lines.count("witness pairs ", PAIR_LINE)?;
     let mut pairs = Vec::with_capacity(pair_count);
     for _ in 0..pair_count {
-        let (ln, pair) = next("pair ")?;
-        let (fp, set) = pair
-            .split_once(' ')
-            .ok_or_else(|| parse_err(ln, "pair line wants two digests"))?;
-        pairs.push(WitnessPair {
-            low_fp: parse_hex64(ln, fp, "low fingerprint")?,
-            set_digest: parse_hex64(ln, set, "set digest")?,
-        });
+        pairs.push(lines.read("pair ", pair)?);
     }
-    let (ln, count) = next("witness obligations ")?;
-    let obl_count: usize = count
-        .parse()
-        .map_err(|_| parse_err(ln, "bad obligation count"))?;
+    let obl_count = lines.count("witness obligations ", MIN_OBLIGATION_LINE)?;
     let mut obligations = Vec::with_capacity(obl_count);
-    let (mut steps_arena, mut renamings) = (Vec::new(), Vec::new());
+    // Two digits make one step byte: the bytes left after every
+    // obligation line's non-step bytes bound the step arena, so it is
+    // sized once for a well-formed record.
+    let step_bytes = (lines.rest.len() - (MIN_OBLIGATION_LINE - 1) * obl_count) / 2;
+    let mut steps_arena = Vec::with_capacity(step_bytes);
+    let mut renamings = Vec::new();
     for _ in 0..obl_count {
-        let (ln, obl) = next("obl ")?;
-        let fields: Vec<&str> = obl.split(' ').collect();
-        let [parent, micro, renaming, steps_digest, hash, steps] = fields.as_slice() else {
-            return Err(parse_err(ln, "obligation line wants six fields"));
-        };
-        obligations.push(Obligation {
-            parent: parent
-                .parse()
-                .map_err(|_| parse_err(ln, "bad parent index"))?,
-            micro: micro
-                .parse()
-                .map_err(|_| parse_err(ln, "bad micro count"))?,
-            renaming: parse_renaming(ln, renaming, &mut renamings)?,
-            steps_digest: parse_hex64(ln, steps_digest, "step digest")?,
-            hash: parse_hex64(ln, hash, "obligation hash")?,
-            steps: hex_to_bytes(ln, steps, &mut steps_arena)?,
-        });
+        let text = lines.next("obl ")?;
+        let obl =
+            obligation(text, &mut renamings, &mut steps_arena).map_err(|field| lines.bad(field))?;
+        obligations.push(obl);
     }
-    let (ln, digest) = next("witness digest ")?;
-    let digest = parse_hex64(ln, &digest, "witness digest")?;
-    if let Some((i, line)) = lines.next() {
-        return Err(parse_err(i + 1, format!("trailing line `{line}`")));
+    let digest = lines.read("witness digest ", hex64)?;
+    if !lines.rest.is_empty() {
+        return Err(parse_err(
+            lines.line + 1,
+            "trailing line before the checksum",
+        ));
     }
     Ok(CertRecord {
         low,
@@ -1025,6 +982,244 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
             digest,
         },
     })
+}
+
+/// The unread rest of a record's payload, consumed one `\n`-terminated
+/// line at a time without copying, and the number of the last line read.
+struct Lines<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// The next line with `prefix` stripped.
+    fn next(&mut self, prefix: &str) -> Result<&'a str, RecheckError> {
+        self.line += 1;
+        let Some((line, rest)) = self.rest.split_once('\n') else {
+            return Err(parse_err(
+                self.line,
+                format!("record ends before `{prefix}…`"),
+            ));
+        };
+        self.rest = rest;
+        line.strip_prefix(prefix)
+            .ok_or_else(|| parse_err(self.line, format!("expected `{prefix}…`")))
+    }
+
+    /// The next line with `prefix` stripped, read by `read`.
+    fn read<T>(
+        &mut self,
+        prefix: &str,
+        read: impl FnOnce(&'a str) -> Option<T>,
+    ) -> Result<T, RecheckError> {
+        let text = self.next(prefix)?;
+        read(text).ok_or_else(|| self.bad(prefix.trim_end()))
+    }
+
+    /// The count of the lines that follow, each at least `line_bytes`
+    /// long: a count the rest of the payload cannot hold is rejected
+    /// before it sizes an allocation.
+    fn count(&mut self, prefix: &str, line_bytes: usize) -> Result<usize, RecheckError> {
+        let count = self.read(prefix, int)?;
+        if count > self.rest.len() / line_bytes {
+            return Err(parse_err(
+                self.line,
+                format!(
+                    "{count} lines cannot fit in the {} bytes left",
+                    self.rest.len()
+                ),
+            ));
+        }
+        Ok(count)
+    }
+
+    /// A malformed `what` on the line last read.
+    fn bad(&self, what: &str) -> RecheckError {
+        parse_err(self.line, format!("bad {what}"))
+    }
+}
+
+/// Each byte's value as a lowercase hex digit; 0xff marks a non-digit, so
+/// OR-ing the values of a field and testing the high nibble once checks
+/// every digit without a branch per byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Exactly sixteen lowercase hex digits.
+fn hex64(text: &str) -> Option<u64> {
+    let digits: &[u8; 16] = text.as_bytes().try_into().ok()?;
+    let (mut value, mut bad) = (0u64, 0u8);
+    for &c in digits {
+        let nibble = HEX_VALUE[c as usize];
+        bad |= nibble;
+        value = value << 4 | (nibble & 0xf) as u64;
+    }
+    (bad < 16).then_some(value)
+}
+
+/// A canonical decimal: digits only, no leading zero, no overflow.
+fn dec(text: &str) -> Option<u64> {
+    let bytes = text.as_bytes();
+    if bytes.is_empty() || (bytes[0] == b'0' && bytes.len() > 1) {
+        return None;
+    }
+    bytes.iter().try_fold(0u64, |v, &c| {
+        if !c.is_ascii_digit() {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add((c - b'0') as u64)
+    })
+}
+
+/// A canonical decimal that fits `T`.
+fn int<T: TryFrom<u64>>(text: &str) -> Option<T> {
+    dec(text)?.try_into().ok()
+}
+
+/// Splits the next space-terminated field off the front of `rest` (a byte
+/// scan: the fields before a step encoding are a few bytes long, too
+/// short for a `memchr` call to pay).
+fn field<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let at = rest.bytes().position(|b| b == b' ')?;
+    let head = &rest[..at];
+    *rest = &rest[at + 1..];
+    Some(head)
+}
+
+/// `name value` as the next two space-separated fields of `fields`.
+fn named<'a>(fields: &mut impl Iterator<Item = &'a str>, name: &str) -> Option<u64> {
+    if fields.next()? != name {
+        return None;
+    }
+    dec(fields.next()?)
+}
+
+/// A status line: completion, waves, depth, symmetry flag and buffer
+/// bound.
+fn status(text: &str) -> Option<(bool, u64, u64, bool, u64)> {
+    let mut words = text.split(' ');
+    let complete = match words.next()? {
+        "complete" => true,
+        "truncated" => false,
+        _ => return None,
+    };
+    let waves = named(&mut words, "waves")?;
+    let depth = named(&mut words, "depth")?;
+    let symmetry = match named(&mut words, "symmetry")? {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    let buffer = named(&mut words, "buffer")?;
+    words
+        .next()
+        .is_none()
+        .then_some((complete, waves, depth, symmetry, buffer))
+}
+
+/// A pair line's two digests.
+fn pair(text: &str) -> Option<WitnessPair> {
+    let (fp, set) = text.split_once(' ')?;
+    Some(WitnessPair {
+        low_fp: hex64(fp)?,
+        set_digest: hex64(set)?,
+    })
+}
+
+/// An obligation line's six fields, its renaming and steps parsed onto
+/// the ends of their arenas; the error names the first bad field.
+fn obligation(
+    mut rest: &str,
+    renamings: &mut Vec<Tid>,
+    steps_arena: &mut Vec<u8>,
+) -> Result<Obligation, &'static str> {
+    // The steps field is the rest of the line, and `steps` rejects a
+    // space in it, so a seventh field cannot slip through.
+    Ok(Obligation {
+        parent: field(&mut rest).and_then(int).ok_or("parent index")?,
+        micro: field(&mut rest).and_then(int).ok_or("micro count")?,
+        renaming: field(&mut rest)
+            .and_then(|text| renaming(text, renamings))
+            .ok_or("renaming")?,
+        steps_digest: field(&mut rest).and_then(hex64).ok_or("step digest")?,
+        hash: field(&mut rest).and_then(hex64).ok_or("obligation hash")?,
+        steps: steps(rest, steps_arena).ok_or("step encoding")?,
+    })
+}
+
+/// A renaming, `-` for the identity, else comma-separated tids, parsed
+/// onto the end of `arena`.
+fn renaming(text: &str, arena: &mut Vec<Tid>) -> Option<Extent> {
+    let start = arena.len();
+    if text != "-" {
+        for tid in text.split(',') {
+            arena.push(dec(tid)?);
+        }
+    }
+    Extent::new(start, arena.len())
+}
+
+/// A step encoding, `-` when empty, else lowercase hex pairs, decoded onto
+/// the end of `arena`: sixteen digits at a time through [`hex8`], the
+/// remaining pairs through [`HEX_VALUE`].
+fn steps(text: &str, arena: &mut Vec<u8>) -> Option<Extent> {
+    let start = arena.len();
+    if text != "-" {
+        let digits = text.as_bytes();
+        if digits.is_empty() || !digits.len().is_multiple_of(2) {
+            return None;
+        }
+        let mut words = digits.chunks_exact(16);
+        for word in &mut words {
+            let (first, second) = word.split_at(8);
+            let first = hex8(u64::from_le_bytes(first.try_into().ok()?))?;
+            let second = hex8(u64::from_le_bytes(second.try_into().ok()?))?;
+            arena.extend_from_slice(&(first as u64 | (second as u64) << 32).to_le_bytes());
+        }
+        let mut bad = 0u8;
+        for pair in words.remainder().chunks_exact(2) {
+            let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
+            bad |= hi | lo;
+            arena.push(hi << 4 | (lo & 0xf));
+        }
+        if bad >= 16 {
+            return None;
+        }
+    }
+    Extent::new(start, arena.len())
+}
+
+/// Eight lowercase hex digits, read as a little-endian word (the first
+/// digit in the low byte), decoded to four bytes in digit order; `None`
+/// if any byte is not in `0-9a-f`. Each range test adds a per-byte bias
+/// that carries into the byte's high bit exactly when the byte passes it;
+/// bytes are checked to be ASCII first, so no sum carries into the next
+/// byte.
+fn hex8(word: u64) -> Option<u32> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    if word & HIGH != 0 {
+        return None;
+    }
+    let at_least = |low: u8| word + ONES * (0x80 - low as u64);
+    let at_most = |high: u8| !(word + ONES * (0x7f - high as u64));
+    let digit = at_least(b'0') & at_most(b'9') & HIGH;
+    let alpha = at_least(b'a') & at_most(b'f') & HIGH;
+    if digit | alpha != HIGH {
+        return None;
+    }
+    // '0'-'9' carry their value in the low nibble; 'a'-'f' carry 1-6.
+    let nibbles = (word & (ONES * 0x0f)) + (alpha >> 7) * 9;
+    let bytes = (nibbles << 4 | nibbles >> 8) & 0x00ff_00ff_00ff_00ff;
+    let bytes = (bytes | bytes >> 8) & 0x0000_ffff_0000_ffff;
+    Some((bytes | bytes >> 16) as u32)
 }
 
 /// Encodes an edge's micro-steps onto the end of `e`: the step count,
@@ -1470,18 +1665,24 @@ mod tests {
 
     #[test]
     fn record_round_trips_through_the_independent_parser() {
-        let w = tiny_witness();
-        let payload = format!(
-            "{RECORD_MAGIC}\nlow A\nhigh B\nproduct_nodes 2\nlow_transitions 1\n{}",
-            witness_lines(&w)
+        let record = CertRecord {
+            low: "A".into(),
+            high: "B".into(),
+            product_nodes: 2,
+            low_transitions: 1,
+            witness: tiny_witness(),
+        };
+        let text = write_record(&record);
+        assert_eq!(RECORD_MAGIC, format!("armada-cert v{FORMAT_VERSION}"));
+        assert!(text.starts_with(&format!(
+            "{RECORD_MAGIC}\nlow A\nhigh B\nproduct_nodes 2\nlow_transitions 1\nwitness subject "
+        )));
+        let checksum_at = text.trim_end().rfind('\n').expect("checksum line") + 1;
+        assert_eq!(
+            &text[checksum_at..],
+            format!("checksum {:016x}\n", record_checksum(&text[..checksum_at]))
         );
-        let checksum = record_checksum(&payload);
-        let text = format!("{payload}checksum {checksum:016x}\n");
-        let record = parse_record(&text).expect("parses");
-        assert_eq!(record.low, "A");
-        assert_eq!(record.high, "B");
-        assert_eq!(record.product_nodes, 2);
-        assert_eq!(record.witness, w);
+        assert_eq!(parse_record(&text), Ok(record));
         recheck_record(&text, None).expect("structurally valid");
         // Any single-byte damage is rejected (checksum or field checks).
         let mut damaged = text.clone().into_bytes();
@@ -1490,6 +1691,45 @@ mod tests {
         if let Ok(damaged) = String::from_utf8(damaged) {
             assert!(recheck_record(&damaged, None).is_err());
         }
+    }
+
+    #[test]
+    fn step_digits_decode_a_word_at_a_time_and_accept_only_lowercase_hex() {
+        // Two whole words (decoded by `hex8`) and a tail pair (decoded by
+        // the table): every byte value at every position, plus a
+        // two-byte character.
+        let base = b"0123456789abcdef0123456789abcdef0f";
+        let decoded = |text: &str| {
+            let mut arena = vec![0xee];
+            steps(text, &mut arena).map(|extent| {
+                assert_eq!((extent.start, extent.end as usize), (1, arena.len()));
+                arena.split_off(1)
+            })
+        };
+        let reference = |digits: &[u8]| -> Vec<u8> {
+            digits
+                .chunks(2)
+                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+                .collect()
+        };
+        assert_eq!(
+            decoded(std::str::from_utf8(base).unwrap()),
+            Some(reference(base))
+        );
+        for at in 0..base.len() {
+            for byte in 0..=0x7fu8 {
+                let mut digits = *base;
+                digits[at] = byte;
+                let text = std::str::from_utf8(&digits).expect("ASCII");
+                let lowercase_hex = byte.is_ascii_digit() || (b'a'..=b'f').contains(&byte);
+                let want = lowercase_hex.then(|| reference(&digits));
+                assert_eq!(decoded(text), want, "byte {byte:#04x} at {at}");
+            }
+        }
+        assert_eq!(decoded("0123456789abcdé0123456789abcdef0f"), None);
+        assert_eq!(decoded("-"), Some(Vec::new()));
+        assert_eq!(decoded(""), None);
+        assert_eq!(decoded("012"), None);
     }
 
     #[test]

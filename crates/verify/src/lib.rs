@@ -205,26 +205,10 @@ impl SimConfig {
     }
 }
 
-/// Evidence that the bounded refinement check succeeded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefinementCert {
-    /// Name of the low-level program.
-    pub low: String,
-    /// Name of the high-level program.
-    pub high: String,
-    /// Product nodes explored.
-    pub product_nodes: usize,
-    /// Low-level micro-transitions checked (fused macro edges count their
-    /// full micro length).
-    pub low_transitions: usize,
-    /// The machine-checkable witness: the simulation relation as
-    /// fingerprinted canonical state pairs plus one chained obligation per
-    /// product edge. `armada recheck` replays it against the spec
-    /// semantics without re-exploring; see `armada-recheck` for the format
-    /// and the trusted-core boundary. Emitted unbound (subject 0) — the
-    /// pipeline binds it to the level pair's content before persisting.
-    pub witness: Witness,
-}
+/// Evidence that the bounded refinement check succeeded: the certificate
+/// record `armada-recheck` reads and writes, under the name the engine
+/// and the pipeline use.
+pub use armada_recheck::CertRecord as RefinementCert;
 
 /// Why a refinement check failed: a genuine counterexample, or a search
 /// budget ran out before the bounded state space was covered. Callers use
@@ -2694,7 +2678,7 @@ state (Running)
             let content = armada_sm::pair_content(&low, &high, &RelationKind::LogPrefix);
             cert.witness
                 .bind_subject(armada_recheck::subject_digest(&content, "Impl", "Spec"));
-            let record = crate::store::serialize(&cert);
+            let record = armada_recheck::write_record(&cert);
             let report = armada_recheck::recheck_record(&record, Some(src))
                 .unwrap_or_else(|e| panic!("reduction={reduction} symmetry={symmetry}: {e}"));
             assert!(report.replayed);

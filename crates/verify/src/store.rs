@@ -26,12 +26,15 @@
 //!   directory and `rename`s it into place, so a crash mid-write leaves
 //!   either the old entry or a stray `.tmp` — never a half-written `.cert`
 //!   at the addressed path.
-//! * **Checksummed records.** The record embeds a checksum of its payload
-//!   ([`armada_recheck::record_checksum`], the witness format's word hash);
-//!   [`CertStore::load`] re-verifies it, re-parses every field,
-//!   and cross-checks the level names against the requested pair. Any
-//!   mismatch — torn write, flipped byte, truncation, hand-editing — makes
-//!   the load return `None`.
+//! * **One codec, the checker's.** Records are written by
+//!   [`armada_recheck::write_record`] and read by
+//!   [`armada_recheck::parse_record`], the same codec `armada recheck`
+//!   trusts; this module holds no grammar of its own. The record embeds a
+//!   checksum of its payload ([`armada_recheck::record_checksum`], the
+//!   witness format's word hash); [`CertStore::load`] re-verifies it,
+//!   re-parses every field, and cross-checks the level names against the
+//!   requested pair. Any mismatch — torn write, flipped byte, truncation,
+//!   hand-editing — makes the load return `None`.
 //! * **Witness-bearing records (format v2).** Every record carries the
 //!   certificate's machine-checkable [`armada_recheck::Witness`] versioned
 //!   alongside the counters, and a validating load additionally runs the
@@ -39,12 +42,12 @@
 //!   encodings, the obligation hash chain, the sealed digest). A cached
 //!   verdict therefore re-proves its own shape on every load; `armada
 //!   recheck` can go further and replay it against the semantics. Each
-//!   format bump changes [`CertKey`] derivation too, so every older entry
-//!   becomes unaddressable the moment it ships — a one-time full cache
-//!   invalidation, not a parse hazard. v3 re-keys records on the level
-//!   pair's content and binds the witness subject to the same content; v4
-//!   hashes 64-bit words, not bytes, in every witness digest and in the
-//!   record checksum.
+//!   format bump ([`armada_recheck::FORMAT_VERSION`]) changes [`CertKey`]
+//!   derivation too, so every older entry becomes unaddressable the
+//!   moment it ships — a one-time full cache invalidation, not a parse
+//!   hazard. v3 re-keys records on the level pair's content and binds the
+//!   witness subject to the same content; v4 hashes 64-bit words, not
+//!   bytes, in every witness digest and in the record checksum.
 
 use std::fs;
 use std::io;
@@ -52,9 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use armada_recheck::{Extent, Witness};
 use armada_runtime::hash::Fnv64;
-use armada_sm::Tid;
 
 use crate::{RefinementCert, SimConfig};
 
@@ -138,20 +139,6 @@ fn flip_payload_digit(bytes: &mut [u8]) {
     }
 }
 
-/// Version tag embedded in both the key derivation and the file header;
-/// bump it when the record format or the certificate semantics change, and
-/// every old entry becomes unaddressable garbage instead of a parse hazard.
-/// v2: records carry the machine-checkable refinement witness.
-/// v3: keys and witness subjects cover the level pair's content, not the
-/// module source.
-/// v4: witness digests and the record checksum hash 64-bit words
-/// ([`armada_recheck::WordDigest`]), not bytes.
-const FORMAT_VERSION: u32 = 4;
-
-/// Magic first line of a certificate record — the checker's, so the store
-/// cannot drift from what `armada recheck` accepts.
-const MAGIC: &str = armada_recheck::RECORD_MAGIC;
-
 /// Content address of one certificate: a stable hash of everything that
 /// determines the check's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,7 +152,7 @@ impl CertKey {
     /// source with empty level names to coalesce requests per source.
     pub fn compute(content: &str, low: &str, high: &str, config: &SimConfig) -> CertKey {
         let mut h = Fnv64::new();
-        h.write_u64(FORMAT_VERSION as u64);
+        h.write_u64(armada_recheck::FORMAT_VERSION as u64);
         h.write_str(content);
         h.write_str(low);
         h.write_str(high);
@@ -253,11 +240,11 @@ impl CertStore {
     /// Returns the underlying IO error; callers may treat saving as
     /// best-effort (a failed save only costs a future recomputation).
     pub fn save(&self, key: &CertKey, cert: &RefinementCert) -> io::Result<()> {
-        self.save_serialized(key, cert, &serialize(cert))
+        self.save_serialized(key, cert, &armada_recheck::write_record(cert))
     }
 
     /// [`CertStore::save`] for a caller that already holds `record`, which
-    /// must be `serialize(cert)`: the tiered store serializes once and
+    /// must be `write_record(cert)`: the tiered store serializes once and
     /// shares the bytes between its tiers. The write-fault shim applies
     /// here, to this tier's copy only.
     pub(crate) fn save_serialized(
@@ -324,7 +311,12 @@ impl CertStore {
         let Ok(text) = String::from_utf8(bytes) else {
             return reject();
         };
-        let Some(cert) = deserialize(&text, !self.shim.unchecked_loads) else {
+        let loaded = if self.shim.unchecked_loads {
+            reseal(&text).and_then(|text| armada_recheck::parse_record(&text).ok())
+        } else {
+            validated(&text)
+        };
+        let Some(cert) = loaded else {
             return reject();
         };
         if cert.low == low && cert.high == high {
@@ -364,7 +356,7 @@ impl CertStore {
             }
             let ok = fs::read_to_string(&path)
                 .ok()
-                .and_then(|text| deserialize(&text, true))
+                .and_then(|text| validated(&text))
                 .is_some();
             if ok {
                 valid += 1;
@@ -396,305 +388,35 @@ fn level_name_fits(name: &str) -> bool {
     !name.is_empty() && !name.chars().any(|c| c.is_control())
 }
 
-/// Renders a certificate as its on-disk record (checksum line included).
-/// Header and witness go into one buffer, which is then checksummed in
-/// place; the witness section is rendered by `armada-recheck`'s own
-/// formatter, so the store and the independent checker agree on the bytes
-/// by construction. Public so the fuzzer and the soundness tests can feed
-/// emitted certs to `armada recheck` without a round trip through the
-/// filesystem.
-pub fn serialize(cert: &RefinementCert) -> String {
-    let mut out = String::with_capacity(128 + cert.low.len() + cert.high.len());
-    out.push_str(MAGIC);
-    out.push_str("\nlow ");
-    out.push_str(&cert.low);
-    out.push_str("\nhigh ");
-    out.push_str(&cert.high);
-    out.push_str(&format!(
-        "\nproduct_nodes {}\nlow_transitions {}\n",
-        cert.product_nodes, cert.low_transitions
-    ));
-    armada_recheck::write_witness_lines(&cert.witness, &mut out);
-    let checksum = armada_recheck::record_checksum(&out);
-    out.push_str(&format!("checksum {checksum:016x}\n"));
-    out
+/// A validating load of `text`: [`armada_recheck::parse_record`] (version,
+/// checksum, every field), then the witness's structural self-checks
+/// (counts, step encodings, hash chain, sealed digest). The disk tier, the
+/// memory tier and [`CertStore::audit`] all load through it.
+pub(crate) fn validated(text: &str) -> Option<RefinementCert> {
+    let cert = armada_recheck::parse_record(text).ok()?;
+    cert.witness
+        .validate(cert.product_nodes, cert.low_transitions, None)
+        .is_ok()
+        .then_some(cert)
 }
 
-/// Parses a record. `validate` is always true in production — it enforces
-/// the checksum *and* the witness's structural self-checks (counts, step
-/// encodings, hash chain, sealed digest) — and only the
-/// [`StoreShim::unchecked_loads`] mutant hook clears it. This parser is
-/// the store's own; `armada recheck` carries an independent one, and every
-/// record this one accepts, that one accepts too: numbers must be in the
-/// canonical form [`serialize`] writes (no sign, no leading zeros, exactly
-/// sixteen lowercase digits per hex field), and lines end in a bare `\n`.
-pub fn deserialize(text: &str, validate: bool) -> Option<RefinementCert> {
-    // The checksum line is last; everything before it is the payload the
-    // checksum covers. The whole payload is hashed once before parsing, so
-    // *any* payload damage — even damage that would still parse — is
-    // rejected.
+/// `text` with its checksum line recomputed over the payload before it,
+/// when its last line is a checksum line: what lets the
+/// [`StoreShim::unchecked_loads`] mutant serve a damaged record that
+/// still parses.
+fn reseal(text: &str) -> Option<String> {
     let rest = text.strip_suffix('\n')?;
-    let (payload, checksum_line) = text.split_at(rest.rfind('\n')? + 1);
-    let stored = hex64(
-        checksum_line
-            .strip_prefix("checksum ")?
-            .strip_suffix('\n')?,
-    )?;
-    if validate && armada_recheck::record_checksum(payload) != stored {
-        return None;
-    }
-    let mut lines = Lines { rest: payload };
-    if lines.next("")? != MAGIC {
-        return None;
-    }
-    let low = lines.next("low ")?.to_string();
-    let high = lines.next("high ")?.to_string();
-    let product_nodes = dec(lines.next("product_nodes ")?)?.try_into().ok()?;
-    let low_transitions = dec(lines.next("low_transitions ")?)?.try_into().ok()?;
-    let witness = parse_witness(&mut lines)?;
-    if !lines.rest.is_empty() {
-        return None;
-    }
-    let cert = RefinementCert {
-        low,
-        high,
-        product_nodes,
-        low_transitions,
-        witness,
-    };
-    if validate
-        && cert
-            .witness
-            .validate(cert.product_nodes, cert.low_transitions, None)
-            .is_err()
-    {
-        return None;
-    }
-    Some(cert)
-}
-
-/// The unread rest of a record's payload, consumed one `\n`-terminated
-/// line at a time.
-struct Lines<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Lines<'a> {
-    /// The next line with `prefix` stripped; `None` at the end of the
-    /// payload or when the line does not start with `prefix`.
-    fn next(&mut self, prefix: &str) -> Option<&'a str> {
-        let (line, rest) = self.rest.split_once('\n')?;
-        self.rest = rest;
-        line.strip_prefix(prefix)
-    }
-}
-
-/// Each byte's value as a lowercase hex digit; 0xff marks a non-digit, so
-/// OR-ing the values of a field and testing the high nibble once checks
-/// every digit without a branch per byte.
-const HEX_VALUE: [u8; 256] = {
-    let mut table = [0xff; 256];
-    let mut i = 0;
-    while i < 16 {
-        table[b"0123456789abcdef"[i] as usize] = i as u8;
-        i += 1;
-    }
-    table
-};
-
-/// Exactly sixteen lowercase hex digits.
-fn hex64(text: &str) -> Option<u64> {
-    let digits: &[u8; 16] = text.as_bytes().try_into().ok()?;
-    let (mut value, mut bad) = (0u64, 0u8);
-    for &c in digits {
-        let nibble = HEX_VALUE[c as usize];
-        bad |= nibble;
-        value = value << 4 | (nibble & 0xf) as u64;
-    }
-    (bad < 16).then_some(value)
-}
-
-/// A canonical decimal: digits only, no leading zero, no overflow.
-fn dec(text: &str) -> Option<u64> {
-    let bytes = text.as_bytes();
-    if bytes.is_empty() || (bytes[0] == b'0' && bytes.len() > 1) {
-        return None;
-    }
-    bytes.iter().try_fold(0u64, |v, &c| {
-        if !c.is_ascii_digit() {
-            return None;
-        }
-        v.checked_mul(10)?.checked_add((c - b'0') as u64)
-    })
-}
-
-/// A renaming, `-` for the identity, else comma-separated tids, parsed
-/// onto the end of `arena`.
-fn renaming(text: &str, arena: &mut Vec<Tid>) -> Option<Extent> {
-    let start = arena.len();
-    if text != "-" {
-        for tid in text.split(',') {
-            arena.push(dec(tid)?);
-        }
-    }
-    Extent::new(start, arena.len())
-}
-
-/// A step encoding, `-` when empty, else lowercase hex pairs, decoded onto
-/// the end of `arena`: sixteen digits at a time through [`hex8`], the
-/// remaining pairs through [`HEX_VALUE`].
-fn steps(text: &str, arena: &mut Vec<u8>) -> Option<Extent> {
-    let start = arena.len();
-    if text != "-" {
-        let digits = text.as_bytes();
-        if digits.is_empty() || !digits.len().is_multiple_of(2) {
-            return None;
-        }
-        let mut words = digits.chunks_exact(16);
-        for word in &mut words {
-            let (first, second) = word.split_at(8);
-            let first = hex8(u64::from_le_bytes(first.try_into().ok()?))?;
-            let second = hex8(u64::from_le_bytes(second.try_into().ok()?))?;
-            arena.extend_from_slice(&(first as u64 | (second as u64) << 32).to_le_bytes());
-        }
-        let mut bad = 0u8;
-        for pair in words.remainder().chunks_exact(2) {
-            let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
-            bad |= hi | lo;
-            arena.push(hi << 4 | (lo & 0xf));
-        }
-        if bad >= 16 {
-            return None;
-        }
-    }
-    Extent::new(start, arena.len())
-}
-
-/// Eight lowercase hex digits, read as a little-endian word (the first
-/// digit in the low byte), decoded to four bytes in digit order; `None`
-/// if any byte is not in `0-9a-f`. Each range test adds a per-byte bias
-/// that carries into the byte's high bit exactly when the byte passes it;
-/// bytes are checked to be ASCII first, so no sum carries into the next
-/// byte.
-fn hex8(word: u64) -> Option<u32> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    if word & HIGH != 0 {
-        return None;
-    }
-    let at_least = |low: u8| word + ONES * (0x80 - low as u64);
-    let at_most = |high: u8| !(word + ONES * (0x7f - high as u64));
-    let digit = at_least(b'0') & at_most(b'9') & HIGH;
-    let alpha = at_least(b'a') & at_most(b'f') & HIGH;
-    if digit | alpha != HIGH {
-        return None;
-    }
-    // '0'-'9' carry their value in the low nibble; 'a'-'f' carry 1-6.
-    let nibbles = (word & (ONES * 0x0f)) + (alpha >> 7) * 9;
-    let bytes = (nibbles << 4 | nibbles >> 8) & 0x00ff_00ff_00ff_00ff;
-    let bytes = (bytes | bytes >> 8) & 0x0000_ffff_0000_ffff;
-    Some((bytes | bytes >> 16) as u32)
-}
-
-/// Splits the next space-terminated field off the front of `rest` (a byte
-/// scan: the fields before a step encoding are a few bytes long, too
-/// short for a `memchr` call to pay).
-fn field<'a>(rest: &mut &'a str) -> Option<&'a str> {
-    let at = rest.bytes().position(|b| b == b' ')?;
-    let head = &rest[..at];
-    *rest = &rest[at + 1..];
-    Some(head)
-}
-
-/// `name value` as the next two space-separated fields of `fields`.
-fn named<'a>(fields: &mut impl Iterator<Item = &'a str>, name: &str) -> Option<u64> {
-    if fields.next()? != name {
-        return None;
-    }
-    dec(fields.next()?)
-}
-
-/// Parses the witness section (the store-side twin of the record layout in
-/// [`armada_recheck::write_witness_lines`]).
-fn parse_witness(lines: &mut Lines<'_>) -> Option<Witness> {
-    let subject = hex64(lines.next("witness subject ")?)?;
-    let mut status = lines.next("witness status ")?.split(' ');
-    let complete = match status.next()? {
-        "complete" => true,
-        "truncated" => false,
-        _ => return None,
-    };
-    let waves = named(&mut status, "waves")?;
-    let max_depth = named(&mut status, "depth")?;
-    let symmetry = match named(&mut status, "symmetry")? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let max_buffer = named(&mut status, "buffer")?;
-    if status.next().is_some() {
-        return None;
-    }
-    let mut root_renaming = Vec::new();
-    renaming(lines.next("witness root ")?, &mut root_renaming)?;
-    let pair_count: usize = dec(lines.next("witness pairs ")?)?.try_into().ok()?;
-    // Every pair line takes 39 bytes and every obligation line at least
-    // 46, so a count the rest of the payload cannot hold is rejected
-    // before it sizes an allocation.
-    if pair_count > lines.rest.len() / 39 {
-        return None;
-    }
-    let mut pairs = Vec::with_capacity(pair_count);
-    for _ in 0..pair_count {
-        let (fp, set) = lines.next("pair ")?.split_once(' ')?;
-        pairs.push(armada_recheck::WitnessPair {
-            low_fp: hex64(fp)?,
-            set_digest: hex64(set)?,
-        });
-    }
-    let obl_count: usize = dec(lines.next("witness obligations ")?)?.try_into().ok()?;
-    if obl_count > lines.rest.len() / 46 {
-        return None;
-    }
-    let mut obligations = Vec::with_capacity(obl_count);
-    // Every obligation line holds at least 45 bytes besides its step
-    // digits, and two digits make one byte: this bound sizes the step
-    // arena once for a well-formed record.
-    let mut step_arena = Vec::with_capacity((lines.rest.len() - 45 * obl_count) / 2);
-    let mut renamings = Vec::new();
-    for _ in 0..obl_count {
-        // The steps field is the rest of the line, and `steps` rejects a
-        // space in it, so a seventh field cannot slip through.
-        let mut rest = lines.next("obl ")?;
-        obligations.push(armada_recheck::Obligation {
-            parent: dec(field(&mut rest)?)?.try_into().ok()?,
-            micro: dec(field(&mut rest)?)?.try_into().ok()?,
-            renaming: renaming(field(&mut rest)?, &mut renamings)?,
-            steps_digest: hex64(field(&mut rest)?)?,
-            hash: hex64(field(&mut rest)?)?,
-            steps: steps(rest, &mut step_arena)?,
-        });
-    }
-    let digest = hex64(lines.next("witness digest ")?)?;
-    Some(Witness {
-        subject,
-        complete,
-        waves,
-        max_depth,
-        symmetry,
-        max_buffer,
-        root_renaming,
-        pairs,
-        obligations,
-        steps: step_arena,
-        renamings,
-        digest,
-    })
+    let at = rest.rfind('\n')? + 1;
+    rest[at..].strip_prefix("checksum ")?;
+    let payload = &text[..at];
+    let checksum = armada_recheck::record_checksum(payload);
+    Some(format!("{payload}checksum {checksum:016x}\n"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armada_recheck::{parse_record, write_record, Extent, Witness};
 
     fn scratch_store(test: &str) -> CertStore {
         let root =
@@ -809,50 +531,9 @@ checksum d5d659bd090b537b
     #[test]
     fn serialized_bytes_are_pinned_for_every_field_shape() {
         let cert = golden_cert();
-        let text = serialize(&cert);
+        let text = write_record(&cert);
         assert_eq!(text, GOLDEN);
-        assert_eq!(deserialize(&text, false), Some(cert.clone()));
-        let parsed = armada_recheck::parse_record(&text).expect("checker parses the record");
-        assert_eq!(parsed.witness, cert.witness);
-    }
-
-    #[test]
-    fn step_digits_decode_a_word_at_a_time_and_accept_only_lowercase_hex() {
-        // Two whole words (decoded by `hex8`) and a tail pair (decoded by
-        // the table): every byte value at every position, plus a
-        // two-byte character.
-        let base = b"0123456789abcdef0123456789abcdef0f";
-        let decoded = |text: &str| {
-            let mut arena = vec![0xee];
-            steps(text, &mut arena).map(|extent| {
-                assert_eq!((extent.start, extent.end as usize), (1, arena.len()));
-                arena.split_off(1)
-            })
-        };
-        let reference = |digits: &[u8]| -> Vec<u8> {
-            digits
-                .chunks(2)
-                .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
-                .collect()
-        };
-        assert_eq!(
-            decoded(std::str::from_utf8(base).unwrap()),
-            Some(reference(base))
-        );
-        for at in 0..base.len() {
-            for byte in 0..=0x7fu8 {
-                let mut digits = *base;
-                digits[at] = byte;
-                let text = std::str::from_utf8(&digits).expect("ASCII");
-                let lowercase_hex = byte.is_ascii_digit() || (b'a'..=b'f').contains(&byte);
-                let want = lowercase_hex.then(|| reference(&digits));
-                assert_eq!(decoded(text), want, "byte {byte:#04x} at {at}");
-            }
-        }
-        assert_eq!(decoded("0123456789abcdé0123456789abcdef0f"), None);
-        assert_eq!(decoded("-"), Some(Vec::new()));
-        assert_eq!(decoded(""), None);
-        assert_eq!(decoded("012"), None);
+        assert_eq!(parse_record(&text), Ok(cert));
     }
 
     #[test]
@@ -963,7 +644,7 @@ checksum d5d659bd090b537b
         flipped.save(&key, &cert).expect("flipped save");
         let text = std::fs::read_to_string(store.path_for(&key)).expect("read");
         assert!(
-            deserialize(&text, false).is_some(),
+            reseal(&text).is_some_and(|text| parse_record(&text).is_ok()),
             "bit-flipped record must still parse (the checksum is the only defense)"
         );
         assert_eq!(store.load(&key, "Impl", "Spec"), None, "flipped record");

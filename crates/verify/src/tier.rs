@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use armada_runtime::CounterSet;
 
-use crate::store::{deserialize, serialize, CertKey, CertStore, StoreShim};
+use crate::store::{validated, CertKey, CertStore, StoreShim};
 use crate::RefinementCert;
 
 /// One tier-1 entry: the serialized record (checksum line included) plus
@@ -92,7 +92,7 @@ impl MemTier {
             entry.last_used = clock;
             Arc::clone(&entry.record)
         };
-        match deserialize(&record, true).filter(|c| c.low == low && c.high == high) {
+        match validated(&record).filter(|c| c.low == low && c.high == high) {
             Some(cert) => {
                 self.mem_hits.fetch_add(1, Ordering::Relaxed);
                 Some(cert)
@@ -268,7 +268,7 @@ impl TieredStore {
     /// bytes. A disk IO error does not poison the memory tier (the cert is
     /// valid either way), but is still reported to the caller.
     pub fn save(&self, key: &CertKey, cert: &RefinementCert) -> io::Result<()> {
-        let record = serialize(cert);
+        let record = armada_recheck::write_record(cert);
         if let Some(mem) = &self.mem {
             // Note: the *unshimmed* bytes. Write faults model disk sectors;
             // the memory tier is damaged only via its own hook.
@@ -428,7 +428,7 @@ mod tests {
         let k = MemTier::key_of(&key(1));
         // A fetch clones the rotted bytes and starts validating them...
         let stale = Arc::clone(&mem.entries.lock().unwrap().map[&k].record);
-        assert!(deserialize(&stale, true).is_none());
+        assert!(validated(&stale).is_none());
         // ...while a save installs a fresh record under the same key.
         tiered.save(&key(1), &cert(2)).expect("save");
         mem.evict_if_current(k, &stale);

@@ -24,12 +24,12 @@ cargo fmt --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> armada recheck gate (emit → recheck, fixture records, v3 record → reject, corrupted witness → reject, warm --recheck, comment edit → store hit)"
+echo "==> armada recheck gate (emit → recheck, fixture records, v3 record / corrupted witness / torn record → reject, warm --recheck, comment edit → store hit)"
 # For every shipped spec, a cold run persists witness-bearing certs (one
-# per recipe); the independent checker must accept every record
+# per recipe); the checker must accept every record
 # (structural + semantic replay), and a warm --recheck run must
-# self-validate its cache hits. Then rot one record's witness section in
-# place — recheck must reject it nonzero.
+# self-validate its cache hits. Then relabel, corrupt and cut copies of
+# one record — recheck must reject each with exit 1.
 cargo build --release --offline -p armada --bin armada
 RECHECK_BIN=target/release/armada
 RC_DIR=$(mktemp -d)
@@ -79,19 +79,27 @@ for dir in tests/fixtures/certs/*/; do
         || recheck_fail "fixture $name: semantic replay did not run"
 done
 CERT_FIXTURE=$(ls "$RC_DIR"/counter/certs/*.cert | head -n1)
+# A rejection is exit 1 with a REJECTED line: a panic (101) or an abort
+# (134) is a crash, not a verdict.
+expect_rejected() {
+    local out="$RC_DIR/$1.out" rc=0
+    "$RECHECK_BIN" recheck "$RC_DIR/$1" >"$out" 2>&1 || rc=$?
+    if [[ $rc -ne 1 ]] || ! grep -q "REJECTED" "$out"; then
+        cat "$out"
+        recheck_fail "$2 was not rejected (exit $rc; want 1 and REJECTED)"
+    fi
+}
+mkdir "$RC_DIR/previous" "$RC_DIR/corrupt" "$RC_DIR/torn"
 # A fresh record relabelled as the previous format must be rejected,
 # naming its version.
-mkdir "$RC_DIR/previous"
 sed '1s/^armada-cert v4$/armada-cert v3/' "$CERT_FIXTURE" >"$RC_DIR/previous/relabelled.cert"
-if "$RECHECK_BIN" recheck "$RC_DIR/previous" >"$RC_DIR/previous.out" 2>&1; then
-    recheck_fail "a record relabelled armada-cert v3 was accepted"
-fi
+expect_rejected previous "a record relabelled armada-cert v3"
 grep -q "record format v3" "$RC_DIR/previous.out" \
     || { cat "$RC_DIR/previous.out"; recheck_fail "recheck did not name record format v3"; }
-sed -i '/^witness digest /y/0123456789/1032547698/' "$CERT_FIXTURE"
-if "$RECHECK_BIN" recheck "$RC_DIR/counter/certs" >/dev/null 2>&1; then
-    recheck_fail "corrupted witness was accepted"
-fi
+sed '/^witness digest /y/0123456789/1032547698/' "$CERT_FIXTURE" >"$RC_DIR/corrupt/witness.cert"
+expect_rejected corrupt "a corrupted witness"
+head -c "$(( $(wc -c <"$CERT_FIXTURE") / 2 ))" "$CERT_FIXTURE" >"$RC_DIR/torn/half.cert"
+expect_rejected torn "a record cut to half its length"
 rm -rf "$RC_DIR"
 
 echo "==> e2e smoke (every verdict checked, warm passes and serve repeats must hit the store)"

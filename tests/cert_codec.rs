@@ -1,13 +1,15 @@
 //! Byte-level gates for the v4 certificate record codec on real records.
 //!
-//! The store's writer and parser are tuned for speed, so these tests pin
+//! `armada-recheck`'s `parse_record` is the one reader of a record and
+//! `write_record` its one writer, both tuned for speed, so these tests pin
 //! what speed must not change: the exact bytes of the queue model's four
-//! records, and agreement with `armada-recheck`'s independent parser on
-//! every record the store accepts.
+//! records, a grammar with one spelling per certificate (every damaged
+//! variant the parser accepts writes back to its own bytes), and the
+//! non-canonical spellings it rejects.
 
 use std::sync::OnceLock;
 
-use armada::verify::store::{deserialize, serialize};
+use armada::recheck::{parse_record, record_checksum, write_record, RecheckError};
 use armada::verify::{RefinementCert, SimConfig};
 use armada::Pipeline;
 
@@ -45,86 +47,127 @@ fn queue_record_checksums_are_pinned() {
     assert_eq!(certs.len(), pinned.len());
     for (cert, (low, high, checksum)) in certs.iter().zip(pinned) {
         assert_eq!((cert.low.as_str(), cert.high.as_str()), (low, high));
-        let record = serialize(cert);
+        let record = write_record(cert);
         let last = record.trim_end_matches('\n').rsplit('\n').next();
         assert_eq!(last, Some(checksum), "{low} ⊑ {high}");
     }
 }
 
-/// `payload` with a freshly computed checksum line, so only the parsers —
-/// not the checksum — decide whether a damaged payload is accepted.
+/// `payload` with a freshly computed checksum line, so only the parser —
+/// not the checksum — decides whether a damaged payload is accepted.
 fn reseal(payload: &[u8]) -> Vec<u8> {
     let mut record = payload.to_vec();
     let text = std::str::from_utf8(payload).expect("damage keeps the record ASCII");
-    let checksum = armada_recheck::record_checksum(text);
+    let checksum = record_checksum(text);
     record.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
     record
 }
 
-/// Whenever the store's parser accepts `record`, the checker's
-/// independent parser must accept it too and read the same certificate.
-/// Returns whether the store accepted.
-fn store_acceptance_implies_checker_agreement(record: &[u8], validate: bool) -> bool {
+/// Whenever the parser accepts `record`, writing what it read reproduces
+/// `record` byte for byte: the grammar has one spelling per certificate.
+/// Returns whether the parser accepted.
+fn acceptance_implies_round_trip(record: &[u8]) -> bool {
     let Ok(text) = std::str::from_utf8(record) else {
         return false;
     };
-    let Some(cert) = deserialize(text, validate) else {
+    let Ok(parsed) = parse_record(text) else {
         return false;
     };
-    let parsed = armada_recheck::parse_record(text)
-        .unwrap_or_else(|e| panic!("store accepted a record the checker rejects: {e}\n{text}"));
     assert_eq!(
-        (
-            parsed.low.as_str(),
-            parsed.high.as_str(),
-            parsed.product_nodes,
-            parsed.low_transitions,
-        ),
-        (
-            cert.low.as_str(),
-            cert.high.as_str(),
-            cert.product_nodes,
-            cert.low_transitions,
-        ),
-        "{text}"
+        write_record(&parsed),
+        text,
+        "accepted, but writes back otherwise"
     );
-    assert_eq!(parsed.witness, cert.witness, "{text}");
     true
 }
 
-#[test]
-fn the_store_parser_accepts_no_record_the_checker_rejects() {
-    let cert = queue_certs()
+/// The smallest queue certificate with at least two obligations.
+fn small_queue_cert() -> &'static RefinementCert {
+    queue_certs()
         .iter()
         .filter(|c| c.witness.obligations.len() >= 2)
         .min_by_key(|c| c.product_nodes)
-        .expect("a multi-obligation queue certificate");
-    let record = serialize(cert).into_bytes();
+        .expect("a multi-obligation queue certificate")
+}
+
+#[test]
+fn every_damaged_record_the_parser_accepts_writes_back_to_its_bytes() {
+    let record = write_record(small_queue_cert()).into_bytes();
     let payload_len = record.len() - "checksum 0123456789abcdef\n".len();
-    assert!(store_acceptance_implies_checker_agreement(&record, true));
+    assert!(acceptance_implies_round_trip(&record));
 
     let mut accepted = 0;
     for index in 0..record.len() {
         for mask in [0x01, 0x20] {
             let mut flipped = record.clone();
             flipped[index] ^= mask;
-            store_acceptance_implies_checker_agreement(&flipped, true);
+            acceptance_implies_round_trip(&flipped);
             if index < payload_len {
-                let resealed = reseal(&flipped[..payload_len]);
-                store_acceptance_implies_checker_agreement(&resealed, true);
-                accepted += store_acceptance_implies_checker_agreement(&resealed, false) as usize;
+                accepted +=
+                    acceptance_implies_round_trip(&reseal(&flipped[..payload_len])) as usize;
             }
         }
     }
     for cut in 0..record.len() {
-        store_acceptance_implies_checker_agreement(&record[..cut], true);
-        let resealed = reseal(&record[..cut.min(payload_len)]);
-        store_acceptance_implies_checker_agreement(&resealed, true);
-        accepted += store_acceptance_implies_checker_agreement(&resealed, false) as usize;
+        acceptance_implies_round_trip(&record[..cut]);
+        accepted +=
+            acceptance_implies_round_trip(&reseal(&record[..cut.min(payload_len)])) as usize;
     }
-    // Digit flips inside numeric fields still parse, so the comparison
+    // Digit flips inside numeric fields still parse, so the round trip
     // above ran on many accepted variants, not only on rejections.
     assert!(accepted > 1000, "only {accepted} damaged variants parsed");
+}
+
+#[test]
+fn non_canonical_spellings_are_rejected_naming_their_line() {
+    let cert = small_queue_cert();
+    let record = write_record(cert);
+    let payload = record.rsplit_once("checksum ").expect("checksum line").0;
+    let digest_line = format!("witness digest {:016x}", cert.witness.digest);
+    let digest_at = payload
+        .lines()
+        .position(|line| line == digest_line)
+        .expect("digest line")
+        + 1;
+    let crlf = payload.replace('\n', "\r\n");
+    let crlf = format!("{crlf}checksum {:016x}\r\n", record_checksum(&crlf));
+    let cases = [
+        (
+            "a leading zero",
+            reseal(
+                payload
+                    .replacen("\nproduct_nodes ", "\nproduct_nodes 0", 1)
+                    .as_bytes(),
+            ),
+            4,
+        ),
+        (
+            "an uppercase hex digest",
+            reseal(
+                payload
+                    .replacen(
+                        &digest_line,
+                        &format!("witness digest {:016X}", cert.witness.digest),
+                        1,
+                    )
+                    .as_bytes(),
+            ),
+            digest_at,
+        ),
+        ("CRLF line ends", crlf.into_bytes(), 1),
+    ];
+    for (what, variant, want) in cases {
+        assert_ne!(
+            variant,
+            record.as_bytes(),
+            "{what}: the variant must differ"
+        );
+        let text = std::str::from_utf8(&variant).expect("ASCII");
+        match parse_record(text) {
+            Err(RecheckError::Parse { line, .. }) => assert_eq!(line, want, "{what}"),
+            other => panic!("{what}: not a parse error: {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -133,10 +176,8 @@ fn the_largest_queue_record_rechecks_and_replays() {
         .iter()
         .find(|c| (c.low.as_str(), c.high.as_str()) == ("Weak", "Spec"))
         .expect("the WeakRefinesSpec certificate");
-    let record = serialize(cert);
-    assert_eq!(deserialize(&record, true).as_ref(), Some(cert));
-    let parsed = armada_recheck::parse_record(&record).expect("checker parses");
-    assert_eq!(parsed.witness, cert.witness);
+    let record = write_record(cert);
+    assert_eq!(parse_record(&record).as_ref(), Ok(cert));
     let report = armada_recheck::recheck_record(&record, Some(armada_cases::queue::MODEL))
         .expect("recheck with replay");
     assert!(report.replayed);

@@ -3,17 +3,16 @@
 //! independent checker rejects it with a structured error naming the
 //! failure.
 //!
-//! Every mutation here goes back through [`serialize`], which embeds a
+//! Every mutation here goes back through [`write_record`], which embeds a
 //! *fresh* checksum over the mutated payload — so the store's checksum
 //! cannot be what rejects the record. Only the witness validation
 //! (structural checks, the obligation hash chain, the subject binding)
 //! stands between a forged record and an accepted verdict, which is
 //! exactly the trust boundary `armada recheck` claims to enforce.
 
-use armada::verify::store::serialize;
 use armada::verify::{RefinementCert, SimConfig};
 use armada::Pipeline;
-use armada_recheck::{recheck_record, RecheckError};
+use armada_recheck::{parse_record, recheck_record, write_record, RecheckError};
 
 fn spec_source(rel: &str) -> String {
     std::fs::read_to_string(format!("{}/{rel}", env!("CARGO_MANIFEST_DIR")))
@@ -52,7 +51,7 @@ fn a_flipped_obligation_hash_is_rejected_naming_the_obligation() {
     let source = spec_source("specs/counter.arm");
     let mut cert = rich_cert(&source);
     cert.witness.obligations[0].hash ^= 1;
-    let record = serialize(&cert);
+    let record = write_record(&cert);
     let err = recheck_record(&record, Some(&source)).expect_err("forged hash accepted");
     assert!(
         matches!(err, RecheckError::ObligationHash { index: 0, .. }),
@@ -74,7 +73,7 @@ fn a_dropped_simulation_pair_is_rejected_by_the_count_cross_check() {
     let claimed = cert.product_nodes;
     cert.witness.pairs.pop();
     cert.witness.digest = cert.witness.compute_digest();
-    let record = serialize(&cert);
+    let record = write_record(&cert);
     let err = recheck_record(&record, Some(&source)).expect_err("dropped pair accepted");
     match err {
         RecheckError::PairCount {
@@ -97,7 +96,7 @@ fn a_truncated_witness_tail_is_rejected() {
     let mut cert = rich_cert(&source);
     cert.witness.obligations.pop();
     cert.witness.digest = cert.witness.compute_digest();
-    let record = serialize(&cert);
+    let record = write_record(&cert);
     let err = recheck_record(&record, Some(&source)).expect_err("truncated witness accepted");
     match err {
         RecheckError::ObligationCount { obligations, pairs } => {
@@ -118,12 +117,57 @@ fn a_witness_spliced_across_subjects_is_rejected() {
     let mut cert = rich_cert(&counter);
     let donor = rich_cert(&spinlock);
     cert.witness = donor.witness;
-    let record = serialize(&cert);
+    let record = write_record(&cert);
     let err = recheck_record(&record, Some(&counter)).expect_err("spliced witness accepted");
     assert!(
         matches!(err, RecheckError::SubjectMismatch { .. }),
         "wrong rejection: {err}"
     );
+}
+
+/// Mutation class 6: a record whose `witness pairs` or `witness
+/// obligations` count claims 2^40 or 2^60 lines, checksum recomputed. The
+/// parser weighs a count against the bytes left before it sizes an
+/// allocation, so each forgery is a parse error naming the count's line
+/// (not an abort), and a store miss.
+#[test]
+fn a_hostile_witness_count_is_a_parse_error_naming_its_line() {
+    use armada::verify::store::{CertKey, CertStore};
+
+    let source = spec_source("specs/counter.arm");
+    let cert = rich_cert(&source);
+    let record = write_record(&cert);
+    let payload = record.rsplit_once("checksum ").expect("checksum line").0;
+    let dir = std::env::temp_dir().join(format!("armada-hostile-count-{}", std::process::id()));
+    let store = CertStore::open(&dir);
+    store.clear().expect("clean scratch dir");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let key = CertKey::compute("hostile", &cert.low, &cert.high, &SimConfig::default());
+    for prefix in ["witness pairs ", "witness obligations "] {
+        let (index, line) = payload
+            .lines()
+            .enumerate()
+            .find(|(_, line)| line.starts_with(prefix))
+            .expect("count line");
+        for count in [1u64 << 40, 1 << 60] {
+            let forged = payload.replacen(line, &format!("{prefix}{count}"), 1);
+            let checksum = armada_recheck::record_checksum(&forged);
+            let forged = format!("{forged}checksum {checksum:016x}\n");
+            let err = recheck_record(&forged, Some(&source)).expect_err("hostile count accepted");
+            assert!(
+                matches!(err, RecheckError::Parse { line, .. } if line == index + 1),
+                "{prefix}{count}: wrong rejection: {err}"
+            );
+            std::fs::write(store.path_for(&key), &forged).expect("plant the forgery");
+            assert_eq!(
+                store.load(&key, &cert.low, &cert.high),
+                None,
+                "{prefix}{count}"
+            );
+        }
+    }
+    assert_eq!(store.corrupt_loads(), 4);
+    store.clear().expect("remove scratch dir");
 }
 
 /// The acceptance side of the campaign: clean records pass the checker —
@@ -133,8 +177,8 @@ fn a_witness_spliced_across_subjects_is_rejected() {
 fn clean_records_recheck_and_are_byte_identical_across_job_counts() {
     for rel in ["specs/counter.arm", "specs/spinlock.arm"] {
         let source = spec_source(rel);
-        let serial: Vec<String> = certs(&source, 1).iter().map(serialize).collect();
-        let parallel: Vec<String> = certs(&source, 4).iter().map(serialize).collect();
+        let serial: Vec<String> = certs(&source, 1).iter().map(write_record).collect();
+        let parallel: Vec<String> = certs(&source, 4).iter().map(write_record).collect();
         assert!(!serial.is_empty(), "{rel}: no certificates emitted");
         assert_eq!(serial, parallel, "{rel}: records differ across job counts");
         for record in &serial {
@@ -161,7 +205,7 @@ fn case_study_records_recheck_with_replay() {
         let records = certs(source, 1);
         assert!(!records.is_empty(), "{name}: no certificates emitted");
         for cert in &records {
-            let report = recheck_record(&serialize(cert), Some(source))
+            let report = recheck_record(&write_record(cert), Some(source))
                 .unwrap_or_else(|e| panic!("{name} {} ⊑ {}: rejected: {e}", cert.low, cert.high));
             assert!(report.replayed, "{name}: replay did not run");
             assert_eq!(report.obligations, cert.witness.obligations.len());
@@ -178,7 +222,7 @@ fn case_study_records_recheck_with_replay() {
 /// record under the true subject.
 #[test]
 fn a_forged_subject_demotes_a_recheck_hit_to_a_miss() {
-    use armada::verify::store::{deserialize, CertStore};
+    use armada::verify::store::CertStore;
     use armada::CacheDisposition;
 
     let source = spec_source("specs/counter.arm");
@@ -201,11 +245,15 @@ fn a_forged_subject_demotes_a_recheck_hit_to_a_miss() {
         .next()
         .expect("one record");
     let clean = std::fs::read_to_string(&path).expect("record");
-    let mut cert = deserialize(&clean, true).expect("clean record loads");
+    let mut cert = parse_record(&clean).expect("clean record loads");
     cert.witness.bind_subject(cert.witness.subject ^ 1);
-    let forged = serialize(&cert);
-    assert!(
-        deserialize(&forged, true).is_some(),
+    let forged = write_record(&cert);
+    let reloaded = parse_record(&forged).expect("the forgery parses");
+    assert_eq!(
+        reloaded
+            .witness
+            .validate(reloaded.product_nodes, reloaded.low_transitions, None),
+        Ok(()),
         "the forgery passes a load"
     );
     std::fs::write(&path, &forged).expect("plant the forgery");

@@ -1,8 +1,8 @@
 //! The flat witness layout, measured with a counting allocator: loading a
 //! certificate record and cloning its witness each allocate a fixed number
 //! of times however many obligations the witness holds, and every record
-//! the tool writes round-trips through the store's parser and the
-//! checker's independent one to the same witness and the same bytes.
+//! the tool writes round-trips through the one record codec to the same
+//! bytes.
 //!
 //! The counter is a `const` thread-local, so allocations made on other
 //! test threads (or by the harness) never disturb a measurement.
@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::path::Path;
 use std::sync::OnceLock;
 
-use armada::verify::store::{deserialize, serialize};
+use armada::recheck::{parse_record, write_record, CertRecord};
 use armada::verify::SimConfig;
 use armada::Pipeline;
 
@@ -70,9 +70,18 @@ fn queue_records() -> &'static [String] {
         report
             .refinements
             .iter()
-            .map(|r| serialize(r.as_ref().expect("every queue recipe verifies")))
+            .map(|r| write_record(r.as_ref().expect("every queue recipe verifies")))
             .collect()
     })
+}
+
+/// What the store's loads do with a record: parse it, then validate the
+/// witness's structure.
+fn validating_load(record: &str) -> Result<CertRecord, armada::recheck::RecheckError> {
+    let cert = parse_record(record)?;
+    cert.witness
+        .validate(cert.product_nodes, cert.low_transitions, None)?;
+    Ok(cert)
 }
 
 /// What one validating load allocates: the two level names, the pair and
@@ -89,7 +98,7 @@ fn loads_and_clones_allocate_a_fixed_number_of_times() {
     let mut obligation_counts = Vec::new();
     for record in queue_records() {
         let before = allocations();
-        let cert = deserialize(record, true).expect("a validating load accepts the record");
+        let cert = validating_load(record).expect("a validating load accepts the record");
         let load = allocations() - before;
         let before = allocations();
         let copy = cert.clone();
@@ -133,7 +142,7 @@ fn fixture_records() -> Vec<(String, String)> {
 }
 
 #[test]
-fn records_round_trip_through_both_parsers() {
+fn records_round_trip_through_the_codec() {
     let fixtures = fixture_records();
     assert!(fixtures.len() >= 3, "fixture records: {}", fixtures.len());
     let queue = queue_records()
@@ -145,24 +154,22 @@ fn records_round_trip_through_both_parsers() {
     }
 }
 
-/// A validating load of `record` and a checker parse of it read the same
-/// witness, and the loaded certificate serializes back to `record`.
+/// A validating load accepts `record`, and the loaded certificate writes
+/// back to `record`.
 fn round_trip(name: &str, record: &str) {
-    let cert = deserialize(record, true).unwrap_or_else(|| panic!("{name}: store rejects"));
+    let cert = validating_load(record).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(
-        serialize(&cert),
+        write_record(&cert),
         record,
         "{name}: bytes differ after a round trip"
     );
-    let parsed = armada::recheck::parse_record(record).unwrap_or_else(|e| panic!("{name}: {e}"));
-    assert_eq!(parsed.witness, cert.witness, "{name}: the parsers disagree");
 }
 
 /// No record of the corpus carries a symmetry renaming, so the renaming
 /// arena is exercised by a built witness: identity and non-identity
 /// renamings interleaved, with multi-step edges between them.
 #[test]
-fn renaming_arenas_round_trip_through_both_parsers() {
+fn renaming_arenas_round_trip_through_the_codec() {
     use armada::sm::Step;
     let renamings: [&[u64]; 4] = [&[], &[2, 1], &[], &[3, 1, 2]];
     let mut builder = armada::recheck::WitnessBuilder::new(true, 2, vec![2, 1], 0x10, 0x20);
@@ -176,14 +183,14 @@ fn renaming_arenas_round_trip_through_both_parsers() {
     witness.bind_subject(0x5eed);
     assert_eq!(witness.renamings, [2, 1, 3, 1, 2]);
     assert_eq!(witness.renaming_of(3), [3, 1, 2]);
-    let cert = armada::verify::RefinementCert {
+    let cert = CertRecord {
         low: "Impl".into(),
         high: "Spec".into(),
         product_nodes: renamings.len() + 1,
         low_transitions: micro,
         witness,
     };
-    let record = serialize(&cert);
+    let record = write_record(&cert);
     round_trip("built witness", &record);
-    assert_eq!(deserialize(&record, true), Some(cert));
+    assert_eq!(validating_load(&record), Ok(cert));
 }
