@@ -2,13 +2,15 @@
 //!
 //! The engine in `crates/verify` explores a product state space and, on
 //! success, emits a [`Witness`]: the simulation relation as interned
-//! canonical state pairs (low-state fingerprint, match-set digest), one
-//! chained obligation hash per product edge binding the low micro-steps and
-//! the commuted symmetry renamings, and the truncation point. This crate is
-//! the matching *trusted core* in the Foundational-VeriFast sense: a small,
-//! separately compiled checker that validates a certificate in O(witness)
-//! — never re-exploring — so a warm cache hit or a served verdict carries a
-//! proof instead of a checksum.
+//! canonical state pairs (low-state fingerprint, match-set digest), each
+//! product edge's low micro-steps and commuted symmetry renaming, the
+//! truncation point, and one digest sealing them all. A witness holds only
+//! what the checker cannot recompute: no per-edge digest, since
+//! [`Witness::validate`] rehashes every edge into the sealed digest anyway.
+//! This crate is the matching *trusted core* in the Foundational-VeriFast
+//! sense: a small, separately compiled checker that validates a
+//! certificate in O(witness) — never re-exploring — so a warm cache hit or
+//! a served verdict carries a proof instead of a checksum.
 //!
 //! Independence posture:
 //!
@@ -25,11 +27,10 @@
 //!   [`Witness::validate`] and, with a source, [`replay`], so a misread
 //!   record either fails those checks or is a valid witness for that
 //!   subject. A second parser would add a grammar to trust, not a check.
-//! * The *hash definitions* ([`subject_digest`], [`pair_digest`],
-//!   [`obligation_hash`], [`Witness::compute_digest`], [`record_checksum`])
-//!   live here and are reused by the emitter and the store, so tool and
-//!   checker agree on the format by construction while the checker owns
-//!   its meaning. All of them are one hash, [`WordDigest`], which is the
+//! * The *hash definitions* ([`subject_digest`], [`set_digest`],
+//!   [`Witness::compute_digest`], [`record_checksum`]) live here and are
+//!   reused by the emitter and the store, so tool and checker agree on the
+//!   format by construction while the checker owns its meaning. All of them are one hash, [`WordDigest`], which is the
 //!   state-fingerprint hasher the replay already trusts.
 //!
 //! What `recheck` does and does not establish (see DESIGN.md,
@@ -42,16 +43,17 @@
 //!   fingerprint matches the recorded pair, and the composed symmetry
 //!   renamings match the recorded ones.
 //! * **Validated structurally** (always): the subject binding, the
-//!   obligation hash chain, the witness digest, and every count
-//!   cross-check (pairs = product nodes, micro-steps sum to the low
-//!   transition count).
+//!   witness digest over every pair and edge, each step encoding's
+//!   grammar, and every count cross-check (pairs = product nodes, micro-steps sum to
+//!   the low transition count).
 //! * **Attested, not replayed**: the high-side match sets enter each pair
 //!   as a digest over member-state fingerprints. Re-deciding the relation
 //!   would *be* re-exploration; the digests bind what the engine claimed,
 //!   they do not re-establish it.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use armada_sm::arena::FpHasher;
 use armada_sm::codec::{self, Dec, Enc};
@@ -102,6 +104,15 @@ impl WordDigest {
         self.u64(s.len() as u64).bytes(s.as_bytes())
     }
 
+    /// Absorbs a tid list behind its length.
+    pub fn tids(&mut self, tids: &[Tid]) -> &mut WordDigest {
+        self.u64(tids.len() as u64);
+        for &t in tids {
+            self.u64(t);
+        }
+        self
+    }
+
     pub fn finish(&self) -> u64 {
         self.0.finish()
     }
@@ -129,12 +140,6 @@ pub fn subject_digest(content: &str, low: &str, high: &str) -> u64 {
         .finish()
 }
 
-/// Digest of one simulation pair: the canonical low state's fingerprint
-/// and the digest of its matched high-state set.
-pub fn pair_digest(low_fp: u64, set_digest: u64) -> u64 {
-    WordDigest::new().u64(low_fp).u64(set_digest).finish()
-}
-
 /// Digest of a match set, over its member states' content fingerprints in
 /// sorted order. Sorting is what makes the digest identical at any job
 /// count: interned state *ids* depend on exploration interleaving,
@@ -148,59 +153,16 @@ pub fn set_digest(member_fps_sorted: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Digest of a canonical→original tid renaming (empty = identity).
-pub fn renaming_digest(map: &[Tid]) -> u64 {
-    let mut h = WordDigest::new();
-    h.u64(map.len() as u64);
-    for &t in map {
-        h.u64(t);
-    }
-    h.finish()
-}
-
-/// Seed of the obligation hash chain. Deliberately independent of the
-/// subject digest so a certificate can be emitted by the engine (which
-/// does not compute the subject) and bound to its subject afterwards.
-pub fn chain_seed() -> u64 {
-    WordDigest::new().str("armada-witness v2").finish()
-}
-
-/// Digest of one obligation's encoded low steps, behind their length.
-pub fn steps_digest(encoded: &[u8]) -> u64 {
-    WordDigest::new()
-        .u64(encoded.len() as u64)
-        .bytes(encoded)
-        .finish()
-}
-
-/// One link of the obligation chain: the previous hash, both pair digests,
-/// the micro-step count, the digest of the encoded low steps, and the
-/// digest of the commuted symmetry renaming.
-pub fn obligation_hash(
-    prev: u64,
-    parent_digest: u64,
-    child_digest: u64,
-    micro: u32,
-    steps_digest: u64,
-    renaming: &[Tid],
-) -> u64 {
-    WordDigest::new()
-        .u64(prev)
-        .u64(parent_digest)
-        .u64(child_digest)
-        .u64(micro as u64)
-        .u64(steps_digest)
-        .u64(renaming_digest(renaming))
-        .finish()
-}
-
 /// One simulation pair: a canonical low product state and the attested
 /// digest of its matched high states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WitnessPair {
     /// Content fingerprint of the canonical low state.
     pub low_fp: u64,
-    /// [`set_digest`] of the matched high states.
+    /// [`set_digest`] of the matched high states. A record writes each
+    /// distinct digest once, in a table its pair lines index; in memory
+    /// the index is resolved, since a `u32` beside the `u64` fingerprint
+    /// would pad the pair to the same 16 bytes.
     pub set_digest: u64,
 }
 
@@ -228,26 +190,22 @@ impl Extent {
 
 /// One proof obligation: the product edge that admitted pair `index + 1`.
 /// A fixed-size record; its variable-length fields live in the witness's
-/// arenas ([`Witness::steps_of`], [`Witness::renaming_of`]).
+/// arenas ([`Witness::steps_of`], [`Witness::renaming_of`]). It holds no
+/// micro-step count and no digest: the step encoding leads with its count,
+/// and [`Witness::compute_digest`] hashes the edge itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Obligation {
     /// Pair index of the edge's source node (the child is implicit: pair
     /// `index + 1`, in admission order).
     pub parent: u32,
-    /// Micro-steps on this (possibly fused) edge.
-    pub micro: u32,
-    /// The low micro-steps, codec-encoded, in the *parent's canonical
-    /// coordinates* — exactly what [`replay`] feeds the step function: a
-    /// range of [`Witness::steps`].
+    /// The low micro-steps, varint-encoded (see [`decode_steps`]), in the
+    /// *parent's canonical coordinates* — exactly what [`replay`] feeds the
+    /// step function: a range of [`Witness::steps`].
     pub steps: Extent,
     /// The child pair's canonical→original tid map (empty = identity),
     /// the commuted symmetry renaming validated during replay: a range of
     /// [`Witness::renamings`].
     pub renaming: Extent,
-    /// [`steps_digest`] of the step encoding.
-    pub steps_digest: u64,
-    /// Chained [`obligation_hash`] up to and including this link.
-    pub hash: u64,
 }
 
 /// The machine-checkable refinement witness carried by a certificate.
@@ -301,7 +259,7 @@ impl Witness {
         ))
     }
 
-    /// Obligation `index`'s codec-encoded micro-steps.
+    /// Obligation `index`'s varint-encoded micro-steps.
     ///
     /// # Panics
     ///
@@ -324,40 +282,42 @@ impl Witness {
             .1
     }
 
-    /// The digest the `digest` field must equal.
+    /// The digest the `digest` field must equal: one [`WordDigest`] pass
+    /// over the header, every pair and every edge — its parent, the length
+    /// and bytes of its step encoding, and its renaming — in order. The
+    /// child of an edge is its position, so each edge binds both its
+    /// pairs, its micro-steps and its renaming. An extent outside its
+    /// arena hashes as empty; [`Witness::validate`] rejects it.
     pub fn compute_digest(&self) -> u64 {
-        self.digest_over(
-            self.pairs
-                .iter()
-                .map(|p| pair_digest(p.low_fp, p.set_digest)),
-        )
-    }
-
-    /// [`Witness::compute_digest`] given every pair's [`pair_digest`] in
-    /// order.
-    fn digest_over(&self, pair_digests: impl Iterator<Item = u64>) -> u64 {
         let mut h = WordDigest::new();
-        h.str("armada-witness-digest v2")
+        h.str("armada-witness-digest v5")
             .u64(self.subject)
             .u64(self.complete as u64)
             .u64(self.waves)
             .u64(self.max_depth)
             .u64(self.symmetry as u64)
             .u64(self.max_buffer)
-            .u64(renaming_digest(&self.root_renaming))
+            .tids(&self.root_renaming)
             .u64(self.pairs.len() as u64);
-        for digest in pair_digests {
-            h.u64(digest);
+        for pair in &self.pairs {
+            h.u64(pair.low_fp).u64(pair.set_digest);
         }
         h.u64(self.obligations.len() as u64);
-        h.u64(self.obligations.last().map_or(chain_seed(), |o| o.hash));
+        for index in 0..self.obligations.len() {
+            let (steps, renaming) = self.slices(index).unwrap_or_default();
+            // Both halves fit 32 bits: a parent is a `u32` and an extent's
+            // length is at most `u32::MAX`.
+            h.u64(self.obligations[index].parent as u64 | (steps.len() as u64) << 32)
+                .bytes(steps)
+                .tids(renaming);
+        }
         h.finish()
     }
 
-    /// Binds the witness to its subject and reseals the digest. The
-    /// obligation chain is subject-independent by design, so late binding
-    /// (the pipeline computes the subject; the engine does not) changes
-    /// only the binding and the digest.
+    /// Binds the witness to its subject and reseals the digest. Nothing
+    /// else in the witness depends on the subject, so late binding (the
+    /// pipeline computes the subject; the engine does not) changes only the
+    /// binding and the digest.
     pub fn bind_subject(&mut self, subject: u64) {
         self.subject = subject;
         self.digest = self.compute_digest();
@@ -387,7 +347,8 @@ impl Witness {
 
     /// Structural validation: subject binding (when expected), digest,
     /// count cross-checks against the certificate's claimed totals, and
-    /// the full obligation hash chain. O(witness); no semantics.
+    /// every obligation's parent, extents and step count. O(witness); no
+    /// semantics.
     ///
     /// # Errors
     ///
@@ -407,14 +368,7 @@ impl Witness {
                 });
             }
         }
-        // Each pair digest enters the sealed digest once and the chain once
-        // or more: hash each pair once.
-        let pair_digests: Vec<u64> = self
-            .pairs
-            .iter()
-            .map(|p| pair_digest(p.low_fp, p.set_digest))
-            .collect();
-        let want = self.digest_over(pair_digests.iter().copied());
+        let want = self.compute_digest();
         if self.digest != want {
             return Err(RecheckError::DigestMismatch {
                 want,
@@ -433,71 +387,49 @@ impl Witness {
                 pairs: self.pairs.len(),
             });
         }
+        let mut micro_sum = 0u64;
+        for (index, obl) in self.obligations.iter().enumerate() {
+            let fail = |reason: String| RecheckError::Obligation { index, reason };
+            if obl.parent as usize > index {
+                return Err(fail(format!(
+                    "parent {} is not an earlier pair than child {}",
+                    obl.parent,
+                    index + 1
+                )));
+            }
+            let (steps, _) = self
+                .slices(index)
+                .ok_or_else(|| fail("extent outside the witness arenas".to_string()))?;
+            // Only the leading count: the steps after it are grammar, which
+            // `parse_record` checks (naming the line) and `replay` decodes.
+            let micro = Dec::varint(steps)
+                .len_of()
+                .map_err(|e| fail(format!("undecodable step count: {e}")))?;
+            if micro == 0 {
+                return Err(fail("zero micro-steps".to_string()));
+            }
+            micro_sum += micro as u64;
+        }
         // The certificate's transition count covers *every* explored micro
         // edge, including successors the antichain subsumed; the witness
         // records only the admitted simulation tree. So the sum bounds the
         // claim from below — a witness claiming more edges than the check
         // counted is forged.
-        let micro_sum: u64 = self.obligations.iter().map(|o| o.micro as u64).sum();
         if micro_sum > low_transitions as u64 {
             return Err(RecheckError::TransitionCount {
                 sum: micro_sum,
                 low_transitions,
             });
         }
-        let mut chain = chain_seed();
-        for (index, obl) in self.obligations.iter().enumerate() {
-            let child = index + 1;
-            let fail = |reason: String| RecheckError::Obligation { index, reason };
-            if obl.parent as usize > index {
-                return Err(fail(format!(
-                    "parent {} is not an earlier pair than child {child}",
-                    obl.parent
-                )));
-            }
-            if obl.micro == 0 {
-                return Err(fail("zero micro-steps".to_string()));
-            }
-            let (steps, renaming) = self
-                .slices(index)
-                .ok_or_else(|| fail("extent outside the witness arenas".to_string()))?;
-            if obl.steps_digest != steps_digest(steps) {
-                return Err(fail(
-                    "step digest does not cover the recorded steps".to_string(),
-                ));
-            }
-            let count = count_steps(steps).map_err(|e| fail(format!("undecodable steps: {e}")))?;
-            if count != obl.micro as usize {
-                return Err(fail(format!(
-                    "micro count {} disagrees with {count} recorded steps",
-                    obl.micro
-                )));
-            }
-            chain = obligation_hash(
-                chain,
-                pair_digests[obl.parent as usize],
-                pair_digests[child],
-                obl.micro,
-                obl.steps_digest,
-                renaming,
-            );
-            if chain != obl.hash {
-                return Err(RecheckError::ObligationHash {
-                    index,
-                    want: chain,
-                    got: obl.hash,
-                });
-            }
-        }
         Ok(())
     }
 }
 
 /// Incremental witness construction in node-admission order; used by the
-/// emitter (and by tests that need small valid witnesses). The chain and
-/// digests are computed here so an emitted witness validates by
+/// emitter (and by tests that need small valid witnesses). The digest is
+/// computed at [`WitnessBuilder::seal`], so an emitted witness validates by
 /// construction.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WitnessBuilder {
     symmetry: bool,
     max_buffer: u64,
@@ -506,7 +438,6 @@ pub struct WitnessBuilder {
     obligations: Vec<Obligation>,
     steps: Enc,
     renamings: Vec<Tid>,
-    chain: u64,
 }
 
 /// Why an arena extent cannot be recorded.
@@ -530,8 +461,9 @@ impl WitnessBuilder {
                 low_fp: root_fp,
                 set_digest: root_set,
             }],
-            chain: chain_seed(),
-            ..WitnessBuilder::default()
+            obligations: Vec::new(),
+            steps: Enc::varint(),
+            renamings: Vec::new(),
         }
     }
 
@@ -550,33 +482,18 @@ impl WitnessBuilder {
         steps: &[Step],
         renaming: &[Tid],
     ) {
-        let child = self.pairs.len();
         self.pairs.push(WitnessPair {
             low_fp,
             set_digest: set,
         });
         let start = self.steps.len();
         encode_steps_into(&mut self.steps, steps);
-        let steps_digest = steps_digest(&self.steps.as_bytes()[start..]);
         let renamed = self.renamings.len();
         self.renamings.extend_from_slice(renaming);
-        let micro = u32::try_from(steps.len()).expect("an edge's micro-steps fit u32");
-        let parent_pair = self.pairs[parent as usize];
-        self.chain = obligation_hash(
-            self.chain,
-            pair_digest(parent_pair.low_fp, parent_pair.set_digest),
-            pair_digest(self.pairs[child].low_fp, self.pairs[child].set_digest),
-            micro,
-            steps_digest,
-            renaming,
-        );
         self.obligations.push(Obligation {
             parent,
-            micro,
             steps: Extent::new(start, self.steps.len()).expect(ARENA_LIMIT),
             renaming: Extent::new(renamed, self.renamings.len()).expect(ARENA_LIMIT),
-            steps_digest,
-            hash: self.chain,
         });
     }
 
@@ -622,8 +539,6 @@ pub enum RecheckError {
     TransitionCount { sum: u64, low_transitions: usize },
     /// Obligation `index` is malformed (reason says how).
     Obligation { index: usize, reason: String },
-    /// Obligation `index`'s chained hash does not recompute.
-    ObligationHash { index: usize, want: u64, got: u64 },
     /// The module source does not produce the witnessed initial pair.
     Root { reason: String },
     /// The module source could not be parsed/checked/lowered for replay.
@@ -675,10 +590,6 @@ impl fmt::Display for RecheckError {
             RecheckError::Obligation { index, reason } => {
                 write!(f, "obligation {index}: {reason}")
             }
-            RecheckError::ObligationHash { index, want, got } => write!(
-                f,
-                "obligation {index}: chained hash {got:016x} does not recompute ({want:016x})"
-            ),
             RecheckError::Root { reason } => write!(f, "initial pair: {reason}"),
             RecheckError::Subject { reason } => write!(f, "subject: {reason}"),
         }
@@ -715,13 +626,16 @@ pub struct CertRecord {
 /// module source.
 /// v4: witness digests and the record checksum hash 64-bit words
 /// ([`WordDigest`]), not bytes.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: records hold only what the checker cannot recompute: no
+/// per-obligation digests or micro-step counts, varint step integers, and
+/// a table of distinct match-set digests that pair lines index.
+pub const FORMAT_VERSION: u32 = 5;
 
-/// Magic first line this checker accepts (format v4, whose digests and
-/// checksum hash 64-bit words; v3 records hashed bytes with FNV-1a, v2
-/// records bound the whole module source and v1 records predate
-/// witnesses, and all are rejected naming their version).
-pub const RECORD_MAGIC: &str = "armada-cert v4";
+/// Magic first line this checker accepts (format v5; v4 records stored
+/// per-obligation digests and fixed-width steps, v3 records hashed bytes
+/// with FNV-1a, v2 records bound the whole module source and v1 records
+/// predate witnesses, and all are rejected naming their version).
+pub const RECORD_MAGIC: &str = "armada-cert v5";
 
 fn parse_err(line: usize, reason: impl Into<String>) -> RecheckError {
     RecheckError::Parse {
@@ -776,12 +690,8 @@ fn push_renaming(out: &mut String, map: &[Tid]) {
     }
 }
 
-/// Appends a step encoding as lowercase hex pairs, or `-` when empty.
+/// Appends a step encoding as lowercase hex pairs.
 fn push_steps(out: &mut String, bytes: &[u8]) {
-    if bytes.is_empty() {
-        out.push('-');
-        return;
-    }
     for &b in bytes {
         out.push(HEX_DIGITS[(b >> 4) as usize] as char);
         out.push(HEX_DIGITS[(b & 0xf) as usize] as char);
@@ -811,15 +721,33 @@ pub fn write_record(cert: &CertRecord) -> String {
     out
 }
 
+/// The distinct match-set digests of `pairs` in order of first use, and
+/// each pair's index into them: the set table a record writes once.
+fn set_table(pairs: &[WitnessPair]) -> (Vec<u64>, Vec<u64>) {
+    let mut index_of: HashMap<u64, u64, BuildHasherDefault<FpHasher>> = HashMap::default();
+    let mut table = Vec::new();
+    let indices = pairs
+        .iter()
+        .map(|pair| {
+            *index_of.entry(pair.set_digest).or_insert_with(|| {
+                table.push(pair.set_digest);
+                table.len() as u64 - 1
+            })
+        })
+        .collect();
+    (table, indices)
+}
+
 /// Appends the witness section of a record to `out` in one pass, reserving
 /// its size up front.
 fn write_witness_lines(w: &Witness, out: &mut String) {
-    // A reservation, not a bound: 39 bytes per pair line; per obligation
-    // line 42 fixed bytes, up to 20 digits of parent and micro count, a
-    // `-` or up to 21 bytes per renaming entry, and a `-` or two hex
+    let (sets, set_indices) = set_table(&w.pairs);
+    // A reservation, not a bound: 21 bytes per set line, 24 per pair line
+    // with a one-digit set index; per obligation line 18 fixed bytes with
+    // a ten-digit parent, up to 21 bytes per renaming entry, and two hex
     // digits per step byte.
-    let obligations = 64 * w.obligations.len() + 21 * w.renamings.len() + 2 * w.steps.len();
-    out.reserve(256 + 39 * w.pairs.len() + obligations);
+    let obligations = 18 * w.obligations.len() + 21 * w.renamings.len() + 2 * w.steps.len();
+    out.reserve(256 + 21 * sets.len() + 24 * w.pairs.len() + obligations);
     out.push_str("witness subject ");
     push_hex16(out, w.subject);
     out.push_str("\nwitness status ");
@@ -834,14 +762,22 @@ fn write_witness_lines(w: &Witness, out: &mut String) {
     push_dec(out, w.max_buffer);
     out.push_str("\nwitness root ");
     push_renaming(out, &w.root_renaming);
-    out.push_str("\nwitness pairs ");
+    out.push_str("\nwitness sets ");
+    push_dec(out, sets.len() as u64);
+    out.push('\n');
+    for &set in &sets {
+        out.push_str("set ");
+        push_hex16(out, set);
+        out.push('\n');
+    }
+    out.push_str("witness pairs ");
     push_dec(out, w.pairs.len() as u64);
     out.push('\n');
-    for pair in &w.pairs {
+    for (pair, &set) in w.pairs.iter().zip(&set_indices) {
         out.push_str("pair ");
         push_hex16(out, pair.low_fp);
         out.push(' ');
-        push_hex16(out, pair.set_digest);
+        push_dec(out, set);
         out.push('\n');
     }
     out.push_str("witness obligations ");
@@ -851,13 +787,7 @@ fn write_witness_lines(w: &Witness, out: &mut String) {
         out.push_str("obl ");
         push_dec(out, obl.parent as u64);
         out.push(' ');
-        push_dec(out, obl.micro as u64);
-        out.push(' ');
         push_renaming(out, w.renaming_of(index));
-        out.push(' ');
-        push_hex16(out, obl.steps_digest);
-        out.push(' ');
-        push_hex16(out, obl.hash);
         out.push(' ');
         push_steps(out, w.steps_of(index));
         out.push('\n');
@@ -867,24 +797,29 @@ fn write_witness_lines(w: &Witness, out: &mut String) {
     out.push('\n');
 }
 
-/// Bytes in every pair line (`pair`, two digests, a space, a newline).
-const PAIR_LINE: usize = 39;
+/// Bytes in every set line (`set`, a digest, a newline).
+const SET_LINE: usize = 21;
 
-/// Bytes in the shortest obligation line: one-digit parent and micro
-/// count, identity renaming, two digests and `-` for the steps. All but
-/// one of them are not step digits.
-const MIN_OBLIGATION_LINE: usize = 46;
+/// Bytes in the shortest pair line: a digest and a one-digit set index.
+const MIN_PAIR_LINE: usize = 24;
+
+/// Bytes in the shortest obligation line (`obl 0 - 00`): a one-digit
+/// parent, the identity renaming and a one-byte step encoding. All but two
+/// of them are not step digits.
+const MIN_OBLIGATION_LINE: usize = 11;
 
 /// Parses a full certificate record: the format version first (another
-/// format's checksum is another function, so a v3 record is named as v3,
+/// format's checksum is another function, so a v4 record is named as v4,
 /// not as damaged), then the trailing checksum over the whole payload, so
 /// *any* payload damage — even damage that would still parse — is
 /// rejected, then every field. Numbers must be in the canonical form
 /// [`write_record`] writes (no sign, no leading zeros, exactly sixteen
-/// lowercase digits per hex field), lines end in a bare `\n`, and a count
-/// is checked against the bytes left before it sizes an allocation: every
-/// record this accepts writes back to the same bytes. It does not validate
-/// the witness; see [`Witness::validate`].
+/// lowercase digits per hex field, step varints in their shortest form),
+/// the set table must list each digest once in order of first use, lines
+/// end in a bare `\n`, and a count is checked against the bytes left
+/// before it sizes an allocation: every record this accepts writes back to
+/// the same bytes. It does not validate the witness; see
+/// [`Witness::validate`].
 ///
 /// # Errors
 ///
@@ -922,13 +857,10 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
         });
     }
 
-    let mut lines = Lines {
-        rest: payload,
-        line: 0,
-    };
-    lines.next("")?; // the magic, checked above
-    let low = lines.next("low ")?.to_string();
-    let high = lines.next("high ")?.to_string();
+    let mut lines = Lines { payload, at: 0 };
+    lines.read(RECORD_MAGIC, |rest| rest.is_empty().then_some(()))?; // checked above
+    let low = lines.read("low ", |name| Some(name.to_string()))?;
+    let high = lines.read("high ", |name| Some(name.to_string()))?;
     let product_nodes = lines.read("product_nodes ", int)?;
     let low_transitions = lines.read("low_transitions ", int)?;
     let subject = lines.read("witness subject ", hex64)?;
@@ -936,29 +868,78 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
         lines.read("witness status ", status)?;
     let mut root_renaming = Vec::new();
     lines.read("witness root ", |text| renaming(text, &mut root_renaming))?;
-    let pair_count = lines.count("witness pairs ", PAIR_LINE)?;
+    let set_count = lines.count("witness sets ", SET_LINE)?;
+    let sets_at = lines.at;
+    // The table fills the first half; the second half is a sorted copy
+    // that finds a repeated digest without another allocation.
+    let mut sets = Vec::with_capacity(2 * set_count);
+    for _ in 0..set_count {
+        sets.push(lines.read("set ", hex64)?);
+    }
+    sets.extend_from_within(..);
+    sets[set_count..].sort_unstable();
+    if sets[set_count..].windows(2).any(|w| w[0] == w[1]) {
+        let repeat = (1..set_count).find(|&i| sets[..i].contains(&sets[i]));
+        return Err(parse_err(
+            lines.line_at(sets_at) + repeat.unwrap_or_default(),
+            "set digest repeats an earlier entry",
+        ));
+    }
+    let pair_count = lines.count("witness pairs ", MIN_PAIR_LINE)?;
     let mut pairs = Vec::with_capacity(pair_count);
+    // The table lists digests in order of first use: a pair names an entry
+    // already used or the first unused one.
+    let mut used = 0;
     for _ in 0..pair_count {
-        pairs.push(lines.read("pair ", pair)?);
+        let at = lines.at;
+        let (low_fp, set) = lines.read_in_place("pair ", pair)?;
+        if set >= set_count {
+            return Err(parse_err(
+                lines.line_at(at),
+                format!("set index {set} is outside the {set_count}-entry set table"),
+            ));
+        }
+        if set > used {
+            return Err(parse_err(
+                lines.line_at(at),
+                format!("set index {set} skips the first unused entry {used}"),
+            ));
+        }
+        used += usize::from(set == used);
+        pairs.push(WitnessPair {
+            low_fp,
+            set_digest: sets[set],
+        });
+    }
+    if used < set_count {
+        return Err(parse_err(
+            lines.line_at(sets_at) + used,
+            "no pair uses this set digest",
+        ));
     }
     let obl_count = lines.count("witness obligations ", MIN_OBLIGATION_LINE)?;
     let mut obligations = Vec::with_capacity(obl_count);
     // Two digits make one step byte: the bytes left after every
     // obligation line's non-step bytes bound the step arena, so it is
     // sized once for a well-formed record.
-    let step_bytes = (lines.rest.len() - (MIN_OBLIGATION_LINE - 1) * obl_count) / 2;
+    let step_bytes = (payload.len() - lines.at - (MIN_OBLIGATION_LINE - 2) * obl_count) / 2;
     let mut steps_arena = Vec::with_capacity(step_bytes);
     let mut renamings = Vec::new();
     for _ in 0..obl_count {
-        let text = lines.next("obl ")?;
-        let obl =
-            obligation(text, &mut renamings, &mut steps_arena).map_err(|field| lines.bad(field))?;
+        let at = lines.at;
+        let obl = lines.read_in_place("obl ", |body| {
+            obligation(body, &mut renamings, &mut steps_arena)
+        })?;
+        // The step encoding is grammar too: its count, then exactly that
+        // many steps, every varint in its shortest form.
+        count_steps(&steps_arena[obl.steps.range()])
+            .map_err(|e| parse_err(lines.line_at(at), format!("bad step encoding: {e}")))?;
         obligations.push(obl);
     }
     let digest = lines.read("witness digest ", hex64)?;
-    if !lines.rest.is_empty() {
+    if lines.at != payload.len() {
         return Err(parse_err(
-            lines.line + 1,
+            lines.line_at(lines.at),
             "trailing line before the checksum",
         ));
     }
@@ -984,58 +965,76 @@ pub fn parse_record(text: &str) -> Result<CertRecord, RecheckError> {
     })
 }
 
-/// The unread rest of a record's payload, consumed one `\n`-terminated
-/// line at a time without copying, and the number of the last line read.
+/// A record's payload and the offset of its next unread line. Lines are
+/// numbered only on error paths, by counting the newlines before an
+/// offset.
 struct Lines<'a> {
-    rest: &'a str,
-    line: usize,
+    payload: &'a str,
+    at: usize,
 }
 
 impl<'a> Lines<'a> {
-    /// The next line with `prefix` stripped.
-    fn next(&mut self, prefix: &str) -> Result<&'a str, RecheckError> {
-        self.line += 1;
-        let Some((line, rest)) = self.rest.split_once('\n') else {
-            return Err(parse_err(
-                self.line,
-                format!("record ends before `{prefix}…`"),
-            ));
-        };
-        self.rest = rest;
-        line.strip_prefix(prefix)
-            .ok_or_else(|| parse_err(self.line, format!("expected `{prefix}…`")))
+    /// The number of the line that starts at byte `offset`.
+    fn line_at(&self, offset: usize) -> usize {
+        self.payload[..offset].matches('\n').count() + 1
     }
 
     /// The next line with `prefix` stripped, read by `read`.
     fn read<T>(
         &mut self,
-        prefix: &str,
+        prefix: &'static str,
         read: impl FnOnce(&'a str) -> Option<T>,
     ) -> Result<T, RecheckError> {
-        let text = self.next(prefix)?;
-        read(text).ok_or_else(|| self.bad(prefix.trim_end()))
+        self.read_in_place(prefix, |body| {
+            let len = body.find('\n').unwrap_or(body.len());
+            Ok((read(&body[..len]).ok_or(prefix.trim_end())?, len))
+        })
+    }
+
+    /// The next line, which must start with `prefix`. `read` parses the
+    /// payload after the prefix in place and returns what it read and the
+    /// length of the line's rest, or names what is malformed; the line must
+    /// end there. The pair and obligation lines are read this way, each
+    /// byte scanned once, without finding the line's end first.
+    fn read_in_place<T>(
+        &mut self,
+        prefix: &'static str,
+        read: impl FnOnce(&'a str) -> Result<(T, usize), &'static str>,
+    ) -> Result<T, RecheckError> {
+        let rest = &self.payload[self.at..];
+        let Some(body) = rest.strip_prefix(prefix) else {
+            let reason = if rest.is_empty() {
+                format!("record ends before `{prefix}…`")
+            } else {
+                format!("expected `{prefix}…`")
+            };
+            return Err(parse_err(self.line_at(self.at), reason));
+        };
+        let what = match read(body) {
+            Ok((value, len)) if body.as_bytes().get(len) == Some(&b'\n') => {
+                self.at += prefix.len() + len + 1;
+                return Ok(value);
+            }
+            Ok(_) => prefix.trim_end(),
+            Err(what) => what,
+        };
+        Err(parse_err(self.line_at(self.at), format!("bad {what}")))
     }
 
     /// The count of the lines that follow, each at least `line_bytes`
     /// long: a count the rest of the payload cannot hold is rejected
     /// before it sizes an allocation.
-    fn count(&mut self, prefix: &str, line_bytes: usize) -> Result<usize, RecheckError> {
+    fn count(&mut self, prefix: &'static str, line_bytes: usize) -> Result<usize, RecheckError> {
+        let at = self.at;
         let count = self.read(prefix, int)?;
-        if count > self.rest.len() / line_bytes {
+        let left = self.payload.len() - self.at;
+        if count > left / line_bytes {
             return Err(parse_err(
-                self.line,
-                format!(
-                    "{count} lines cannot fit in the {} bytes left",
-                    self.rest.len()
-                ),
+                self.line_at(at),
+                format!("{count} lines cannot fit in the {left} bytes left"),
             ));
         }
         Ok(count)
-    }
-
-    /// A malformed `what` on the line last read.
-    fn bad(&self, what: &str) -> RecheckError {
-        parse_err(self.line, format!("bad {what}"))
     }
 }
 
@@ -1052,16 +1051,15 @@ const HEX_VALUE: [u8; 256] = {
     table
 };
 
-/// Exactly sixteen lowercase hex digits.
+/// Exactly sixteen lowercase hex digits, eight at a time through [`hex8`].
 fn hex64(text: &str) -> Option<u64> {
     let digits: &[u8; 16] = text.as_bytes().try_into().ok()?;
-    let (mut value, mut bad) = (0u64, 0u8);
-    for &c in digits {
-        let nibble = HEX_VALUE[c as usize];
-        bad |= nibble;
-        value = value << 4 | (nibble & 0xf) as u64;
-    }
-    (bad < 16).then_some(value)
+    let (high, low) = digits.split_at(8);
+    // `hex8` yields the bytes in digit order, so the first digits land in
+    // the low byte: swap them to read the digits as one number.
+    let half =
+        |digits: &[u8]| Some(hex8(u64::from_le_bytes(digits.try_into().ok()?))?.swap_bytes());
+    Some((half(high)? as u64) << 32 | half(low)? as u64)
 }
 
 /// A canonical decimal: digits only, no leading zero, no overflow.
@@ -1083,14 +1081,14 @@ fn int<T: TryFrom<u64>>(text: &str) -> Option<T> {
     dec(text)?.try_into().ok()
 }
 
-/// Splits the next space-terminated field off the front of `rest` (a byte
-/// scan: the fields before a step encoding are a few bytes long, too
-/// short for a `memchr` call to pay).
-fn field<'a>(rest: &mut &'a str) -> Option<&'a str> {
-    let at = rest.bytes().position(|b| b == b' ')?;
-    let head = &rest[..at];
-    *rest = &rest[at + 1..];
-    Some(head)
+/// The canonical decimal at the front of `text`, up to its first
+/// non-digit, that fits `T`, and its length.
+fn leading_int<T: TryFrom<u64>>(text: &str) -> Option<(T, usize)> {
+    let len = text
+        .bytes()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(text.len());
+    Some((int(&text[..len])?, len))
 }
 
 /// `name value` as the next two space-separated fields of `fields`.
@@ -1124,34 +1122,34 @@ fn status(text: &str) -> Option<(bool, u64, u64, bool, u64)> {
         .then_some((complete, waves, depth, symmetry, buffer))
 }
 
-/// A pair line's two digests.
-fn pair(text: &str) -> Option<WitnessPair> {
-    let (fp, set) = text.split_once(' ')?;
-    Some(WitnessPair {
-        low_fp: hex64(fp)?,
-        set_digest: hex64(set)?,
-    })
+/// A pair line's low-state digest and set index, read in place.
+fn pair(body: &str) -> Result<((u64, usize), usize), &'static str> {
+    let low_fp = body.get(..16).and_then(hex64).ok_or("low-state digest")?;
+    let (set, len) = body[16..]
+        .strip_prefix(' ')
+        .and_then(leading_int)
+        .ok_or("set index")?;
+    Ok(((low_fp, set), 17 + len))
 }
 
-/// An obligation line's six fields, its renaming and steps parsed onto
-/// the ends of their arenas; the error names the first bad field.
+/// An obligation line's three fields, read in place, its renaming and
+/// steps parsed onto the ends of their arenas.
 fn obligation(
-    mut rest: &str,
+    body: &str,
     renamings: &mut Vec<Tid>,
     steps_arena: &mut Vec<u8>,
-) -> Result<Obligation, &'static str> {
-    // The steps field is the rest of the line, and `steps` rejects a
-    // space in it, so a seventh field cannot slip through.
-    Ok(Obligation {
-        parent: field(&mut rest).and_then(int).ok_or("parent index")?,
-        micro: field(&mut rest).and_then(int).ok_or("micro count")?,
-        renaming: field(&mut rest)
-            .and_then(|text| renaming(text, renamings))
-            .ok_or("renaming")?,
-        steps_digest: field(&mut rest).and_then(hex64).ok_or("step digest")?,
-        hash: field(&mut rest).and_then(hex64).ok_or("obligation hash")?,
-        steps: steps(rest, steps_arena).ok_or("step encoding")?,
-    })
+) -> Result<(Obligation, usize), &'static str> {
+    let (parent, len) = leading_int(body).ok_or("parent index")?;
+    let rest = body[len..].strip_prefix(' ').ok_or("parent index")?;
+    let renamed = rest.bytes().position(|b| b == b' ').ok_or("renaming")?;
+    let renaming = renaming(&rest[..renamed], renamings).ok_or("renaming")?;
+    let (steps, digits) = steps(&rest[renamed + 1..], steps_arena).ok_or("step encoding")?;
+    let obligation = Obligation {
+        parent,
+        steps,
+        renaming,
+    };
+    Ok((obligation, len + renamed + digits + 2))
 }
 
 /// A renaming, `-` for the identity, else comma-separated tids, parsed
@@ -1166,34 +1164,37 @@ fn renaming(text: &str, arena: &mut Vec<Tid>) -> Option<Extent> {
     Extent::new(start, arena.len())
 }
 
-/// A step encoding, `-` when empty, else lowercase hex pairs, decoded onto
-/// the end of `arena`: sixteen digits at a time through [`hex8`], the
-/// remaining pairs through [`HEX_VALUE`].
-fn steps(text: &str, arena: &mut Vec<u8>) -> Option<Extent> {
+/// The step encoding that runs from the front of `text` to its line's
+/// end, as lowercase hex pairs (never none: it leads with the step count),
+/// decoded onto the end of `arena`, and the number of digits: sixteen
+/// digits at a time through [`hex8`], the remaining pairs through
+/// [`HEX_VALUE`].
+fn steps(text: &str, arena: &mut Vec<u8>) -> Option<(Extent, usize)> {
     let start = arena.len();
-    if text != "-" {
-        let digits = text.as_bytes();
-        if digits.is_empty() || !digits.len().is_multiple_of(2) {
-            return None;
-        }
-        let mut words = digits.chunks_exact(16);
-        for word in &mut words {
-            let (first, second) = word.split_at(8);
-            let first = hex8(u64::from_le_bytes(first.try_into().ok()?))?;
-            let second = hex8(u64::from_le_bytes(second.try_into().ok()?))?;
-            arena.extend_from_slice(&(first as u64 | (second as u64) << 32).to_le_bytes());
-        }
-        let mut bad = 0u8;
-        for pair in words.remainder().chunks_exact(2) {
-            let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
-            bad |= hi | lo;
-            arena.push(hi << 4 | (lo & 0xf));
-        }
-        if bad >= 16 {
-            return None;
-        }
+    // A byte scan: the encoding is a few digits long, too short for a
+    // `memchr` call to pay.
+    let len = text.bytes().position(|b| b == b'\n')?;
+    let digits = &text.as_bytes()[..len];
+    if digits.is_empty() || !digits.len().is_multiple_of(2) {
+        return None;
     }
-    Extent::new(start, arena.len())
+    let mut words = digits.chunks_exact(16);
+    for word in &mut words {
+        let (first, second) = word.split_at(8);
+        let first = hex8(u64::from_le_bytes(first.try_into().ok()?))?;
+        let second = hex8(u64::from_le_bytes(second.try_into().ok()?))?;
+        arena.extend_from_slice(&(first as u64 | (second as u64) << 32).to_le_bytes());
+    }
+    let mut bad = 0u8;
+    for pair in words.remainder().chunks_exact(2) {
+        let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
+        bad |= hi | lo;
+        arena.push(hi << 4 | (lo & 0xf));
+    }
+    if bad >= 16 {
+        return None;
+    }
+    Some((Extent::new(start, arena.len())?, len))
 }
 
 /// Eight lowercase hex digits, read as a little-endian word (the first
@@ -1222,8 +1223,8 @@ fn hex8(word: u64) -> Option<u32> {
     Some((bytes | bytes >> 16) as u32)
 }
 
-/// Encodes an edge's micro-steps onto the end of `e`: the step count,
-/// then each step's codec encoding.
+/// Encodes an edge's micro-steps onto the end of `e`, a varint encoder:
+/// the step count, then each step's codec encoding.
 fn encode_steps_into(e: &mut Enc, steps: &[Step]) {
     e.len_of(steps.len());
     for step in steps {
@@ -1231,7 +1232,9 @@ fn encode_steps_into(e: &mut Enc, steps: &[Step]) {
     }
 }
 
-/// Decodes an edge's micro-steps.
+/// Decodes an edge's micro-steps: a step count, then each step in
+/// `armada_sm::codec`'s step encoding, every integer a varint
+/// ([`Dec::varint`]) in its shortest form.
 ///
 /// # Errors
 ///
@@ -1265,7 +1268,7 @@ fn walk_steps(
     bytes: &[u8],
     mut step: impl FnMut(&mut Dec) -> Result<(), codec::CodecError>,
 ) -> Result<usize, String> {
-    let mut d = Dec::new(bytes);
+    let mut d = Dec::varint(bytes);
     let count = d.len_of().map_err(|e| e.to_string())?;
     if count > bytes.len() {
         return Err(format!("step count {count} exceeds encoding size"));
@@ -1577,7 +1580,7 @@ pub fn run_cli(args: &[String]) -> u8 {
 const USAGE: &str = "usage: armada-recheck [--source <module.arm>] <cert-file-or-dir>...\n\
     \n\
     Validates refinement certificates independently of the verifier:\n\
-    checksum, subject binding, obligation hash chain, and (with --source)\n\
+    checksum, subject binding, witness digest, and (with --source)\n\
     a full semantic replay of the witnessed low-side product tree.\n\
     Exit 0: all certificates recheck. 1: a certificate was rejected.\n\
     2: usage or IO trouble.";
@@ -1629,16 +1632,35 @@ mod tests {
     }
 
     #[test]
-    fn a_flipped_obligation_hash_is_caught_and_named() {
+    fn an_edited_edge_is_caught_by_the_digest_then_by_its_own_check() {
+        // Tid 1 becomes tid 0 in the step arena (count, tid, tag, nondets).
         let mut w = tiny_witness();
-        w.obligations[0].hash ^= 1;
-        // The digest covers the final chain hash, so reseal to isolate the
-        // chain check.
-        w.digest = w.compute_digest();
+        assert_eq!(w.steps, [1, 1, 1, 0]);
+        w.steps[1] = 0;
         assert!(matches!(
             w.validate(2, 1, None),
-            Err(RecheckError::ObligationHash { index: 0, .. })
+            Err(RecheckError::DigestMismatch { .. })
         ));
+        // Resealed, a zero-step edge and an undecodable one are each named.
+        for (steps, reason) in [
+            (vec![0], "zero micro-steps"),
+            (
+                vec![0x80],
+                "undecodable step count: codec error: truncated at byte 1",
+            ),
+        ] {
+            let mut w = tiny_witness();
+            w.steps = steps;
+            w.obligations[0].steps = Extent::new(0, w.steps.len()).unwrap();
+            w.digest = w.compute_digest();
+            assert_eq!(
+                w.validate(2, 1, None),
+                Err(RecheckError::Obligation {
+                    index: 0,
+                    reason: reason.to_string()
+                })
+            );
+        }
     }
 
     #[test]
@@ -1653,7 +1675,17 @@ mod tests {
         v.pairs[0].low_fp ^= 1;
         variants.push(v);
         let mut v = base.clone();
+        v.pairs[1].set_digest ^= 1;
+        variants.push(v);
+        let mut v = base.clone();
         v.root_renaming = vec![2, 1];
+        variants.push(v);
+        let mut v = base.clone();
+        v.steps[1] = 2;
+        variants.push(v);
+        let mut v = base.clone();
+        v.renamings = vec![1];
+        v.obligations[0].renaming = Extent::new(0, 1).unwrap();
         variants.push(v);
         for v in variants {
             assert!(matches!(
@@ -1701,8 +1733,9 @@ mod tests {
         let base = b"0123456789abcdef0123456789abcdef0f";
         let decoded = |text: &str| {
             let mut arena = vec![0xee];
-            steps(text, &mut arena).map(|extent| {
+            steps(&format!("{text}\n"), &mut arena).map(|(extent, digits)| {
                 assert_eq!((extent.start, extent.end as usize), (1, arena.len()));
+                assert_eq!(digits, text.len());
                 arena.split_off(1)
             })
         };
@@ -1717,7 +1750,8 @@ mod tests {
             Some(reference(base))
         );
         for at in 0..base.len() {
-            for byte in 0..=0x7fu8 {
+            // A newline ends the line, and with it the encoding.
+            for byte in (0..=0x7fu8).filter(|&byte| byte != b'\n') {
                 let mut digits = *base;
                 digits[at] = byte;
                 let text = std::str::from_utf8(&digits).expect("ASCII");
@@ -1727,19 +1761,77 @@ mod tests {
             }
         }
         assert_eq!(decoded("0123456789abcdé0123456789abcdef0f"), None);
-        assert_eq!(decoded("-"), Some(Vec::new()));
+        assert_eq!(decoded("-"), None);
         assert_eq!(decoded(""), None);
         assert_eq!(decoded("012"), None);
     }
 
     #[test]
     fn steps_round_trip_through_the_codec() {
-        let steps = vec![Step::instr(1), Step::drain(2)];
-        let mut enc = Enc::new();
+        let steps = vec![Step::instr(1), Step::drain(300)];
+        let mut enc = Enc::varint();
         encode_steps_into(&mut enc, &steps);
         let enc = enc.into_bytes();
+        // Count, tid, tag and nondet count each take a byte; tid 300 two.
+        assert_eq!(enc, [2, 1, 1, 0, 0xac, 0x02, 0]);
         assert_eq!(decode_steps(&enc).expect("decodes"), steps);
         assert!(decode_steps(&enc[..enc.len() - 1]).is_err());
+        assert!(decode_steps(&[enc.as_slice(), &[0]].concat()).is_err());
+    }
+
+    #[test]
+    fn the_set_table_lists_each_digest_once_in_order_of_first_use() {
+        let mut b = WitnessBuilder::new(false, 8, Vec::new(), 0x10, 0xb);
+        for (i, set) in [0xa, 0xb, 0xa].into_iter().enumerate() {
+            b.push_node(i as u32, 0x11 + i as u64, set, &[Step::instr(1)], &[]);
+        }
+        let record = write_record(&CertRecord {
+            low: "A".into(),
+            high: "B".into(),
+            product_nodes: 4,
+            low_transitions: 3,
+            witness: b.seal(true, 4, 3),
+        });
+        let table = "witness sets 2\nset 000000000000000b\nset 000000000000000a\n";
+        assert!(record.contains(table), "{record}");
+        let pairs = "pair 0000000000000012 0\npair 0000000000000013 1\nwitness obligations";
+        assert!(record.contains(pairs), "{record}");
+        assert_eq!(
+            parse_record(&record).map(|r| write_record(&r)),
+            Ok(record.clone())
+        );
+        // Set lines are record lines 10 and 11, pair lines 13 to 16.
+        let payload = record.rsplit_once("checksum ").unwrap().0;
+        for (from, to, line, reason) in [
+            (
+                "11 1\n",
+                "11 2\n",
+                14,
+                "set index 2 is outside the 2-entry set table",
+            ),
+            (
+                "10 0\n",
+                "10 1\n",
+                13,
+                "set index 1 skips the first unused entry 0",
+            ),
+            (" 1\n", " 0\n", 11, "no pair uses this set digest"),
+            (
+                "set 000000000000000a",
+                "set 000000000000000b",
+                11,
+                "set digest repeats an earlier entry",
+            ),
+        ] {
+            let forged = payload.replace(from, to);
+            let forged = format!("{forged}checksum {:016x}\n", record_checksum(&forged));
+            assert_ne!(forged, record, "{from:?} must land");
+            assert_eq!(
+                parse_record(&forged),
+                Err(parse_err(line, reason)),
+                "{from:?}"
+            );
+        }
     }
 
     /// A one-thread program with a deterministic run, lowered.

@@ -49,14 +49,30 @@ impl std::error::Error for CodecError {}
 type DecResult<T> = Result<T, CodecError>;
 
 /// Append-only encoder over a byte buffer.
+///
+/// Integers are fixed-width little-endian by default: spill pages and
+/// checkpoints are read back by the build that wrote them, on the page-fault
+/// path, where a fixed-width integer is one load. [`Enc::varint`] writes
+/// them as canonical LEB128 varints instead (signed ones zigzagged), the
+/// compact form a refinement witness stores its steps in.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    varint: bool,
 }
 
 impl Enc {
     pub fn new() -> Enc {
         Enc::default()
+    }
+
+    /// An encoder whose integers are LEB128 varints; read it back with
+    /// [`Dec::varint`].
+    pub fn varint() -> Enc {
+        Enc {
+            buf: Vec::new(),
+            varint: true,
+        }
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
@@ -85,15 +101,27 @@ impl Enc {
     }
 
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        if self.varint {
+            self.leb128(v as u128);
+        } else {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        if self.varint {
+            self.leb128(v as u128);
+        } else {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     pub fn i128(&mut self, v: i128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        if self.varint {
+            self.leb128(((v << 1) ^ (v >> 127)) as u128);
+        } else {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Length-prefixed usize (stored as u64).
@@ -110,24 +138,53 @@ impl Enc {
         self.len_of(v.len());
         self.buf.extend_from_slice(v);
     }
+
+    /// `v` as LEB128: seven bits a byte, low group first, the high bit
+    /// set on every byte but the last.
+    fn leb128(&mut self, mut v: u128) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
 }
 
 /// Cursor-based decoder over a byte slice.
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    varint: bool,
 }
 
 impl<'a> Dec<'a> {
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec {
+            buf,
+            pos: 0,
+            varint: false,
+        }
+    }
+
+    /// A decoder for what an [`Enc::varint`] wrote. It accepts only the
+    /// shortest encoding of each integer, so every value has one spelling.
+    #[inline]
+    pub fn varint(buf: &'a [u8]) -> Dec<'a> {
+        Dec {
+            buf,
+            pos: 0,
+            varint: true,
+        }
     }
 
     /// True once every byte has been consumed.
+    #[inline]
     pub fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
         let end = self
             .pos
@@ -139,10 +196,12 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
+    #[inline]
     pub fn u8(&mut self) -> DecResult<u8> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn bool(&mut self) -> DecResult<bool> {
         match self.u8()? {
             0 => Ok(false),
@@ -151,18 +210,32 @@ impl<'a> Dec<'a> {
         }
     }
 
+    #[inline]
     pub fn u32(&mut self) -> DecResult<u32> {
+        if self.varint {
+            return Ok(self.leb128(32)? as u32);
+        }
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn u64(&mut self) -> DecResult<u64> {
+        if self.varint {
+            return Ok(self.leb128(64)? as u64);
+        }
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn i128(&mut self) -> DecResult<i128> {
+        if self.varint {
+            let zigzag = self.leb128(128)?;
+            return Ok((zigzag >> 1) as i128 ^ -((zigzag & 1) as i128));
+        }
         Ok(i128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn len_of(&mut self) -> DecResult<usize> {
         let v = self.u64()?;
         // Cap implausible lengths so a corrupt prefix cannot trigger a huge
@@ -182,6 +255,42 @@ impl<'a> Dec<'a> {
     pub fn bytes(&mut self) -> DecResult<Vec<u8>> {
         let n = self.len_of()?;
         Ok(self.take(n)?.to_vec())
+    }
+
+    /// A LEB128 integer of at most `bits` bits, in its shortest encoding:
+    /// a last byte of zero after the first (an overlong spelling) and
+    /// bits past `bits` are rejected.
+    #[inline]
+    fn leb128(&mut self, bits: u32) -> DecResult<u128> {
+        // Most integers in a witness fit one byte.
+        if let Some(&byte) = self.buf.get(self.pos).filter(|&&byte| byte < 0x80) {
+            self.pos += 1;
+            return Ok(byte as u128);
+        }
+        self.leb128_long(bits)
+    }
+
+    fn leb128_long(&mut self, bits: u32) -> DecResult<u128> {
+        let at = self.pos;
+        let mut value = 0u128;
+        let mut shift = 0;
+        loop {
+            let byte = self.u8()?;
+            let group = (byte & 0x7f) as u128;
+            if shift >= bits || (bits - shift < 7 && group >> (bits - shift) != 0) {
+                return Err(CodecError(format!(
+                    "varint at byte {at} overflows {bits} bits"
+                )));
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(CodecError(format!("overlong varint at byte {at}")));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
     }
 }
 
@@ -922,6 +1031,50 @@ mod tests {
             assert_eq!(dec_step(&mut d).expect("decode"), *step);
             assert!(d.at_end());
         }
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_shortest_form_only() {
+        let mut e = Enc::varint();
+        e.u32(u32::MAX);
+        e.u64(0);
+        e.u64(127);
+        e.u64(128);
+        e.u64(u64::MAX);
+        for v in [0, -1, 1, 7, i128::MIN, i128::MAX] {
+            e.i128(v);
+        }
+        enc_step(&mut e, &Step::instr_with(300, vec![Value::MathInt(-2)]));
+        let bytes = e.into_bytes();
+        let mut d = Dec::varint(&bytes);
+        assert_eq!(d.u32(), Ok(u32::MAX));
+        assert_eq!(
+            [d.u64(), d.u64(), d.u64(), d.u64()],
+            [Ok(0), Ok(127), Ok(128), Ok(u64::MAX)]
+        );
+        for v in [0, -1, 1, 7, i128::MIN, i128::MAX] {
+            assert_eq!(d.i128(), Ok(v));
+        }
+        assert_eq!(
+            dec_step(&mut d),
+            Ok(Step::instr_with(300, vec![Value::MathInt(-2)]))
+        );
+        assert!(d.at_end());
+        // 1 = [0x01]; [0x81, 0x00] spells it overlong. 2^32 overflows a u32,
+        // and an eleventh byte overflows a u64.
+        let reject = |bytes: &[u8], read: fn(&mut Dec) -> DecResult<u64>| {
+            read(&mut Dec::varint(bytes)).unwrap_err().0
+        };
+        assert!(reject(&[0x81, 0x00], |d| d.u64()).contains("overlong"));
+        assert!(
+            reject(&[0x80, 0x80, 0x80, 0x80, 0x10], |d| d.u32().map(u64::from))
+                .contains("overflows 32 bits")
+        );
+        let eleven = [
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x01,
+        ];
+        assert!(reject(&eleven, |d| d.u64()).contains("overflows 64 bits"));
+        assert!(reject(&[0x80], |d| d.u64()).contains("truncated"));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   certificate's machine-checkable [`armada_recheck::Witness`] versioned
 //!   alongside the counters, and a validating load additionally runs the
 //!   witness's structural checks (subject-agnostic: counts, step
-//!   encodings, the obligation hash chain, the sealed digest). A cached
+//!   encodings, the sealed digest over every pair and edge). A cached
 //!   verdict therefore re-proves its own shape on every load; `armada
 //!   recheck` can go further and replay it against the semantics. Each
 //!   format bump ([`armada_recheck::FORMAT_VERSION`]) changes [`CertKey`]
@@ -47,7 +47,9 @@
 //!   moment it ships — a one-time full cache invalidation, not a parse
 //!   hazard. v3 re-keys records on the level pair's content and binds the
 //!   witness subject to the same content; v4 hashes 64-bit words, not
-//!   bytes, in every witness digest and in the record checksum.
+//!   bytes, in every witness digest and in the record checksum; v5 keeps
+//!   only what the checker cannot recompute (no per-obligation digests,
+//!   varint steps, one table of match-set digests).
 
 use std::fs;
 use std::io;
@@ -450,10 +452,11 @@ mod tests {
         }
     }
 
-    /// A record touching every field shape of the v4 layout: truncated
-    /// status, multi-entry and identity renamings, empty and odd-valued
-    /// step encodings, and digests at both ends of `u64`. Not a valid
-    /// witness — only the bytes matter here.
+    /// A record touching every field shape of the v5 layout: truncated
+    /// status, multi-entry and identity renamings, a set table entry used
+    /// twice, one- and two-step encodings with a two-byte tid varint and a
+    /// zigzagged nondet value, and digests at both ends of `u64`. Not a
+    /// valid witness — only the bytes matter here.
     fn golden_cert() -> RefinementCert {
         use armada_recheck::{Obligation, WitnessPair};
         RefinementCert {
@@ -480,28 +483,24 @@ mod tests {
                     },
                     WitnessPair {
                         low_fp: u64::MAX,
-                        set_digest: 0,
+                        set_digest: u64::MAX,
                     },
                 ],
                 obligations: vec![
                     Obligation {
                         parent: 0,
-                        micro: 1,
                         renaming: Extent { start: 0, end: 0 },
-                        steps: Extent { start: 0, end: 0 },
-                        steps_digest: 0,
-                        hash: u64::MAX,
+                        steps: Extent { start: 0, end: 3 },
                     },
                     Obligation {
                         parent: 1,
-                        micro: 4_294_967_295,
                         renaming: Extent { start: 0, end: 3 },
-                        steps: Extent { start: 0, end: 5 },
-                        steps_digest: 0x00ab_0000_0000_0001,
-                        hash: 0,
+                        steps: Extent { start: 3, end: 12 },
                     },
                 ],
-                steps: vec![0x00, 0x0f, 0xa5, 0xff, 0x10],
+                // One drain by tid 1; then tid 300 (`ac 02`) with the
+                // nondet math int -1 (zigzag 1), and a drain by tid 2.
+                steps: vec![1, 1, 0, 2, 0xac, 0x02, 1, 1, 1, 1, 2, 0],
                 renamings: vec![2, 1, 10],
                 digest: 0x8000_0000_0000_0000,
             },
@@ -509,7 +508,7 @@ mod tests {
     }
 
     const GOLDEN: &str = "\
-armada-cert v4
+armada-cert v5
 low Impl
 high Spec
 product_nodes 3
@@ -517,15 +516,18 @@ low_transitions 18446744073709551615
 witness subject ffffffffffffffff
 witness status truncated waves 12 depth 0 symmetry 1 buffer 7
 witness root 3,1,2
+witness sets 2
+set ffffffffffffffff
+set 000000000000000f
 witness pairs 3
-pair 0000000000000000 ffffffffffffffff
-pair 0123456789abcdef 000000000000000f
-pair ffffffffffffffff 0000000000000000
+pair 0000000000000000 0
+pair 0123456789abcdef 1
+pair ffffffffffffffff 0
 witness obligations 2
-obl 0 1 - 0000000000000000 ffffffffffffffff -
-obl 1 4294967295 2,1,10 00ab000000000001 0000000000000000 000fa5ff10
+obl 0 - 010100
+obl 1 2,1,10 02ac02010101010200
 witness digest 8000000000000000
-checksum d5d659bd090b537b
+checksum 34287ce96260df22
 ";
 
     #[test]

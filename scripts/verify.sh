@@ -24,7 +24,7 @@ cargo fmt --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> armada recheck gate (emit → recheck, fixture records, v3 record / corrupted witness / torn record → reject, warm --recheck, comment edit → store hit)"
+echo "==> armada recheck gate (emit → recheck, fixture records, v4 record / corrupted witness / torn record → reject, warm --recheck, comment edit → store hit)"
 # For every shipped spec, a cold run persists witness-bearing certs (one
 # per recipe); the checker must accept every record
 # (structural + semantic replay), and a warm --recheck run must
@@ -89,16 +89,24 @@ expect_rejected() {
         recheck_fail "$2 was not rejected (exit $rc; want 1 and REJECTED)"
     fi
 }
+# Each damaged copy must differ from its source, so an edit that matches
+# nothing fails here instead of passing as a rejection.
+expect_changed() {
+    ! cmp -s "$CERT_FIXTURE" "$1" || recheck_fail "$2 left the record unchanged"
+}
 mkdir "$RC_DIR/previous" "$RC_DIR/corrupt" "$RC_DIR/torn"
 # A fresh record relabelled as the previous format must be rejected,
 # naming its version.
-sed '1s/^armada-cert v4$/armada-cert v3/' "$CERT_FIXTURE" >"$RC_DIR/previous/relabelled.cert"
-expect_rejected previous "a record relabelled armada-cert v3"
-grep -q "record format v3" "$RC_DIR/previous.out" \
-    || { cat "$RC_DIR/previous.out"; recheck_fail "recheck did not name record format v3"; }
-sed '/^witness digest /y/0123456789/1032547698/' "$CERT_FIXTURE" >"$RC_DIR/corrupt/witness.cert"
+sed '1s/^armada-cert v5$/armada-cert v4/' "$CERT_FIXTURE" >"$RC_DIR/previous/relabelled.cert"
+expect_changed "$RC_DIR/previous/relabelled.cert" "relabelling armada-cert v4"
+expect_rejected previous "a record relabelled armada-cert v4"
+grep -q "record format v4" "$RC_DIR/previous.out" \
+    || { cat "$RC_DIR/previous.out"; recheck_fail "recheck did not name record format v4"; }
+sed '/^set /y/0123456789/1032547698/' "$CERT_FIXTURE" >"$RC_DIR/corrupt/witness.cert"
+expect_changed "$RC_DIR/corrupt/witness.cert" "corrupting the set table"
 expect_rejected corrupt "a corrupted witness"
 head -c "$(( $(wc -c <"$CERT_FIXTURE") / 2 ))" "$CERT_FIXTURE" >"$RC_DIR/torn/half.cert"
+expect_changed "$RC_DIR/torn/half.cert" "cutting the record"
 expect_rejected torn "a record cut to half its length"
 rm -rf "$RC_DIR"
 

@@ -1,4 +1,4 @@
-//! Byte-level gates for the v4 certificate record codec on real records.
+//! Byte-level gates for the v5 certificate record codec on real records.
 //!
 //! `armada-recheck`'s `parse_record` is the one reader of a record and
 //! `write_record` its one writer, both tuned for speed, so these tests pin
@@ -129,6 +129,23 @@ fn non_canonical_spellings_are_rejected_naming_their_line() {
         .position(|line| line == digest_line)
         .expect("digest line")
         + 1;
+    let line = |prefix: &str| {
+        payload
+            .lines()
+            .enumerate()
+            .find(|(_, line)| line.starts_with(prefix))
+            .map(|(index, line)| (format!("\n{line}\n"), index + 1))
+            .expect("a line with the prefix")
+    };
+    // The first step encoding leads with its count, one byte; `80 00`
+    // spells zero in two bytes, `81 00` spells one.
+    let (first_obligation, first_obligation_at) = line("obl ");
+    let (fields, steps) = first_obligation.rsplit_once(' ').expect("a step field");
+    let count = u8::from_str_radix(&steps[..2], 16).expect("a hex step count");
+    let overlong = format!("{fields} {:02x}00{}", count | 0x80, &steps[2..]);
+    // The first pair names set 0; `00` spells it with a leading zero.
+    let (first_pair, first_pair_at) = line("pair ");
+    let first_pair = first_pair.trim_end().to_string();
     let crlf = payload.replace('\n', "\r\n");
     let crlf = format!("{crlf}checksum {:016x}\r\n", record_checksum(&crlf));
     let cases = [
@@ -155,6 +172,20 @@ fn non_canonical_spellings_are_rejected_naming_their_line() {
             digest_at,
         ),
         ("CRLF line ends", crlf.into_bytes(), 1),
+        (
+            "an overlong step varint",
+            reseal(payload.replacen(&first_obligation, &overlong, 1).as_bytes()),
+            first_obligation_at,
+        ),
+        (
+            "a set index with a leading zero",
+            reseal(
+                payload
+                    .replacen(&first_pair, &format!("{first_pair}0"), 1)
+                    .as_bytes(),
+            ),
+            first_pair_at,
+        ),
     ];
     for (what, variant, want) in cases {
         assert_ne!(

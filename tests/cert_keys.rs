@@ -322,41 +322,40 @@ fn editing_queues_middle_level_misses_exactly_its_two_recipes() {
 #[test]
 fn a_previous_format_record_is_never_served_and_recheck_names_its_version() {
     let source = spec_source("specs/counter.arm");
-    let dir = scratch("v3");
+    let dir = scratch("v4");
     run_cached(&source, &dir);
     let file = stored(&dir).into_iter().next().expect("one record");
     let path = dir.join(&file);
     let record = std::fs::read_to_string(&path).expect("record");
     let cert = parse_record(&record).expect("valid record");
     assert_eq!(write_record(&cert), record);
-    // The same certificate labelled v3, checksum recomputed: only the
+    // The same certificate labelled v4, checksum recomputed: only the
     // magic line differs from a record the store accepts.
     let payload = record
-        .replacen("armada-cert v4\n", "armada-cert v3\n", 1)
+        .replacen("armada-cert v5\n", "armada-cert v4\n", 1)
         .rsplit_once("checksum ")
         .expect("checksum line")
         .0
         .to_string();
-    assert!(payload.starts_with("armada-cert v3\n"), "relabel must land");
+    assert!(payload.starts_with("armada-cert v4\n"), "relabel must land");
     let checksum = record_checksum(&payload);
-    let v3 = format!("{payload}checksum {checksum:016x}\n");
-    std::fs::write(&path, &v3).expect("plant the v3 record");
+    let v4 = format!("{payload}checksum {checksum:016x}\n");
+    std::fs::write(&path, &v4).expect("plant the v4 record");
     let served = run_cached(&source, &dir);
     assert!(
         served
             .iter()
             .all(|(_, cache)| *cache == CacheDisposition::Miss),
-        "a v3 record was served: {served:?}"
+        "a v4 record was served: {served:?}"
     );
-    // Recheck reads the version before the checksum, which a v3 record
-    // computed with another function: relabelled with or without a new
-    // checksum, the record is named as v3.
-    let stale = record.replacen("armada-cert v4\n", "armada-cert v3\n", 1);
-    for text in [&v3, &stale] {
-        let err = armada::recheck::recheck_record(text, Some(&source)).expect_err("v3 accepted");
+    // Recheck reads the version before the checksum: relabelled with or
+    // without a new checksum, the record is named as v4.
+    let stale = record.replacen("armada-cert v5\n", "armada-cert v4\n", 1);
+    for text in [&v4, &stale] {
+        let err = armada::recheck::recheck_record(text, Some(&source)).expect_err("v4 accepted");
         assert!(
             err.to_string()
-                .contains("record format v3 is not supported (this checker reads v4)"),
+                .contains("record format v4 is not supported (this checker reads v5)"),
             "{err}"
         );
     }

@@ -3,16 +3,17 @@
 //! independent checker rejects it with a structured error naming the
 //! failure.
 //!
-//! Every mutation here goes back through [`write_record`], which embeds a
-//! *fresh* checksum over the mutated payload — so the store's checksum
-//! cannot be what rejects the record. Only the witness validation
-//! (structural checks, the obligation hash chain, the subject binding)
-//! stands between a forged record and an accepted verdict, which is
-//! exactly the trust boundary `armada recheck` claims to enforce.
+//! Every mutation here goes back through [`write_record`], or is edited
+//! into the record text under a recomputed checksum — so the store's
+//! checksum cannot be what rejects the record. Only the parser's grammar
+//! and the witness validation (structural checks, the sealed digest, the
+//! subject binding, replay) stand between a forged record and an accepted
+//! verdict, which is exactly the trust boundary `armada recheck` claims to
+//! enforce.
 
 use armada::verify::{RefinementCert, SimConfig};
 use armada::Pipeline;
-use armada_recheck::{parse_record, recheck_record, write_record, RecheckError};
+use armada_recheck::{parse_record, recheck_record, record_checksum, write_record, RecheckError};
 
 fn spec_source(rel: &str) -> String {
     std::fs::read_to_string(format!("{}/{rel}", env!("CARGO_MANIFEST_DIR")))
@@ -33,33 +34,127 @@ fn certs(source: &str, jobs: usize) -> Vec<RefinementCert> {
         .collect()
 }
 
-/// A certificate with at least two obligations, so a non-final obligation
-/// can be forged without touching the sealed digest (which covers only the
-/// chain's final hash).
+/// A certificate with at least two obligations and two match sets, so an
+/// obligation can be forged without its certificate losing every edge and
+/// the set table has two entries to swap.
 fn rich_cert(source: &str) -> RefinementCert {
     certs(source, 1)
         .into_iter()
-        .find(|c| c.witness.obligations.len() >= 2)
-        .expect("a certificate with at least two obligations")
+        .find(|c| {
+            let sets = &c.witness.pairs;
+            c.witness.obligations.len() >= 2
+                && sets.iter().any(|p| p.set_digest != sets[0].set_digest)
+        })
+        .expect("a certificate with two obligations and two match sets")
 }
 
-/// Mutation class 1: flip one obligation hash. The record still parses and
-/// checksums; the chained-hash recomputation must catch it and name the
-/// obligation.
+/// `record` under a checksum recomputed over its payload.
+fn reseal(record: &str) -> String {
+    let payload = record.rsplit_once("checksum ").expect("checksum line").0;
+    format!("{payload}checksum {:016x}\n", record_checksum(payload))
+}
+
+/// `record` with its first line starting `from` rewritten by `to`, resealed,
+/// and the number of the line edited.
+fn edit_line(record: &str, from: &str, to: impl Fn(&str) -> String) -> (String, usize) {
+    let (index, line) = record
+        .lines()
+        .enumerate()
+        .find(|(_, line)| line.starts_with(from))
+        .expect("a line to edit");
+    let forged = reseal(&record.replacen(&format!("\n{line}\n"), &format!("\n{}\n", to(line)), 1));
+    assert_ne!(forged, record, "the edit must land");
+    (forged, index + 1)
+}
+
+/// Mutation class 1a: a pair line names a set past the end of the table.
+/// The record still checksums; the parser rejects the index and names its
+/// line.
 #[test]
-fn a_flipped_obligation_hash_is_rejected_naming_the_obligation() {
+fn a_set_index_out_of_range_is_a_parse_error_naming_its_line() {
     let source = spec_source("specs/counter.arm");
-    let mut cert = rich_cert(&source);
-    cert.witness.obligations[0].hash ^= 1;
+    let cert = rich_cert(&source);
     let record = write_record(&cert);
-    let err = recheck_record(&record, Some(&source)).expect_err("forged hash accepted");
+    let sets = record
+        .lines()
+        .filter(|line| line.starts_with("set "))
+        .count();
+    let (forged, line) = edit_line(&record, "pair ", |pair| {
+        let (fp, _) = pair.rsplit_once(' ').expect("a set index");
+        format!("{fp} {sets}")
+    });
+    let err = recheck_record(&forged, Some(&source)).expect_err("forged index accepted");
+    assert_eq!(
+        err,
+        RecheckError::Parse {
+            line,
+            reason: format!("set index {sets} is outside the {sets}-entry set table"),
+        }
+    );
+}
+
+/// Mutation class 1b: two set-table entries trade places. Every pair line
+/// still indexes the table in order of first use, so the record parses,
+/// but each pair now carries the other set's digest: the sealed digest
+/// must catch the swap.
+#[test]
+fn swapped_set_table_entries_are_rejected_by_the_digest() {
+    let source = spec_source("specs/counter.arm");
+    let record = write_record(&rich_cert(&source));
+    let first = record
+        .lines()
+        .find(|line| line.starts_with("set "))
+        .expect("a set line")
+        .to_string();
+    let second = record
+        .lines()
+        .filter(|line| line.starts_with("set "))
+        .nth(1)
+        .expect("a second set line")
+        .to_string();
+    let forged = reseal(
+        &record
+            .replacen(&first, "set swap", 1)
+            .replacen(&second, &first, 1)
+            .replacen("set swap", &second, 1),
+    );
+    assert_ne!(forged, record, "the swap must land");
+    let err = recheck_record(&forged, Some(&source)).expect_err("swapped sets accepted");
     assert!(
-        matches!(err, RecheckError::ObligationHash { index: 0, .. }),
+        matches!(err, RecheckError::DigestMismatch { .. }),
         "wrong rejection: {err}"
     );
-    assert!(
-        err.to_string().contains("obligation 0"),
-        "error must name the failing obligation: {err}"
+}
+
+/// Mutation class 1c: one micro-step moves to a thread that does not
+/// exist, digest and checksum recomputed, so every structural check
+/// passes. Only replay against the semantics can reject it, naming the
+/// obligation and the step.
+#[test]
+fn a_step_that_is_not_enabled_is_rejected_by_replay() {
+    let source = spec_source("specs/counter.arm");
+    let mut cert = rich_cert(&source);
+    let index = cert.witness.obligations.len() - 1;
+    // Step bytes: the step count, then the first step's tid.
+    let at = cert.witness.obligations[index].steps.start as usize + 1;
+    cert.witness.steps[at] = 7;
+    cert.witness.digest = cert.witness.compute_digest();
+    let record = write_record(&cert);
+    let loaded = parse_record(&record).expect("the forgery parses");
+    assert_eq!(
+        loaded
+            .witness
+            .validate(loaded.product_nodes, loaded.low_transitions, None),
+        Ok(()),
+        "the forgery passes structural validation"
+    );
+    let err = recheck_record(&record, Some(&source)).expect_err("disabled step accepted");
+    assert_eq!(
+        err,
+        RecheckError::Obligation {
+            index,
+            reason: "micro-step 0 (t7) is not enabled in the parent's state".to_string(),
+        }
     );
 }
 

@@ -84,8 +84,9 @@ fn validating_load(record: &str) -> Result<CertRecord, armada::recheck::RecheckE
     Ok(cert)
 }
 
-/// What one validating load allocates: the two level names, the pair and
-/// obligation tables, the step arena, and `validate`'s pair-digest table.
+/// What one validating load allocates: the two level names, the record's
+/// set table (dropped once each pair holds its digest), the pair and
+/// obligation tables, and the step arena; `validate` allocates nothing.
 /// The renaming arenas of these records are empty and allocate nothing.
 const LOAD_ALLOCATIONS: u64 = 6;
 
@@ -121,6 +122,24 @@ fn loads_and_clones_allocate_a_fixed_number_of_times() {
     assert!(
         fewest < Some(100) && most > Some(25_000),
         "{obligation_counts:?}"
+    );
+}
+
+/// Queue's `WeakRefinesSpec` record took 3,688,400 bytes in format v4,
+/// most of them zero-padded step words and digests the checker
+/// recomputes; a record may take at most half of that.
+const WEAK_REFINES_SPEC_MAX_BYTES: usize = 3_688_400 / 2;
+
+#[test]
+fn the_largest_queue_record_takes_at_most_half_its_v4_size() {
+    let record = queue_records()
+        .iter()
+        .find(|record| record.contains("\nlow Weak\nhigh Spec\n"))
+        .expect("the WeakRefinesSpec record");
+    assert!(
+        record.len() <= WEAK_REFINES_SPEC_MAX_BYTES,
+        "{} bytes, over {WEAK_REFINES_SPEC_MAX_BYTES}",
+        record.len()
     );
 }
 
