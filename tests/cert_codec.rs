@@ -37,11 +37,11 @@ fn queue_record_checksums_are_pinned() {
         (
             "Implementation",
             "AbstractQueue",
-            "checksum ed609e37fdd96b7b",
+            "checksum c375c586b1ab504e",
         ),
-        ("AbstractQueue", "Cemented", "checksum 10559a3c4007fe8a"),
-        ("Cemented", "Weak", "checksum ab2083ea0d9ef9eb"),
-        ("Weak", "Spec", "checksum d4cb576f667245c8"),
+        ("AbstractQueue", "Cemented", "checksum b7b6dacb135e0d2d"),
+        ("Cemented", "Weak", "checksum 84c5ff3e02d8dd5e"),
+        ("Weak", "Spec", "checksum 3b29c044aa62fd0b"),
     ];
     let certs = queue_certs();
     assert_eq!(certs.len(), pinned.len());
