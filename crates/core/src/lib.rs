@@ -743,7 +743,7 @@ impl Pipeline {
         if let Some(store) = cert_store {
             if let Some(cert) = store.load(&key, &recipe.low, &recipe.high) {
                 // The load already validated the witness's structure
-                // (counts, hash chain, the digest that seals the subject).
+                // (counts, step encodings, the digest that seals the subject).
                 // Under `--recheck`, a warm hit must also be bound to this
                 // subject and replay the witnessed low tree against the
                 // semantics before it is served. A failing witness is not

@@ -62,7 +62,7 @@ use armada_sm::{
 };
 
 /// The witness format's one hash, as an explicit incremental hasher so
-/// chained digests have one unambiguous word-level definition shared by
+/// its digests have one unambiguous word-level definition shared by
 /// emitter and checker. It is [`FpHasher`], the word-at-a-time
 /// rotate-xor-multiply behind the state fingerprints a witness carries, so
 /// the checker trusts a single hash: each 64-bit word costs one multiply,
@@ -611,10 +611,10 @@ pub struct CertRecord {
     /// full micro length).
     pub low_transitions: usize,
     /// The machine-checkable witness: the simulation relation as
-    /// fingerprinted canonical state pairs plus one chained obligation per
-    /// product edge. [`replay`] checks it against the spec semantics
-    /// without re-exploring. Emitted unbound (subject 0) — the pipeline
-    /// binds it to the level pair's content before persisting.
+    /// fingerprinted canonical state pairs plus one obligation per product
+    /// edge, sealed by one digest. [`replay`] checks it against the spec
+    /// semantics without re-exploring. Emitted unbound (subject 0) — the
+    /// pipeline binds it to the level pair's content before persisting.
     pub witness: Witness,
 }
 

@@ -392,7 +392,7 @@ fn level_name_fits(name: &str) -> bool {
 
 /// A validating load of `text`: [`armada_recheck::parse_record`] (version,
 /// checksum, every field), then the witness's structural self-checks
-/// (counts, step encodings, hash chain, sealed digest). The disk tier, the
+/// (counts, step encodings, sealed digest). The disk tier, the
 /// memory tier and [`CertStore::audit`] all load through it.
 pub(crate) fn validated(text: &str) -> Option<RefinementCert> {
     let cert = armada_recheck::parse_record(text).ok()?;
